@@ -199,34 +199,33 @@ def relevance_mask(
 ) -> list[float]:
     """One relevance score in [0, 1] per part, batched.
 
-    Batches partition the part list in order; a reply whose length does not
-    match its batch gets one re-ask and then fails.
+    Batches partition the part list in order and are scored concurrently
+    through ``gateway.map``; a reply whose length does not match its batch
+    gets one re-ask and then fails.
     """
     if not parts:
         raise ValueError("relevance_mask needs at least one part")
-    scores: list[float] = []
-    for start in range(0, len(parts), batch_size):
+
+    def score_batch(start: int) -> list[float]:
         batch = parts[start : start + batch_size]
         rendered = [render_part(p, i) for i, p in enumerate(batch, start=1)]
         request = prompts.mask_request(topic, rendered)
-        batch_scores = None
         for attempt in range(2):
             try:
                 values = parse_real_list(gateway.complete(request).raw_text)
             except UnparseableReplyError:
                 values = None
             if values is not None and len(values) == len(batch):
-                batch_scores = [min(1.0, max(0.0, v)) for v in values]
-                break
+                return [min(1.0, max(0.0, v)) for v in values]
             request = request.with_addendum(
                 f"{prompts.REASK_LIST} It must hold exactly {len(batch)} values."
             )
-        if batch_scores is None:
-            raise UnparseableReplyError(
-                f"mask reply did not yield {len(batch)} scores for batch at {start}"
-            )
-        scores.extend(batch_scores)
-    return scores
+        raise UnparseableReplyError(
+            f"mask reply did not yield {len(batch)} scores for batch at {start}"
+        )
+
+    batches = gateway.map(score_batch, range(0, len(parts), batch_size))
+    return [score for batch_scores in batches for score in batch_scores]
 
 
 def retain_parts(

@@ -14,9 +14,10 @@ import hashlib
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol, TypeVar
 
 from .errors import (
     DuplicateScriptKeyError,
@@ -43,6 +44,9 @@ REQUEST_TAGS = frozenset(
 )
 
 _PART_SEPARATOR = "\x1e"  # record separator between user parts
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,14 @@ class Gateway:
     attempts, 1s/2s/4s by default); provider refusals and empty replies are
     surfaced immediately so hallucination handling stays in the caller. A
     semaphore bounds in-flight calls across worker threads.
+
+    ``map`` runs independent call chains concurrently, on up to
+    ``max_in_flight`` threads of its own; the semaphore stays the only bound
+    on calls in flight. It returns results in input order, as a serial loop
+    would. If any item fails it raises the exception of the first failing
+    item in input order, the one the serial loop would have raised, after
+    cancelling every item not yet started; items already running finish
+    first, so a failure can leave calls issued for later items.
     """
 
     def __init__(
@@ -228,6 +240,7 @@ class Gateway:
         self.provider = provider
         self.retries = retries
         self.backoff_s = backoff_s
+        self.max_in_flight = max_in_flight
         self._sleep = sleep
         self._slots = threading.Semaphore(max_in_flight)
 
@@ -254,3 +267,16 @@ class Gateway:
             return response
         assert last_error is not None
         raise last_error
+
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """``[fn(item) for item in items]``, with the calls run concurrently."""
+        items = list(items)
+        if len(items) < 2:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(items))) as pool:
+            futures = [pool.submit(fn, item) for item in items]
+            try:
+                return [future.result() for future in futures]
+            finally:
+                for future in futures:
+                    future.cancel()

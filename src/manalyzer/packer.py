@@ -19,7 +19,7 @@ from .gateway import Gateway
 from .parsing import parse_int_reply
 
 if TYPE_CHECKING:
-    from .collector import ParsedDocument
+    from .collector import Paragraph, ParsedDocument
 
 MAX_BUDGET = 131072
 DEFAULT_IMPORTANCE = 5
@@ -62,10 +62,10 @@ def score_paragraphs(
 
     A reply that is not an integer in [0, 10] gets one re-ask; if that also
     fails, the paragraph falls back to the default rating rather than
-    sinking the document.
+    sinking the document. Paragraphs are rated concurrently through
+    ``gateway.map``.
     """
-    rated = []
-    for para in doc.paragraphs:
+    def rate(para: "Paragraph") -> RatedParagraph:
         request = prompts.paragraph_score_request(para.text)
         importance = None
         for attempt in range(2):
@@ -79,15 +79,14 @@ def score_paragraphs(
             request = request.with_addendum(prompts.REASK_INTEGER)
         if importance is None:
             importance = default_importance
-        rated.append(
-            RatedParagraph(
-                index=para.index,
-                text=para.text,
-                importance=importance,
-                weight=estimate_weight(para.text),
-            )
+        return RatedParagraph(
+            index=para.index,
+            text=para.text,
+            importance=importance,
+            weight=estimate_weight(para.text),
         )
-    return rated
+
+    return gateway.map(rate, doc.paragraphs)
 
 
 def select_paragraphs(items: Sequence[RatedParagraph], budget: int, doc_id: str = "") -> PackedDocument:
@@ -111,19 +110,26 @@ def select_paragraphs(items: Sequence[RatedParagraph], budget: int, doc_id: str 
 
     v_max = sum(it.importance for it in eligible)
     inf = np.int64(1) << 62
-    # g[i][v] = min weight of a subset of eligible[i:] with importance sum v.
-    g = np.full((n + 1, v_max + 1), inf, dtype=np.int64)
-    g[n][0] = 0
+    # row[v] = min weight of a subset of eligible[i:] with importance sum v,
+    # rolled back from i = n to i = 0. Bit v of keep[i] records that taking
+    # item i is optimal at v (its take is no heavier than the row without
+    # it); the reconstruction needs only that. Packing the bits keeps the
+    # matrix small enough that it does not linger in per-thread malloc arenas.
+    row = np.full(v_max + 1, inf, dtype=np.int64)
+    row[0] = 0
+    keep = np.empty((n, (v_max + 8) // 8), dtype=np.uint8)
+    better = np.zeros(v_max + 1, dtype=bool)
     for i in range(n - 1, -1, -1):
         imp, w = eligible[i].importance, eligible[i].weight
-        g[i] = g[i + 1]
-        take = np.full(v_max + 1, inf, dtype=np.int64)
-        take[imp:] = g[i + 1][: v_max + 1 - imp] + w
-        g[i] = np.minimum(g[i + 1], take)
+        take = row[: v_max + 1 - imp] + w
+        better[:imp] = False
+        np.less_equal(take, row[imp:], out=better[imp:])
+        keep[i] = np.packbits(better)
+        np.minimum(row[imp:], take, out=row[imp:])
 
-    feasible = np.nonzero(g[0] <= budget)[0]
+    feasible = np.nonzero(row <= budget)[0]
     best_v = int(feasible[-1])
-    best_w = int(g[0][best_v])
+    best_w = int(row[best_v])
 
     # Greedy front-to-back reconstruction: taking an item whenever doing so
     # still reaches the (importance, weight) optimum yields the smallest
@@ -131,11 +137,9 @@ def select_paragraphs(items: Sequence[RatedParagraph], budget: int, doc_id: str 
     chosen: list[int] = []
     v = best_v
     for i in range(n):
-        imp, w = eligible[i].importance, eligible[i].weight
-        if v >= imp and w + g[i + 1][v - imp] == g[i][v]:
+        if keep[i, v >> 3] >> (7 - (v & 7)) & 1:
             chosen.append(eligible[i].index)
-            v -= imp
-        # else: g[i][v] == g[i+1][v], skip
+            v -= eligible[i].importance
 
     return PackedDocument(
         doc_id=doc_id,

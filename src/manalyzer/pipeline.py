@@ -9,6 +9,11 @@ agent calls are never re-issued.
 Per-document work (packing, independent review, extraction) runs on a
 bounded worker pool; merge points (screening, table merge, report) are
 single-threaded. Only the orchestrator thread writes the manifest.
+
+Inside a document, the independent agent calls (paragraph scores, mask
+batches) fan out through ``Gateway.map``, so up to
+``max_concurrency x (1 + provider.max_in_flight)`` threads can exist while
+the calls in flight stay at most ``provider.max_in_flight``.
 """
 
 from __future__ import annotations

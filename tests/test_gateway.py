@@ -1,4 +1,7 @@
+import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -232,10 +235,130 @@ def test_gateway_bounds_in_flight_calls():
     for t in threads:
         t.start()
     # Give the workers a moment to pile up against the semaphore.
-    import time
-
     time.sleep(0.2)
     release.set()
     for t in threads:
         t.join()
     assert peak <= 2
+
+
+def test_gateway_map_calls_fn_directly_for_fewer_than_two_items():
+    gateway = Gateway(ScriptedProvider(), sleep=lambda s: None)
+    assert gateway.map(lambda i: threading.get_ident(), []) == []
+    assert gateway.map(lambda i: threading.get_ident(), [7]) == [threading.get_ident()]
+
+
+def test_gateway_map_returns_results_in_input_order():
+    provider = ScriptedProvider()
+    requests = [text_request(f"q{i}") for i in range(4)]
+    for i, request in enumerate(requests):
+        provider.register_for(request, f"a{i}")
+    gateway = Gateway(provider, max_in_flight=4, sleep=lambda s: None)
+    done = [threading.Event() for _ in requests]
+    finished = []
+    lock = threading.Lock()
+
+    def fn(i):
+        # Each item waits for the next one, so they finish last-to-first.
+        if i + 1 < len(requests):
+            assert done[i + 1].wait(timeout=5)
+        reply = gateway.complete(requests[i]).raw_text
+        with lock:
+            finished.append(i)
+        done[i].set()
+        return reply
+
+    assert gateway.map(fn, range(4)) == ["a0", "a1", "a2", "a3"]
+    assert finished == [3, 2, 1, 0]
+
+
+def test_gateway_map_raises_first_failure_in_input_order():
+    gateway = Gateway(ScriptedProvider(), max_in_flight=8, sleep=lambda s: None)
+    five_failed = threading.Event()
+
+    def fn(i):
+        if i == 5:
+            five_failed.set()
+            raise ValueError("item 5")
+        if i == 2:
+            # Fail only after item 5 has, so the later failure comes first.
+            assert five_failed.wait(timeout=5)
+            raise ValueError("item 2")
+        return i
+
+    with pytest.raises(ValueError, match="item 2"):
+        gateway.map(fn, range(7))
+
+
+def test_gateway_map_starts_no_item_after_a_failure_is_seen():
+    provider = ScriptedProvider()
+    requests = [text_request(f"q{i}") for i in range(32)]
+    for request in requests:
+        provider.register_for(request, "ok")
+    gateway = Gateway(provider, max_in_flight=2, sleep=lambda s: None)
+    started = []
+    lock = threading.Lock()
+
+    def fn(i):
+        with lock:
+            started.append(i)
+        if i == 0:
+            raise ValueError("item 0")
+        time.sleep(0.02)
+        return gateway.complete(requests[i]).raw_text
+
+    with pytest.raises(ValueError, match="item 0"):
+        gateway.map(fn, range(32))
+    issued = len(provider.calls)
+    time.sleep(0.1)
+    assert len(provider.calls) == issued, "an item ran after map returned"
+    assert len(started) < 32, "items queued behind the failure still ran"
+    expected = {("extract", digest_request(requests[i])) for i in started if i != 0}
+    assert set(provider.calls) == expected
+    assert len(provider.calls) == len(expected)
+
+
+def test_gateway_map_stress_keeps_slots_bounded_and_loses_no_call():
+    active = 0
+    peak = 0
+    lock = threading.Lock()
+
+    class CountingProvider(ScriptedProvider):
+        def complete(self, request):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            try:
+                time.sleep(0.0005)
+                return super().complete(request)
+            finally:
+                with lock:
+                    active -= 1
+
+    provider = CountingProvider()
+    requests = [[text_request(f"item {i} call {k}") for k in range(3)] for i in range(32)]
+    for chain in requests:
+        for request in chain:
+            provider.register_for(request, request.user_parts[0].text)
+    gateway = Gateway(provider, max_in_flight=3, sleep=lambda s: None)
+
+    def fn(i):
+        return [gateway.complete(request).raw_text for request in requests[i]]
+
+    results = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: results.append(gateway.map(fn, range(32))))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not worker.is_alive()
+    assert results == [[[f"item {i} call {k}" for k in range(3)] for i in range(32)]]
+    assert 2 <= peak <= 3
+    expected = Counter(
+        ("extract", digest_request(request)) for chain in requests for request in chain
+    )
+    assert Counter(provider.calls) == expected

@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from manalyzer import prompts
@@ -46,6 +47,35 @@ def brute_force(items, budget):
         chosen = tuple(items[i].index for i in range(n) if mask >> i & 1)
         best = min(best, (-imp, w, chosen))
     return best[2], -best[0], best[1]
+
+
+def full_table_select(items, budget):
+    """The knapsack with its whole (n+1) x (v_max+1) min-weight table and the
+    reconstruction's equality test against it: the reference for the
+    rolling-row DP with a boolean keep matrix."""
+    budget = max(0, min(budget, MAX_BUDGET))
+    eligible = [it for it in sorted(items, key=lambda it: it.index) if it.weight <= budget]
+    n = len(eligible)
+    if n == 0:
+        return (), 0, 0
+    v_max = sum(it.importance for it in eligible)
+    inf = np.int64(1) << 62
+    g = np.full((n + 1, v_max + 1), inf, dtype=np.int64)
+    g[n][0] = 0
+    for i in range(n - 1, -1, -1):
+        imp, w = eligible[i].importance, eligible[i].weight
+        take = np.full(v_max + 1, inf, dtype=np.int64)
+        take[imp:] = g[i + 1][: v_max + 1 - imp] + w
+        g[i] = np.minimum(g[i + 1], take)
+    best_v = int(np.nonzero(g[0] <= budget)[0][-1])
+    chosen = []
+    v = best_v
+    for i in range(n):
+        imp, w = eligible[i].importance, eligible[i].weight
+        if v >= imp and w + g[i + 1][v - imp] == g[i][v]:
+            chosen.append(eligible[i].index)
+            v -= imp
+    return tuple(chosen), best_v, int(g[0][best_v])
 
 
 def test_estimate_weight():
@@ -109,6 +139,22 @@ def test_select_matches_brute_force_on_random_instances():
         assert packed.selected_indices == expected_indices, f"case {case}"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"200 cases took {elapsed:.2f} s"
+
+
+def test_select_matches_full_table_on_tie_heavy_instances():
+    rng = random.Random(2718)
+    for case in range(60):
+        n = rng.randint(1, 300)
+        # Few distinct importances and weights, so optima tie often.
+        importances = rng.sample(range(11), rng.randint(1, 4))
+        weights = rng.sample(range(1, 9), rng.randint(1, 3))
+        items = make_items(
+            [(rng.choice(importances), rng.choice(weights)) for _ in range(n)]
+        )
+        budget = rng.randint(0, sum(it.weight for it in items) + 5)
+        packed = select_paragraphs(items, budget)
+        got = (packed.selected_indices, packed.total_importance, packed.total_weight)
+        assert got == full_table_select(items, budget), f"case {case}"
 
 
 def test_budget_monotonicity():

@@ -1,15 +1,17 @@
 """Orchestration: stage sequencing, template pinning, resume semantics, and
 the end-to-end run over the bundled scripted corpus."""
 
+import dataclasses
 import json
 import re
+from collections import Counter
 
 import pytest
 
 from manalyzer import prompts, synth
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ConfigError, StageFailure
-from manalyzer.gateway import ScriptedProvider
+from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
 
@@ -188,6 +190,90 @@ def test_stage_error_becomes_stage_failure(tmp_path):
     with pytest.raises(StageFailure, match="stage 'pack' failed") as exc_info:
         pipe.run(None)
     assert exc_info.value.stage == "pack"
+
+
+# -- fan-out inside a document ------------------------------------------------
+
+
+class ContentAnsweringProvider(ScriptedProvider):
+    """Replies computed from the request content, recorded in ``calls``.
+
+    Paragraph i is scored ``i % 11``, except that i % 6 == 0 gets two
+    unusable replies (default importance) and i % 6 == 1 gets an
+    out-of-range score and then 3 on the re-ask. The mask batch holding
+    paragraph 10 first gets a reply of the wrong length."""
+
+    def complete(self, request):
+        key = (request.request_tag, digest_request(request))
+        with self._lock:
+            self.calls.append(key)
+        return AgentResponse(raw_text=self._answer(request), provider_id="answering")
+
+    @staticmethod
+    def _answer(request):
+        tag = request.request_tag
+        texts = [part.text for part in request.user_parts]
+        reask = texts[-1].startswith((prompts.REASK_INTEGER, prompts.REASK_LIST))
+        if tag == "paragraph_score":
+            i = int(re.search(r"Finding (\d+)\.", texts[0]).group(1))
+            if i % 6 == 0:
+                return "no idea"
+            if i % 6 == 1:
+                return "3" if reask else "25"
+            return str(i % 11)
+        if tag == "mask":
+            scored = texts[1:-1] if reask else texts[1:]
+            if not reask and "Finding 10." in scored[0]:
+                return "[0.9]"
+            return "[" + ", ".join("0.9" if k % 2 else "0.2" for k in range(len(scored))) + "]"
+        if tag == "independent_review":
+            return "Topic Relevance: 7\nFeasibility: 7"
+        if tag == "comparative_review":
+            return "[0.9]"
+        if tag == "extract":
+            return (
+                "| rainfall mm |\n| --- |\n| 401 |\n\n[The Start of Explanation]\n"
+                "1. The number 401: Comes from Part 1, Row 1, Column 1.\n"
+                "[The End of Explanation]\n"
+            )
+        if tag == "check":
+            return synth.CHECK_REPLY
+        return "Narrative."
+
+
+def test_fan_out_matches_one_call_in_flight(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    write_mini_doc(source, "long", [
+        f"Finding {i}. Rainfall reached {400 + i} mm while yield held at {5 + i / 10} t/ha."
+        for i in range(24)
+    ])
+    config = PipelineConfig(packer_budget=150)
+    trees, calls = [], []
+    for in_flight in (1, 4):
+        # One config snapshot for both workspaces; only the gateway differs.
+        ws = Workspace.init(tmp_path / f"run{in_flight}", DIRECTION, config)
+        provider = ContentAnsweringProvider()
+        pipe = Pipeline(
+            ws, dataclasses.replace(config, provider_max_in_flight=in_flight), provider
+        )
+        pipe.ingest_dir(source)
+        pipe.run(["rainfall mm"])
+        trees.append({
+            str(p.relative_to(ws.root)): p.read_bytes()
+            for p in sorted(ws.root.rglob("*")) if p.is_file()
+        })
+        calls.append(Counter(provider.calls))
+
+    assert pipe.ws.status_of("long") == "analyzed"
+    assert trees[0] == trees[1]
+    assert calls[0] == calls[1]
+    tags = Counter(tag for tag, _ in calls[0].elements())
+    # 24 paragraphs, 4 of each re-asked kind; 3 mask batches, one re-asked.
+    assert tags["paragraph_score"] == 24 + 4 + 4
+    assert tags["mask"] == 3 + 1
+    packed = json.loads(trees[1]["packed/long.json"])
+    assert 0 < len(packed["selected_indices"]) < 24
 
 
 # -- end-to-end over the bundled corpus --------------------------------------
