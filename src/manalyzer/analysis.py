@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +23,7 @@ from . import prompts
 from .errors import HeaderMismatchError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
+from .workspace import atomic_write_text
 
 log = logging.getLogger(__name__)
 
@@ -325,24 +326,11 @@ def run_analysis(
             out_dir.mkdir(parents=True, exist_ok=True)
             name = f"step-{number}-{step.kind}.json"
             payload = {
-                "step": {
-                    "kind": step.kind,
-                    "features": list(step.features),
-                    "k": step.k,
-                    "label": step.label,
-                    "response": step.response,
-                },
+                "step": asdict(step),
                 "stats": result.stats,
                 "excluded_rows": result.excluded_rows,
             }
-            (out_dir / name).write_text(
-                json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-            )
-            result = AnalysisResult(
-                step=result.step,
-                stats=result.stats,
-                artifacts=(name,),
-                excluded_rows=result.excluded_rows,
-            )
+            atomic_write_text(out_dir / name, json.dumps(payload, indent=2, sort_keys=True))
+            result = replace(result, artifacts=(name,))
         results.append(result)
     return results

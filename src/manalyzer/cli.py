@@ -314,21 +314,24 @@ def eval_extraction(
 ) -> None:
     """Hit rate of extracted values against gold data points, per level."""
     pipe = _open(ctx)
+    config = pipe.config
+    level_rel_tol = {1: config.eval_rel_tol, 2: config.eval_rel_tol, 3: config.eval_level3_rel_tol}
     try:
         gold = evaluation.load_gold(gold_path)
         extracted: dict[str, list[float]] = {}
         for doc_id in pipe.ws.doc_ids():
-            table_path = pipe._extract_dir(doc_id) / "table.json"
-            if table_path.exists():
-                raw = json.loads(table_path.read_text(encoding="utf-8"))
-                extracted[doc_id] = [
-                    cell for row in raw["rows"] for cell in row if cell is not None
-                ]
-        results = evaluation.evaluate_extraction(
-            extracted, gold,
-            abs_tol=abs_tol if abs_tol is not None else pipe.config.eval_abs_tol,
-            rel_tol=rel_tol,
-        )
+            table = pipe.load_table(doc_id)
+            if table is not None:
+                extracted[doc_id] = [value for _, _, value in table.numeric_cells()]
+        results = [
+            result
+            for level in evaluation.LEVELS
+            for result in evaluation.evaluate_extraction(
+                extracted, [p for p in gold if p.level == level],
+                abs_tol=abs_tol if abs_tol is not None else config.eval_abs_tol,
+                rel_tol=rel_tol if rel_tol is not None else level_rel_tol[level],
+            )
+        ]
         levels = evaluation.aggregate(results)
     except ManalyzerError as exc:
         _fail(exc)

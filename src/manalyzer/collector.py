@@ -18,8 +18,6 @@ from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode
 
-import requests
-
 from . import prompts
 from .errors import (
     ApiError,
@@ -31,6 +29,7 @@ from .errors import (
 )
 from .gateway import Gateway
 from .parsing import parse_string_groups
+from .workspace import atomic_write_text
 
 CROSSREF_URL = "https://api.crossref.org/works"
 ARXIV_URL = "http://export.arxiv.org/api/query"
@@ -184,13 +183,21 @@ def _search_arxiv(query: str, max_results: int, fetch: Callable[[str], str]) -> 
     return metas
 
 
+def _get(url: str, timeout: float) -> bytes:
+    """The body of a GET; 4xx/5xx replies raise HTTPError, an OSError."""
+    # Imported here: it costs about 45 ms, and only `collect` goes online.
+    import urllib.request
+
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        return resp.read()
+
+
 def _default_fetch(url: str) -> str:
     try:
-        resp = requests.get(url, timeout=30)
-        resp.raise_for_status()
-    except requests.RequestException as exc:
+        body = _get(url, timeout=30)
+    except OSError as exc:
         raise ApiError(f"search API unreachable: {exc}") from exc
-    return resp.text
+    return body.decode("utf-8", errors="replace")
 
 
 def search(
@@ -251,11 +258,9 @@ def download_pdf(
     if fetch_bytes is None:
         def fetch_bytes(u: str) -> bytes:
             try:
-                resp = requests.get(u, timeout=60)
-                resp.raise_for_status()
-            except requests.RequestException as exc:
+                return _get(u, timeout=60)
+            except OSError as exc:
                 raise NotDownloadableError(f"{meta.doc_id}: download failed: {exc}") from exc
-            return resp.content
 
     data = fetch_bytes(url)
     papers_dir.mkdir(parents=True, exist_ok=True)
@@ -343,4 +348,4 @@ def parsed_to_json(doc: ParsedDocument) -> dict:
 
 
 def save_parsed(doc: ParsedDocument, path: Path) -> None:
-    path.write_text(json.dumps(parsed_to_json(doc), indent=2, sort_keys=True), encoding="utf-8")
+    atomic_write_text(path, json.dumps(parsed_to_json(doc), indent=2, sort_keys=True))

@@ -22,10 +22,6 @@ class TransportError(ManalyzerError):
     """Transient transport failure; retried by the gateway."""
 
 
-class RefusalError(ManalyzerError):
-    """Provider refused to answer; surfaced, never retried."""
-
-
 class EmptyResponseError(ManalyzerError):
     """Provider returned an empty reply."""
 
@@ -43,10 +39,6 @@ class DuplicateScriptKeyError(ManalyzerError):
 
 class UnparseableReplyError(ManalyzerError):
     """Agent reply could not be parsed after the allowed re-asks."""
-
-
-class LengthMismatchError(UnparseableReplyError):
-    """List reply length does not match the number of items asked about."""
 
 
 class ReviewFailure(ManalyzerError):
@@ -116,10 +108,6 @@ class CheckerFailure(ManalyzerError):
 
 class NoValidStepsError(ManalyzerError):
     """Analysis plan contains no feasible step."""
-
-
-class DegenerateStepError(ManalyzerError):
-    """Analysis step cannot run on this data (e.g. zero variance)."""
 
 
 # --- evaluation ---------------------------------------------------------

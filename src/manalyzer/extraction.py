@@ -512,62 +512,3 @@ def run_feedback_loop(
     assert best is not None
     return dataclasses.replace(best[2], accepted=False), trace
 
-
-def table_to_json(table: ExtractedTable) -> dict:
-    return {
-        "doc_id": table.doc_id,
-        "header": list(table.header),
-        "rows": [list(row) for row in table.rows],
-        "provenance": [
-            {
-                "value": e.value,
-                "part_id": e.part_id,
-                "row": e.row,
-                "column": e.column,
-                "note": e.note,
-            }
-            for e in table.provenance
-        ],
-        "iteration": table.iteration,
-        "accepted": table.accepted,
-    }
-
-
-def table_from_json(raw: dict) -> ExtractedTable:
-    return ExtractedTable(
-        doc_id=raw["doc_id"],
-        header=tuple(raw["header"]),
-        rows=tuple(tuple(cell for cell in row) for row in raw["rows"]),
-        provenance=tuple(
-            ProvenanceEntry(
-                value=e["value"],
-                part_id=e["part_id"],
-                row=e["row"],
-                column=e["column"],
-                note=e.get("note", ""),
-            )
-            for e in raw["provenance"]
-        ),
-        iteration=raw["iteration"],
-        accepted=raw["accepted"],
-    )
-
-
-def part_to_json(part: ConvertedPart) -> dict:
-    return {
-        "part_id": part.part_id,
-        "origin": part.origin,
-        "body": part.body,
-        "title": part.title,
-        "footnote": part.footnote,
-    }
-
-
-def part_from_json(raw: dict) -> ConvertedPart:
-    return ConvertedPart(
-        part_id=raw["part_id"],
-        origin=raw["origin"],
-        body=raw["body"],
-        title=raw.get("title", ""),
-        footnote=raw.get("footnote", ""),
-    )

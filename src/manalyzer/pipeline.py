@@ -22,14 +22,13 @@ import json
 import logging
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import collector, extraction, packer, prompts, reviewer
 from .analysis import (
     AnalysisPlan,
     AnalysisResult,
-    AnalysisStep,
     MergedTable,
     merge_tables,
     plan_analysis,
@@ -48,7 +47,7 @@ from .errors import (
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
 from .reviewer import IndependentScores, ReviewRecord
-from .workspace import Workspace, atomic_write_json, atomic_write_text
+from .workspace import Workspace, atomic_write_json, atomic_write_text, from_json
 
 log = logging.getLogger(__name__)
 
@@ -245,8 +244,7 @@ class Pipeline:
         # Phase 2: comparative batches over all successfully scored papers,
         # in sorted order. Batches whose members all have final records are
         # skipped, so a stage-boundary resume issues no repeat calls.
-        scored = sorted(d for d in docs if self._indep_path(d).exists()
-                        and not json.loads(self._indep_path(d).read_text(encoding="utf-8")).get("failed"))
+        scored = sorted(d for d, info in indep.items() if not info.get("failed"))
         batch_size = self.config.reviewer_batch_size
         for batch_id, start in enumerate(range(0, len(scored), batch_size)):
             batch = scored[start : start + batch_size]
@@ -266,9 +264,7 @@ class Pipeline:
             for doc_id, s_r in zip(batch, relatives):
                 if self._review_path(doc_id).exists():
                     continue
-                info = indep.get(doc_id) or json.loads(
-                    self._indep_path(doc_id).read_text(encoding="utf-8")
-                )
+                info = indep[doc_id]
                 final = reviewer.fuse(info["s1"], info["s2"], s_r)
                 atomic_write_json(self._review_path(doc_id), {
                     "doc_id": doc_id,
@@ -330,7 +326,7 @@ class Pipeline:
     def _extract_dir(self, doc_id: str) -> Path:
         return self.ws.dir("extracted") / doc_id
 
-    def _extract_one(self, doc_id: str, template: list[str]) -> None:
+    def _extract_one(self, doc_id: str, template: list[str]) -> extraction.ExtractedTable:
         doc = self._load_parsed(doc_id)
         out = self._extract_dir(doc_id)
         out.mkdir(parents=True, exist_ok=True)
@@ -390,28 +386,19 @@ class Pipeline:
             table, retained, self.config.eval_abs_tol, self.config.eval_rel_tol
         )
         atomic_write_json(out / "parts.json", {
-            "parts": [extraction.part_to_json(p) for p in parts],
+            "parts": [asdict(p) for p in parts],
             "mask": mask,
             "retained": [p.part_id for p in retained],
             "warnings": warnings,
         })
-        atomic_write_json(out / "table.json", extraction.table_to_json(table))
+        atomic_write_json(out / "table.json", asdict(table))
         atomic_write_json(out / "trace.json", {
-            "trace": [
-                {
-                    "iteration": i,
-                    "data_accuracy": r.data_accuracy,
-                    "semantic_consistency": r.semantic_consistency,
-                    "data_completeness": r.data_completeness,
-                    "overall": r.overall,
-                    "suggestion": r.suggestion,
-                }
-                for i, r in trace
-            ],
+            "trace": [{"iteration": i, **asdict(r)} for i, r in trace],
             "violations": [
                 {"kind": v.kind, "reason": v.reason} for v in violations
             ],
         })
+        return table
 
     def stage_extract(self, template: list[str]) -> None:
         todo = [
@@ -421,32 +408,31 @@ class Pipeline:
         if not todo:
             return
 
-        def work(doc_id: str) -> str:
-            self._extract_one(doc_id, template)
-            return doc_id
+        def work(doc_id: str) -> extraction.ExtractedTable:
+            return self._extract_one(doc_id, template)
 
         with self._pool() as pool:
-            for doc_id in pool.map(work, todo):
-                table = json.loads(
-                    (self._extract_dir(doc_id) / "table.json").read_text(encoding="utf-8")
-                )
+            for doc_id, table in zip(todo, pool.map(work, todo)):
                 self.ws.mark(doc_id, "extracted")
-                self.ws.mark(doc_id, "accepted" if table["accepted"] else "unaccepted")
+                self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
 
     # -- analyze ---------------------------------------------------------
 
     def _analysis_dir(self) -> Path:
         return self.ws.dir("analysis")
 
+    def load_table(self, doc_id: str) -> extraction.ExtractedTable | None:
+        """The document's extracted table; None before extraction wrote it."""
+        path = self._extract_dir(doc_id) / "table.json"
+        if not path.exists():
+            return None
+        return from_json(extraction.ExtractedTable, json.loads(path.read_text(encoding="utf-8")))
+
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
-        tables = []
-        for doc_id in self.ws.doc_ids():
-            if self.ws.status_of(doc_id) in ("accepted", "analyzed"):
-                raw = json.loads(
-                    (self._extract_dir(doc_id) / "table.json").read_text(encoding="utf-8")
-                )
-                tables.append(extraction.table_from_json(raw))
-        return tables
+        return [
+            self.load_table(doc_id) for doc_id in self.ws.doc_ids()
+            if self.ws.status_of(doc_id) in ("accepted", "analyzed")
+        ]
 
     def stage_analyze(self, force: bool) -> None:
         results_path = self._analysis_dir() / "results.json"
@@ -457,12 +443,7 @@ class Pipeline:
             return
 
         merged = merge_tables(self.load_accepted_tables())
-        atomic_write_json(self._analysis_dir() / "merged.json", {
-            "header": list(merged.header),
-            "rows": [list(r) for r in merged.rows],
-            "row_count": merged.row_count,
-            "missing_count": merged.missing_count,
-        })
+        atomic_write_json(self._analysis_dir() / "merged.json", asdict(merged))
 
         results: list[AnalysisResult] = []
         plan = AnalysisPlan(steps=())
@@ -475,29 +456,8 @@ class Pipeline:
             except NoValidStepsError as exc:
                 log.warning("analysis skipped: %s", exc)
 
-        atomic_write_json(self._analysis_dir() / "plan.json", {
-            "steps": [
-                {
-                    "kind": s.kind, "features": list(s.features),
-                    "k": s.k, "label": s.label, "response": s.response,
-                }
-                for s in plan.steps
-            ],
-        })
-        atomic_write_json(results_path, [
-            {
-                "step": {
-                    "kind": r.step.kind, "features": list(r.step.features),
-                    "k": r.step.k, "label": r.step.label, "response": r.step.response,
-                },
-                "stats": r.stats,
-                "artifacts": list(r.artifacts),
-                "excluded_rows": r.excluded_rows,
-                "skipped": r.skipped,
-                "reason": r.reason,
-            }
-            for r in results
-        ])
+        atomic_write_json(self._analysis_dir() / "plan.json", asdict(plan))
+        atomic_write_json(results_path, [asdict(r) for r in results])
         for doc_id in pending:
             self.ws.mark(doc_id, "analyzed")
 
@@ -507,53 +467,30 @@ class Pipeline:
         path = self._analysis_dir() / "merged.json"
         if not path.exists():
             return MergedTable(header=("doc_id",), rows=(), row_count=0, missing_count=0)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return MergedTable(
-            header=tuple(raw["header"]),
-            rows=tuple(tuple(r) for r in raw["rows"]),
-            row_count=raw["row_count"],
-            missing_count=raw["missing_count"],
-        )
+        return from_json(MergedTable, json.loads(path.read_text(encoding="utf-8")))
 
     def load_results(self) -> list[AnalysisResult]:
         path = self._analysis_dir() / "results.json"
         if not path.exists():
             return []
-        results = []
-        for raw in json.loads(path.read_text(encoding="utf-8")):
-            step = AnalysisStep(
-                kind=raw["step"]["kind"],
-                features=tuple(raw["step"]["features"]),
-                k=raw["step"]["k"],
-                label=raw["step"]["label"],
-                response=raw["step"]["response"],
-            )
-            results.append(AnalysisResult(
-                step=step,
-                stats=raw["stats"],
-                artifacts=tuple(raw["artifacts"]),
-                excluded_rows=raw["excluded_rows"],
-                skipped=raw["skipped"],
-                reason=raw["reason"],
-            ))
-        return results
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        return [from_json(AnalysisResult, r) for r in raw]
 
     def load_traces(self) -> list[TraceSummary]:
         traces = []
         for doc_id in self.ws.doc_ids():
-            table_path = self._extract_dir(doc_id) / "table.json"
-            if not table_path.exists():
+            table = self.load_table(doc_id)
+            if table is None:
                 continue
-            table = json.loads(table_path.read_text(encoding="utf-8"))
             trace = json.loads(
                 (self._extract_dir(doc_id) / "trace.json").read_text(encoding="utf-8")
             )
             traces.append(TraceSummary(
                 doc_id=doc_id,
                 iterations=max([t["iteration"] for t in trace["trace"]], default=0),
-                accepted=table["accepted"],
-                row_count=len(table["rows"]),
-                provenance_count=len(table["provenance"]),
+                accepted=table.accepted,
+                row_count=len(table.rows),
+                provenance_count=len(table.provenance),
                 violation_count=len(trace["violations"]),
             ))
         return traces

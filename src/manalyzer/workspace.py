@@ -7,14 +7,18 @@ the pipeline order, and the recorded config digest must match the active
 config or resuming is refused.
 
 Writes go through a temp-file-and-rename so a killed process never leaves
-a half-written artifact. Manifest mutation is single-writer: only the
+a half-written artifact. Dataclass artifacts are written as the JSON of
+`dataclasses.asdict` and read back with `from_json`. Manifest mutation is single-writer: only the
 orchestrator thread marks statuses.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from pathlib import Path
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, config_digest, render_config
 from .errors import CorruptManifestError, RefuseResumeError, WorkspaceError
@@ -47,6 +51,27 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def atomic_write_json(path: Path, payload: object) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+# Resolved once per class: a table holds many entries, and resolving the
+# hints costs ten times the rest of the rebuild.
+_type_hints = functools.cache(get_type_hints)
+
+
+def from_json(cls: Any, raw: Any) -> Any:
+    """Rebuild a value of type `cls` from the JSON of `dataclasses.asdict`.
+
+    Dataclasses and `tuple[X, ...]` fields are rebuilt by their type hints;
+    fields absent from `raw` take their defaults, and every other value
+    (numbers, strings, None, dicts, unions) is taken as read.
+    """
+    if dataclasses.is_dataclass(cls):
+        hints = _type_hints(cls)
+        return cls(**{name: from_json(hints[name], value) for name, value in raw.items()})
+    if get_origin(cls) is tuple:
+        item_type = get_args(cls)[0]
+        return tuple(from_json(item_type, value) for value in raw)
+    return raw
 
 
 class Workspace:

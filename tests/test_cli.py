@@ -1,9 +1,15 @@
 """Command-line flows over the bundled corpus, including exit codes:
 0 success, 2 validation problems, 3 stage failures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import manalyzer
 from manalyzer import synth
 from manalyzer.cli import main
 
@@ -168,3 +174,41 @@ def test_eval_extraction_missing_gold(runner, initialized):
     )
     # click validates the path itself before the command body runs
     assert result.exit_code == 2
+
+
+def test_eval_extraction_reads_level3_tolerance_from_config(runner, tmp_path, corpus_dir):
+    # Level-3 gold values are sums the scripted extractor never computes:
+    # they read 0.0 at the default tolerance (test_full_run_and_evaluation)
+    # and every one is within 100% of some extracted value.
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        "provider.kind = scripted\n"
+        f"provider.script = {corpus_dir / 'script.jsonl'}\n"
+        "eval.level3_rel_tol = 1.0\n",
+        encoding="utf-8",
+    )
+    ws = tmp_path / "ws"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("run",),
+    ):
+        result = invoke(runner, ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.output)
+    result = invoke(
+        runner, ws, "eval-extraction", "--gold", str(corpus_dir / "gold.jsonl"), config=config
+    )
+    assert result.exit_code == 0, result.output
+    assert "| 1 | 6 | 1.0000 |" in result.stdout
+    assert "| 2 | 6 | 1.0000 |" in result.stdout
+    assert "| 3 | 6 | 1.0000 |" in result.stdout
+
+
+def test_cli_import_does_not_load_requests():
+    src = str(Path(manalyzer.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-c", "import manalyzer.cli, sys; assert 'requests' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )

@@ -1,4 +1,6 @@
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -265,3 +267,53 @@ def test_generate_keywords_rejects_empty_direction(scripted):
     _, gateway = scripted()
     with pytest.raises(ValueError):
         generate_keywords("   ", gateway)
+
+
+class FakeResponse:
+    def __init__(self, body):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def test_default_fetch_decodes_body_and_download_keeps_bytes(tmp_path, monkeypatch):
+    opened = []
+
+    def urlopen(url, timeout):
+        opened.append((url, timeout))
+        return FakeResponse(CROSSREF_BODY.encode("utf-8") if "crossref" in url else b"%PDF\xff")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    metas = search("crossref", "cover crops", 10)
+    assert [m.doi for m in metas] == ["10.1000/ab12", "10.1000/cd34"]
+    meta = PaperMeta("p1", "T", None, "arxiv", pdf_url="http://example.invalid/p.pdf")
+    assert download_pdf(meta, tmp_path).read_bytes() == b"%PDF\xff"
+    assert [timeout for _, timeout in opened] == [30, 60]
+    assert opened[1][0] == "http://example.invalid/p.pdf"
+
+
+def test_default_fetch_maps_url_error_to_api_error(monkeypatch):
+    def urlopen(url, timeout):
+        raise urllib.error.URLError("no route to host")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(ApiError, match="search API unreachable"):
+        search("arxiv", "soil", 5)
+
+
+def test_default_download_maps_http_error(tmp_path, monkeypatch):
+    def urlopen(url, timeout):
+        raise urllib.error.HTTPError(url, 404, "Not Found", None, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    meta = PaperMeta("p1", "T", None, "arxiv", pdf_url="http://example.invalid/p.pdf")
+    with pytest.raises(NotDownloadableError, match="p1: download failed: HTTP Error 404"):
+        download_pdf(meta, tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,11 @@
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 from manalyzer import prompts
+from manalyzer.analysis import AnalysisPlan, AnalysisResult, AnalysisStep, MergedTable
 from manalyzer.errors import (
     ConversionFailure,
     HeaderMismatchError,
@@ -18,17 +21,14 @@ from manalyzer.extraction import (
     check_table,
     convert_table_image,
     extract_to_table,
-    part_from_json,
-    part_to_json,
     relevance_mask,
     render_part,
     retain_parts,
     run_feedback_loop,
-    table_from_json,
-    table_to_json,
     validate_provenance,
 )
 from manalyzer.parsing import render_markdown_table
+from manalyzer.workspace import from_json
 
 TOPIC = "wheat yield response to irrigation"
 
@@ -646,14 +646,26 @@ def test_feedback_loop_validates_max_iter(scripted):
 
 
 def test_table_json_round_trip():
-    part = prose_part()
-    table = ExtractedTable(
-        "d1",
-        ("a", "b"),
-        ((1.0, None), (None, 2.5)),
-        (ProvenanceEntry(1.0, "para-0", 1, 1, "note"),),
-        2,
-        accepted=True,
-    )
-    assert table_from_json(table_to_json(table)) == table
-    assert part_from_json(part_to_json(part)) == part
+    step = AnalysisStep("clustering", ("a", "b"), k=2)
+    artifacts = [
+        prose_part(),
+        table_part(),
+        ExtractedTable(
+            "d1",
+            ("a", "b"),
+            ((1.0, None), (None, 2.5)),
+            (ProvenanceEntry(1.0, "para-0", 1, 1, "note"),),
+            2,
+            accepted=True,
+        ),
+        MergedTable(("doc_id", "a"), (("d1", 1.0), ("d2", None)), 2, 1),
+        AnalysisPlan((step, AnalysisStep("regression", ("a",), response="b"))),
+        AnalysisResult(step, {"n": 2, "points": [[1.0, 2.0]]}, ("step-1-clustering.json",), 1),
+        AnalysisResult(step, skipped=True, reason="only 1 complete rows for k=2"),
+    ]
+    for artifact in artifacts:
+        raw = json.loads(json.dumps(asdict(artifact)))
+        assert from_json(type(artifact), raw) == artifact
+    # Fields absent from the JSON take their defaults.
+    raw = {"value": 1.0, "part_id": "para-0", "row": 1, "column": 1}
+    assert from_json(ProvenanceEntry, raw) == ProvenanceEntry(1.0, "para-0", 1, 1)
