@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from pathlib import Path
 
 import click
 
 from . import collector, evaluation, reviewer
-from .config import PipelineConfig, load_config
+from .config import load_config
 from .errors import (
     ConfigError,
     CorruptManifestError,
@@ -22,10 +21,15 @@ from .errors import (
     ManalyzerError,
     RefuseResumeError,
     SchemaViolationError,
-    StageFailure,
     WorkspaceError,
 )
-from .pipeline import Pipeline, RunSummary, build_provider, load_template, status_text
+from .pipeline import (
+    Pipeline,
+    build_provider,
+    load_template,
+    stage_failure,
+    status_text,
+)
 from .workspace import Workspace
 
 _VALIDATION_ERRORS = (
@@ -39,20 +43,19 @@ _VALIDATION_ERRORS = (
 )
 
 
-def _fail(exc: BaseException) -> None:
-    if isinstance(exc, StageFailure):
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    if isinstance(exc, _VALIDATION_ERRORS):
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    if isinstance(exc, ManalyzerError):
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    raise exc
+class _ExitCodes(click.Group):
+    """Turns an error escaping any command into one ``error:`` line and
+    the exit code above."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ManalyzerError, *_VALIDATION_ERRORS) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2 if isinstance(exc, _VALIDATION_ERRORS) else 3)
 
 
-@click.group()
+@click.group(cls=_ExitCodes)
 @click.option(
     "--workspace", "workspace_path", type=click.Path(path_type=Path),
     default=Path("workspace"), show_default=True, help="Workspace directory.",
@@ -69,39 +72,14 @@ def main(ctx: click.Context, workspace_path: Path, config_path: Path | None) -> 
     ctx.obj["config_path"] = config_path
 
 
-def _load_cfg(ctx: click.Context) -> PipelineConfig:
-    try:
-        return load_config(ctx.obj["config_path"])
-    except ManalyzerError as exc:
-        _fail(exc)
-        raise AssertionError("unreachable")
-
-
 def _open(ctx: click.Context, **overrides) -> Pipeline:
-    config = _load_cfg(ctx)
-    try:
-        ws = Workspace.load(ctx.obj["workspace_path"])
-        ws.check_config(config)
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
-        provider = build_provider(config, base)
-        return Pipeline(ws, config, provider)
-    except ManalyzerError as exc:
-        _fail(exc)
-        raise AssertionError("unreachable")
-
-
-def _echo_summary(summary: RunSummary) -> None:
-    click.echo(f"documents:       {summary.total_docs}")
-    click.echo(f"packed:          {summary.packed}")
-    click.echo(f"reviewed:        {summary.reviewed} ({summary.review_failures} failed)")
-    click.echo(f"screened in:     {summary.screened_in}")
-    click.echo(f"extracted:       {summary.extracted}")
-    click.echo(f"accepted tables: {summary.accepted}")
-    click.echo(f"merged rows:     {summary.merged_rows}")
-    if summary.report_path:
-        click.echo(f"report:          {summary.report_path}")
+    config = load_config(ctx.obj["config_path"])
+    ws = Workspace.load(ctx.obj["workspace_path"])
+    ws.check_config(config)
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
+    base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
+    return Pipeline(ws, config, build_provider(config, base))
 
 
 @main.command()
@@ -113,15 +91,12 @@ def _echo_summary(summary: RunSummary) -> None:
 @click.pass_context
 def init(ctx: click.Context, direction: str, template_path: Path | None) -> None:
     """Create a fresh workspace."""
-    config = _load_cfg(ctx)
-    try:
-        ws = Workspace.init(ctx.obj["workspace_path"], direction, config)
-        if template_path is not None:
-            base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
-            provider = build_provider(config, base)
-            Pipeline(ws, config, provider).store_template(load_template(template_path))
-    except ManalyzerError as exc:
-        _fail(exc)
+    config = load_config(ctx.obj["config_path"])
+    ws = Workspace.init(ctx.obj["workspace_path"], direction, config)
+    if template_path is not None:
+        base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
+        provider = build_provider(config, base)
+        Pipeline(ws, config, provider).store_template(load_template(template_path))
     click.echo(f"initialized workspace at {ctx.obj['workspace_path']}")
 
 
@@ -136,35 +111,30 @@ def collect(ctx: click.Context, max_papers: int, source: str) -> None:
     """Generate keywords, query search APIs, and download PDFs."""
     pipe = _open(ctx)
     sources = ["crossref", "arxiv"] if source == "both" else [source]
-    try:
-        groups = collector.generate_keywords(pipe.ws.direction, pipe.gateway)
-        seen: set[str] = set()
-        collected = []
-        for group in groups:
-            if len(collected) >= max_papers:
-                break
-            query = " ".join(group)
-            for src in sources:
-                for meta in collector.search(
-                    src, query, pipe.config.collect_per_query_cap
-                ):
-                    key = collector.dedup_key(meta.doi, meta.title)
-                    if key in seen or len(collected) >= max_papers:
-                        continue
-                    seen.add(key)
-                    collected.append(meta)
-        papers_dir = pipe.ws.dir("papers")
-        downloaded = 0
-        for meta in collected:
-            try:
-                collector.download_pdf(meta, papers_dir)
-                downloaded += 1
-            except ManalyzerError as exc:
-                click.echo(f"skipping {meta.doc_id}: {exc}", err=True)
-                continue
-            pipe.ws.mark(meta.doc_id, "collected")
-    except ManalyzerError as exc:
-        _fail(exc)
+    groups = collector.generate_keywords(pipe.ws.direction, pipe.gateway)
+    seen: set[str] = set()
+    collected = []
+    for group in groups:
+        if len(collected) >= max_papers:
+            break
+        query = " ".join(group)
+        for src in sources:
+            for meta in collector.search(src, query, pipe.config.collect_per_query_cap):
+                key = collector.dedup_key(meta.doi, meta.title)
+                if key in seen or len(collected) >= max_papers:
+                    continue
+                seen.add(key)
+                collected.append(meta)
+    papers_dir = pipe.ws.dir("papers")
+    downloaded = 0
+    for meta in collected:
+        try:
+            collector.download_pdf(meta, papers_dir)
+            downloaded += 1
+        except ManalyzerError as exc:
+            click.echo(f"skipping {meta.doc_id}: {exc}", err=True)
+            continue
+        pipe.ws.mark(meta.doc_id, "collected")
     click.echo(f"collected {downloaded} of {len(collected)} candidate papers")
 
 
@@ -176,12 +146,7 @@ def collect(ctx: click.Context, max_papers: int, source: str) -> None:
 @click.pass_context
 def ingest(ctx: click.Context, source_dir: Path) -> None:
     """Import externally parsed documents into the workspace."""
-    pipe = _open(ctx)
-    try:
-        doc_ids = pipe.ingest_dir(source_dir)
-    except ManalyzerError as exc:
-        _fail(exc)
-        return
+    doc_ids = _open(ctx).ingest_dir(source_dir)
     click.echo(f"ingested {len(doc_ids)} documents")
 
 
@@ -192,10 +157,8 @@ def pack(ctx: click.Context, budget: int | None) -> None:
     """Rate paragraphs and pack each document under the weight budget."""
     overrides = {"packer_budget": budget} if budget is not None else {}
     pipe = _open(ctx, **overrides)
-    try:
+    with stage_failure("pack"):
         pipe.stage_pack()
-    except ManalyzerError as exc:
-        _fail(StageFailure("pack", exc))
     click.echo("pack stage complete")
 
 
@@ -211,11 +174,9 @@ def screen(ctx: click.Context, threshold: float | None, batch_size: int | None) 
     if batch_size is not None:
         overrides["reviewer_batch_size"] = batch_size
     pipe = _open(ctx, **overrides)
-    try:
+    with stage_failure("screen"):
         pipe.stage_review()
         pipe.stage_screen()
-    except ManalyzerError as exc:
-        _fail(StageFailure("screen", exc))
     raw = json.loads(pipe._screening_path().read_text(encoding="utf-8"))
     click.echo(
         f"kept {len(raw['kept'])} of "
@@ -233,16 +194,12 @@ def screen(ctx: click.Context, threshold: float | None, batch_size: int | None) 
 def screen_eval(ctx: click.Context, gold_path: Path) -> None:
     """Score screening decisions against gold labels."""
     pipe = _open(ctx)
-    try:
-        labels = reviewer.load_screening_gold(gold_path)
-        records, _ = pipe.load_review_records()
-        corpus = set(labels)
-        predicted = {r.doc_id for r in records if r.kept} & corpus
-        gold = {doc_id for doc_id, keep in labels.items() if keep}
-        metrics = reviewer.classification_metrics(predicted, gold, corpus)
-    except ManalyzerError as exc:
-        _fail(exc)
-        return
+    labels = reviewer.load_screening_gold(gold_path)
+    records, _ = pipe.load_review_records()
+    corpus = set(labels)
+    predicted = {r.doc_id for r in records if r.kept} & corpus
+    gold = {doc_id for doc_id, keep in labels.items() if keep}
+    metrics = reviewer.classification_metrics(predicted, gold, corpus)
     click.echo(f"accuracy:  {metrics.accuracy:.4f}")
     click.echo(f"precision: {metrics.precision:.4f}")
     click.echo(f"recall:    {metrics.recall:.4f}")
@@ -264,14 +221,12 @@ def extract(
     """Extract cited data tables from screened-in papers."""
     overrides = {"extraction_max_iter": max_iter} if max_iter is not None else {}
     pipe = _open(ctx, **overrides)
-    try:
+    with stage_failure("extract"):
         if template_path is not None:
             pipe.store_template(load_template(template_path))
         if topic is not None:
             pipe.ws.direction = topic
         pipe.stage_extract(pipe.load_stored_template())
-    except ManalyzerError as exc:
-        _fail(StageFailure("extract", exc))
     click.echo("extract stage complete")
 
 
@@ -282,10 +237,8 @@ def analyze(ctx: click.Context, seed: int | None) -> None:
     """Merge accepted tables and run the analysis toolkit."""
     overrides = {"analysis_seed": seed} if seed is not None else {}
     pipe = _open(ctx, **overrides)
-    try:
+    with stage_failure("analyze"):
         pipe.stage_analyze(force=True)
-    except ManalyzerError as exc:
-        _fail(StageFailure("analyze", exc))
     click.echo("analyze stage complete")
 
 
@@ -294,10 +247,8 @@ def analyze(ctx: click.Context, seed: int | None) -> None:
 def report(ctx: click.Context) -> None:
     """Render the final Markdown report."""
     pipe = _open(ctx)
-    try:
+    with stage_failure("report"):
         pipe.stage_report(force=True)
-    except ManalyzerError as exc:
-        _fail(StageFailure("report", exc))
     click.echo(str(pipe.ws.report_path))
 
 
@@ -316,26 +267,22 @@ def eval_extraction(
     pipe = _open(ctx)
     config = pipe.config
     level_rel_tol = {1: config.eval_rel_tol, 2: config.eval_rel_tol, 3: config.eval_level3_rel_tol}
-    try:
-        gold = evaluation.load_gold(gold_path)
-        extracted: dict[str, list[float]] = {}
-        for doc_id in pipe.ws.doc_ids():
-            table = pipe.load_table(doc_id)
-            if table is not None:
-                extracted[doc_id] = [value for _, _, value in table.numeric_cells()]
-        results = [
-            result
-            for level in evaluation.LEVELS
-            for result in evaluation.evaluate_extraction(
-                extracted, [p for p in gold if p.level == level],
-                abs_tol=abs_tol if abs_tol is not None else config.eval_abs_tol,
-                rel_tol=rel_tol if rel_tol is not None else level_rel_tol[level],
-            )
-        ]
-        levels = evaluation.aggregate(results)
-    except ManalyzerError as exc:
-        _fail(exc)
-        return
+    gold = evaluation.load_gold(gold_path)
+    extracted: dict[str, list[float]] = {}
+    for doc_id in pipe.ws.doc_ids():
+        table = pipe.load_table(doc_id)
+        if table is not None:
+            extracted[doc_id] = [value for _, _, value in table.numeric_cells()]
+    results = [
+        result
+        for level in evaluation.LEVELS
+        for result in evaluation.evaluate_extraction(
+            extracted, [p for p in gold if p.level == level],
+            abs_tol=abs_tol if abs_tol is not None else config.eval_abs_tol,
+            rel_tol=rel_tol if rel_tol is not None else level_rel_tol[level],
+        )
+    ]
+    levels = evaluation.aggregate(results)
     click.echo("| Level | Docs | Mean hit rate |")
     click.echo("| --- | --- | --- |")
     for level in sorted(levels):
@@ -352,35 +299,28 @@ def eval_extraction(
 def run(ctx: click.Context, template_path: Path | None) -> None:
     """Run every remaining stage through to the report."""
     pipe = _open(ctx)
-    try:
-        columns = load_template(template_path) if template_path is not None else None
-        summary = pipe.run(columns)
-    except ManalyzerError as exc:
-        _fail(exc)
-        return
-    _echo_summary(summary)
+    columns = load_template(template_path) if template_path is not None else None
+    summary = pipe.run(columns)
+    click.echo(f"documents:       {summary.total_docs}")
+    click.echo(f"packed:          {summary.packed}")
+    click.echo(f"reviewed:        {summary.reviewed} ({summary.review_failures} failed)")
+    click.echo(f"screened in:     {summary.screened_in}")
+    click.echo(f"extracted:       {summary.extracted}")
+    click.echo(f"accepted tables: {summary.accepted}")
+    click.echo(f"merged rows:     {summary.merged_rows}")
+    if summary.report_path:
+        click.echo(f"report:          {summary.report_path}")
 
 
 @main.command()
 @click.pass_context
 def resume(ctx: click.Context) -> None:
     """Continue an interrupted run from the manifest."""
-    pipe = _open(ctx)
-    try:
-        summary = pipe.run(None)
-    except ManalyzerError as exc:
-        _fail(exc)
-        return
-    _echo_summary(summary)
+    ctx.invoke(run, template_path=None)
 
 
 @main.command()
 @click.pass_context
 def status(ctx: click.Context) -> None:
     """Show the per-document stage matrix."""
-    try:
-        ws = Workspace.load(ctx.obj["workspace_path"])
-    except ManalyzerError as exc:
-        _fail(exc)
-        return
-    click.echo(status_text(ws), nl=False)
+    click.echo(status_text(Workspace.load(ctx.obj["workspace_path"])), nl=False)

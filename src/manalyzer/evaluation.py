@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,19 +73,7 @@ def load_gold(path: Path) -> list[GoldDataPoint]:
 
 
 def save_gold(points: Iterable[GoldDataPoint], path: Path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "doc_id": p.doc_id,
-                "level": p.level,
-                "value": p.value,
-                "unit": p.unit,
-                "label": p.label,
-            },
-            sort_keys=True,
-        )
-        for p in points
-    ]
+    lines = [json.dumps(asdict(p), sort_keys=True) for p in points]
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

@@ -137,8 +137,8 @@ def convert_table_image(
     """Transcribe one table image into ConvertedParts (one per table found).
 
     A reply with no parseable table gets one re-ask; a second miss raises
-    NoTableFoundError. Missing title or footnote blocks fall back to the
-    caption rather than failing the conversion.
+    NoTableFoundError. Missing or empty title and footnote blocks fall back
+    to the caption rather than failing the conversion.
     """
     request = prompts.table_convert_request(image_path, caption)
     reply = ""
@@ -160,8 +160,8 @@ def convert_table_image(
     parts = []
     for k, (header, rows) in enumerate(tables):
         suffix = f"#{k + 1}" if len(tables) > 1 else ""
-        title = titles[k] if k < len(titles) else (caption or f"Table {part_id}")
-        footnote = footnotes[k] if k < len(footnotes) else (caption or title)
+        title = (titles[k] if k < len(titles) else "") or caption or f"Table {part_id}"
+        footnote = (footnotes[k] if k < len(footnotes) else "") or caption or title
         parts.append(
             ConvertedPart(
                 part_id=f"{part_id}{suffix}",

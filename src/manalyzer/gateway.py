@@ -174,15 +174,6 @@ class ScriptedProvider:
             ) from None
         return AgentResponse(raw_text=text, provider_id=self.provider_id, latency_ms=0)
 
-    def call_count(self, tag: str, digest: str) -> int:
-        return self.calls.count((tag, digest))
-
-    def call_counts(self) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for key in self.calls:
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     def save_script(self, path: str | Path) -> None:
         lines = [
             json.dumps({"tag": tag, "digest": digest, "response": response})

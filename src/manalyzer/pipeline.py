@@ -21,9 +21,12 @@ from __future__ import annotations
 import json
 import logging
 import shutil
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from . import collector, extraction, packer, prompts, reviewer
 from .analysis import (
@@ -50,6 +53,7 @@ from .reviewer import IndependentScores, ReviewRecord
 from .workspace import Workspace, atomic_write_json, atomic_write_text, from_json
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,15 @@ class RunSummary:
     accepted: int
     merged_rows: int
     report_path: str | None
+
+
+@contextmanager
+def stage_failure(stage: str) -> Iterator[None]:
+    """Re-raise a pipeline error from inside `stage` as StageFailure(stage)."""
+    try:
+        yield
+    except ManalyzerError as exc:
+        raise StageFailure(stage, exc) from exc
 
 
 def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
@@ -107,6 +120,27 @@ class Pipeline:
 
     def _pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self.config.max_concurrency)
+
+    def _per_document(
+        self, work: Callable[[str], T], todo: list[str], finish: Callable[[str, T], None]
+    ) -> None:
+        """Run `work` over `todo` on the pool and call `finish` here, on the
+        orchestrator thread, as each document completes, so every finished
+        document is kept even when another fails. The first failure in
+        `todo` order is raised once the pool has drained."""
+        failures: dict[str, Exception] = {}
+        with self._pool() as pool:
+            futures = {pool.submit(work, doc_id): doc_id for doc_id in todo}
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    failures[futures[future]] = exc
+                else:
+                    finish(futures[future], result)
+        for doc_id in todo:
+            if doc_id in failures:
+                raise failures[doc_id]
 
     def _parsed_path(self, doc_id: str) -> Path:
         return self.ws.dir("parsed") / f"{doc_id}.json"
@@ -187,10 +221,11 @@ class Pipeline:
                 "title": doc.meta.title,
             }
 
-        with self._pool() as pool:
-            for doc_id, payload in zip(todo, pool.map(work, todo)):
-                atomic_write_json(self._packed_path(doc_id), payload)
-                self.ws.mark(doc_id, "packed")
+        def finish(doc_id: str, payload: dict) -> None:
+            atomic_write_json(self._packed_path(doc_id), payload)
+            self.ws.mark(doc_id, "packed")
+
+        self._per_document(work, todo, finish)
 
     # -- review ----------------------------------------------------------
 
@@ -242,27 +277,29 @@ class Pipeline:
                 self.ws.mark(doc_id, "reviewed")
 
         # Phase 2: comparative batches over all successfully scored papers,
-        # in sorted order. Batches whose members all have final records are
-        # skipped, so a stage-boundary resume issues no repeat calls.
+        # in sorted order. Batches whose members are all marked reviewed are
+        # skipped, so a stage-boundary resume issues no repeat calls. The mark,
+        # not the record file, is the progress record: a kill between the two
+        # redoes the batch rather than leaving the paper unreviewed.
         scored = sorted(d for d, info in indep.items() if not info.get("failed"))
         batch_size = self.config.reviewer_batch_size
         for batch_id, start in enumerate(range(0, len(scored), batch_size)):
             batch = scored[start : start + batch_size]
-            if all(self._review_path(d).exists() for d in batch):
+            if all(self.ws.at_least(d, "reviewed") for d in batch):
                 continue
             texts = [self._load_packed(d)["text"] for d in batch]
             try:
                 relatives = reviewer.review_batch(texts, direction, self.gateway)
             except ReviewFailure as exc:
                 for doc_id in batch:
-                    if not self._review_path(doc_id).exists():
+                    if not self.ws.at_least(doc_id, "reviewed"):
                         atomic_write_json(self._review_path(doc_id), {
                             "doc_id": doc_id, "failed": True, "reason": str(exc),
                         })
                         self.ws.mark(doc_id, "reviewed")
                 continue
             for doc_id, s_r in zip(batch, relatives):
-                if self._review_path(doc_id).exists():
+                if self.ws.at_least(doc_id, "reviewed"):
                     continue
                 info = indep[doc_id]
                 final = reviewer.fuse(info["s1"], info["s2"], s_r)
@@ -408,13 +445,11 @@ class Pipeline:
         if not todo:
             return
 
-        def work(doc_id: str) -> extraction.ExtractedTable:
-            return self._extract_one(doc_id, template)
+        def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
+            self.ws.mark(doc_id, "extracted")
+            self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
 
-        with self._pool() as pool:
-            for doc_id, table in zip(todo, pool.map(work, todo)):
-                self.ws.mark(doc_id, "extracted")
-                self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
+        self._per_document(lambda doc_id: self._extract_one(doc_id, template), todo, finish)
 
     # -- analyze ---------------------------------------------------------
 
@@ -553,21 +588,15 @@ class Pipeline:
             ("screen", self.stage_screen),
             ("extract", lambda: self.stage_extract(columns)),
         ):
-            try:
+            with stage_failure(name):
                 stage()
-            except ManalyzerError as exc:
-                raise StageFailure(name, exc) from exc
 
         after = {d: self.ws.status_of(d) for d in self.ws.doc_ids()}
         did_work = before != after
-        try:
+        with stage_failure("analyze"):
             self.stage_analyze(force=did_work)
-        except ManalyzerError as exc:
-            raise StageFailure("analyze", exc) from exc
-        try:
+        with stage_failure("report"):
             self.stage_report(force=did_work)
-        except ManalyzerError as exc:
-            raise StageFailure("report", exc) from exc
         return self.summary()
 
     def summary(self) -> RunSummary:

@@ -166,6 +166,23 @@ def test_bad_config_file(runner, tmp_path):
     assert "bad value 'soon'" in result.stderr
 
 
+@pytest.mark.parametrize("direction, args, message", [
+    (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "-1"),
+     "tolerances must be >= 0"),
+    (" ", ("collect",), "research direction is empty"),
+], ids=["negative-rel-tol", "blank-direction"])
+def test_out_of_range_input_is_a_validation_error(
+    runner, tmp_path, corpus_dir, direction, args, message
+):
+    ws = tmp_path / "ws"
+    assert invoke(runner, ws, "init", "--direction", direction).exit_code == 0
+    gold = str(corpus_dir / "gold.jsonl")
+    result = invoke(runner, ws, *(arg.format(gold=gold) for arg in args))
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in result.output
+
+
 def test_eval_extraction_missing_gold(runner, initialized):
     ws, config = initialized
     result = invoke(

@@ -126,6 +126,22 @@ def test_convert_table_image_multi_table_suffixes(tmp_path, scripted):
     assert parts[1].footnote == "cap"
 
 
+@pytest.mark.parametrize("caption, fallback", [("cap", "cap"), ("", "Table tbl-2")])
+def test_convert_table_image_empty_blocks_fall_back(tmp_path, scripted, caption, fallback):
+    provider, gateway = scripted()
+    img = tmp_path / "t.png"
+    img.write_bytes(b"img")
+    reply = (
+        "| a |\n| --- |\n| 1 |\n"
+        "\n"
+        "[The Start of Title]\n \n[The End of Title]\n"
+        "[The Start of Footnote]\n[The End of Footnote]\n"
+    )
+    provider.register_for(prompts.table_convert_request(str(img), caption), reply)
+    [part] = convert_table_image(str(img), caption, gateway, "tbl-2")
+    assert (part.title, part.footnote) == (fallback, fallback)
+
+
 def test_convert_table_image_reasks_then_fails(tmp_path, scripted):
     provider, gateway = scripted()
     img = tmp_path / "t.png"

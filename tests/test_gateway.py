@@ -133,7 +133,7 @@ def test_scripted_provider_round_trip():
     provider.register_for(req, "answer")
     assert provider.complete(req).raw_text == "answer"
     assert provider.complete(req).raw_text == "answer"
-    assert provider.call_count("extract", digest_request(req)) == 2
+    assert provider.calls.count(("extract", digest_request(req))) == 2
 
 
 def test_scripted_provider_misses_loudly():

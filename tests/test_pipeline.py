@@ -10,7 +10,7 @@ import pytest
 
 from manalyzer import prompts, synth
 from manalyzer.config import PipelineConfig
-from manalyzer.errors import ConfigError, StageFailure
+from manalyzer.errors import ConfigError, ScriptMissError, StageFailure
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
@@ -52,7 +52,7 @@ def mini(tmp_path):
 def test_build_provider_default_is_empty_scripted(tmp_path):
     provider = build_provider(PipelineConfig(), tmp_path)
     assert isinstance(provider, ScriptedProvider)
-    assert provider.call_counts() == {}
+    assert Counter(provider.calls) == {}
 
 
 def test_build_provider_resolves_relative_script(tmp_path):
@@ -124,7 +124,7 @@ def test_ingest_is_repeatable(mini, tmp_path):
 def test_pack_under_budget_needs_no_calls(mini):
     pipe, provider = mini
     pipe.stage_pack()
-    assert provider.call_counts() == {}
+    assert Counter(provider.calls) == {}
     payload = json.loads(
         (pipe.ws.dir("packed") / "ma.json").read_text(encoding="utf-8")
     )
@@ -195,6 +195,10 @@ def test_stage_error_becomes_stage_failure(tmp_path):
 # -- fan-out inside a document ------------------------------------------------
 
 
+def snapshot(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class ContentAnsweringProvider(ScriptedProvider):
     """Replies computed from the request content, recorded in ``calls``.
 
@@ -259,10 +263,7 @@ def test_fan_out_matches_one_call_in_flight(tmp_path):
         )
         pipe.ingest_dir(source)
         pipe.run(["rainfall mm"])
-        trees.append({
-            str(p.relative_to(ws.root)): p.read_bytes()
-            for p in sorted(ws.root.rglob("*")) if p.is_file()
-        })
+        trees.append(snapshot(ws.root))
         calls.append(Counter(provider.calls))
 
     assert pipe.ws.status_of("long") == "analyzed"
@@ -274,6 +275,47 @@ def test_fan_out_matches_one_call_in_flight(tmp_path):
     assert tags["mask"] == 3 + 1
     packed = json.loads(trees[1]["packed/long.json"])
     assert 0 < len(packed["selected_indices"]) < 24
+
+
+class MissingScores(ContentAnsweringProvider):
+    """Misses every paragraph score whose paragraph holds `marker`, and
+    records the paragraphs it did score."""
+
+    def __init__(self, marker=None):
+        super().__init__()
+        self.marker = marker
+        self.scored = []
+
+    def complete(self, request):
+        if request.request_tag == "paragraph_score":
+            text = request.user_parts[0].text
+            if self.marker and self.marker in text:
+                raise ScriptMissError(f"no score for {text[:20]!r}")
+            with self._lock:
+                self.scored.append(text)
+        return super().complete(request)
+
+
+def test_pack_keeps_finished_documents_when_another_fails(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    for doc_id, name in (("ma", "Alpha"), ("mb", "Beta")):
+        write_mini_doc(source, doc_id, [
+            f"Finding {i}. {name} rainfall reached {400 + i} mm in trial {i}." for i in range(12)
+        ])
+    config = PipelineConfig(packer_budget=100)
+    ws = Workspace.init(tmp_path / "run", DIRECTION, config)
+    pipe = Pipeline(ws, config, MissingScores("Alpha"))
+    pipe.ingest_dir(source)
+    with pytest.raises(StageFailure, match="stage 'pack' failed"):
+        pipe.run(["rainfall mm"])
+    assert ws.status_of("ma") == "parsed"
+    assert ws.status_of("mb") == "packed"
+    assert (ws.dir("packed") / "mb.json").exists()
+
+    provider = MissingScores()
+    Pipeline(Workspace.load(ws.root), config, provider).run(None)
+    assert provider.scored and all("Alpha" in text for text in provider.scored)
 
 
 # -- end-to-end over the bundled corpus --------------------------------------
@@ -306,7 +348,7 @@ def test_full_run_summary(tmp_path, corpus_dir):
     assert summary.merged_rows == 12
     assert summary.report_path == str(pipe.ws.report_path)
     # Every scripted exchange is consumed exactly once.
-    counts = provider.call_counts()
+    counts = Counter(provider.calls)
     assert len(counts) == 43
     assert set(counts.values()) == {1}
 
@@ -318,7 +360,7 @@ def test_finished_run_is_a_no_op(tmp_path, corpus_dir):
 
     resumed, provider = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
     second = resumed.run(None)
-    assert provider.call_counts() == {}
+    assert Counter(provider.calls) == {}
     assert second == first
     assert resumed.ws.report_path.read_bytes() == report
 
@@ -328,15 +370,71 @@ def test_resume_never_repeats_a_call(tmp_path, corpus_dir):
     pipe.store_template(synth.TEMPLATE)
     pipe.stage_pack()
     pipe.stage_review()
-    first_keys = set(first_provider.call_counts())
+    first_keys = set(first_provider.calls)
     assert first_keys  # the interrupted run did reach the agent
 
     resumed, second_provider = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
     summary = resumed.run(None)
     assert summary.accepted == 6
-    second_keys = set(second_provider.call_counts())
+    second_keys = set(second_provider.calls)
     assert first_keys & second_keys == set()
     assert len(first_keys) + len(second_keys) == 43
+
+
+class Killed(Exception):
+    pass
+
+
+def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
+    clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
+    clean.run(synth.TEMPLATE)
+    expected = snapshot(clean.ws.root)
+
+    for k in range(len(synth.DOC_IDS)):
+        pipe, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir)
+        pipe.store_template(synth.TEMPLATE)
+        reviewed = []
+        mark = pipe.ws.mark
+
+        def killing_mark(doc_id, status):
+            if status == "reviewed":
+                if len(reviewed) == k:
+                    raise Killed(doc_id)
+                reviewed.append(doc_id)
+            mark(doc_id, status)
+
+        pipe.ws.mark = killing_mark
+        with pytest.raises(Killed):
+            pipe.run(None)
+        resumed, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, ingest=False)
+        resumed.run(None)
+        assert snapshot(resumed.ws.root) == expected, f"killed at review mark {k}"
+
+
+def test_extract_keeps_finished_documents_when_another_fails(tmp_path, corpus_dir):
+    first = synth.KEPT[0]
+    lines = (corpus_dir / "script.jsonl").read_text(encoding="utf-8").splitlines()
+    missing = [
+        line for line in lines
+        if json.loads(line)["response"] != synth.extract_reply(first)
+    ]
+    assert len(missing) < len(lines)
+    script = tmp_path / "missing.jsonl"
+    script.write_text("\n".join(missing) + "\n", encoding="utf-8")
+
+    config = PipelineConfig()
+    ws = Workspace.init(tmp_path / "run", synth.DIRECTION, config)
+    pipe = Pipeline(ws, config, ScriptedProvider.load_script(script))
+    pipe.ingest_dir(corpus_dir / "docs")
+    with pytest.raises(StageFailure, match="stage 'extract' failed"):
+        pipe.run(synth.TEMPLATE)
+    assert ws.status_of(first) == "screened_in"
+    assert all(ws.status_of(d) == "accepted" for d in synth.KEPT if d != first)
+
+    resumed, provider = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
+    resumed.run(None)
+    tags = Counter(tag for tag, _ in provider.calls)
+    assert (tags["extract"], tags["check"]) == (1, 1)  # the first document's only
 
 
 def test_status_text_lists_counts(tmp_path, corpus_dir):
