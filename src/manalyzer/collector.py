@@ -91,14 +91,10 @@ def generate_keywords(direction: str, gateway: Gateway) -> list[list[str]]:
     if not direction.strip():
         raise ValueError("research direction is empty")
     request = prompts.keyword_request(direction)
-    last_error: UnparseableReplyError | None = None
-    for attempt in range(3):
-        try:
-            return parse_string_groups(gateway.complete(request).raw_text)
-        except UnparseableReplyError as exc:
-            last_error = exc
-            request = request.with_addendum(prompts.REASK_LIST)
-    raise UnparseableReplyError(f"keyword reply unparseable after re-asks: {last_error}")
+    groups = gateway.ask(request, parse_string_groups, prompts.REASK_LIST, attempts=3)
+    if groups is None:
+        raise UnparseableReplyError("keyword reply unparseable after re-asks")
+    return groups
 
 
 def _norm_title(title: str) -> str:

@@ -20,7 +20,6 @@ from . import prompts
 from .errors import (
     CheckerFailure,
     ConversionFailure,
-    EmptyResponseError,
     ExtractionError,
     HeaderMismatchError,
     MissingExplanationError,
@@ -137,40 +136,36 @@ def convert_table_image(
     """Transcribe one table image into ConvertedParts (one per table found).
 
     A reply with no parseable table gets one re-ask; a second miss raises
-    NoTableFoundError. Missing or empty title and footnote blocks fall back
-    to the caption rather than failing the conversion.
+    NoTableFoundError, and an empty reply EmptyResponseError. Missing or
+    empty title and footnote blocks fall back to the caption rather than
+    failing the conversion.
     """
-    request = prompts.table_convert_request(image_path, caption)
-    reply = ""
-    tables: list[tuple[list[str], list[list[str]]]] = []
-    for attempt in range(2):
-        try:
-            reply = gateway.complete(request).raw_text
-        except EmptyResponseError:
-            reply = ""
+    def parse(reply: str) -> list[ConvertedPart]:
         tables = parse_all_markdown_tables(reply)
-        if tables:
-            break
-        request = request.with_addendum(prompts.REASK_TABLE)
-    if not tables:
-        raise NoTableFoundError(f"{part_id}: conversion reply holds no table")
-
-    titles = parse_delimited_blocks(reply, "Title")
-    footnotes = parse_delimited_blocks(reply, "Footnote")
-    parts = []
-    for k, (header, rows) in enumerate(tables):
-        suffix = f"#{k + 1}" if len(tables) > 1 else ""
-        title = (titles[k] if k < len(titles) else "") or caption or f"Table {part_id}"
-        footnote = (footnotes[k] if k < len(footnotes) else "") or caption or title
-        parts.append(
-            ConvertedPart(
-                part_id=f"{part_id}{suffix}",
-                origin="table-image",
-                body=render_markdown_table(header, rows),
-                title=title,
-                footnote=footnote,
+        if not tables:
+            raise UnparseableReplyError("no table in reply")
+        titles = parse_delimited_blocks(reply, "Title")
+        footnotes = parse_delimited_blocks(reply, "Footnote")
+        parts = []
+        for k, (header, rows) in enumerate(tables):
+            suffix = f"#{k + 1}" if len(tables) > 1 else ""
+            title = (titles[k] if k < len(titles) else "") or caption or f"Table {part_id}"
+            footnote = (footnotes[k] if k < len(footnotes) else "") or caption or title
+            parts.append(
+                ConvertedPart(
+                    part_id=f"{part_id}{suffix}",
+                    origin="table-image",
+                    body=render_markdown_table(header, rows),
+                    title=title,
+                    footnote=footnote,
+                )
             )
-        )
+        return parts
+
+    request = prompts.table_convert_request(image_path, caption)
+    parts = gateway.ask(request, parse, prompts.REASK_TABLE)
+    if parts is None:
+        raise NoTableFoundError(f"{part_id}: conversion reply holds no table")
     return parts
 
 
@@ -178,17 +173,16 @@ def summarize_figure(
     image_path: str, caption: str, gateway: Gateway, part_id: str
 ) -> ConvertedPart:
     """Summarize one figure image into a bullet-list part."""
+    def parse(reply: str) -> ConvertedPart:
+        if not any(ln.strip().startswith(("-", "*", "•")) for ln in reply.splitlines()):
+            raise UnparseableReplyError("no bullets in reply")
+        return ConvertedPart(part_id=part_id, origin="figure-image", body=reply.strip())
+
     request = prompts.figure_summary_request(image_path, caption)
-    for attempt in range(2):
-        try:
-            reply = gateway.complete(request).raw_text
-        except EmptyResponseError:
-            reply = ""
-        lines = [ln.strip() for ln in reply.splitlines()]
-        if any(ln.startswith(("-", "*", "•")) for ln in lines):
-            return ConvertedPart(part_id=part_id, origin="figure-image", body=reply.strip())
-        request = request.with_addendum(prompts.REASK_BULLETS)
-    raise ConversionFailure(f"{part_id}: figure summary reply holds no bullets")
+    part = gateway.ask(request, parse, prompts.REASK_BULLETS)
+    if part is None:
+        raise ConversionFailure(f"{part_id}: figure summary reply holds no bullets")
+    return part
 
 
 def relevance_mask(
@@ -210,19 +204,15 @@ def relevance_mask(
         batch = parts[start : start + batch_size]
         rendered = [render_part(p, i) for i, p in enumerate(batch, start=1)]
         request = prompts.mask_request(topic, rendered)
-        for attempt in range(2):
-            try:
-                values = parse_real_list(gateway.complete(request).raw_text)
-            except UnparseableReplyError:
-                values = None
-            if values is not None and len(values) == len(batch):
-                return [min(1.0, max(0.0, v)) for v in values]
-            request = request.with_addendum(
-                f"{prompts.REASK_LIST} It must hold exactly {len(batch)} values."
-            )
-        raise UnparseableReplyError(
-            f"mask reply did not yield {len(batch)} scores for batch at {start}"
+        scores = gateway.ask(
+            request, lambda reply: parse_real_list(reply, len(batch)),
+            prompts.reask_count(len(batch)),
         )
+        if scores is None:
+            raise UnparseableReplyError(
+                f"mask reply did not yield {len(batch)} scores for batch at {start}"
+            )
+        return [min(1.0, max(0.0, v)) for v in scores]
 
     batches = gateway.map(score_batch, range(0, len(parts), batch_size))
     return [score for batch_scores in batches for score in batch_scores]
@@ -423,24 +413,18 @@ def check_table(
     if table.is_empty():
         return CheckReport(1, 1, 1, 1, "The submission is empty; extract the relevant values.")
     rendered = [render_part(p, i) for i, p in enumerate(parts, start=1)]
-    request = prompts.check_request(topic, rendered, table.render())
-    for attempt in range(2):
-        try:
-            raw = parse_check_reply(gateway.complete(request).raw_text)
-        except UnparseableReplyError:
-            request = request.with_addendum(prompts.REASK_CHECK)
-            continue
-        def clamp(v: object) -> int:
-            return max(1, min(10, int(v)))  # type: ignore[call-overload]
 
-        return CheckReport(
-            data_accuracy=clamp(raw["Data Accuracy"]),
-            semantic_consistency=clamp(raw["Semantic Consistency"]),
-            data_completeness=clamp(raw["Data Completeness"]),
-            overall=clamp(raw["Overall Score"]),
-            suggestion=str(raw["Suggestion"]),
-        )
-    raise CheckerFailure("checker reply unparseable after re-ask")
+    def parse(reply: str) -> CheckReport:
+        raw = parse_check_reply(reply)
+        keys = ("Data Accuracy", "Semantic Consistency", "Data Completeness", "Overall Score")
+        scores = [max(1, min(10, int(raw[k]))) for k in keys]  # type: ignore[call-overload]
+        return CheckReport(*scores, suggestion=str(raw["Suggestion"]))
+
+    request = prompts.check_request(topic, rendered, table.render())
+    report = gateway.ask(request, parse, prompts.REASK_CHECK)
+    if report is None:
+        raise CheckerFailure("checker reply unparseable after re-ask")
+    return report
 
 
 def _feedback_text(report: CheckReport, violations: Sequence[Violation]) -> str:

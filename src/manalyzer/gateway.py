@@ -25,6 +25,7 @@ from .errors import (
     InvalidRequestError,
     ScriptMissError,
     TransportError,
+    UnparseableReplyError,
 )
 
 REQUEST_TAGS = frozenset(
@@ -203,9 +204,12 @@ class Gateway:
     """Pipeline-facing wrapper enforcing request invariants and retry policy.
 
     Transient TransportErrors are retried with exponential backoff (3
-    attempts, 1s/2s/4s by default); provider refusals and empty replies are
-    surfaced immediately so hallucination handling stays in the caller. A
-    semaphore bounds in-flight calls across worker threads.
+    attempts, 1s/2s/4s by default); refusals and empty replies are surfaced
+    immediately. A semaphore bounds in-flight calls across worker threads.
+
+    ``ask`` owns the re-ask policy: a reply the caller's parser rejects is
+    asked for again with a format reminder appended. The caller owns the
+    fallback once the re-asks run out: a default value, or its own error.
 
     ``map`` runs independent call chains concurrently, on up to
     ``max_in_flight`` threads of its own; the semaphore stays the only bound
@@ -258,6 +262,19 @@ class Gateway:
             return response
         assert last_error is not None
         raise last_error
+
+    def ask(
+        self, request: AgentRequest, parse: Callable[[str], R], reask: str, attempts: int = 2
+    ) -> R | None:
+        """``parse`` the reply, asking again with `reask` appended while it
+        raises UnparseableReplyError; None after `attempts` failed replies.
+        An empty reply raises EmptyResponseError and is not re-asked."""
+        for _ in range(attempts):
+            try:
+                return parse(self.complete(request).raw_text)
+            except UnparseableReplyError:
+                request = request.with_addendum(reask)
+        return None
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``[fn(item) for item in items]``, with the calls run concurrently."""

@@ -8,7 +8,7 @@ then maximizes total importance under the budget, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -46,11 +46,21 @@ class PackedDocument:
     total_weight: int
     total_importance: int
     budget: int
+    text: str = ""  # the review-facing text, see packed_text
+    captions: tuple[str, ...] = ()
+    title: str = ""
 
 
 def estimate_weight(text: str) -> int:
     """Crude token-count stand-in: one unit per four characters, minimum 1."""
     return max(1, math.ceil(len(text) / 4))
+
+
+def _importance(reply: str) -> int:
+    value = parse_int_reply(reply)
+    if not 0 <= value <= 10:
+        raise UnparseableReplyError(f"importance {value} outside [0, 10]")
+    return value
 
 
 def score_paragraphs(
@@ -67,22 +77,11 @@ def score_paragraphs(
     """
     def rate(para: "Paragraph") -> RatedParagraph:
         request = prompts.paragraph_score_request(para.text)
-        importance = None
-        for attempt in range(2):
-            try:
-                value = parse_int_reply(gateway.complete(request).raw_text)
-            except UnparseableReplyError:
-                value = None
-            if value is not None and 0 <= value <= 10:
-                importance = value
-                break
-            request = request.with_addendum(prompts.REASK_INTEGER)
-        if importance is None:
-            importance = default_importance
+        importance = gateway.ask(request, _importance, prompts.REASK_INTEGER)
         return RatedParagraph(
             index=para.index,
             text=para.text,
-            importance=importance,
+            importance=default_importance if importance is None else importance,
             weight=estimate_weight(para.text),
         )
 
@@ -161,6 +160,7 @@ def pack_document(
     Figure and table captions are always carried along to review, so their
     weight comes off the budget first. A document whose paragraphs already
     fit costs no agent calls: everything is selected at the default rating.
+    The result carries what review reads: the text, captions and title.
     """
     budget = min(budget, MAX_BUDGET)
     caption_weight = sum(estimate_weight(c) for c in doc.captions())
@@ -168,20 +168,19 @@ def pack_document(
 
     weights = [estimate_weight(p.text) for p in doc.paragraphs]
     if sum(weights) <= effective:
-        rated = [
-            RatedParagraph(p.index, p.text, default_importance, w)
-            for p, w in zip(doc.paragraphs, weights)
-        ]
-        return PackedDocument(
+        packed = PackedDocument(
             doc_id=doc.doc_id,
             selected_indices=tuple(p.index for p in doc.paragraphs),
             total_weight=sum(weights),
             total_importance=default_importance * len(weights),
             budget=effective,
         )
-
-    rated = score_paragraphs(doc, gateway, default_importance)
-    return select_paragraphs(rated, effective, doc_id=doc.doc_id)
+    else:
+        rated = score_paragraphs(doc, gateway, default_importance)
+        packed = select_paragraphs(rated, effective, doc_id=doc.doc_id)
+    return replace(
+        packed, text=packed_text(doc, packed), captions=tuple(doc.captions()), title=doc.meta.title
+    )
 
 
 def packed_text(doc: "ParsedDocument", packed: PackedDocument) -> str:

@@ -11,12 +11,16 @@ from __future__ import annotations
 import ast
 import math
 import re
+import threading
 
 from .errors import UnparseableNumericError, UnparseableReplyError, UnparseableTableError
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
 _MINUS_VARIANTS = str.maketrans({"−": "-", "‒": "-", "–": "-"})
 _STRIP_CHARS = set("><~=+()%,")
+# CPython 3.11 keeps the AST builder's recursion depth in interpreter-wide
+# state, so literal_eval on two threads at once can raise SystemError.
+_AST_LOCK = threading.Lock()
 
 
 def _split_row(line: str) -> list[str]:
@@ -133,18 +137,19 @@ def render_numeric(value: float | None) -> str:
     return repr(value)
 
 
-def parse_real_list(text: str) -> list[float]:
-    """Parse a bare bracketed list of reals like "[0.8, 0.3, 0.9]".
+def parse_real_list(text: str, count: int) -> list[float]:
+    """Parse a bare bracketed list of `count` reals like "[0.8, 0.3, 0.9]".
 
     Takes the first balanced bracket group in the reply; prose around it is
-    ignored. Raises UnparseableReplyError when there is no such group or it
-    holds anything but numbers.
+    ignored. Raises UnparseableReplyError when there is no such group, it
+    holds anything but numbers, or it does not hold `count` values.
     """
     match = re.search(r"\[[^\[\]]*\]", text)
     if not match:
         raise UnparseableReplyError("no bracketed list in reply")
     try:
-        parsed = ast.literal_eval(match.group(0))
+        with _AST_LOCK:
+            parsed = ast.literal_eval(match.group(0))
     except (ValueError, SyntaxError):
         raise UnparseableReplyError(f"malformed list: {match.group(0)!r}") from None
     values: list[float] = []
@@ -152,6 +157,8 @@ def parse_real_list(text: str) -> list[float]:
         if not isinstance(item, (int, float)) or isinstance(item, bool):
             raise UnparseableReplyError(f"non-numeric list item: {item!r}")
         values.append(float(item))
+    if len(values) != count:
+        raise UnparseableReplyError(f"expected {count} values, got {len(values)}")
     return values
 
 
@@ -162,7 +169,8 @@ def parse_string_groups(text: str) -> list[list[str]]:
     if start < 0 or end <= start:
         raise UnparseableReplyError("no bracketed groups in reply")
     try:
-        parsed = ast.literal_eval(text[start : end + 1])
+        with _AST_LOCK:
+            parsed = ast.literal_eval(text[start : end + 1])
     except (ValueError, SyntaxError):
         raise UnparseableReplyError("malformed keyword groups") from None
     if not isinstance(parsed, list):
@@ -216,7 +224,8 @@ def parse_check_reply(text: str) -> dict[str, object]:
     if start < 0 or end <= start:
         raise UnparseableReplyError("no dict in checker reply")
     try:
-        parsed = ast.literal_eval(text[start : end + 1])
+        with _AST_LOCK:
+            parsed = ast.literal_eval(text[start : end + 1])
     except (ValueError, SyntaxError):
         raise UnparseableReplyError("malformed checker dict") from None
     if not isinstance(parsed, dict):

@@ -118,9 +118,6 @@ class Pipeline:
 
     # -- small helpers ---------------------------------------------------
 
-    def _pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.config.max_concurrency)
-
     def _per_document(
         self, work: Callable[[str], T], todo: list[str], finish: Callable[[str, T], None]
     ) -> None:
@@ -129,7 +126,7 @@ class Pipeline:
         document is kept even when another fails. The first failure in
         `todo` order is raised once the pool has drained."""
         failures: dict[str, Exception] = {}
-        with self._pool() as pool:
+        with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
             futures = {pool.submit(work, doc_id): doc_id for doc_id in todo}
             for future in as_completed(futures):
                 try:
@@ -204,25 +201,14 @@ class Pipeline:
         if not todo:
             return
 
-        def work(doc_id: str) -> dict:
-            doc = self._load_parsed(doc_id)
-            packed = packer.pack_document(
-                doc, self.gateway, self.config.packer_budget,
+        def work(doc_id: str) -> packer.PackedDocument:
+            return packer.pack_document(
+                self._load_parsed(doc_id), self.gateway, self.config.packer_budget,
                 self.config.packer_default_importance,
             )
-            return {
-                "doc_id": doc_id,
-                "selected_indices": list(packed.selected_indices),
-                "total_weight": packed.total_weight,
-                "total_importance": packed.total_importance,
-                "budget": packed.budget,
-                "text": packer.packed_text(doc, packed),
-                "captions": doc.captions(),
-                "title": doc.meta.title,
-            }
 
-        def finish(doc_id: str, payload: dict) -> None:
-            atomic_write_json(self._packed_path(doc_id), payload)
+        def finish(doc_id: str, packed: packer.PackedDocument) -> None:
+            atomic_write_json(self._packed_path(doc_id), asdict(packed))
             self.ws.mark(doc_id, "packed")
 
         self._per_document(work, todo, finish)
@@ -235,8 +221,9 @@ class Pipeline:
     def _review_path(self, doc_id: str) -> Path:
         return self.ws.dir("reviews") / f"{doc_id}.json"
 
-    def _load_packed(self, doc_id: str) -> dict:
-        return json.loads(self._packed_path(doc_id).read_text(encoding="utf-8"))
+    def _load_packed(self, doc_id: str) -> packer.PackedDocument:
+        raw = json.loads(self._packed_path(doc_id).read_text(encoding="utf-8"))
+        return from_json(packer.PackedDocument, raw)
 
     def stage_review(self) -> None:
         docs = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
@@ -252,7 +239,7 @@ class Pipeline:
             packed = self._load_packed(doc_id)
             try:
                 scores = reviewer.review_independent(
-                    packed["text"], direction, self.gateway, packed["captions"]
+                    packed.text, direction, self.gateway, packed.captions
                 )
                 payload = {"s1": scores.s1, "s2": scores.s2}
             except ReviewFailure as exc:
@@ -261,9 +248,7 @@ class Pipeline:
             return payload
 
         indep: dict[str, dict] = {}
-        with self._pool() as pool:
-            for doc_id, payload in zip(todo, pool.map(independent, todo)):
-                indep[doc_id] = payload
+        self._per_document(independent, todo, indep.__setitem__)
         for doc_id in docs:
             if doc_id not in indep and self._indep_path(doc_id).exists():
                 indep[doc_id] = json.loads(self._indep_path(doc_id).read_text(encoding="utf-8"))
@@ -287,7 +272,7 @@ class Pipeline:
             batch = scored[start : start + batch_size]
             if all(self.ws.at_least(d, "reviewed") for d in batch):
                 continue
-            texts = [self._load_packed(d)["text"] for d in batch]
+            texts = [self._load_packed(d).text for d in batch]
             try:
                 relatives = reviewer.review_batch(texts, direction, self.gateway)
             except ReviewFailure as exc:
@@ -319,6 +304,8 @@ class Pipeline:
         return self.ws.dir("reviews") / "screening.json"
 
     def load_review_records(self) -> tuple[list[ReviewRecord], list[dict]]:
+        """Review records and failure records. A screened paper is kept as
+        its manifest says; an unscreened one by the configured threshold."""
         records, failures = [], []
         threshold = self.config.reviewer_threshold
         for doc_id in self.ws.doc_ids():
@@ -329,12 +316,14 @@ class Pipeline:
             if raw.get("failed"):
                 failures.append(raw)
                 continue
+            history = self.ws.docs[doc_id]
+            screened = self.ws.at_least(doc_id, "screened_in")
             records.append(ReviewRecord(
                 doc_id=doc_id,
                 independent=IndependentScores(raw["s1"], raw["s2"]),
                 s_r=raw["s_r"],
                 final=raw["final"],
-                kept=raw["final"] >= threshold,
+                kept="screened_in" in history if screened else raw["final"] >= threshold,
                 batch_id=raw["batch_id"],
             ))
         return records, failures
@@ -347,16 +336,15 @@ class Pipeline:
         if not pending and self._screening_path().exists():
             return
         records, failures = self.load_review_records()
-        kept = reviewer.screen(records, self.config.reviewer_threshold)
+        kept = {r.doc_id for r in records if r.kept}
         atomic_write_json(self._screening_path(), {
             "threshold": self.config.reviewer_threshold,
-            "kept": kept,
+            "kept": sorted(kept),
             "excluded": sorted(r.doc_id for r in records if not r.kept),
             "failures": sorted(f["doc_id"] for f in failures),
         })
-        kept_set = set(kept)
         for doc_id in pending:
-            self.ws.mark(doc_id, "screened_in" if doc_id in kept_set else "screened_out")
+            self.ws.mark(doc_id, "screened_in" if doc_id in kept else "screened_out")
 
     # -- extract ---------------------------------------------------------
 
@@ -555,11 +543,10 @@ class Pipeline:
         results = self.load_results()
         records, _failures = self.load_review_records()
         traces = self.load_traces()
-        titles = {}
-        for doc_id in self.ws.doc_ids():
-            path = self._packed_path(doc_id)
-            if path.exists():
-                titles[doc_id] = json.loads(path.read_text(encoding="utf-8")).get("title", "")
+        titles = {
+            doc_id: self._load_packed(doc_id).title
+            for doc_id in self.ws.doc_ids() if self._packed_path(doc_id).exists()
+        }
         text = render_report(
             topic=self.ws.direction,
             merged=merged,

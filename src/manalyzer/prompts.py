@@ -149,6 +149,10 @@ REASK_BULLETS = "Reply with only the bullet points."
 REASK_CHECK = "Reply with only the dict of scores and suggestion."
 
 
+def reask_count(count: int) -> str:
+    return f"{REASK_LIST} It must hold exactly {count} values."
+
+
 def keyword_request(direction: str) -> AgentRequest:
     return AgentRequest(
         kind="text",

@@ -19,7 +19,6 @@ from .gateway import Gateway
 from .parsing import parse_labeled_score, parse_real_list
 
 DEFAULT_THRESHOLD = 8.0
-DEFAULT_BATCH_SIZE = 20
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class ScreeningMetrics:
     degenerate_recall: bool = False
 
 
-def _clamp(value: int, lo: int, hi: int) -> int:
-    return max(lo, min(hi, value))
-
-
 def review_independent(
     text: str,
     direction: str,
@@ -73,23 +68,21 @@ def review_independent(
     out-of-range values are clamped into [1, 10]; a still-unparseable reply
     marks the paper unreviewable.
     """
+    parsed: list[tuple[int, int]] = []  # the fallback clamps the last pair parsed
+
+    def parse(reply: str) -> None:
+        s1 = parse_labeled_score(reply, "Topic Relevance")
+        s2 = parse_labeled_score(reply, "Feasibility")
+        parsed.append((s1, s2))
+        if not (1 <= s1 <= 10 and 1 <= s2 <= 10):
+            raise UnparseableReplyError(f"scores {s1}, {s2} outside [1, 10]")
+
     request = prompts.independent_review_request(direction, text, captions)
-    scores: tuple[int, int] | None = None
-    for attempt in range(2):
-        try:
-            reply = gateway.complete(request).raw_text
-            s1 = parse_labeled_score(reply, "Topic Relevance")
-            s2 = parse_labeled_score(reply, "Feasibility")
-        except UnparseableReplyError:
-            request = request.with_addendum(prompts.REASK_SCORES)
-            continue
-        scores = (s1, s2)
-        if 1 <= s1 <= 10 and 1 <= s2 <= 10:
-            break
-        request = request.with_addendum(prompts.REASK_SCORES)
-    if scores is None:
+    gateway.ask(request, parse, prompts.REASK_SCORES)
+    if not parsed:
         raise ReviewFailure("independent review reply unparseable after re-ask")
-    return IndependentScores(_clamp(scores[0], 1, 10), _clamp(scores[1], 1, 10))
+    s1, s2 = parsed[-1]
+    return IndependentScores(max(1, min(10, s1)), max(1, min(10, s2)))
 
 
 def review_batch(texts: Sequence[str], direction: str, gateway: Gateway) -> list[float]:
@@ -102,17 +95,12 @@ def review_batch(texts: Sequence[str], direction: str, gateway: Gateway) -> list
     if not texts:
         raise ValueError("empty comparative batch")
     request = prompts.comparative_review_request(direction, texts)
-    for attempt in range(2):
-        try:
-            values = parse_real_list(gateway.complete(request).raw_text)
-        except UnparseableReplyError:
-            values = None
-        if values is not None and len(values) == len(texts):
-            return [min(1.0, max(0.0, v)) for v in values]
-        request = request.with_addendum(
-            f"{prompts.REASK_LIST} It must hold exactly {len(texts)} values."
-        )
-    raise ReviewFailure(f"comparative reply did not yield {len(texts)} scores")
+    values = gateway.ask(
+        request, lambda reply: parse_real_list(reply, len(texts)), prompts.reask_count(len(texts))
+    )
+    if values is None:
+        raise ReviewFailure(f"comparative reply did not yield {len(texts)} scores")
+    return [min(1.0, max(0.0, v)) for v in values]
 
 
 def fuse(s1: int, s2: int, s_r: float) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, config_digest, render_config
-from .errors import CorruptManifestError, RefuseResumeError, WorkspaceError
+from .errors import ConfigError, CorruptManifestError, RefuseResumeError, WorkspaceError
 
 MANIFEST_VERSION = 1
 
@@ -100,6 +100,8 @@ class Workspace:
 
     @classmethod
     def init(cls, root: Path, direction: str, config: PipelineConfig) -> "Workspace":
+        if not direction.strip():
+            raise ConfigError("research direction is empty")
         if (root / "manifest.json").exists():
             raise WorkspaceError(f"{root} already holds a workspace")
         root.mkdir(parents=True, exist_ok=True)

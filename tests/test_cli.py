@@ -1,6 +1,7 @@
 """Command-line flows over the bundled corpus, including exit codes:
 0 success, 2 validation problems, 3 stage failures."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import manalyzer
-from manalyzer import synth
+from manalyzer import reviewer, synth
 from manalyzer.cli import main
 
 
@@ -151,6 +152,37 @@ def test_stagewise_flow_matches_run(runner, tmp_path, initialized, corpus_dir):
         assert expected in result.stdout
 
 
+def test_screen_threshold_override_is_what_later_commands_read(
+    runner, initialized, corpus_dir
+):
+    # At the configured threshold of 8, d07 (final 5.6) would be dropped; the
+    # override keeps it, and screen-eval and report must agree with the manifest.
+    ws, config = initialized
+    for args in (("pack",), ("screen", "--threshold", "5")):
+        result = invoke(runner, ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.output)
+    assert "kept 7 of 10 reviewed papers" in result.stdout
+    docs = json.loads((ws / "manifest.json").read_text(encoding="utf-8"))["docs"]
+    kept = {d for d, history in docs.items() if "screened_in" in history}
+    assert "d07" in kept and len(kept) == 7
+    screening = json.loads((ws / "reviews" / "screening.json").read_text(encoding="utf-8"))
+    assert set(screening["kept"]) == kept
+
+    gold_path = corpus_dir / "screening_gold.txt"
+    result = invoke(runner, ws, "screen-eval", "--gold", str(gold_path), config=config)
+    assert result.exit_code == 0, result.output
+    gold = {d for d, keep in reviewer.load_screening_gold(gold_path).items() if keep}
+    tp = len(kept & gold)
+    assert f"tp={tp} fp={len(kept) - tp} " in result.stdout
+
+    assert invoke(runner, ws, "report", config=config).exit_code == 0
+    report = (ws / "report.md").read_text(encoding="utf-8")
+    assert f"{len(kept)} papers passed screening." in report
+    for doc_id in docs:
+        row = next(line for line in report.splitlines() if line.startswith(f"| {doc_id} |"))
+        assert row.endswith("| yes |" if doc_id in kept else "| no |"), row
+
+
 def test_collect_without_script_fails_cleanly(runner, initialized):
     ws, config = initialized
     result = invoke(runner, ws, "collect", config=config)
@@ -169,18 +201,22 @@ def test_bad_config_file(runner, tmp_path):
 @pytest.mark.parametrize("direction, args, message", [
     (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "-1"),
      "tolerances must be >= 0"),
-    (" ", ("collect",), "research direction is empty"),
+    (" ", (), "research direction is empty"),
 ], ids=["negative-rel-tol", "blank-direction"])
 def test_out_of_range_input_is_a_validation_error(
     runner, tmp_path, corpus_dir, direction, args, message
 ):
+    # With no `args`, `init` itself is the command that must refuse.
     ws = tmp_path / "ws"
-    assert invoke(runner, ws, "init", "--direction", direction).exit_code == 0
-    gold = str(corpus_dir / "gold.jsonl")
-    result = invoke(runner, ws, *(arg.format(gold=gold) for arg in args))
+    result = invoke(runner, ws, "init", "--direction", direction)
+    if args:
+        assert result.exit_code == 0
+        gold = str(corpus_dir / "gold.jsonl")
+        result = invoke(runner, ws, *(arg.format(gold=gold) for arg in args))
     assert result.exit_code == 2, result.output
     assert result.stderr.splitlines() == [f"error: {message}"]
     assert "Traceback" not in result.output
+    assert (ws / "manifest.json").exists() == bool(args)
 
 
 def test_eval_extraction_missing_gold(runner, initialized):

@@ -11,6 +11,7 @@ from manalyzer.errors import (
     InvalidRequestError,
     ScriptMissError,
     TransportError,
+    UnparseableReplyError,
 )
 from manalyzer.gateway import (
     AgentRequest,
@@ -206,6 +207,67 @@ def test_gateway_does_not_retry_empty_replies():
     with pytest.raises(EmptyResponseError):
         gateway.complete(text_request("x"))
     assert provider.attempts == 1
+
+
+class ReplyListProvider:
+    """Serves `replies` in order and records the text parts of each request."""
+
+    provider_id = "list"
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(tuple(part.text for part in request.user_parts))
+        return AgentResponse(raw_text=self.replies.pop(0), provider_id=self.provider_id)
+
+
+def parse_digits(reply):
+    if not reply.isdigit():
+        raise UnparseableReplyError(f"not digits: {reply!r}")
+    return int(reply)
+
+
+def test_ask_chains_one_addendum_per_reask_in_order():
+    provider = ReplyListProvider("no", "still no", "7")
+    gateway = Gateway(provider, sleep=lambda s: None)
+    assert gateway.ask(text_request("q"), parse_digits, "digits only", attempts=3) == 7
+    assert provider.requests == [
+        ("q",), ("q", "digits only"), ("q", "digits only", "digits only"),
+    ]
+
+
+@pytest.mark.parametrize("attempts", [1, 2, 3])
+def test_ask_honours_attempts(attempts):
+    provider = ReplyListProvider(*["no"] * (attempts - 1), "7", "8")
+    gateway = Gateway(provider, sleep=lambda s: None)
+    assert gateway.ask(text_request("q"), parse_digits, "again", attempts=attempts) == 7
+    assert len(provider.requests) == attempts
+
+
+def test_ask_returns_none_after_the_last_failed_reply():
+    provider = ReplyListProvider("no", "no", "7")
+    gateway = Gateway(provider, sleep=lambda s: None)
+    assert gateway.ask(text_request("q"), parse_digits, "again") is None
+    assert provider.requests == [("q",), ("q", "again")]
+
+
+def test_ask_does_not_reask_an_empty_reply():
+    provider = ReplyListProvider("", "7")
+    gateway = Gateway(provider, sleep=lambda s: None)
+    with pytest.raises(EmptyResponseError):
+        gateway.ask(text_request("q"), parse_digits, "again")
+    assert provider.requests == [("q",)]
+
+
+def test_ask_leaves_transport_retries_to_complete():
+    provider = FlakyProvider(failures=2, reply="7")
+    delays = []
+    gateway = Gateway(provider, retries=3, sleep=delays.append)
+    assert gateway.ask(text_request("q"), parse_digits, "again") == 7
+    assert provider.attempts == 3
+    assert delays == [1.0, 2.0]
 
 
 def test_gateway_bounds_in_flight_calls():

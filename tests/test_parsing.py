@@ -1,4 +1,7 @@
+import gc
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -152,19 +155,51 @@ def test_markdown_table_round_trip():
 
 
 def test_parse_real_list_plain():
-    assert parse_real_list("[0.5, 1, 0.25]") == [0.5, 1.0, 0.25]
+    assert parse_real_list("[0.5, 1, 0.25]", 3) == [0.5, 1.0, 0.25]
 
 
 def test_parse_real_list_with_prose_around():
-    assert parse_real_list("Sure, here you go: [1, 2, 3]. Hope that helps!") == [1.0, 2.0, 3.0]
+    reply = "Sure, here you go: [1, 2, 3]. Hope that helps!"
+    assert parse_real_list(reply, 3) == [1.0, 2.0, 3.0]
 
 
 def test_parse_real_list_rejects_non_numeric():
     for bad in ("[1, 'a']", "[True, 1]", "no list"):
         with pytest.raises(UnparseableReplyError):
-            parse_real_list(bad)
-    # An empty list parses; callers enforce the expected length.
-    assert parse_real_list("[]") == []
+            parse_real_list(bad, 2)
+    assert parse_real_list("[]", 0) == []
+
+
+def test_parse_real_list_enforces_the_count():
+    with pytest.raises(UnparseableReplyError, match="expected 3 values, got 2"):
+        parse_real_list("[0.5, 1]", 3)
+
+
+def test_parse_real_list_is_thread_safe():
+    # Cyclic garbage with a finalizer makes the collector run Python code, and
+    # so lets another thread in, while a thread is inside the AST builder.
+    class Cycle:
+        def __del__(self):
+            sum(range(50))
+
+    values = [i / 8 for i in range(64)]
+
+    def parse_many(_):
+        for _ in range(200):
+            cycle = Cycle()
+            cycle.self = cycle
+            del cycle
+            assert parse_real_list(str(values), len(values)) == values
+
+    interval, threshold = sys.getswitchinterval(), gc.get_threshold()
+    sys.setswitchinterval(1e-6)
+    gc.set_threshold(50)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(parse_many, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*threshold)
 
 
 def test_parse_string_groups():

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from manalyzer import prompts, synth
+from manalyzer import extraction, prompts, synth
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ConfigError, ScriptMissError, StageFailure
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
@@ -435,6 +435,39 @@ def test_extract_keeps_finished_documents_when_another_fails(tmp_path, corpus_di
     resumed.run(None)
     tags = Counter(tag for tag, _ in provider.calls)
     assert (tags["extract"], tags["check"]) == (1, 1)  # the first document's only
+
+
+def test_empty_table_reply_is_one_call_and_a_warning(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    texts = ["Alpha finding one.", "Alpha finding two."]
+    write_mini_doc(source, "ma", texts)
+    raw = json.loads((source / "ma.json").read_text(encoding="utf-8"))
+    raw["tables"] = [{"id": "t1", "caption": "Outcomes", "image": "t1.png"}]
+    (source / "ma.json").write_text(json.dumps(raw), encoding="utf-8")
+    (source / "t1.png").write_bytes(b"table pixels")
+
+    provider = ScriptedProvider()
+    provider.register_for(prompts.table_convert_request(str(source / "t1.png"), "Outcomes"), "")
+    rendered = [
+        extraction.render_part(
+            extraction.ConvertedPart(f"para-{i}", "text-paragraph", text), i + 1
+        )
+        for i, text in enumerate(texts)
+    ]
+    provider.register_for(prompts.mask_request(DIRECTION, rendered), "[0.0, 0.0]")
+    ws = Workspace.init(tmp_path / "run", DIRECTION, PipelineConfig())
+    pipe = Pipeline(ws, PipelineConfig(), provider)
+    pipe.ingest_dir(source)
+    for status in ("packed", "reviewed", "screened_in"):
+        ws.mark("ma", status)
+    pipe.stage_extract(["value"])
+
+    assert [tag for tag, _ in provider.calls] == ["table_convert", "mask"]
+    parts = json.loads((ws.root / "extracted" / "ma" / "parts.json").read_text(encoding="utf-8"))
+    assert parts["warnings"] == [
+        "table t1: provider returned empty reply for tag 'table_convert'"
+    ]
 
 
 def test_status_text_lists_counts(tmp_path, corpus_dir):
