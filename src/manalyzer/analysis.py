@@ -15,15 +15,16 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import prompts
 from .errors import HeaderMismatchError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
 from .workspace import atomic_write_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -190,6 +191,7 @@ def _step_matrix(
 
     Returns the dense matrix and the number of excluded rows.
     """
+    import numpy as np  # imported where used, so commands that never analyze skip it
     columns = [merged.column(name) for name in names]
     keep = [
         i
@@ -203,6 +205,7 @@ def _step_matrix(
 
 
 def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    import numpy as np
     rng = np.random.RandomState(seed)
     centroids = data[rng.choice(len(data), size=k, replace=False)]
     assignment = np.zeros(len(data), dtype=np.int64)
@@ -240,6 +243,7 @@ def _run_clustering(step: AnalysisStep, merged: MergedTable, seed: int) -> Analy
 
 
 def _run_classification(step: AnalysisStep, merged: MergedTable, seed: int) -> AnalysisResult:
+    import numpy as np
     data, excluded = _step_matrix(merged, list(step.features) + [step.label])
     features, labels = data[:, :-1], data[:, -1]
     if len(data) < 2:

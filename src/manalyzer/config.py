@@ -72,6 +72,8 @@ class PipelineConfig:
             raise ConfigError("max_concurrency must be >= 1")
         if self.provider_max_in_flight < 1:
             raise ConfigError("provider.max_in_flight must be >= 1")
+        if self.provider_retries < 1:
+            raise ConfigError("provider.retries must be >= 1")
 
 
 def parse_config(text: str, source: str = "<config>") -> PipelineConfig:

@@ -15,7 +15,7 @@ class ManalyzerError(Exception):
 
 
 class InvalidRequestError(ManalyzerError):
-    """Agent request violates its invariants (e.g. nonzero temperature)."""
+    """Agent request violates its invariants (e.g. an unknown tag)."""
 
 
 class TransportError(ManalyzerError):

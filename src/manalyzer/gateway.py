@@ -15,7 +15,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
@@ -45,6 +45,7 @@ REQUEST_TAGS = frozenset(
 )
 
 _PART_SEPARATOR = "\x1e"  # record separator between user parts
+BACKOFF_S = (1.0, 2.0, 4.0)  # seconds slept after each failed attempt; the last repeats
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -66,25 +67,21 @@ Part = TextPart | ImagePart
 
 @dataclass(frozen=True)
 class AgentRequest:
-    """One agent call: fixed role tag, system prompt, and ordered content parts."""
+    """One agent call: fixed role tag, system prompt, and ordered content parts.
 
-    kind: str  # "text" | "vision"
+    A request with an ImagePart among its parts is a vision call; every other
+    request is a text call. Providers call the model at temperature 0.
+    """
+
     system_prompt: str
     user_parts: tuple[Part, ...]
-    temperature: float
     request_tag: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("text", "vision"):
-            raise InvalidRequestError(f"unknown request kind {self.kind!r}")
         if self.request_tag not in REQUEST_TAGS:
             raise InvalidRequestError(f"unknown request tag {self.request_tag!r}")
         if not self.user_parts:
             raise InvalidRequestError("user_parts must be non-empty")
-        if self.kind == "vision" and not any(
-            isinstance(p, ImagePart) for p in self.user_parts
-        ):
-            raise InvalidRequestError("vision request needs at least one image part")
 
     def with_addendum(self, text: str) -> "AgentRequest":
         """Return a copy with one more text part (used for re-asks).
@@ -92,13 +89,7 @@ class AgentRequest:
         The extra part changes the content digest, so a script can hold a
         distinct reply for the re-ask.
         """
-        return AgentRequest(
-            kind=self.kind,
-            system_prompt=self.system_prompt,
-            user_parts=self.user_parts + (TextPart(text),),
-            temperature=self.temperature,
-            request_tag=self.request_tag,
-        )
+        return replace(self, user_parts=self.user_parts + (TextPart(text),))
 
 
 @dataclass(frozen=True)
@@ -127,6 +118,8 @@ def digest_request(request: AgentRequest) -> str:
 
 
 class Provider(Protocol):
+    """Answers one AgentRequest, as a vision or text call at temperature 0."""
+
     provider_id: str
 
     def complete(self, request: AgentRequest) -> AgentResponse: ...
@@ -201,11 +194,12 @@ class ScriptedProvider:
 
 
 class Gateway:
-    """Pipeline-facing wrapper enforcing request invariants and retry policy.
+    """Pipeline-facing wrapper enforcing the retry policy.
 
     Transient TransportErrors are retried with exponential backoff (3
-    attempts, 1s/2s/4s by default); refusals and empty replies are surfaced
-    immediately. A semaphore bounds in-flight calls across worker threads.
+    attempts by default, sleeping BACKOFF_S between them); refusals and empty
+    replies are surfaced immediately. A semaphore bounds in-flight calls
+    across worker threads.
 
     ``ask`` owns the re-ask policy: a reply the caller's parser rejects is
     asked for again with a format reminder appended. The caller owns the
@@ -224,7 +218,6 @@ class Gateway:
         self,
         provider: Provider,
         retries: int = 3,
-        backoff_s: tuple[float, ...] = (1.0, 2.0, 4.0),
         max_in_flight: int = 4,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -234,16 +227,11 @@ class Gateway:
             raise InvalidRequestError("max_in_flight must be >= 1")
         self.provider = provider
         self.retries = retries
-        self.backoff_s = backoff_s
         self.max_in_flight = max_in_flight
         self._sleep = sleep
         self._slots = threading.Semaphore(max_in_flight)
 
     def complete(self, request: AgentRequest) -> AgentResponse:
-        if request.temperature != 0.0:
-            raise InvalidRequestError(
-                f"pipeline requests must use temperature 0, got {request.temperature}"
-            )
         last_error: Exception | None = None
         for attempt in range(self.retries):
             try:
@@ -252,8 +240,7 @@ class Gateway:
             except TransportError as exc:
                 last_error = exc
                 if attempt + 1 < self.retries:
-                    delay = self.backoff_s[min(attempt, len(self.backoff_s) - 1)]
-                    self._sleep(delay)
+                    self._sleep(BACKOFF_S[min(attempt, len(BACKOFF_S) - 1)])
                 continue
             if response.raw_text == "":
                 raise EmptyResponseError(

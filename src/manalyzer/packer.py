@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from . import prompts
 from .errors import UnparseableReplyError
 from .gateway import Gateway
@@ -106,6 +104,8 @@ def select_paragraphs(items: Sequence[RatedParagraph], budget: int, doc_id: str 
     n = len(eligible)
     if n == 0:
         return PackedDocument(doc_id, (), 0, 0, budget)
+
+    import numpy as np  # imported here, so commands that never pack skip it
 
     v_max = sum(it.importance for it in eligible)
     inf = np.int64(1) << 62

@@ -181,8 +181,10 @@ class Pipeline:
             for ref in list(doc.figures) + list(doc.tables):
                 target = self.ws.root / ref.image
                 target.parent.mkdir(parents=True, exist_ok=True)
-                if not target.exists():
-                    shutil.copyfile(source / ref.image, target)
+                if not target.exists():  # copy, then rename: a kill leaves no torn image
+                    tmp = target.with_name(target.name + ".tmp")
+                    shutil.copyfile(source / ref.image, tmp)
+                    tmp.replace(target)
             collector.save_parsed(doc, self._parsed_path(doc.doc_id))
             self.ws.mark(doc.doc_id, "parsed")
             doc_ids.append(doc.doc_id)
@@ -426,18 +428,16 @@ class Pipeline:
         return table
 
     def stage_extract(self, template: list[str]) -> None:
-        todo = [
-            d for d in self.ws.doc_ids()
-            if self.ws.status_of(d) in ("screened_in", "extracted")
-        ]
-        if not todo:
-            return
-
         def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
             self.ws.mark(doc_id, "extracted")
             self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
 
-        self._per_document(lambda doc_id: self._extract_one(doc_id, template), todo, finish)
+        for doc_id in self.ws.doc_ids():
+            if self.ws.status_of(doc_id) == "extracted":  # its table.json precedes the mark
+                finish(doc_id, self.load_table(doc_id))
+        todo = [d for d in self.ws.doc_ids() if self.ws.status_of(d) == "screened_in"]
+        if todo:
+            self._per_document(lambda doc_id: self._extract_one(doc_id, template), todo, finish)
 
     # -- analyze ---------------------------------------------------------
 

@@ -4,8 +4,6 @@ Layout rule: instructions and examples live in the system prompt; only the
 dynamic content (direction, paragraph text, document text, images, tables)
 goes into user parts. Script digests cover user parts alone, so recorded
 mock scripts survive prompt-template edits.
-
-All builders fix temperature at 0; the gateway rejects anything else.
 """
 
 from __future__ import annotations
@@ -155,20 +153,16 @@ def reask_count(count: int) -> str:
 
 def keyword_request(direction: str) -> AgentRequest:
     return AgentRequest(
-        kind="text",
         system_prompt=KEYWORD_SYSTEM,
         user_parts=(TextPart(f"Research direction: {direction}"),),
-        temperature=0.0,
         request_tag="keyword",
     )
 
 
 def paragraph_score_request(text: str) -> AgentRequest:
     return AgentRequest(
-        kind="text",
         system_prompt=PARAGRAPH_SCORE_SYSTEM,
         user_parts=(TextPart(text),),
-        temperature=0.0,
         request_tag="paragraph_score",
     )
 
@@ -181,10 +175,8 @@ def independent_review_request(
     if captions:
         parts.append(TextPart("Figure and table captions:\n" + "\n".join(captions)))
     return AgentRequest(
-        kind="text",
         system_prompt=INDEPENDENT_REVIEW_SYSTEM,
         user_parts=tuple(parts),
-        temperature=0.0,
         request_tag="independent_review",
     )
 
@@ -194,30 +186,24 @@ def comparative_review_request(direction: str, texts: Sequence[str]) -> AgentReq
     for i, text in enumerate(texts, start=1):
         parts.append(TextPart(f"Paper {i}:\n{text}"))
     return AgentRequest(
-        kind="text",
         system_prompt=COMPARATIVE_REVIEW_SYSTEM,
         user_parts=tuple(parts),
-        temperature=0.0,
         request_tag="comparative_review",
     )
 
 
 def table_convert_request(image_path: str, caption: str) -> AgentRequest:
     return AgentRequest(
-        kind="vision",
         system_prompt=TABLE_CONVERT_SYSTEM,
         user_parts=(ImagePart(image_path, caption),),
-        temperature=0.0,
         request_tag="table_convert",
     )
 
 
 def figure_summary_request(image_path: str, caption: str) -> AgentRequest:
     return AgentRequest(
-        kind="vision",
         system_prompt=FIGURE_SUMMARY_SYSTEM,
         user_parts=(ImagePart(image_path, caption),),
-        temperature=0.0,
         request_tag="figure_summary",
     )
 
@@ -226,10 +212,8 @@ def mask_request(topic: str, rendered_parts: Sequence[str]) -> AgentRequest:
     parts: list[TextPart] = [TextPart(f"Topic: {topic}")]
     parts.extend(TextPart(text) for text in rendered_parts)
     return AgentRequest(
-        kind="text",
         system_prompt=MASK_SYSTEM,
         user_parts=tuple(parts),
-        temperature=0.0,
         request_tag="mask",
     )
 
@@ -248,10 +232,8 @@ def extract_request(
     if prior_suggestion:
         parts.append(TextPart(f"Revision feedback on your previous attempt:\n{prior_suggestion}"))
     return AgentRequest(
-        kind="text",
         system_prompt=EXTRACT_SYSTEM,
         user_parts=tuple(parts),
-        temperature=0.0,
         request_tag="extract",
     )
 
@@ -263,10 +245,8 @@ def check_request(
     parts.extend(TextPart(text) for text in rendered_parts)
     parts.append(TextPart(f"Integrated table:\n{table_markdown}"))
     return AgentRequest(
-        kind="text",
         system_prompt=CHECK_SYSTEM,
         user_parts=tuple(parts),
-        temperature=0.0,
         request_tag="check",
     )
 
@@ -278,19 +258,15 @@ def plan_request(topic: str, header: Sequence[str], preview_rows: Sequence[str])
         TextPart("First rows:\n" + "\n".join(preview_rows)),
     ]
     return AgentRequest(
-        kind="text",
         system_prompt=PLAN_SYSTEM,
         user_parts=tuple(parts),
-        temperature=0.0,
         request_tag="plan",
     )
 
 
 def report_request(topic: str, summary: str) -> AgentRequest:
     return AgentRequest(
-        kind="text",
         system_prompt=REPORT_SYSTEM,
         user_parts=(TextPart(f"Topic: {topic}"), TextPart(summary)),
-        temperature=0.0,
         request_tag="report",
     )

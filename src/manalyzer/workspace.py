@@ -70,6 +70,8 @@ def from_json(cls: Any, raw: Any) -> Any:
         return cls(**{name: from_json(hints[name], value) for name, value in raw.items()})
     if get_origin(cls) is tuple:
         item_type = get_args(cls)[0]
+        if not (dataclasses.is_dataclass(item_type) or get_origin(item_type) is tuple):
+            return tuple(raw)
         return tuple(from_json(item_type, value) for value in raw)
     return raw
 

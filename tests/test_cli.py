@@ -11,8 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 import manalyzer
-from manalyzer import reviewer, synth
+from manalyzer import collector, reviewer, synth
 from manalyzer.cli import main
+from manalyzer.errors import NotDownloadableError
+from manalyzer.workspace import Workspace
 
 
 @pytest.fixture
@@ -257,11 +259,60 @@ def test_eval_extraction_reads_level3_tolerance_from_config(runner, tmp_path, co
     assert "| 3 | 6 | 1.0000 |" in result.stdout
 
 
-def test_cli_import_does_not_load_requests():
+@pytest.mark.parametrize("module", ["requests", "numpy"])
+def test_cli_import_does_not_load(module):
     src = str(Path(manalyzer.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     subprocess.run(
-        [sys.executable, "-c", "import manalyzer.cli, sys; assert 'requests' not in sys.modules"],
+        [sys.executable, "-c", f"import manalyzer.cli, sys; assert {module!r} not in sys.modules"],
         env=env, check=True, timeout=60,
     )
+
+
+def test_collect_dedups_caps_and_skips_undownloadable(runner, tmp_path, monkeypatch):
+    ws = tmp_path / "ws"
+    assert invoke(runner, ws, "init", "--direction", "soil carbon").exit_code == 0
+
+    def meta(doc_id, source, doi=None, title=None):
+        return collector.PaperMeta(
+            doc_id, title or f"Title {doc_id}", doi, source,
+            pdf_url=f"https://example.org/{doc_id}.pdf",
+        )
+
+    results = {
+        ("crossref", "soil carbon"): [meta("c1", "crossref", "10.1/A"), meta("c2", "crossref", "10.1/b")],
+        ("arxiv", "soil carbon"): [meta("x1", "arxiv", "10.1/a"), meta("x2", "arxiv")],
+        ("crossref", "tillage"): [meta("c2", "crossref", "10.1/b"), meta("c3", "crossref")],
+        ("arxiv", "tillage"): [meta("x5", "arxiv", title="title  X2"), meta("x3", "arxiv"),
+                               meta("x4", "arxiv")],
+    }
+    searched = []
+
+    def search(source, query, max_results):
+        searched.append((source, query))
+        return results[(source, query)]
+
+    def download_pdf(meta, papers_dir):
+        if meta.doc_id == "x2":
+            raise NotDownloadableError("x2: no pdf_url and no doi")
+        return papers_dir / f"{meta.doc_id}.pdf"
+
+    groups = [["soil", "carbon"], ["tillage"], ["never", "searched"]]
+    monkeypatch.setattr(collector, "generate_keywords", lambda direction, gateway: groups)
+    monkeypatch.setattr(collector, "search", search)
+    monkeypatch.setattr(collector, "download_pdf", download_pdf)
+
+    result = invoke(runner, ws, "collect", "--max-papers", "5")
+    assert result.exit_code == 0, result.output
+    # x1 repeats c1's DOI, c2 repeats itself across groups, x5 repeats x2's
+    # title; x4 falls past the cap, which also stops the third group.
+    assert searched == [
+        ("crossref", "soil carbon"), ("arxiv", "soil carbon"),
+        ("crossref", "tillage"), ("arxiv", "tillage"),
+    ]
+    assert result.stderr == "skipping x2: x2: no pdf_url and no doi\n"
+    assert result.stdout.splitlines()[-1] == "collected 4 of 5 candidate papers"
+    manifest = Workspace.load(ws)
+    assert manifest.doc_ids() == ["c1", "c2", "c3", "x3"]
+    assert all(manifest.status_of(d) == "collected" for d in manifest.doc_ids())

@@ -85,6 +85,7 @@ def test_parse_reports_source_name():
         ({"packer_default_importance": 11}, "packer.default_importance"),
         ({"max_concurrency": 0}, "max_concurrency"),
         ({"provider_max_in_flight": 0}, "provider.max_in_flight"),
+        ({"provider_retries": 0}, "provider.retries"),
     ],
 )
 def test_validation(kwargs, message):

@@ -24,12 +24,10 @@ from manalyzer.gateway import (
 )
 
 
-def text_request(*texts, tag="extract", temperature=0.0):
+def text_request(*texts, tag="extract"):
     return AgentRequest(
-        kind="text",
         system_prompt="system",
         user_parts=tuple(TextPart(t) for t in texts),
-        temperature=temperature,
         request_tag=tag,
     )
 
@@ -54,10 +52,8 @@ class FlakyProvider:
 def test_digest_depends_only_on_user_parts():
     a = text_request("hello")
     b = AgentRequest(
-        kind="text",
         system_prompt="a completely different system prompt",
         user_parts=(TextPart("hello"),),
-        temperature=0.0,
         request_tag="extract",
     )
     assert digest_request(a) == digest_request(b)
@@ -74,10 +70,8 @@ def test_digest_covers_image_bytes_and_caption(tmp_path):
 
     def vision(caption):
         return AgentRequest(
-            kind="vision",
             system_prompt="s",
             user_parts=(ImagePart(str(img), caption),),
-            temperature=0.0,
             request_tag="table_convert",
         )
 
@@ -98,10 +92,8 @@ def test_digest_ignores_image_path(tmp_path):
 
     def vision(path):
         return AgentRequest(
-            kind="vision",
             system_prompt="s",
             user_parts=(ImagePart(str(path), "cap"),),
-            temperature=0.0,
             request_tag="table_convert",
         )
 
@@ -120,12 +112,7 @@ def test_request_validation():
     with pytest.raises(InvalidRequestError):
         text_request("x", tag="not-a-tag")
     with pytest.raises(InvalidRequestError):
-        AgentRequest("text", "s", (), 0.0, "extract")
-    with pytest.raises(InvalidRequestError):
-        AgentRequest("speech", "s", (TextPart("x"),), 0.0, "extract")
-    with pytest.raises(InvalidRequestError):
-        # vision requests need an image part
-        AgentRequest("vision", "s", (TextPart("x"),), 0.0, "table_convert")
+        AgentRequest("s", (), "extract")
 
 
 def test_scripted_provider_round_trip():
@@ -174,18 +161,10 @@ def test_script_load_rejects_bad_records(tmp_path):
         ScriptedProvider.load_script(path)
 
 
-def test_gateway_rejects_nonzero_temperature():
-    provider = ScriptedProvider()
-    gateway = Gateway(provider, sleep=lambda s: None)
-    with pytest.raises(InvalidRequestError, match="temperature"):
-        gateway.complete(text_request("x", temperature=0.7))
-    assert provider.calls == []
-
-
 def test_gateway_retries_transport_errors_with_backoff():
     provider = FlakyProvider(failures=2)
     delays = []
-    gateway = Gateway(provider, retries=3, backoff_s=(1.0, 2.0, 4.0), sleep=delays.append)
+    gateway = Gateway(provider, retries=3, sleep=delays.append)
     assert gateway.complete(text_request("x")).raw_text == "ok"
     assert provider.attempts == 3
     assert delays == [1.0, 2.0]

@@ -4,7 +4,9 @@ the end-to-end run over the bundled scripted corpus."""
 import dataclasses
 import json
 import re
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,24 @@ def test_ingest_corpus_copies_images(tmp_path, corpus_dir):
     copied = sorted(p.name for p in (ws.root / "images").iterdir())
     original = sorted(p.name for p in (corpus_dir / "docs" / "images").iterdir())
     assert copied == original
+
+
+def test_ingest_killed_mid_copy_leaves_no_torn_image(tmp_path, corpus_dir, monkeypatch):
+    ws = Workspace.init(tmp_path / "run", synth.DIRECTION, PipelineConfig())
+    pipe = Pipeline(ws, PipelineConfig(), ScriptedProvider())
+    copyfile = shutil.copyfile
+
+    def killed_copy(src, dst):
+        Path(dst).write_bytes(Path(src).read_bytes()[:16])
+        monkeypatch.setattr(shutil, "copyfile", copyfile)
+        raise Killed(dst)
+
+    monkeypatch.setattr(shutil, "copyfile", killed_copy)
+    with pytest.raises(Killed):
+        pipe.ingest_dir(corpus_dir / "docs")
+    pipe.ingest_dir(corpus_dir / "docs")
+    for image in sorted((corpus_dir / "docs" / "images").iterdir()):
+        assert (ws.root / "images" / image.name).read_bytes() == image.read_bytes(), image.name
 
 
 def test_ingest_is_repeatable(mini, tmp_path):
@@ -409,6 +429,35 @@ def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
         resumed, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, ingest=False)
         resumed.run(None)
         assert snapshot(resumed.ws.root) == expected, f"killed at review mark {k}"
+
+
+def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, corpus_dir):
+    clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
+    clean.run(synth.TEMPLATE)
+    expected = snapshot(clean.ws.root)
+
+    pipe, _ = corpus_pipeline(tmp_path / "kill", corpus_dir)
+    pipe.store_template(synth.TEMPLATE)
+    extracted = []
+    mark = pipe.ws.mark
+
+    def killing_mark(doc_id, status):
+        if status in ("accepted", "unaccepted") and len(extracted) == len(synth.KEPT):
+            raise Killed(doc_id)
+        mark(doc_id, status)
+        if status == "extracted":
+            extracted.append(doc_id)
+
+    pipe.ws.mark = killing_mark
+    with pytest.raises(Killed):
+        pipe.run(None)
+    assert pipe.ws.status_of(extracted[-1]) == "extracted"
+
+    resumed, provider = corpus_pipeline(tmp_path / "kill", corpus_dir, ingest=False)
+    resumed.run(None)
+    extract_tags = {"table_convert", "figure_summary", "mask", "extract", "check"}
+    assert [key for key in provider.calls if key[0] in extract_tags] == []
+    assert snapshot(resumed.ws.root) == expected
 
 
 def test_extract_keeps_finished_documents_when_another_fails(tmp_path, corpus_dir):
