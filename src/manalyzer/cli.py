@@ -92,10 +92,10 @@ def _open(ctx: click.Context, **overrides) -> Pipeline:
 def init(ctx: click.Context, direction: str, template_path: Path | None) -> None:
     """Create a fresh workspace."""
     config = load_config(ctx.obj["config_path"])
+    base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
+    provider = build_provider(config, base)  # a bad provider fails before anything is written
     ws = Workspace.init(ctx.obj["workspace_path"], direction, config)
     if template_path is not None:
-        base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
-        provider = build_provider(config, base)
         Pipeline(ws, config, provider).store_template(load_template(template_path))
     click.echo(f"initialized workspace at {ctx.obj['workspace_path']}")
 
@@ -135,6 +135,7 @@ def collect(ctx: click.Context, max_papers: int, source: str) -> None:
             click.echo(f"skipping {meta.doc_id}: {exc}", err=True)
             continue
         pipe.ws.mark(meta.doc_id, "collected")
+    pipe.ws.compact()
     click.echo(f"collected {downloaded} of {len(collected)} candidate papers")
 
 

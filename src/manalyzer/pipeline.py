@@ -2,12 +2,14 @@
 
 The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
-on and recording progress in the workspace manifest. A killed run resumes
-from the manifest: completed documents are never recomputed and their
-agent calls are never re-issued.
+on and recording progress in the workspace manifest. Each stage's status
+marks go to the manifest's log, which is compacted into manifest.json
+when the stage returns. A killed run resumes from the manifest: completed
+documents are never recomputed and their agent calls are never re-issued.
 
 Per-document work (packing, independent review, extraction) runs on a
-bounded worker pool; merge points (screening, table merge, report) are
+bounded worker pool, and comparative review batches fan out through
+``Gateway.map``; merge points (screening, table merge, report) are
 single-threaded. Only the orchestrator thread writes the manifest.
 
 Inside a document, the independent agent calls (paragraph scores, mask
@@ -90,8 +92,21 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
         script = Path(config.provider_script)
         if not script.is_absolute():
             script = base_dir / script
-        return ScriptedProvider.load_script(script)
+        try:
+            return ScriptedProvider.load_script(script)
+        except OSError as exc:
+            raise ConfigError(f"provider.script {script}: {exc.strerror}") from exc
     return ScriptedProvider()
+
+
+def compacts(stage: Callable[..., T]) -> Callable[..., T]:
+    """Fold the workspace's status log into manifest.json whenever `stage`
+    returns. A stage that raises leaves the log for `Workspace.load`."""
+    def run_stage(self: "Pipeline", *args, **kwargs) -> T:
+        result = stage(self, *args, **kwargs)
+        self.ws.compact()
+        return result
+    return run_stage
 
 
 def load_template(path: Path) -> list[str]:
@@ -169,6 +184,7 @@ class Pipeline:
 
     # -- ingest ----------------------------------------------------------
 
+    @compacts
     def ingest_dir(self, source: Path) -> list[str]:
         """Validate and import every parse file under `source`.
 
@@ -195,6 +211,7 @@ class Pipeline:
     def _packed_path(self, doc_id: str) -> Path:
         return self.ws.dir("packed") / f"{doc_id}.json"
 
+    @compacts
     def stage_pack(self) -> None:
         todo = [
             d for d in self.ws.doc_ids()
@@ -227,6 +244,7 @@ class Pipeline:
         raw = json.loads(self._packed_path(doc_id).read_text(encoding="utf-8"))
         return from_json(packer.PackedDocument, raw)
 
+    @compacts
     def stage_review(self) -> None:
         docs = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
         todo = [d for d in docs if not self.ws.at_least(d, "reviewed")]
@@ -267,23 +285,39 @@ class Pipeline:
         # in sorted order. Batches whose members are all marked reviewed are
         # skipped, so a stage-boundary resume issues no repeat calls. The mark,
         # not the record file, is the progress record: a kill between the two
-        # redoes the batch rather than leaving the paper unreviewed.
+        # redoes the batch rather than leaving the paper unreviewed. The
+        # batches' calls run concurrently; every batch that returned is
+        # recorded in batch order before the first error is raised.
         scored = sorted(d for d, info in indep.items() if not info.get("failed"))
         batch_size = self.config.reviewer_batch_size
-        for batch_id, start in enumerate(range(0, len(scored), batch_size)):
-            batch = scored[start : start + batch_size]
-            if all(self.ws.at_least(d, "reviewed") for d in batch):
-                continue
-            texts = [self._load_packed(d).text for d in batch]
+        batches = [
+            scored[start : start + batch_size] for start in range(0, len(scored), batch_size)
+        ]
+        pending = [
+            (batch_id, batch) for batch_id, batch in enumerate(batches)
+            if not all(self.ws.at_least(d, "reviewed") for d in batch)
+        ]
+
+        def comparative(batch: list[str]) -> list[float] | Exception:
             try:
-                relatives = reviewer.review_batch(texts, direction, self.gateway)
-            except ReviewFailure as exc:
+                texts = [self._load_packed(d).text for d in batch]
+                return reviewer.review_batch(texts, direction, self.gateway)
+            except Exception as exc:
+                return exc
+
+        replies = self.gateway.map(comparative, [batch for _, batch in pending])
+        errors: list[Exception] = []
+        for (batch_id, batch), relatives in zip(pending, replies):
+            if isinstance(relatives, ReviewFailure):
                 for doc_id in batch:
                     if not self.ws.at_least(doc_id, "reviewed"):
                         atomic_write_json(self._review_path(doc_id), {
-                            "doc_id": doc_id, "failed": True, "reason": str(exc),
+                            "doc_id": doc_id, "failed": True, "reason": str(relatives),
                         })
                         self.ws.mark(doc_id, "reviewed")
+                continue
+            if isinstance(relatives, Exception):
+                errors.append(relatives)
                 continue
             for doc_id, s_r in zip(batch, relatives):
                 if self.ws.at_least(doc_id, "reviewed"):
@@ -299,6 +333,8 @@ class Pipeline:
                     "batch_id": batch_id,
                 })
                 self.ws.mark(doc_id, "reviewed")
+        if errors:
+            raise errors[0]
 
     # -- screen ----------------------------------------------------------
 
@@ -330,6 +366,7 @@ class Pipeline:
             ))
         return records, failures
 
+    @compacts
     def stage_screen(self) -> None:
         pending = [
             d for d in self.ws.doc_ids()
@@ -427,6 +464,7 @@ class Pipeline:
         })
         return table
 
+    @compacts
     def stage_extract(self, template: list[str]) -> None:
         def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
             self.ws.mark(doc_id, "extracted")
@@ -457,6 +495,7 @@ class Pipeline:
             if self.ws.status_of(doc_id) in ("accepted", "analyzed")
         ]
 
+    @compacts
     def stage_analyze(self, force: bool) -> None:
         results_path = self._analysis_dir() / "results.json"
         pending = [
@@ -536,6 +575,7 @@ class Pipeline:
             log.info("no narrative available (%s); using the built-in discussion", exc)
             return ""
 
+    @compacts
     def stage_report(self, force: bool) -> None:
         if self.ws.report_path.exists() and not force:
             return

@@ -6,10 +6,20 @@ append-only status history per document; statuses only ever advance along
 the pipeline order, and the recorded config digest must match the active
 config or resuming is refused.
 
+A status mark costs O(1): it appends one JSON line, `[doc_id, status]`, to
+manifest.log beside the manifest. `compact` folds the log into
+manifest.json and deletes it; the pipeline compacts whenever a stage
+returns, so a finished command leaves no log behind. `load` replays a log
+left by a killed process in memory, through the same transition rules,
+and writes nothing: a status already in a document's history is skipped
+(a kill between the snapshot's rename and the log's unlink) and a torn
+last line is ignored (its artifact was written first, so the work is
+redone); any other bad line makes the manifest corrupt.
+
 Writes go through a temp-file-and-rename so a killed process never leaves
 a half-written artifact. Dataclass artifacts are written as the JSON of
-`dataclasses.asdict` and read back with `from_json`. Manifest mutation is single-writer: only the
-orchestrator thread marks statuses.
+`dataclasses.asdict` and read back with `from_json`. Manifest mutation is
+single-writer: only the orchestrator thread marks statuses.
 """
 
 from __future__ import annotations
@@ -82,12 +92,18 @@ class Workspace:
         self.direction = direction
         self.digest = digest
         self.docs = docs
+        self._dirty = False  # manifest.json lags `docs`; the log holds the rest
+        self._replayed = False  # the log on disk was left by an earlier process
 
     # -- paths ---------------------------------------------------------
 
     @property
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
+
+    @property
+    def log_path(self) -> Path:
+        return self.root / "manifest.log"
 
     @property
     def report_path(self) -> Path:
@@ -140,7 +156,33 @@ class Workspace:
                 ranks.append(STATUS_RANK[status])
             if any(b <= a for a, b in zip(ranks, ranks[1:])):
                 raise CorruptManifestError(f"{doc_id}: status history regressed: {history}")
-        return cls(root, direction, digest, docs)
+        ws = cls(root, direction, digest, docs)
+        if ws.log_path.exists():
+            ws._replay()
+        return ws
+
+    def _replay(self) -> None:
+        """Apply manifest.log to `docs` in memory; see the module docstring."""
+        *lines, torn = self.log_path.read_bytes().split(b"\n")  # `torn` lacks its newline
+        for number, line in enumerate(lines, start=1):
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                if number == len(lines) and not torn:
+                    break
+                raise CorruptManifestError(
+                    f"{self.log_path}: line {number} does not decode: {line[:80]!r}"
+                ) from None
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(field, str) for field in entry)
+                    and entry[1] in STATUS_RANK):
+                raise CorruptManifestError(
+                    f"{self.log_path}: line {number} is not a [doc_id, status] pair: {entry!r}"
+                )
+            doc_id, status = entry
+            if status not in self.docs.get(doc_id, ()):
+                self._advance(doc_id, status)
+        self._dirty = self._replayed = True
 
     def save(self) -> None:
         atomic_write_json(
@@ -152,6 +194,15 @@ class Workspace:
                 "docs": self.docs,
             },
         )
+
+    def compact(self) -> None:
+        """Fold the log into manifest.json and delete it; a no-op when no
+        mark is pending."""
+        if not self._dirty:
+            return
+        self.save()
+        self.log_path.unlink(missing_ok=True)
+        self._dirty = self._replayed = False
 
     def check_config(self, config: PipelineConfig) -> None:
         active = config_digest(config)
@@ -173,10 +224,24 @@ class Workspace:
         return -1 if status is None else STATUS_RANK[status]
 
     def mark(self, doc_id: str, status: str) -> None:
-        """Append a status; a no-op when already recorded, an error when it
-        would regress."""
+        """Append a status to the log; a no-op when already recorded, an
+        error when it would regress."""
         if status not in STATUS_RANK:
             raise WorkspaceError(f"unknown status {status!r}")
+        if not self._advance(doc_id, status):
+            return
+        self._dirty = True
+        if self._replayed:
+            # An earlier process's log may end in a torn line: fold it into
+            # the snapshot rather than append after it.
+            self.compact()
+            return
+        with self.log_path.open("a", encoding="utf-8") as log:
+            log.write(json.dumps([doc_id, status]) + "\n")
+
+    def _advance(self, doc_id: str, status: str) -> bool:
+        """Append `status` to the in-memory history; False when it is the
+        current status already, an error when it would regress."""
         history = self.docs.setdefault(doc_id, [])
         if history:
             current = STATUS_RANK[history[-1]]
@@ -185,13 +250,13 @@ class Workspace:
                     raise CorruptManifestError(
                         f"{doc_id}: conflicting outcomes {history[-1]!r} vs {status!r}"
                     )
-                return
+                return False
             if STATUS_RANK[status] < current:
                 raise CorruptManifestError(
                     f"{doc_id}: status would regress from {history[-1]!r} to {status!r}"
                 )
         history.append(status)
-        self.save()
+        return True
 
     def doc_ids(self) -> list[str]:
         return sorted(self.docs)

@@ -200,6 +200,38 @@ def test_bad_config_file(runner, tmp_path):
     assert "bad value 'soon'" in result.stderr
 
 
+@pytest.fixture
+def missing_script_config(tmp_path):
+    config = tmp_path / "missing.cfg"
+    config.write_text("provider.kind = scripted\nprovider.script = missing.jsonl\n", encoding="utf-8")
+    return config, f"error: provider.script {tmp_path / 'missing.jsonl'}: No such file or directory"
+
+
+@pytest.mark.parametrize("template", [True, False], ids=["template", "no-template"])
+def test_init_with_missing_provider_script_writes_nothing(runner, tmp_path, corpus_dir,
+                                                          missing_script_config, template):
+    config, message = missing_script_config
+    ws = tmp_path / "ws"
+    args = ["--template", str(corpus_dir / "template.txt")] if template else []
+    result = invoke(runner, ws, "init", "--direction", "x", *args, config=config)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines() == [message]
+    assert not (ws / "manifest.json").exists()
+
+
+def test_run_with_missing_provider_script_is_a_validation_error(runner, tmp_path,
+                                                                missing_script_config):
+    config, message = missing_script_config
+    script = tmp_path / "missing.jsonl"
+    script.write_text("", encoding="utf-8")
+    ws = tmp_path / "ws"
+    assert invoke(runner, ws, "init", "--direction", "x", config=config).exit_code == 0
+    script.unlink()
+    result = invoke(runner, ws, "run", config=config)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines() == [message]
+
+
 @pytest.mark.parametrize("direction, args, message", [
     (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "-1"),
      "tolerances must be >= 0"),

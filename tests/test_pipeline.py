@@ -431,6 +431,78 @@ def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
         assert snapshot(resumed.ws.root) == expected, f"killed at review mark {k}"
 
 
+@pytest.fixture(scope="module")
+def clean_corpus_run(tmp_path_factory, corpus_dir):
+    """The tree of an uninterrupted corpus run, and how many documents
+    reached each status."""
+    clean, _ = corpus_pipeline(tmp_path_factory.mktemp("clean"), corpus_dir)
+    clean.run(synth.TEMPLATE)
+    reached = Counter(status for history in clean.ws.docs.values() for status in history)
+    return snapshot(clean.ws.root), reached
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("status", [
+    "parsed", "packed", "reviewed", "screened_in", "screened_out", "extracted", "accepted",
+    "analyzed",
+])
+def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
+    tmp_path, corpus_dir, clean_corpus_run, status, which
+):
+    expected, reached = clean_corpus_run
+    kill_at = 0 if which == "first" else reached[status] - 1
+    pipe, _ = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
+    seen = []
+    mark = pipe.ws.mark
+
+    def killing_mark(doc_id, marked):
+        if marked == status:
+            if len(seen) == kill_at:
+                raise Killed(doc_id)
+            seen.append(doc_id)
+        mark(doc_id, marked)
+
+    pipe.ws.mark = killing_mark
+    with pytest.raises(Killed):
+        pipe.ingest_dir(corpus_dir / "docs")
+        pipe.run(synth.TEMPLATE)
+    if kill_at:  # the stage's earlier marks are only in the log
+        assert pipe.ws.log_path.exists()
+    resumed, _ = corpus_pipeline(tmp_path, corpus_dir, ingest=status == "parsed")
+    resumed.run(synth.TEMPLATE)
+    assert snapshot(resumed.ws.root) == expected
+
+
+def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monkeypatch):
+    pipe, _ = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
+    pipe.store_template(synth.TEMPLATE)
+    writes = []
+    replace = Path.replace
+
+    def counting_replace(self, target):
+        if Path(target).name == "manifest.json":
+            writes.append(target)
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", counting_replace)
+    per_stage = {}
+    for name, stage in (
+        ("ingest", lambda: pipe.ingest_dir(corpus_dir / "docs")),
+        ("pack", pipe.stage_pack),
+        ("review", pipe.stage_review),
+        ("screen", pipe.stage_screen),
+        ("extract", lambda: pipe.stage_extract(synth.TEMPLATE)),
+        ("analyze", lambda: pipe.stage_analyze(force=False)),
+    ):
+        before = len(writes)
+        stage()
+        per_stage[name] = len(writes) - before
+        assert not pipe.ws.log_path.exists(), name
+    # Each stage marks between 6 and 10 documents.
+    assert per_stage == dict.fromkeys(per_stage, 1)
+    assert Workspace.load(pipe.ws.root).docs == pipe.ws.docs
+
+
 def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, corpus_dir):
     clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
     clean.run(synth.TEMPLATE)
@@ -458,6 +530,51 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
     extract_tags = {"table_convert", "figure_summary", "mask", "extract", "check"}
     assert [key for key in provider.calls if key[0] in extract_tags] == []
     assert snapshot(resumed.ws.root) == expected
+
+
+class MissingBatch(ContentAnsweringProvider):
+    """Misses the comparative review of every batch holding `marker`."""
+
+    def __init__(self, marker):
+        super().__init__()
+        self.marker = marker
+
+    def complete(self, request):
+        if request.request_tag == "comparative_review" and any(
+            self.marker in part.text for part in request.user_parts
+        ):
+            raise ScriptMissError("no comparative review scripted")
+        return super().complete(request)
+
+
+def test_review_batches_fan_out_and_record_around_a_failed_batch(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    for doc_id, name in (("ma", "Alpha"), ("mb", "Beta"), ("mc", "Gamma")):
+        write_mini_doc(source, doc_id, [f"{name} finding one.", f"{name} finding two."])
+    config = PipelineConfig(reviewer_batch_size=1)  # three batches
+    ws = Workspace.init(tmp_path / "run", DIRECTION, config)
+    pipe = Pipeline(ws, config, MissingBatch("Beta"))
+    pipe.ingest_dir(source)
+    with pytest.raises(StageFailure, match="stage 'review' failed") as exc_info:
+        pipe.run(["rainfall mm"])
+    assert exc_info.value.stage == "review"
+    assert [ws.status_of(d) for d in ("ma", "mb", "mc")] == ["reviewed", "packed", "reviewed"]
+    records = {
+        d: json.loads((ws.dir("reviews") / f"{d}.json").read_text(encoding="utf-8"))
+        for d in ("ma", "mc")
+    }
+    assert {d: r["batch_id"] for d, r in records.items()} == {"ma": 0, "mc": 2}
+    assert not (ws.dir("reviews") / "mb.json").exists()
+
+    provider = ContentAnsweringProvider()
+    resumed = Pipeline(Workspace.load(ws.root), config, provider)
+    resumed.stage_review()
+    packed = json.loads((ws.dir("packed") / "mb.json").read_text(encoding="utf-8"))
+    batch_1 = prompts.comparative_review_request(DIRECTION, [packed["text"]])
+    assert provider.calls == [("comparative_review", digest_request(batch_1))]
+    assert resumed.ws.status_of("mb") == "reviewed"
+    assert json.loads((ws.dir("reviews") / "mb.json").read_text(encoding="utf-8"))["batch_id"] == 1
 
 
 def test_extract_keeps_finished_documents_when_another_fails(tmp_path, corpus_dir):

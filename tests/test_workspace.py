@@ -2,9 +2,12 @@
 digest enforcement, and crash-safe writes."""
 
 import json
+import re
 
 import pytest
+from click.testing import CliRunner
 
+from manalyzer.cli import main
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.errors import CorruptManifestError, RefuseResumeError, WorkspaceError
 from manalyzer.workspace import (
@@ -201,3 +204,97 @@ def test_atomic_write_json_is_stable(tmp_path):
     atomic_write_json(target, {"a": [2, 3], "b": 1})
     assert target.read_bytes() == first
     assert first.endswith(b"\n")
+
+
+# -- the status log ------------------------------------------------------------
+
+
+def test_mark_appends_one_log_line_and_compact_folds_it(ws):
+    snapshot = ws.manifest_path.read_bytes()
+    ws.mark("d01", "collected")
+    ws.mark("d01", "collected")  # no-op: nothing logged
+    ws.mark("d01", "parsed")
+    assert ws.manifest_path.read_bytes() == snapshot
+    assert ws.log_path.read_text(encoding="utf-8") == (
+        '["d01", "collected"]\n["d01", "parsed"]\n'
+    )
+    ws.compact()
+    assert not ws.log_path.exists()
+    assert json.loads(ws.manifest_path.read_text(encoding="utf-8"))["docs"] == {
+        "d01": ["collected", "parsed"]
+    }
+    ws.compact()  # nothing pending: no write
+    assert not ws.log_path.exists()
+
+
+@pytest.mark.parametrize("torn", [b'["d02", "pars', b'["d02", "parsed"]', b'["d02", "pars\n'],
+                         ids=["no-newline", "unterminated", "undecodable"])
+def test_replay_ignores_torn_last_line(ws, torn):
+    ws.mark("d01", "collected")
+    ws.mark("d01", "parsed")
+    with ws.log_path.open("ab") as log:
+        log.write(torn)
+    loaded = Workspace.load(ws.root)
+    assert loaded.docs == {"d01": ["collected", "parsed"]}
+    # The next mark folds the torn log into the snapshot instead of
+    # appending after the torn line.
+    loaded.mark("d02", "parsed")
+    assert not loaded.log_path.exists()
+    assert Workspace.load(ws.root).docs == {"d01": ["collected", "parsed"], "d02": ["parsed"]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"garbage\n", "does not decode"),
+    (b'["d01"]\n', "not a \\[doc_id, status\\] pair"),
+    (b'["d01", "polished"]\n', "not a \\[doc_id, status\\] pair"),
+    (b'["d01", "collected"]\n', "regress"),
+], ids=["undecodable", "short", "unknown-status", "regression"])
+def test_replay_rejects_a_bad_line_before_the_last(ws, bad, message):
+    ws.mark("d01", "parsed")
+    with ws.log_path.open("ab") as log:
+        log.write(bad + b'["d02", "parsed"]\n')
+    with pytest.raises(CorruptManifestError, match=message):
+        Workspace.load(ws.root)
+
+
+def test_bad_log_line_exits_2_through_the_cli(ws):
+    ws.mark("d01", "parsed")
+    with ws.log_path.open("ab") as log:
+        log.write(b'garbage\n["d02", "parsed"]\n')
+    result = CliRunner().invoke(main, ["--workspace", str(ws.root), "status"])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "line 2 does not decode" in result.stderr
+
+
+def test_log_beside_compacted_manifest_replays_as_no_op(ws):
+    # A kill between the snapshot's rename and the log's unlink.
+    for doc_id, status in (("d01", "collected"), ("d01", "parsed"), ("d02", "screened_out")):
+        ws.mark(doc_id, status)
+    log = ws.log_path.read_bytes()
+    ws.compact()
+    snapshot = ws.manifest_path.read_bytes()
+    ws.log_path.write_bytes(log)
+    loaded = Workspace.load(ws.root)
+    assert loaded.docs == ws.docs
+    loaded.compact()
+    assert ws.manifest_path.read_bytes() == snapshot
+    assert not ws.log_path.exists()
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_status_replays_a_pending_log_and_writes_nothing(ws):
+    ws.mark("d01", "collected")
+    ws.compact()
+    ws.mark("d01", "parsed")
+    ws.mark("d02", "reviewed")
+    before = _files(ws.root)
+    result = CliRunner().invoke(main, ["--workspace", str(ws.root), "status"])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    assert re.sub(r" +", " ", lines[-2]) == " d01 parsed"
+    assert re.sub(r" +", " ", lines[-1]) == " d02 reviewed"
+    assert _files(ws.root) == before
