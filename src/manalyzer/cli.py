@@ -7,7 +7,6 @@ workspace state), 3 stage failure at runtime.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import click
@@ -23,13 +22,7 @@ from .errors import (
     SchemaViolationError,
     WorkspaceError,
 )
-from .pipeline import (
-    Pipeline,
-    build_provider,
-    load_template,
-    stage_failure,
-    status_text,
-)
+from .pipeline import Pipeline, build_provider, load_template, status_text
 from .workspace import Workspace
 
 _VALIDATION_ERRORS = (
@@ -157,9 +150,7 @@ def ingest(ctx: click.Context, source_dir: Path) -> None:
 def pack(ctx: click.Context, budget: int | None) -> None:
     """Rate paragraphs and pack each document under the weight budget."""
     overrides = {"packer_budget": budget} if budget is not None else {}
-    pipe = _open(ctx, **overrides)
-    with stage_failure("pack"):
-        pipe.stage_pack()
+    _open(ctx, **overrides).stage_pack()
     click.echo("pack stage complete")
 
 
@@ -175,14 +166,12 @@ def screen(ctx: click.Context, threshold: float | None, batch_size: int | None) 
     if batch_size is not None:
         overrides["reviewer_batch_size"] = batch_size
     pipe = _open(ctx, **overrides)
-    with stage_failure("screen"):
-        pipe.stage_review()
-        pipe.stage_screen()
-    raw = json.loads(pipe._screening_path().read_text(encoding="utf-8"))
+    pipe.stage_review()
+    pipe.stage_screen()
+    records, failures = pipe.load_review_records()
     click.echo(
-        f"kept {len(raw['kept'])} of "
-        f"{len(raw['kept']) + len(raw['excluded'])} reviewed papers "
-        f"({len(raw['failures'])} review failures)"
+        f"kept {sum(r.kept for r in records)} of {len(records)} reviewed papers "
+        f"({len(failures)} review failures)"
     )
 
 
@@ -213,7 +202,7 @@ def screen_eval(ctx: click.Context, gold_path: Path) -> None:
     "--template", "template_path", type=click.Path(path_type=Path, exists=True),
     default=None, help="Extraction template (column names, one per line).",
 )
-@click.option("--topic", default=None, help="Override the workspace direction.")
+@click.option("--topic", default=None, help="Direction to use in this command only.")
 @click.option("--max-iter", type=click.IntRange(1, 3), default=None)
 @click.pass_context
 def extract(
@@ -222,12 +211,9 @@ def extract(
     """Extract cited data tables from screened-in papers."""
     overrides = {"extraction_max_iter": max_iter} if max_iter is not None else {}
     pipe = _open(ctx, **overrides)
-    with stage_failure("extract"):
-        if template_path is not None:
-            pipe.store_template(load_template(template_path))
-        if topic is not None:
-            pipe.ws.direction = topic
-        pipe.stage_extract(pipe.load_stored_template())
+    if template_path is not None:
+        pipe.store_template(load_template(template_path))
+    pipe.stage_extract(pipe.load_stored_template(), topic)
     click.echo("extract stage complete")
 
 
@@ -237,9 +223,7 @@ def extract(
 def analyze(ctx: click.Context, seed: int | None) -> None:
     """Merge accepted tables and run the analysis toolkit."""
     overrides = {"analysis_seed": seed} if seed is not None else {}
-    pipe = _open(ctx, **overrides)
-    with stage_failure("analyze"):
-        pipe.stage_analyze(force=True)
+    _open(ctx, **overrides).stage_analyze(force=True)
     click.echo("analyze stage complete")
 
 
@@ -248,8 +232,7 @@ def analyze(ctx: click.Context, seed: int | None) -> None:
 def report(ctx: click.Context) -> None:
     """Render the final Markdown report."""
     pipe = _open(ctx)
-    with stage_failure("report"):
-        pipe.stage_report(force=True)
+    pipe.stage_report(force=True)
     click.echo(str(pipe.ws.report_path))
 
 

@@ -263,7 +263,7 @@ def download_pdf(
     tmp = target.with_suffix(".pdf.tmp")
     tmp.write_bytes(data)
     tmp.replace(target)
-    sidecar.write_text(hashlib.sha256(data).hexdigest())
+    atomic_write_text(sidecar, hashlib.sha256(data).hexdigest())
     return target
 
 

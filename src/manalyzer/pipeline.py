@@ -2,15 +2,18 @@
 
 The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
-on and recording progress in the workspace manifest. Each stage's status
-marks go to the manifest's log, which is compacted into manifest.json
-when the stage returns. A killed run resumes from the manifest: completed
-documents are never recomputed and their agent calls are never re-issued.
+on and recording progress in the workspace manifest. Each stage method is
+wrapped by ``@stage(name)``: a pipeline error raised inside it becomes
+``StageFailure(name)`` (exit 3), and when it returns, the status marks it
+appended to the manifest's log are compacted into manifest.json. A killed
+run resumes from the manifest: completed documents are never recomputed
+and their agent calls are never re-issued.
 
-Per-document work (packing, independent review, extraction) runs on a
-bounded worker pool, and comparative review batches fan out through
-``Gateway.map``; merge points (screening, table merge, report) are
-single-threaded. Only the orchestrator thread writes the manifest.
+Per-document work (packing, independent review, comparative review
+batches, extraction) runs on one bounded worker pool, ``_per_document``,
+whose finish step writes each result and its mark on the orchestrator
+thread; merge points (screening, table merge, report) are single-threaded.
+Only the orchestrator thread writes the manifest.
 
 Inside a document, the independent agent calls (paragraph scores, mask
 batches) fan out through ``Gateway.map``, so up to
@@ -20,15 +23,15 @@ the calls in flight stay at most ``provider.max_in_flight``.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import shutil
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from . import collector, extraction, packer, prompts, reviewer
 from .analysis import (
@@ -55,6 +58,7 @@ from .reviewer import IndependentScores, ReviewRecord
 from .workspace import Workspace, atomic_write_json, atomic_write_text, from_json
 
 log = logging.getLogger(__name__)
+K = TypeVar("K")
 T = TypeVar("T")
 
 
@@ -69,15 +73,6 @@ class RunSummary:
     accepted: int
     merged_rows: int
     report_path: str | None
-
-
-@contextmanager
-def stage_failure(stage: str) -> Iterator[None]:
-    """Re-raise a pipeline error from inside `stage` as StageFailure(stage)."""
-    try:
-        yield
-    except ManalyzerError as exc:
-        raise StageFailure(stage, exc) from exc
 
 
 def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
@@ -99,14 +94,22 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
     return ScriptedProvider()
 
 
-def compacts(stage: Callable[..., T]) -> Callable[..., T]:
-    """Fold the workspace's status log into manifest.json whenever `stage`
-    returns. A stage that raises leaves the log for `Workspace.load`."""
-    def run_stage(self: "Pipeline", *args, **kwargs) -> T:
-        result = stage(self, *args, **kwargs)
-        self.ws.compact()
-        return result
-    return run_stage
+def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
+    """Run a Pipeline method as stage `name`: a pipeline error inside it is
+    re-raised as StageFailure(name), and the workspace's status log is folded
+    into manifest.json when it returns. A stage that raises leaves the log
+    for `Workspace.load`."""
+    def wrap(method: Callable[..., T]) -> Callable[..., T]:
+        @functools.wraps(method)
+        def run_stage(self: "Pipeline", *args, **kwargs) -> T:
+            try:
+                result = method(self, *args, **kwargs)
+            except ManalyzerError as exc:
+                raise StageFailure(name, exc) from exc
+            self.ws.compact()
+            return result
+        return run_stage
+    return wrap
 
 
 def load_template(path: Path) -> list[str]:
@@ -134,15 +137,16 @@ class Pipeline:
     # -- small helpers ---------------------------------------------------
 
     def _per_document(
-        self, work: Callable[[str], T], todo: list[str], finish: Callable[[str, T], None]
+        self, work: Callable[[K], T], todo: list[K], finish: Callable[[K, T], None]
     ) -> None:
-        """Run `work` over `todo` on the pool and call `finish` here, on the
-        orchestrator thread, as each document completes, so every finished
-        document is kept even when another fails. The first failure in
-        `todo` order is raised once the pool has drained."""
-        failures: dict[str, Exception] = {}
+        """Run `work` over `todo` (documents, or review batches) on the pool
+        and call `finish` here, on the orchestrator thread, as each item
+        completes, so every finished item is kept even when another fails.
+        The first failure in `todo` order is raised once the pool has
+        drained."""
+        failures: dict[K, Exception] = {}
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
-            futures = {pool.submit(work, doc_id): doc_id for doc_id in todo}
+            futures = {pool.submit(work, key): key for key in todo}
             for future in as_completed(futures):
                 try:
                     result = future.result()
@@ -150,9 +154,18 @@ class Pipeline:
                     failures[futures[future]] = exc
                 else:
                     finish(futures[future], result)
-        for doc_id in todo:
-            if doc_id in failures:
-                raise failures[doc_id]
+        for key in todo:
+            if key in failures:
+                raise failures[key]
+
+    def _read(self, name: str, cls: Any = None) -> Any:
+        """The JSON artifact at workspace-relative `name`, rebuilt as `cls`
+        when one is given; None when the file is absent."""
+        path = self.ws.root / name
+        if not path.exists():
+            return None
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        return raw if cls is None else from_json(cls, raw)
 
     def _parsed_path(self, doc_id: str) -> Path:
         return self.ws.dir("parsed") / f"{doc_id}.json"
@@ -184,12 +197,12 @@ class Pipeline:
 
     # -- ingest ----------------------------------------------------------
 
-    @compacts
     def ingest_dir(self, source: Path) -> list[str]:
         """Validate and import every parse file under `source`.
 
         Image paths inside the files are relative to `source`; images are
-        copied into the workspace under the same relative paths.
+        copied into the workspace under the same relative paths. Not a
+        stage: a bad parse file stays a validation error.
         """
         doc_ids = []
         for parse_file in sorted(source.glob("*.json")):
@@ -204,14 +217,12 @@ class Pipeline:
             collector.save_parsed(doc, self._parsed_path(doc.doc_id))
             self.ws.mark(doc.doc_id, "parsed")
             doc_ids.append(doc.doc_id)
+        self.ws.compact()
         return doc_ids
 
     # -- pack ------------------------------------------------------------
 
-    def _packed_path(self, doc_id: str) -> Path:
-        return self.ws.dir("packed") / f"{doc_id}.json"
-
-    @compacts
+    @stage("pack")
     def stage_pack(self) -> None:
         todo = [
             d for d in self.ws.doc_ids()
@@ -227,24 +238,18 @@ class Pipeline:
             )
 
         def finish(doc_id: str, packed: packer.PackedDocument) -> None:
-            atomic_write_json(self._packed_path(doc_id), asdict(packed))
+            atomic_write_json(self.ws.dir("packed") / f"{doc_id}.json", asdict(packed))
             self.ws.mark(doc_id, "packed")
 
         self._per_document(work, todo, finish)
 
     # -- review ----------------------------------------------------------
 
-    def _indep_path(self, doc_id: str) -> Path:
-        return self.ws.dir("reviews") / f"{doc_id}.indep.json"
+    def _record_review(self, doc_id: str, **fields: Any) -> None:
+        atomic_write_json(self.ws.dir("reviews") / f"{doc_id}.json", {"doc_id": doc_id, **fields})
+        self.ws.mark(doc_id, "reviewed")
 
-    def _review_path(self, doc_id: str) -> Path:
-        return self.ws.dir("reviews") / f"{doc_id}.json"
-
-    def _load_packed(self, doc_id: str) -> packer.PackedDocument:
-        raw = json.loads(self._packed_path(doc_id).read_text(encoding="utf-8"))
-        return from_json(packer.PackedDocument, raw)
-
-    @compacts
+    @stage("review")
     def stage_review(self) -> None:
         docs = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
         todo = [d for d in docs if not self.ws.at_least(d, "reviewed")]
@@ -254,9 +259,10 @@ class Pipeline:
 
         # Phase 1: independent scores, one file per paper.
         def independent(doc_id: str) -> dict:
-            if self._indep_path(doc_id).exists():
-                return json.loads(self._indep_path(doc_id).read_text(encoding="utf-8"))
-            packed = self._load_packed(doc_id)
+            name = f"reviews/{doc_id}.indep.json"
+            if (payload := self._read(name)) is not None:
+                return payload
+            packed = self._read(f"packed/{doc_id}.json", packer.PackedDocument)
             try:
                 scores = reviewer.review_independent(
                     packed.text, direction, self.gateway, packed.captions
@@ -264,82 +270,61 @@ class Pipeline:
                 payload = {"s1": scores.s1, "s2": scores.s2}
             except ReviewFailure as exc:
                 payload = {"failed": True, "reason": str(exc)}
-            atomic_write_json(self._indep_path(doc_id), payload)
+            atomic_write_json(self.ws.root / name, payload)
             return payload
 
         indep: dict[str, dict] = {}
         self._per_document(independent, todo, indep.__setitem__)
         for doc_id in docs:
-            if doc_id not in indep and self._indep_path(doc_id).exists():
-                indep[doc_id] = json.loads(self._indep_path(doc_id).read_text(encoding="utf-8"))
+            if doc_id not in indep and (payload := self._read(f"reviews/{doc_id}.indep.json")):
+                indep[doc_id] = payload
 
         # Failed papers are reviewed (with a failure record), never batched.
         for doc_id in todo:
             if indep[doc_id].get("failed"):
-                atomic_write_json(self._review_path(doc_id), {
-                    "doc_id": doc_id, "failed": True, "reason": indep[doc_id]["reason"],
-                })
-                self.ws.mark(doc_id, "reviewed")
+                self._record_review(doc_id, **indep[doc_id])
 
         # Phase 2: comparative batches over all successfully scored papers,
-        # in sorted order. Batches whose members are all marked reviewed are
-        # skipped, so a stage-boundary resume issues no repeat calls. The mark,
-        # not the record file, is the progress record: a kill between the two
-        # redoes the batch rather than leaving the paper unreviewed. The
-        # batches' calls run concurrently; every batch that returned is
-        # recorded in batch order before the first error is raised.
+        # in sorted order, run on the pool. Batches whose members are all
+        # marked reviewed are skipped, so a stage-boundary resume issues no
+        # repeat calls. The mark, not the record file, is the progress
+        # record: a kill between the two redoes the batch rather than
+        # leaving the paper unreviewed. A batch whose reply is unusable gives
+        # each of its papers a failure record.
         scored = sorted(d for d, info in indep.items() if not info.get("failed"))
-        batch_size = self.config.reviewer_batch_size
-        batches = [
-            scored[start : start + batch_size] for start in range(0, len(scored), batch_size)
-        ]
-        pending = [
-            (batch_id, batch) for batch_id, batch in enumerate(batches)
-            if not all(self.ws.at_least(d, "reviewed") for d in batch)
-        ]
+        size = self.config.reviewer_batch_size
+        batches = [scored[start : start + size] for start in range(0, len(scored), size)]
 
-        def comparative(batch: list[str]) -> list[float] | Exception:
+        def comparative(batch_id: int) -> list[float] | ReviewFailure:
+            texts = [
+                self._read(f"packed/{d}.json", packer.PackedDocument).text
+                for d in batches[batch_id]
+            ]
             try:
-                texts = [self._load_packed(d).text for d in batch]
                 return reviewer.review_batch(texts, direction, self.gateway)
-            except Exception as exc:
+            except ReviewFailure as exc:
                 return exc
 
-        replies = self.gateway.map(comparative, [batch for _, batch in pending])
-        errors: list[Exception] = []
-        for (batch_id, batch), relatives in zip(pending, replies):
-            if isinstance(relatives, ReviewFailure):
-                for doc_id in batch:
-                    if not self.ws.at_least(doc_id, "reviewed"):
-                        atomic_write_json(self._review_path(doc_id), {
-                            "doc_id": doc_id, "failed": True, "reason": str(relatives),
-                        })
-                        self.ws.mark(doc_id, "reviewed")
-                continue
-            if isinstance(relatives, Exception):
-                errors.append(relatives)
-                continue
-            for doc_id, s_r in zip(batch, relatives):
+        def finish(batch_id: int, relatives: list[float] | ReviewFailure) -> None:
+            for k, doc_id in enumerate(batches[batch_id]):
                 if self.ws.at_least(doc_id, "reviewed"):
                     continue
-                info = indep[doc_id]
-                final = reviewer.fuse(info["s1"], info["s2"], s_r)
-                atomic_write_json(self._review_path(doc_id), {
-                    "doc_id": doc_id,
-                    "s1": info["s1"],
-                    "s2": info["s2"],
-                    "s_r": s_r,
-                    "final": final,
-                    "batch_id": batch_id,
-                })
-                self.ws.mark(doc_id, "reviewed")
-        if errors:
-            raise errors[0]
+                if isinstance(relatives, ReviewFailure):
+                    self._record_review(doc_id, failed=True, reason=str(relatives))
+                    continue
+                s1, s2, s_r = indep[doc_id]["s1"], indep[doc_id]["s2"], relatives[k]
+                self._record_review(
+                    doc_id, s1=s1, s2=s2, s_r=s_r, final=reviewer.fuse(s1, s2, s_r),
+                    batch_id=batch_id,
+                )
+
+        pending = [
+            batch_id for batch_id, batch in enumerate(batches)
+            if not all(self.ws.at_least(d, "reviewed") for d in batch)
+        ]
+        self._per_document(comparative, pending, finish)
 
     # -- screen ----------------------------------------------------------
-
-    def _screening_path(self) -> Path:
-        return self.ws.dir("reviews") / "screening.json"
 
     def load_review_records(self) -> tuple[list[ReviewRecord], list[dict]]:
         """Review records and failure records. A screened paper is kept as
@@ -347,10 +332,9 @@ class Pipeline:
         records, failures = [], []
         threshold = self.config.reviewer_threshold
         for doc_id in self.ws.doc_ids():
-            path = self._review_path(doc_id)
-            if not path.exists():
+            raw = self._read(f"reviews/{doc_id}.json")
+            if raw is None:
                 continue
-            raw = json.loads(path.read_text(encoding="utf-8"))
             if raw.get("failed"):
                 failures.append(raw)
                 continue
@@ -366,17 +350,18 @@ class Pipeline:
             ))
         return records, failures
 
-    @compacts
+    @stage("screen")
     def stage_screen(self) -> None:
         pending = [
             d for d in self.ws.doc_ids()
             if self.ws.at_least(d, "reviewed") and not self.ws.at_least(d, "screened_in")
         ]
-        if not pending and self._screening_path().exists():
+        screening = self.ws.dir("reviews") / "screening.json"
+        if not pending and screening.exists():
             return
         records, failures = self.load_review_records()
         kept = {r.doc_id for r in records if r.kept}
-        atomic_write_json(self._screening_path(), {
+        atomic_write_json(screening, {
             "threshold": self.config.reviewer_threshold,
             "kept": sorted(kept),
             "excluded": sorted(r.doc_id for r in records if not r.kept),
@@ -390,7 +375,9 @@ class Pipeline:
     def _extract_dir(self, doc_id: str) -> Path:
         return self.ws.dir("extracted") / doc_id
 
-    def _extract_one(self, doc_id: str, template: list[str]) -> extraction.ExtractedTable:
+    def _extract_one(
+        self, doc_id: str, template: list[str], direction: str
+    ) -> extraction.ExtractedTable:
         doc = self._load_parsed(doc_id)
         out = self._extract_dir(doc_id)
         out.mkdir(parents=True, exist_ok=True)
@@ -419,7 +406,7 @@ class Pipeline:
 
         mask = (
             extraction.relevance_mask(
-                parts, self.ws.direction, self.gateway, self.config.extraction_mask_batch
+                parts, direction, self.gateway, self.config.extraction_mask_batch
             )
             if parts
             else []
@@ -430,7 +417,7 @@ class Pipeline:
             table, trace = extraction.run_feedback_loop(
                 retained,
                 template,
-                self.ws.direction,
+                direction,
                 self.gateway,
                 doc_id=doc_id,
                 accept_overall=self.config.extraction_accept_overall,
@@ -464,8 +451,12 @@ class Pipeline:
         })
         return table
 
-    @compacts
-    def stage_extract(self, template: list[str]) -> None:
+    @stage("extract")
+    def stage_extract(self, template: list[str], topic: str | None = None) -> None:
+        """Extract every screened-in document; `topic`, when given, stands
+        in for the workspace direction in this call only."""
+        direction = self.ws.direction if topic is None else topic
+
         def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
             self.ws.mark(doc_id, "extracted")
             self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
@@ -474,8 +465,9 @@ class Pipeline:
             if self.ws.status_of(doc_id) == "extracted":  # its table.json precedes the mark
                 finish(doc_id, self.load_table(doc_id))
         todo = [d for d in self.ws.doc_ids() if self.ws.status_of(d) == "screened_in"]
-        if todo:
-            self._per_document(lambda doc_id: self._extract_one(doc_id, template), todo, finish)
+        self._per_document(
+            lambda doc_id: self._extract_one(doc_id, template, direction), todo, finish
+        )
 
     # -- analyze ---------------------------------------------------------
 
@@ -484,10 +476,7 @@ class Pipeline:
 
     def load_table(self, doc_id: str) -> extraction.ExtractedTable | None:
         """The document's extracted table; None before extraction wrote it."""
-        path = self._extract_dir(doc_id) / "table.json"
-        if not path.exists():
-            return None
-        return from_json(extraction.ExtractedTable, json.loads(path.read_text(encoding="utf-8")))
+        return self._read(f"extracted/{doc_id}/table.json", extraction.ExtractedTable)
 
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
         return [
@@ -495,7 +484,7 @@ class Pipeline:
             if self.ws.status_of(doc_id) in ("accepted", "analyzed")
         ]
 
-    @compacts
+    @stage("analyze")
     def stage_analyze(self, force: bool) -> None:
         results_path = self._analysis_dir() / "results.json"
         pending = [
@@ -526,17 +515,10 @@ class Pipeline:
     # -- report ----------------------------------------------------------
 
     def load_merged(self) -> MergedTable:
-        path = self._analysis_dir() / "merged.json"
-        if not path.exists():
+        merged = self._read("analysis/merged.json", MergedTable)
+        if merged is None:
             return MergedTable(header=("doc_id",), rows=(), row_count=0, missing_count=0)
-        return from_json(MergedTable, json.loads(path.read_text(encoding="utf-8")))
-
-    def load_results(self) -> list[AnalysisResult]:
-        path = self._analysis_dir() / "results.json"
-        if not path.exists():
-            return []
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return [from_json(AnalysisResult, r) for r in raw]
+        return merged
 
     def load_traces(self) -> list[TraceSummary]:
         traces = []
@@ -544,9 +526,7 @@ class Pipeline:
             table = self.load_table(doc_id)
             if table is None:
                 continue
-            trace = json.loads(
-                (self._extract_dir(doc_id) / "trace.json").read_text(encoding="utf-8")
-            )
+            trace = self._read(f"extracted/{doc_id}/trace.json")
             traces.append(TraceSummary(
                 doc_id=doc_id,
                 iterations=max([t["iteration"] for t in trace["trace"]], default=0),
@@ -575,17 +555,17 @@ class Pipeline:
             log.info("no narrative available (%s); using the built-in discussion", exc)
             return ""
 
-    @compacts
+    @stage("report")
     def stage_report(self, force: bool) -> None:
         if self.ws.report_path.exists() and not force:
             return
         merged = self.load_merged()
-        results = self.load_results()
+        results = self._read("analysis/results.json", tuple[AnalysisResult, ...]) or ()
         records, _failures = self.load_review_records()
         traces = self.load_traces()
         titles = {
-            doc_id: self._load_packed(doc_id).title
-            for doc_id in self.ws.doc_ids() if self._packed_path(doc_id).exists()
+            doc_id: packed.title for doc_id in self.ws.doc_ids()
+            if (packed := self._read(f"packed/{doc_id}.json", packer.PackedDocument))
         }
         text = render_report(
             topic=self.ws.direction,
@@ -609,21 +589,13 @@ class Pipeline:
         columns = self.load_stored_template()
 
         before = {d: self.ws.status_of(d) for d in self.ws.doc_ids()}
-        for name, stage in (
-            ("pack", self.stage_pack),
-            ("review", self.stage_review),
-            ("screen", self.stage_screen),
-            ("extract", lambda: self.stage_extract(columns)),
-        ):
-            with stage_failure(name):
-                stage()
-
-        after = {d: self.ws.status_of(d) for d in self.ws.doc_ids()}
-        did_work = before != after
-        with stage_failure("analyze"):
-            self.stage_analyze(force=did_work)
-        with stage_failure("report"):
-            self.stage_report(force=did_work)
+        self.stage_pack()
+        self.stage_review()
+        self.stage_screen()
+        self.stage_extract(columns)
+        did_work = before != {d: self.ws.status_of(d) for d in self.ws.doc_ids()}
+        self.stage_analyze(force=did_work)
+        self.stage_report(force=did_work)
         return self.summary()
 
     def summary(self) -> RunSummary:

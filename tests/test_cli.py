@@ -236,7 +236,8 @@ def test_run_with_missing_provider_script_is_a_validation_error(runner, tmp_path
     (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "-1"),
      "tolerances must be >= 0"),
     (" ", (), "research direction is empty"),
-], ids=["negative-rel-tol", "blank-direction"])
+    (synth.DIRECTION, ("extract",), "no extraction template stored; pass --template"),
+], ids=["negative-rel-tol", "blank-direction", "extract-without-template"])
 def test_out_of_range_input_is_a_validation_error(
     runner, tmp_path, corpus_dir, direction, args, message
 ):
@@ -251,6 +252,32 @@ def test_out_of_range_input_is_a_validation_error(
     assert result.stderr.splitlines() == [f"error: {message}"]
     assert "Traceback" not in result.output
     assert (ws / "manifest.json").exists() == bool(args)
+
+
+def test_extract_with_a_differing_template_is_a_validation_error(runner, tmp_path, initialized):
+    ws, config = initialized
+    other = tmp_path / "other.txt"
+    other.write_text("another column\n", encoding="utf-8")
+    result = invoke(runner, ws, "extract", "--template", str(other), config=config)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: extraction template differs")
+
+
+def test_extract_topic_holds_for_that_command_only(runner, tmp_path, corpus_dir, monkeypatch):
+    monkeypatch.setattr(
+        "manalyzer.cli.build_provider", lambda config, base: synth.AnsweringProvider()
+    )
+    ws = tmp_path / "ws"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("pack",),
+        ("screen",),
+        ("extract", "--topic", "another topic"),
+    ):
+        result = invoke(runner, ws, *args)
+        assert result.exit_code == 0, (args, result.output)
+    assert Workspace.load(ws).direction == synth.DIRECTION
 
 
 def test_eval_extraction_missing_gold(runner, initialized):

@@ -1,6 +1,7 @@
 import json
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,32 @@ def test_download_pdf_detects_corruption(tmp_path):
     (tmp_path / "arxiv-abc.pdf").write_bytes(b"tampered")
     with pytest.raises(ChecksumMismatchError):
         download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"original")
+
+
+def test_download_pdf_recovers_from_a_digest_write_cut_short(tmp_path, monkeypatch):
+    # A kill while the digest is written must leave no torn sidecar: one
+    # would fail every later collect of the paper with ChecksumMismatchError.
+    class Killed(BaseException):
+        pass
+
+    meta = PaperMeta(
+        doc_id="arxiv-abc", title="t", doi=None, source="arxiv", pdf_url="http://x/p.pdf"
+    )
+    write_text = Path.write_text
+
+    def cut_short(path, text, *args, **kwargs):
+        if ".sha256" in path.name:
+            write_text(path, text[:7], *args, **kwargs)
+            raise Killed
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    with pytest.raises(Killed):
+        download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"original")
+    monkeypatch.undo()
+    for _ in range(2):
+        target = download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"original")
+        assert target.read_bytes() == b"original"
 
 
 def test_download_pdf_needs_a_url(tmp_path):

@@ -385,6 +385,13 @@ def test_finished_run_is_a_no_op(tmp_path, corpus_dir):
     assert resumed.ws.report_path.read_bytes() == report
 
 
+def test_build_corpus_reproduces_the_bundled_corpus(tmp_path, corpus_dir):
+    # script.jsonl is the sorted set of served (tag, digest) pairs, so this
+    # also pins the set of agent calls a corpus run makes.
+    synth.build_corpus(tmp_path / "corpus")
+    assert snapshot(tmp_path / "corpus") == snapshot(corpus_dir)
+
+
 def test_resume_never_repeats_a_call(tmp_path, corpus_dir):
     pipe, first_provider = corpus_pipeline(tmp_path, corpus_dir)
     pipe.store_template(synth.TEMPLATE)
