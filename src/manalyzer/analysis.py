@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import prompts
+from .config import DEFAULTS
 from .errors import HeaderMismatchError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
@@ -28,7 +29,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SEED = 42
 KMEANS_MAX_ITER = 100
 INDEX_COLUMN = "index"  # pseudo-column: row ordinal, for regression fallback
 
@@ -315,7 +315,7 @@ _RUNNERS = {
 def run_analysis(
     plan: AnalysisPlan,
     merged: MergedTable,
-    seed: int = DEFAULT_SEED,
+    seed: int = DEFAULTS.analysis_seed,
     out_dir: Path | None = None,
 ) -> list[AnalysisResult]:
     """Run every step; write one plot-data artifact per completed step.

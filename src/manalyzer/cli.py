@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 validation problem (bad config, schema, or
-workspace state), 3 stage failure at runtime.
+Exit codes: 0 success, 2 validation problem (any ValueError, which every
+`errors.ValidationError` is: bad config, schema, or workspace state), 3
+stage failure at runtime (any other ManalyzerError).
 """
 
 from __future__ import annotations
@@ -13,27 +14,9 @@ import click
 
 from . import collector, evaluation, reviewer
 from .config import load_config
-from .errors import (
-    ConfigError,
-    CorruptManifestError,
-    EmptyGoldError,
-    ManalyzerError,
-    RefuseResumeError,
-    SchemaViolationError,
-    WorkspaceError,
-)
+from .errors import ConfigError, ManalyzerError
 from .pipeline import Pipeline, build_provider, load_template, status_text
 from .workspace import Workspace
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    SchemaViolationError,
-    CorruptManifestError,
-    RefuseResumeError,
-    WorkspaceError,
-    EmptyGoldError,
-    ValueError,
-)
 
 
 class _ExitCodes(click.Group):
@@ -43,9 +26,9 @@ class _ExitCodes(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ManalyzerError, *_VALIDATION_ERRORS) as exc:
+        except (ManalyzerError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
-            ctx.exit(2 if isinstance(exc, _VALIDATION_ERRORS) else 3)
+            ctx.exit(2 if isinstance(exc, ValueError) else 3)
 
 
 @click.group(cls=_ExitCodes)
@@ -209,6 +192,8 @@ def extract(
     ctx: click.Context, template_path: Path | None, topic: str | None, max_iter: int | None
 ) -> None:
     """Extract cited data tables from screened-in papers."""
+    if topic is not None and not topic.strip():
+        raise ConfigError("--topic is empty")
     overrides = {"extraction_max_iter": max_iter} if max_iter is not None else {}
     pipe = _open(ctx, **overrides)
     if template_path is not None:
@@ -250,7 +235,6 @@ def eval_extraction(
     """Hit rate of extracted values against gold data points, per level."""
     pipe = _open(ctx)
     config = pipe.config
-    level_rel_tol = {1: config.eval_rel_tol, 2: config.eval_rel_tol, 3: config.eval_level3_rel_tol}
     gold = evaluation.load_gold(gold_path)
     extracted: dict[str, list[float]] = {}
     for doc_id in pipe.ws.doc_ids():
@@ -263,7 +247,7 @@ def eval_extraction(
         for result in evaluation.evaluate_extraction(
             extracted, [p for p in gold if p.level == level],
             abs_tol=abs_tol if abs_tol is not None else config.eval_abs_tol,
-            rel_tol=rel_tol if rel_tol is not None else level_rel_tol[level],
+            rel_tol=rel_tol if rel_tol is not None else evaluation.default_rel_tol(level, config),
         )
     ]
     levels = evaluation.aggregate(results)

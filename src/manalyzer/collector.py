@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gateway import Gateway
 from .parsing import parse_string_groups
-from .workspace import atomic_write_text
+from .workspace import atomic_write_bytes, atomic_write_text
 
 CROSSREF_URL = "https://api.crossref.org/works"
 ARXIV_URL = "http://export.arxiv.org/api/query"
@@ -260,9 +260,7 @@ def download_pdf(
 
     data = fetch_bytes(url)
     papers_dir.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(".pdf.tmp")
-    tmp.write_bytes(data)
-    tmp.replace(target)
+    atomic_write_bytes(target, data)
     atomic_write_text(sidecar, hashlib.sha256(data).hexdigest())
     return target
 

@@ -33,6 +33,9 @@ KEY_MAP = {
 }
 FIELD_MAP = {v: k for k, v in KEY_MAP.items()}
 
+# The packer clamps every budget to this cap; the default budget is the cap.
+MAX_BUDGET = 131072
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -40,7 +43,7 @@ class PipelineConfig:
     provider_script: str = ""
     provider_max_in_flight: int = 4
     provider_retries: int = 3
-    packer_budget: int = 131072
+    packer_budget: int = MAX_BUDGET
     packer_default_importance: int = 5
     reviewer_threshold: float = 8.0
     reviewer_batch_size: int = 20
@@ -74,6 +77,10 @@ class PipelineConfig:
             raise ConfigError("provider.max_in_flight must be >= 1")
         if self.provider_retries < 1:
             raise ConfigError("provider.retries must be >= 1")
+
+
+# The one home of every default: library functions take theirs from here.
+DEFAULTS = PipelineConfig()
 
 
 def parse_config(text: str, source: str = "<config>") -> PipelineConfig:

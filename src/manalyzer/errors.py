@@ -2,6 +2,9 @@
 
 Errors are grouped by the module that raises them; everything derives from
 ManalyzerError so callers can catch pipeline failures in one place.
+
+The hierarchy is the exit-code policy: the CLI exits 2 for any ValueError,
+ValidationError (bad input) included, and 3 for any other ManalyzerError.
 """
 
 from __future__ import annotations
@@ -9,6 +12,10 @@ from __future__ import annotations
 
 class ManalyzerError(Exception):
     """Base class for all pipeline errors."""
+
+
+class ValidationError(ManalyzerError, ValueError):
+    """Bad input rather than a runtime failure; the CLI exits 2."""
 
 
 # --- provider gateway ---------------------------------------------------
@@ -48,7 +55,7 @@ class ReviewFailure(ManalyzerError):
 # --- collector ----------------------------------------------------------
 
 
-class SchemaViolationError(ManalyzerError):
+class SchemaViolationError(ValidationError):
     """Input file does not conform to its schema; message is field-level."""
 
 
@@ -113,14 +120,14 @@ class NoValidStepsError(ManalyzerError):
 # --- evaluation ---------------------------------------------------------
 
 
-class EmptyGoldError(ManalyzerError):
+class EmptyGoldError(ValidationError):
     """Gold set for a (document, level) is empty; rate undefined."""
 
 
 # --- workspace / pipeline -----------------------------------------------
 
 
-class WorkspaceError(ManalyzerError):
+class WorkspaceError(ValidationError):
     """Workspace missing, not initialized, or unusable."""
 
 
@@ -128,11 +135,11 @@ class CorruptManifestError(WorkspaceError):
     """Manifest unreadable or its status history regressed."""
 
 
-class ConfigError(ManalyzerError):
+class ConfigError(ValidationError):
     """Configuration invalid."""
 
 
-class RefuseResumeError(ManalyzerError):
+class RefuseResumeError(ValidationError):
     """Active config differs from the workspace snapshot."""
 
 

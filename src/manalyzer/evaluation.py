@@ -1,24 +1,27 @@
 """Extraction evaluation: hit rate of extracted values against gold points.
 
-A gold point is matched when some extracted value lands within tolerance.
-Matching is one-to-one and maximal (a single extracted value can never
-satisfy two gold points), computed exactly with augmenting paths.
+A gold point is matched when some extracted value lands within tolerance
+of it, by `within_tolerance`, the package's one tolerance rule (extraction
+checks citations with it too). Matching is one-to-one and maximum: a
+single extracted value can never satisfy two gold points. The values a
+gold point admits form one run of the sorted extracted values, so a greedy
+pass is exactly maximum (Glover 1967, convex bipartite graphs).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .config import DEFAULTS, PipelineConfig
 from .errors import EmptyGoldError, SchemaViolationError
 
-DEFAULT_ABS_TOL = 1e-9
-DEFAULT_REL_TOL = 1e-4
-LEVEL3_REL_TOL = 1e-2
 LEVELS = (1, 2, 3)
 
 
@@ -46,9 +49,9 @@ class HitRateResult:
     hit_rate: float
 
 
-def default_rel_tol(level: int) -> float:
+def default_rel_tol(level: int, config: PipelineConfig = DEFAULTS) -> float:
     """Level 3 values come out of model arithmetic, so they get more slack."""
-    return LEVEL3_REL_TOL if level == 3 else DEFAULT_REL_TOL
+    return config.eval_level3_rel_tol if level == 3 else config.eval_rel_tol
 
 
 def load_gold(path: Path) -> list[GoldDataPoint]:
@@ -77,48 +80,57 @@ def save_gold(points: Iterable[GoldDataPoint], path: Path) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _admissible(a: float, b: float, abs_tol: float, rel_tol: float) -> bool:
+def within_tolerance(a: float, b: float, abs_tol: float, rel_tol: float) -> bool:
+    """True iff |a - b| <= max(abs_tol, rel_tol * |b|): `b` is the reference."""
     return abs(a - b) <= max(abs_tol, rel_tol * abs(b))
 
 
 def match_values(
     extracted: Sequence[float],
     gold: Sequence[float],
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
+    abs_tol: float = DEFAULTS.eval_abs_tol,
+    rel_tol: float = DEFAULTS.eval_rel_tol,
 ) -> list[tuple[int, int]]:
     """Maximum one-to-one matching between extracted and gold values.
 
-    Pair (a, b) is admissible iff |a - b| <= max(abs_tol, rel_tol * |b|).
-    Returns (extracted_index, gold_index) pairs.
+    Pair (a, b) is admissible iff `within_tolerance(a, b, ...)`. Returns the
+    sorted (extracted_index, gold_index) pairs. Gold points are taken by the
+    end of their run, and each gets the first free extracted value in its
+    run: O((n + m) log n), with no recursion.
     """
     if abs_tol < 0 or rel_tol < 0:
         raise ValueError("tolerances must be >= 0")
-    candidates = [
-        [j for j, b in enumerate(gold) if _admissible(a, b, abs_tol, rel_tol)]
-        for a in extracted
-    ]
-    owner = [-1] * len(gold)  # gold index -> extracted index
+    order = sorted((i for i, a in enumerate(extracted) if not math.isnan(a)),
+                   key=extracted.__getitem__)
+    values = [extracted[i] for i in order]
+    runs = []  # (end, start, gold index): gold admits values[start:end]
+    for j, b in enumerate(gold):
+        admits = functools.partial(within_tolerance, b=b, abs_tol=abs_tol, rel_tol=rel_tol)
+        start = bisect_left(values, True, key=lambda a: a >= b or admits(a))
+        end = bisect_left(values, True, key=lambda a: a > b and not admits(a))
+        runs.append((end, start, j))
 
-    def assign(i: int, seen: list[bool]) -> bool:
-        for j in candidates[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if owner[j] < 0 or assign(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
+    free = list(range(len(values) + 1))  # union-find: the first free slot >= k
 
-    for i in range(len(extracted)):
-        assign(i, [False] * len(gold))
-    return sorted((i, j) for j, i in enumerate(owner) if i >= 0)
+    def first_free(k: int) -> int:
+        while free[k] != k:
+            free[k] = free[free[k]]  # path halving
+            k = free[k]
+        return k
+
+    pairs = []
+    for end, start, j in sorted(runs):
+        k = first_free(start)
+        if k < end:
+            pairs.append((order[k], j))
+            free[k] = k + 1
+    return sorted(pairs)
 
 
 def hit_rate(
     extracted: Sequence[float],
     gold_points: Sequence[GoldDataPoint],
-    abs_tol: float = DEFAULT_ABS_TOL,
+    abs_tol: float = DEFAULTS.eval_abs_tol,
     rel_tol: float | None = None,
 ) -> HitRateResult:
     """Hit rate for one document and level: matched gold / total gold."""
@@ -144,7 +156,7 @@ def hit_rate(
 def evaluate_extraction(
     extracted_by_doc: dict[str, Sequence[float]],
     gold: Sequence[GoldDataPoint],
-    abs_tol: float = DEFAULT_ABS_TOL,
+    abs_tol: float = DEFAULTS.eval_abs_tol,
     rel_tol: float | None = None,
 ) -> list[HitRateResult]:
     """Hit rates for every (doc, level) group present in the gold set.

@@ -11,12 +11,14 @@ checker's suggestion back into another attempt, at most three in total.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import prompts
+from .config import DEFAULTS
 from .errors import (
     CheckerFailure,
     ConversionFailure,
@@ -28,6 +30,7 @@ from .errors import (
     UnparseableReplyError,
     UnparseableTableError,
 )
+from .evaluation import within_tolerance
 from .gateway import Gateway
 from .parsing import (
     normalize_numeric,
@@ -41,10 +44,6 @@ from .parsing import (
 )
 
 log = logging.getLogger(__name__)
-
-DEFAULT_MASK_BATCH = 10
-DEFAULT_ACCEPT_OVERALL = 7
-DEFAULT_MAX_ITER = 3
 
 ORIGIN_LABELS = {
     "text-paragraph": "paragraph",
@@ -189,7 +188,7 @@ def relevance_mask(
     parts: Sequence[ConvertedPart],
     topic: str,
     gateway: Gateway,
-    batch_size: int = DEFAULT_MASK_BATCH,
+    batch_size: int = DEFAULTS.extraction_mask_batch,
 ) -> list[float]:
     """One relevance score in [0, 1] per part, batched.
 
@@ -320,15 +319,11 @@ def extract_to_table(
     return table
 
 
-def _match_tol(a: float, b: float, abs_tol: float, rel_tol: float) -> bool:
-    return abs(a - b) <= max(abs_tol, rel_tol * abs(b))
-
-
 def validate_provenance(
     table: ExtractedTable,
     parts: Sequence[ConvertedPart],
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-4,
+    abs_tol: float = DEFAULTS.eval_abs_tol,
+    rel_tol: float = DEFAULTS.eval_rel_tol,
 ) -> list[Violation]:
     """Machine-check every citation against its source part.
 
@@ -338,6 +333,7 @@ def validate_provenance(
     since those have no grid. Numeric output cells no citation vouches for
     are violations too.
     """
+    close = functools.partial(within_tolerance, abs_tol=abs_tol, rel_tol=rel_tol)
     by_id = {p.part_id: p for p in parts}
     grids: dict[str, tuple[list[str], list[list[str]]]] = {}
     violations = []
@@ -368,7 +364,7 @@ def validate_provenance(
                 cell_value = normalize_numeric(cell_text)
             except UnparseableNumericError:
                 cell_value = None
-            if cell_value is None or not _match_tol(entry.value, cell_value, abs_tol, rel_tol):
+            if cell_value is None or not close(entry.value, cell_value):
                 violations.append(
                     Violation(
                         "value-mismatch",
@@ -391,7 +387,7 @@ def validate_provenance(
 
     cited = list(table.provenance)
     for i, j, value in table.numeric_cells():
-        if not any(_match_tol(e.value, value, abs_tol, rel_tol) for e in cited):
+        if not any(close(e.value, value) for e in cited):
             violations.append(
                 Violation(
                     "uncited",
@@ -441,10 +437,10 @@ def run_feedback_loop(
     topic: str,
     gateway: Gateway,
     doc_id: str = "",
-    accept_overall: int = DEFAULT_ACCEPT_OVERALL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-4,
+    accept_overall: int = DEFAULTS.extraction_accept_overall,
+    max_iter: int = DEFAULTS.extraction_max_iter,
+    abs_tol: float = DEFAULTS.eval_abs_tol,
+    rel_tol: float = DEFAULTS.eval_rel_tol,
 ) -> tuple[ExtractedTable, list[tuple[int, CheckReport]]]:
     """Extract, validate, and check until accepted or attempts run out.
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
+from .config import DEFAULTS
 from .errors import (
     DuplicateScriptKeyError,
     EmptyResponseError,
@@ -196,8 +197,8 @@ class ScriptedProvider:
 class Gateway:
     """Pipeline-facing wrapper enforcing the retry policy.
 
-    Transient TransportErrors are retried with exponential backoff (3
-    attempts by default, sleeping BACKOFF_S between them); refusals and empty
+    Transient TransportErrors are retried with exponential backoff (up to
+    ``retries`` attempts, sleeping BACKOFF_S between them); refusals and empty
     replies are surfaced immediately. A semaphore bounds in-flight calls
     across worker threads.
 
@@ -217,8 +218,8 @@ class Gateway:
     def __init__(
         self,
         provider: Provider,
-        retries: int = 3,
-        max_in_flight: int = 4,
+        retries: int = DEFAULTS.provider_retries,
+        max_in_flight: int = DEFAULTS.provider_max_in_flight,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if retries < 1:

@@ -12,15 +12,13 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from . import prompts
+from .config import DEFAULTS, MAX_BUDGET
 from .errors import UnparseableReplyError
 from .gateway import Gateway
 from .parsing import parse_int_reply
 
 if TYPE_CHECKING:
     from .collector import Paragraph, ParsedDocument
-
-MAX_BUDGET = 131072
-DEFAULT_IMPORTANCE = 5
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ def _importance(reply: str) -> int:
 def score_paragraphs(
     doc: "ParsedDocument",
     gateway: Gateway,
-    default_importance: int = DEFAULT_IMPORTANCE,
+    default_importance: int = DEFAULTS.packer_default_importance,
 ) -> list[RatedParagraph]:
     """One importance rating per paragraph.
 
@@ -153,7 +151,7 @@ def pack_document(
     doc: "ParsedDocument",
     gateway: Gateway,
     budget: int,
-    default_importance: int = DEFAULT_IMPORTANCE,
+    default_importance: int = DEFAULTS.packer_default_importance,
 ) -> PackedDocument:
     """Pack one document under the budget.
 

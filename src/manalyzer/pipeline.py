@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import shutil
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
@@ -55,7 +54,9 @@ from .errors import (
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
 from .reviewer import IndependentScores, ReviewRecord
-from .workspace import Workspace, atomic_write_json, atomic_write_text, from_json
+from .workspace import (
+    Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, from_json,
+)
 
 log = logging.getLogger(__name__)
 K = TypeVar("K")
@@ -210,10 +211,8 @@ class Pipeline:
             for ref in list(doc.figures) + list(doc.tables):
                 target = self.ws.root / ref.image
                 target.parent.mkdir(parents=True, exist_ok=True)
-                if not target.exists():  # copy, then rename: a kill leaves no torn image
-                    tmp = target.with_name(target.name + ".tmp")
-                    shutil.copyfile(source / ref.image, tmp)
-                    tmp.replace(target)
+                if not target.exists():
+                    atomic_write_bytes(target, (source / ref.image).read_bytes())
             collector.save_parsed(doc, self._parsed_path(doc.doc_id))
             self.ws.mark(doc.doc_id, "parsed")
             doc_ids.append(doc.doc_id)
@@ -372,14 +371,11 @@ class Pipeline:
 
     # -- extract ---------------------------------------------------------
 
-    def _extract_dir(self, doc_id: str) -> Path:
-        return self.ws.dir("extracted") / doc_id
-
     def _extract_one(
         self, doc_id: str, template: list[str], direction: str
     ) -> extraction.ExtractedTable:
         doc = self._load_parsed(doc_id)
-        out = self._extract_dir(doc_id)
+        out = self.ws.dir("extracted") / doc_id
         out.mkdir(parents=True, exist_ok=True)
 
         parts: list[extraction.ConvertedPart] = [
@@ -442,13 +438,14 @@ class Pipeline:
             "retained": [p.part_id for p in retained],
             "warnings": warnings,
         })
-        atomic_write_json(out / "table.json", asdict(table))
         atomic_write_json(out / "trace.json", {
             "trace": [{"iteration": i, **asdict(r)} for i, r in trace],
             "violations": [
                 {"kind": v.kind, "reason": v.reason} for v in violations
             ],
         })
+        # Last: a table.json vouches that the document's other files exist.
+        atomic_write_json(out / "table.json", asdict(table))
         return table
 
     @stage("extract")
@@ -471,9 +468,6 @@ class Pipeline:
 
     # -- analyze ---------------------------------------------------------
 
-    def _analysis_dir(self) -> Path:
-        return self.ws.dir("analysis")
-
     def load_table(self, doc_id: str) -> extraction.ExtractedTable | None:
         """The document's extracted table; None before extraction wrote it."""
         return self._read(f"extracted/{doc_id}/table.json", extraction.ExtractedTable)
@@ -481,12 +475,13 @@ class Pipeline:
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
         return [
             self.load_table(doc_id) for doc_id in self.ws.doc_ids()
-            if self.ws.status_of(doc_id) in ("accepted", "analyzed")
+            if "accepted" in self.ws.docs[doc_id]
         ]
 
     @stage("analyze")
     def stage_analyze(self, force: bool) -> None:
-        results_path = self._analysis_dir() / "results.json"
+        out = self.ws.dir("analysis")
+        results_path = out / "results.json"
         pending = [
             d for d in self.ws.doc_ids() if self.ws.status_of(d) == "accepted"
         ]
@@ -494,20 +489,18 @@ class Pipeline:
             return
 
         merged = merge_tables(self.load_accepted_tables())
-        atomic_write_json(self._analysis_dir() / "merged.json", asdict(merged))
+        atomic_write_json(out / "merged.json", asdict(merged))
 
         results: list[AnalysisResult] = []
         plan = AnalysisPlan(steps=())
         if merged.row_count and merged.data_columns():
             try:
                 plan = plan_analysis(merged, self.ws.direction, self.gateway)
-                results = run_analysis(
-                    plan, merged, self.config.analysis_seed, self._analysis_dir()
-                )
+                results = run_analysis(plan, merged, self.config.analysis_seed, out)
             except NoValidStepsError as exc:
                 log.warning("analysis skipped: %s", exc)
 
-        atomic_write_json(self._analysis_dir() / "plan.json", asdict(plan))
+        atomic_write_json(out / "plan.json", asdict(plan))
         atomic_write_json(results_path, [asdict(r) for r in results])
         for doc_id in pending:
             self.ws.mark(doc_id, "analyzed")
@@ -599,23 +592,17 @@ class Pipeline:
         return self.summary()
 
     def summary(self) -> RunSummary:
-        ranks = {d: self.ws.rank_of(d) for d in self.ws.doc_ids()}
-        records, failures = self.load_review_records()
+        docs = self.ws.doc_ids()
+        _records, failures = self.load_review_records()
         merged = self.load_merged()
         return RunSummary(
-            total_docs=len(ranks),
-            packed=sum(1 for r in ranks.values() if r >= 2),
-            reviewed=sum(1 for r in ranks.values() if r >= 3),
+            total_docs=len(docs),
+            packed=sum(self.ws.at_least(d, "packed") for d in docs),
+            reviewed=sum(self.ws.at_least(d, "reviewed") for d in docs),
             review_failures=len(failures),
-            screened_in=sum(
-                1 for d in self.ws.doc_ids()
-                if "screened_in" in self.ws.docs.get(d, [])
-            ),
-            extracted=sum(1 for r in ranks.values() if r >= 5),
-            accepted=sum(
-                1 for d in self.ws.doc_ids()
-                if "accepted" in self.ws.docs.get(d, [])
-            ),
+            screened_in=sum("screened_in" in self.ws.docs[d] for d in docs),
+            extracted=sum(self.ws.at_least(d, "extracted") for d in docs),
+            accepted=sum("accepted" in self.ws.docs[d] for d in docs),
             merged_rows=merged.row_count,
             report_path=str(self.ws.report_path) if self.ws.report_path.exists() else None,
         )
@@ -626,9 +613,8 @@ def status_text(ws: Workspace) -> str:
     counts = ws.status_counts()
     lines = [f"workspace: {ws.root}", f"direction: {ws.direction}", ""]
     lines.append("status counts:")
-    for status in ("collected", "parsed", "packed", "reviewed", "screened_in",
-                   "screened_out", "extracted", "accepted", "unaccepted", "analyzed"):
-        lines.append(f"  {status:<12} {counts[status]}")
+    for status, count in counts.items():
+        lines.append(f"  {status:<12} {count}")
     lines.append("")
     lines.append("documents:")
     if not ws.docs:

@@ -18,8 +18,6 @@ from .errors import ReviewFailure, SchemaViolationError, UnparseableReplyError
 from .gateway import Gateway
 from .parsing import parse_labeled_score, parse_real_list
 
-DEFAULT_THRESHOLD = 8.0
-
 
 @dataclass(frozen=True)
 class IndependentScores:

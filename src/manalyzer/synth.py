@@ -26,7 +26,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
 from .errors import DuplicateScriptKeyError
 from .evaluation import GoldDataPoint, save_gold
 from .gateway import AgentRequest, AgentResponse, ImagePart, ScriptedProvider, TextPart, digest_request
@@ -41,7 +41,7 @@ DOC_IDS = [f"d{i:02d}" for i in range(1, 11)]
 # the final score is 14 * s_r, so values above 4/7 clear the default
 # threshold of 8.0.
 S_R = [0.8, 0.3, 0.9, 0.2, 0.7, 0.75, 0.4, 0.85, 0.1, 0.95]
-KEPT = [d for d, s in zip(DOC_IDS, S_R) if s * 14 >= 8.0]
+KEPT = [d for d, s in zip(DOC_IDS, S_R) if s * 14 >= DEFAULTS.reviewer_threshold]
 
 MASK_REPLY = "[0.9, 0.2, 0.8, 0.3, 0.9, 0.7]"
 

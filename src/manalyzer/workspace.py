@@ -16,10 +16,12 @@ and writes nothing: a status already in a document's history is skipped
 last line is ignored (its artifact was written first, so the work is
 redone); any other bad line makes the manifest corrupt.
 
-Writes go through a temp-file-and-rename so a killed process never leaves
-a half-written artifact. Dataclass artifacts are written as the JSON of
-`dataclasses.asdict` and read back with `from_json`. Manifest mutation is
-single-writer: only the orchestrator thread marks statuses.
+Every artifact write goes through `atomic_write_bytes` (the text and JSON
+writers encode, then call it): a temp file renamed over the target, so a
+killed process never leaves a half-written artifact. Dataclass artifacts
+are written as the JSON of `dataclasses.asdict` and read back with
+`from_json`. Manifest mutation is single-writer: only the orchestrator
+thread marks statuses. `STATUS_RANK` is the one list of statuses.
 """
 
 from __future__ import annotations
@@ -53,10 +55,14 @@ STATUS_RANK = {
 SUBDIRS = ("papers", "parsed", "packed", "reviews", "extracted", "analysis")
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_bytes(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data)
     tmp.replace(path)
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: Path, payload: object) -> None:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import manalyzer
-from manalyzer import collector, reviewer, synth
+from manalyzer import collector, pipeline, reviewer, synth
 from manalyzer.cli import main
 from manalyzer.errors import NotDownloadableError
 from manalyzer.workspace import Workspace
@@ -278,6 +278,69 @@ def test_extract_topic_holds_for_that_command_only(runner, tmp_path, corpus_dir,
         result = invoke(runner, ws, *args)
         assert result.exit_code == 0, (args, result.output)
     assert Workspace.load(ws).direction == synth.DIRECTION
+
+
+def tree(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def test_blank_topic_is_a_validation_error(runner, initialized, monkeypatch):
+    ws, config = initialized
+    for args in (("pack",), ("screen",)):
+        assert invoke(runner, ws, *args, config=config).exit_code == 0
+    before = tree(ws)
+    providers = []
+    build_provider = pipeline.build_provider
+
+    def recording_provider(config, base):
+        providers.append(build_provider(config, base))
+        return providers[-1]
+
+    monkeypatch.setattr("manalyzer.cli.build_provider", recording_provider)
+    result = invoke(runner, ws, "extract", "--topic", " ", config=config)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines() == ["error: --topic is empty"]
+    assert [call for provider in providers for call in provider.calls] == []
+    assert tree(ws) == before
+
+
+class Killed(BaseException):
+    """A kill of the process, raised where a write would happen."""
+
+
+@pytest.mark.parametrize("name", ["parts.json", "trace.json", "table.json"])
+def test_report_and_resume_after_a_kill_at_an_extract_write(
+    runner, tmp_path, corpus_dir, initialized, monkeypatch, name
+):
+    ws, config = initialized
+    clean = tmp_path / "clean"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("run",),
+    ):
+        assert invoke(runner, clean, *args, config=config).exit_code == 0
+    victim = synth.KEPT[0]
+    write = pipeline.atomic_write_json
+
+    def killing_write(path, payload):
+        if path.parent.name == victim and path.name == name:
+            raise Killed(path)
+        write(path, payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "atomic_write_json", killing_write)
+        with pytest.raises(Killed):
+            invoke(runner, ws, "run", config=config)
+    assert not (ws / "extracted" / victim / "table.json").exists()
+    result = invoke(runner, ws, "report", config=config)
+    assert result.exit_code == 0, result.output
+    result = invoke(runner, ws, "resume", config=config)
+    assert result.exit_code == 0, result.output
+    assert tree(ws) == tree(clean)
 
 
 def test_eval_extraction_missing_gold(runner, initialized):

@@ -227,15 +227,15 @@ def test_download_pdf_recovers_from_a_digest_write_cut_short(tmp_path, monkeypat
     meta = PaperMeta(
         doc_id="arxiv-abc", title="t", doi=None, source="arxiv", pdf_url="http://x/p.pdf"
     )
-    write_text = Path.write_text
+    write_bytes = Path.write_bytes
 
-    def cut_short(path, text, *args, **kwargs):
+    def cut_short(path, data):
         if ".sha256" in path.name:
-            write_text(path, text[:7], *args, **kwargs)
+            write_bytes(path, data[:7])
             raise Killed
-        return write_text(path, text, *args, **kwargs)
+        return write_bytes(path, data)
 
-    monkeypatch.setattr(Path, "write_text", cut_short)
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
     with pytest.raises(Killed):
         download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"original")
     monkeypatch.undo()

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
+from manalyzer.config import DEFAULTS
 from manalyzer.errors import EmptyGoldError, SchemaViolationError
 from manalyzer.evaluation import (
-    DEFAULT_REL_TOL,
-    LEVEL3_REL_TOL,
     GoldDataPoint,
     aggregate,
     default_rel_tol,
@@ -15,11 +14,37 @@ from manalyzer.evaluation import (
     load_gold,
     match_values,
     save_gold,
+    within_tolerance,
 )
 
 
 def admissible(a, b, abs_tol, rel_tol):
     return abs(a - b) <= max(abs_tol, rel_tol * abs(b))
+
+
+def augmenting_path_matching(extracted, gold, abs_tol, rel_tol):
+    """Maximum matching by recursive augmenting paths (Kuhn): the matcher
+    the package used before the convex-graph greedy, kept as an oracle.
+    It recurses once per augmenting path, so it suits small inputs only."""
+    candidates = [
+        [j for j, b in enumerate(gold) if admissible(a, b, abs_tol, rel_tol)]
+        for a in extracted
+    ]
+    owner = [-1] * len(gold)  # gold index -> extracted index
+
+    def assign(i, seen):
+        for j in candidates[i]:
+            if seen[j]:
+                continue
+            seen[j] = True
+            if owner[j] < 0 or assign(owner[j], seen):
+                owner[j] = i
+                return True
+        return False
+
+    for i in range(len(extracted)):
+        assign(i, [False] * len(gold))
+    return sorted((i, j) for j, i in enumerate(owner) if i >= 0)
 
 
 def oracle_matching_size(extracted, gold, abs_tol, rel_tol):
@@ -58,6 +83,38 @@ def test_match_values_matches_oracle_on_random_instances():
         assert len({j for _, j in pairs}) == len(pairs)
         for i, j in pairs:
             assert admissible(extracted[i], gold[j], abs_tol, rel_tol)
+
+
+def test_within_tolerance_is_the_oracle_predicate():
+    rng = random.Random(4242)
+    for _ in range(2000):
+        a, b = rng.uniform(-5, 5), rng.choice([0.0, rng.uniform(-5, 5)])
+        abs_tol, rel_tol = rng.choice([0.0, 1e-9, 0.5]), rng.choice([0.0, 1e-4, 0.3])
+        assert within_tolerance(a, b, abs_tol, rel_tol) == admissible(a, b, abs_tol, rel_tol)
+
+
+def test_match_values_matches_augmenting_paths_on_tie_heavy_instances():
+    rng = random.Random(1967)
+    for case in range(300):
+        pool = [round(rng.uniform(-3, 3), 1) for _ in range(rng.randint(1, 6))]
+        extracted = [
+            rng.choice(pool) + rng.choice([0.0, 0.0, 0.05]) for _ in range(rng.randint(0, 40))
+        ]
+        gold = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        abs_tol = rng.choice([0.0, 0.05, 0.2])
+        rel_tol = rng.choice([0.0, 0.01, 0.1])
+        pairs = match_values(extracted, gold, abs_tol, rel_tol)
+        expected = augmenting_path_matching(extracted, gold, abs_tol, rel_tol)
+        assert len(pairs) == len(expected), f"case {case}"
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        assert all(admissible(extracted[i], gold[j], abs_tol, rel_tol) for i, j in pairs)
+
+
+def test_match_values_on_2000_equal_values():
+    # The augmenting-path matcher raised RecursionError from 1,200 equal
+    # values on; the greedy matches them all without recursion.
+    pairs = match_values([3.5] * 2000, [3.5] * 2000)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs) == 2000
 
 
 def test_match_values_prefers_augmenting_over_greedy():
@@ -101,9 +158,9 @@ def test_hit_rate_validates_grouping():
 
 
 def test_default_rel_tol_per_level():
-    assert default_rel_tol(1) == DEFAULT_REL_TOL
-    assert default_rel_tol(2) == DEFAULT_REL_TOL
-    assert default_rel_tol(3) == LEVEL3_REL_TOL
+    assert default_rel_tol(1) == DEFAULTS.eval_rel_tol
+    assert default_rel_tol(2) == DEFAULTS.eval_rel_tol
+    assert default_rel_tol(3) == DEFAULTS.eval_level3_rel_tol
 
 
 def test_level3_gets_wider_tolerance_by_default():

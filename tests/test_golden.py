@@ -1,0 +1,151 @@
+"""Golden pin of the README demo flow: a characterization test.
+
+The flow is the README's command sequence over the bundled corpus (init,
+ingest, run, status, screen-eval, eval-extraction), run in process through
+click's CliRunner. `golden/readme_flow.json` pins:
+
+- each command's argv, exit code, stdout and stderr, with the workspace
+  and corpus paths written as <ws> and <corpus>;
+- the sorted (tag, digest) agent-call counts over the whole flow;
+- the sha256 of every workspace file, except `report.md`,
+  `analysis/results.json` and the `analysis/step-*.json` artifacts. Their
+  floats come from numpy (the regression from LAPACK), and CI installs
+  whichever numpy build pip resolves, so these are pinned by their parsed
+  values: every number within a relative tolerance of 1e-9, everything
+  else exactly.
+
+After a deliberate change of behaviour, rewrite the pin with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in CHANGES.md which pinned bytes changed, and why.
+"""
+
+from __future__ import annotations
+
+import fnmatch
+import hashlib
+import json
+import math
+import re
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from manalyzer import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_flow.json"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+BY_VALUE = ("report.md", "analysis/results.json", "analysis/step-*.json")
+REL_TOL = 1e-9
+NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
+
+COMMON = ["--workspace", "<ws>", "--config", "<corpus>/config.txt"]
+README_FLOW = [
+    [*COMMON, "init", "--direction",
+     "impact of seasonal rainfall on wheat yield in irrigated field trials",
+     "--template", "<corpus>/template.txt"],
+    [*COMMON, "ingest", "--from", "<corpus>/docs"],
+    [*COMMON, "run"],
+    [*COMMON, "status"],
+    [*COMMON, "screen-eval", "--gold", "<corpus>/screening_gold.txt"],
+    [*COMMON, "eval-extraction", "--gold", "<corpus>/gold.jsonl"],
+]
+
+
+def run_flow(ws: Path) -> dict:
+    """Run the README flow into `ws` and return what the pin records."""
+    def real(text: str) -> str:
+        return text.replace("<ws>", str(ws)).replace("<corpus>", str(CORPUS))
+
+    def placeholder(text: str) -> str:
+        return text.replace(str(ws), "<ws>").replace(str(CORPUS), "<corpus>")
+
+    providers = []
+    build_provider = cli.build_provider
+
+    def recording_provider(config, base):
+        providers.append(build_provider(config, base))
+        return providers[-1]
+
+    runner = CliRunner()
+    commands = []
+    cli.build_provider = recording_provider
+    try:
+        for argv in README_FLOW:
+            result = runner.invoke(cli.main, [real(arg) for arg in argv])
+            commands.append({
+                "argv": argv,
+                "exit_code": result.exit_code,
+                "stdout": placeholder(result.stdout),
+                "stderr": placeholder(result.stderr),
+            })
+    finally:
+        cli.build_provider = build_provider
+
+    calls = Counter(key for provider in providers for key in provider.calls)
+    files, by_value = {}, {}
+    for path in sorted(p for p in ws.rglob("*") if p.is_file()):
+        name = path.relative_to(ws).as_posix()
+        if not any(fnmatch.fnmatch(name, pattern) for pattern in BY_VALUE):
+            files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        elif name.endswith(".json"):
+            by_value[name] = json.loads(path.read_text(encoding="utf-8"))
+        else:
+            by_value[name] = path.read_text(encoding="utf-8")
+    return {
+        "commands": commands,
+        "calls": [[tag, digest, count] for (tag, digest), count in sorted(calls.items())],
+        "files": files,
+        "by_value": by_value,
+    }
+
+
+def _close(observed, pinned) -> bool:
+    """Equal, except that numbers (in text too) need only agree to REL_TOL."""
+    if isinstance(pinned, str) and isinstance(observed, str):
+        got, want = NUMBER.split(observed), NUMBER.split(pinned)
+        return len(got) == len(want) and all(
+            a == b if k % 2 == 0 else _close(float(a), float(b))
+            for k, (a, b) in enumerate(zip(got, want))
+        )
+    if isinstance(pinned, float) or isinstance(observed, float):
+        return (isinstance(observed, (int, float)) and isinstance(pinned, (int, float))
+                and math.isclose(observed, pinned, rel_tol=REL_TOL, abs_tol=REL_TOL))
+    if isinstance(pinned, dict) and isinstance(observed, dict):
+        return pinned.keys() == observed.keys() and all(
+            _close(observed[k], pinned[k]) for k in pinned
+        )
+    if isinstance(pinned, list) and isinstance(observed, list):
+        return len(pinned) == len(observed) and all(map(_close, observed, pinned))
+    return observed == pinned
+
+
+def test_readme_flow_matches_the_pin(tmp_path):
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    observed = run_flow(tmp_path / "demo")
+    for got, want in zip(observed["commands"], pinned["commands"]):
+        assert got == want, f"command {' '.join(want['argv'][4:])} differs"
+    assert len(observed["commands"]) == len(pinned["commands"])
+    assert observed["calls"] == pinned["calls"], "agent calls differ"
+    changed = sorted(
+        name for name in pinned["files"].keys() | observed["files"].keys()
+        if pinned["files"].get(name) != observed["files"].get(name)
+    )
+    assert not changed, f"workspace files differ from the pin: {changed}"
+    assert observed["by_value"].keys() == pinned["by_value"].keys()
+    for name, want in pinned["by_value"].items():
+        assert _close(observed["by_value"][name], want), (
+            f"{name} differs from the pin beyond rel_tol {REL_TOL}"
+        )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        flow = run_flow(Path(tmp) / "demo")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(flow, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -6,8 +6,8 @@ import pytest
 
 from manalyzer import prompts
 from manalyzer.collector import PaperMeta, Paragraph, ParsedDocument
+from manalyzer.config import DEFAULTS
 from manalyzer.packer import (
-    DEFAULT_IMPORTANCE,
     MAX_BUDGET,
     PackedDocument,
     RatedParagraph,
@@ -212,7 +212,7 @@ def test_pack_document_under_budget_skips_scoring(scripted):
     doc = make_doc(["short one", "short two"])
     packed = pack_document(doc, gateway, budget=1000)
     assert packed.selected_indices == (0, 1)
-    assert packed.total_importance == DEFAULT_IMPORTANCE * 2
+    assert packed.total_importance == DEFAULTS.packer_default_importance * 2
     assert provider.calls == []
 
 
@@ -248,7 +248,7 @@ def test_score_paragraphs_reasks_then_defaults(scripted):
     provider.register_for(first, "I cannot rate this.")
     provider.register_for(first.with_addendum(prompts.REASK_INTEGER), "also words")
     rated = score_paragraphs(doc, gateway)
-    assert rated[0].importance == DEFAULT_IMPORTANCE
+    assert rated[0].importance == DEFAULTS.packer_default_importance
     assert len(provider.calls) == 2
 
 

@@ -4,7 +4,6 @@ the end-to-end run over the bundled scripted corpus."""
 import dataclasses
 import json
 import re
-import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -117,14 +116,16 @@ def test_ingest_corpus_copies_images(tmp_path, corpus_dir):
 def test_ingest_killed_mid_copy_leaves_no_torn_image(tmp_path, corpus_dir, monkeypatch):
     ws = Workspace.init(tmp_path / "run", synth.DIRECTION, PipelineConfig())
     pipe = Pipeline(ws, PipelineConfig(), ScriptedProvider())
-    copyfile = shutil.copyfile
+    write_bytes = Path.write_bytes
 
-    def killed_copy(src, dst):
-        Path(dst).write_bytes(Path(src).read_bytes()[:16])
-        monkeypatch.setattr(shutil, "copyfile", copyfile)
-        raise Killed(dst)
+    def killed_copy(path, data):
+        if "images" not in path.parts:
+            return write_bytes(path, data)
+        write_bytes(path, data[:16])
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        raise Killed(path)
 
-    monkeypatch.setattr(shutil, "copyfile", killed_copy)
+    monkeypatch.setattr(Path, "write_bytes", killed_copy)
     with pytest.raises(Killed):
         pipe.ingest_dir(corpus_dir / "docs")
     pipe.ingest_dir(corpus_dir / "docs")

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from manalyzer import prompts
+from manalyzer.config import DEFAULTS
 from manalyzer.errors import ReviewFailure, SchemaViolationError
 from manalyzer.reviewer import (
-    DEFAULT_THRESHOLD,
     IndependentScores,
     ReviewRecord,
     baseline_screen,
@@ -26,7 +26,7 @@ def record(doc_id, final, kept=None):
         independent=IndependentScores(7, 7),
         s_r=0.5,
         final=final,
-        kept=final >= DEFAULT_THRESHOLD if kept is None else kept,
+        kept=final >= DEFAULTS.reviewer_threshold if kept is None else kept,
         batch_id=0,
     )
 
