@@ -1,8 +1,20 @@
-"""Golden pin of the README demo flow: a characterization test.
+"""Golden pins of four CLI flows over the bundled corpus: characterization
+tests.
 
-The flow is the README's command sequence over the bundled corpus (init,
-ingest, run, status, screen-eval, eval-extraction), run in process through
-click's CliRunner. `golden/readme_flow.json` pins:
+Each flow runs in process through click's CliRunner, in a fresh workspace:
+
+- readme: the README's command sequence (init, ingest, run, status,
+  screen-eval, eval-extraction);
+- stagewise: init, ingest, then pack, screen, extract, analyze, report and
+  status one command at a time;
+- threshold: after pack, `screen --threshold 11` keeps 4 of 10 papers,
+  screen-eval scores that, and `run` then fails at analyze (exit 3),
+  because the corpus script has no `plan` reply for the smaller merged
+  table;
+- errors: after pack, `screen --batch-size 3` fails the review stage
+  (exit 3), and `extract --topic " "` is refused (exit 2).
+
+`golden/<flow>_flow.json` pins:
 
 - each command's argv, exit code, stdout and stderr, with the workspace
   and corpus paths written as <ws> and <corpus>;
@@ -37,7 +49,7 @@ from click.testing import CliRunner
 
 from manalyzer import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_flow.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 BY_VALUE = ("report.md", "analysis/results.json", "analysis/step-*.json")
 REL_TOL = 1e-9
@@ -54,10 +66,32 @@ README_FLOW = [
     [*COMMON, "screen-eval", "--gold", "<corpus>/screening_gold.txt"],
     [*COMMON, "eval-extraction", "--gold", "<corpus>/gold.jsonl"],
 ]
+SETUP = README_FLOW[:2]
+FLOWS = {
+    "readme": README_FLOW,
+    "stagewise": [
+        *SETUP,
+        *([*COMMON, command] for command in
+          ("pack", "screen", "extract", "analyze", "report", "status")),
+    ],
+    "threshold": [
+        *SETUP,
+        [*COMMON, "pack"],
+        [*COMMON, "screen", "--threshold", "11"],
+        README_FLOW[4],
+        [*COMMON, "run"],
+    ],
+    "errors": [
+        *SETUP,
+        [*COMMON, "pack"],
+        [*COMMON, "screen", "--batch-size", "3"],
+        [*COMMON, "extract", "--topic", " "],
+    ],
+}
 
 
-def run_flow(ws: Path) -> dict:
-    """Run the README flow into `ws` and return what the pin records."""
+def run_flow(ws: Path, flow: list[list[str]]) -> dict:
+    """Run `flow` into `ws` and return what the pin records."""
     def real(text: str) -> str:
         return text.replace("<ws>", str(ws)).replace("<corpus>", str(CORPUS))
 
@@ -75,7 +109,7 @@ def run_flow(ws: Path) -> dict:
     commands = []
     cli.build_provider = recording_provider
     try:
-        for argv in README_FLOW:
+        for argv in flow:
             result = runner.invoke(cli.main, [real(arg) for arg in argv])
             commands.append({
                 "argv": argv,
@@ -124,9 +158,13 @@ def _close(observed, pinned) -> bool:
     return observed == pinned
 
 
-def test_readme_flow_matches_the_pin(tmp_path):
-    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    observed = run_flow(tmp_path / "demo")
+def _pin(flow: str) -> Path:
+    return GOLDEN / f"{flow}_flow.json"
+
+
+def _assert_matches_pin(flow: str, ws: Path) -> None:
+    pinned = json.loads(_pin(flow).read_text(encoding="utf-8"))
+    observed = run_flow(ws, FLOWS[flow])
     for got, want in zip(observed["commands"], pinned["commands"]):
         assert got == want, f"command {' '.join(want['argv'][4:])} differs"
     assert len(observed["commands"]) == len(pinned["commands"])
@@ -143,9 +181,26 @@ def test_readme_flow_matches_the_pin(tmp_path):
         )
 
 
+def test_readme_flow_matches_the_pin(tmp_path):
+    _assert_matches_pin("readme", tmp_path / "demo")
+
+
+def test_stagewise_flow_matches_the_pin(tmp_path):
+    _assert_matches_pin("stagewise", tmp_path / "demo")
+
+
+def test_threshold_flow_matches_the_pin(tmp_path):
+    _assert_matches_pin("threshold", tmp_path / "demo")
+
+
+def test_errors_flow_matches_the_pin(tmp_path):
+    _assert_matches_pin("errors", tmp_path / "demo")
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        flow = run_flow(Path(tmp) / "demo")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(flow, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    GOLDEN.mkdir(exist_ok=True)
+    for flow, argvs in FLOWS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            pin = run_flow(Path(tmp) / "demo", argvs)
+        _pin(flow).write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {_pin(flow)}", file=sys.stderr)
