@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation problem (any ValueError, which every
 `errors.ValidationError` is: bad config, schema, or workspace state), 3
-stage failure at runtime (any other ManalyzerError).
+failure at runtime (any other ManalyzerError, or an OSError such as a full
+disk).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class _ExitCodes(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ManalyzerError, ValueError) as exc:
+        except (ManalyzerError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2 if isinstance(exc, ValueError) else 3)
 
@@ -49,9 +50,11 @@ def main(ctx: click.Context, workspace_path: Path, config_path: Path | None) -> 
 
 
 def _open(ctx: click.Context, **overrides) -> Pipeline:
+    """The workspace's pipeline, with each non-None override for this command only."""
     config = load_config(ctx.obj["config_path"])
     ws = Workspace.load(ctx.obj["workspace_path"])
     ws.check_config(config)
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         config = dataclasses.replace(config, **overrides)
     base = ctx.obj["config_path"].parent if ctx.obj["config_path"] else Path.cwd()
@@ -132,8 +135,7 @@ def ingest(ctx: click.Context, source_dir: Path) -> None:
 @click.pass_context
 def pack(ctx: click.Context, budget: int | None) -> None:
     """Rate paragraphs and pack each document under the weight budget."""
-    overrides = {"packer_budget": budget} if budget is not None else {}
-    _open(ctx, **overrides).stage_pack()
+    _open(ctx, packer_budget=budget).stage_pack()
     click.echo("pack stage complete")
 
 
@@ -143,12 +145,7 @@ def pack(ctx: click.Context, budget: int | None) -> None:
 @click.pass_context
 def screen(ctx: click.Context, threshold: float | None, batch_size: int | None) -> None:
     """Run hybrid review and screen papers by final score."""
-    overrides = {}
-    if threshold is not None:
-        overrides["reviewer_threshold"] = threshold
-    if batch_size is not None:
-        overrides["reviewer_batch_size"] = batch_size
-    pipe = _open(ctx, **overrides)
+    pipe = _open(ctx, reviewer_threshold=threshold, reviewer_batch_size=batch_size)
     pipe.stage_review()
     pipe.stage_screen()
     records, failures = pipe.load_review_records()
@@ -194,8 +191,7 @@ def extract(
     """Extract cited data tables from screened-in papers."""
     if topic is not None and not topic.strip():
         raise ConfigError("--topic is empty")
-    overrides = {"extraction_max_iter": max_iter} if max_iter is not None else {}
-    pipe = _open(ctx, **overrides)
+    pipe = _open(ctx, extraction_max_iter=max_iter)
     if template_path is not None:
         pipe.store_template(load_template(template_path))
     pipe.stage_extract(pipe.load_stored_template(), topic)
@@ -207,8 +203,7 @@ def extract(
 @click.pass_context
 def analyze(ctx: click.Context, seed: int | None) -> None:
     """Merge accepted tables and run the analysis toolkit."""
-    overrides = {"analysis_seed": seed} if seed is not None else {}
-    _open(ctx, **overrides).stage_analyze(force=True)
+    _open(ctx, analysis_seed=seed).stage_analyze(force=True)
     click.echo("analyze stage complete")
 
 

@@ -105,12 +105,11 @@ def dedup_key(doi: str | None, title: str) -> str:
     return doi.lower() if doi else _norm_title(title)
 
 
-def _make_doc_id(source: str, key: str) -> str:
-    return f"{source}-{hashlib.sha256(key.encode('utf-8')).hexdigest()[:12]}"
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _hit(source: str, title: str, doi: str | None, pdf_url: str | None = None) -> PaperMeta:
+    """A search result, named by a digest of its de-dup key."""
+    key = dedup_key(doi, title)
+    doc_id = f"{source}-{hashlib.sha256(key.encode('utf-8')).hexdigest()[:12]}"
+    return PaperMeta(doc_id, title, doi, source, pdf_url, datetime.now(timezone.utc).isoformat())
 
 
 def _search_crossref(query: str, max_results: int, fetch: Callable[[str], str]) -> list[PaperMeta]:
@@ -129,17 +128,7 @@ def _search_crossref(query: str, max_results: int, fetch: Callable[[str], str]) 
         doi = item.get("DOI")
         if not title and not doi:
             continue
-        key = dedup_key(doi, title)
-        metas.append(
-            PaperMeta(
-                doc_id=_make_doc_id("crossref", key),
-                title=title,
-                doi=doi,
-                source="crossref",
-                pdf_url=None,
-                fetched_at=_now(),
-            )
-        )
+        metas.append(_hit("crossref", title, doi))
     return metas
 
 
@@ -165,17 +154,7 @@ def _search_arxiv(query: str, max_results: int, fetch: Callable[[str], str]) -> 
         if not pdf_url:
             continue
         doi = entry.findtext("{http://arxiv.org/schemas/atom}doi")
-        key = dedup_key(doi, title)
-        metas.append(
-            PaperMeta(
-                doc_id=_make_doc_id("arxiv", key),
-                title=title,
-                doi=doi,
-                source="arxiv",
-                pdf_url=pdf_url,
-                fetched_at=_now(),
-            )
-        )
+        metas.append(_hit("arxiv", title, doi, pdf_url))
     return metas
 
 

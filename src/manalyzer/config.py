@@ -1,6 +1,11 @@
 """Pipeline configuration: a flat key = value file mapped onto one
 dataclass, plus a stable digest so a workspace can refuse to resume under a
 different configuration.
+
+The config-file keys come from the dataclass fields. A field's first word
+names its section when it is one of SECTIONS, and the key puts a dot
+after it: `eval_level3_rel_tol` is `eval.level3_rel_tol`. Any other field
+is its own key, as `max_concurrency` is.
 """
 
 from __future__ import annotations
@@ -10,28 +15,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-
-# Config-file key -> dataclass field.
-KEY_MAP = {
-    "provider.kind": "provider_kind",
-    "provider.script": "provider_script",
-    "provider.max_in_flight": "provider_max_in_flight",
-    "provider.retries": "provider_retries",
-    "packer.budget": "packer_budget",
-    "packer.default_importance": "packer_default_importance",
-    "reviewer.threshold": "reviewer_threshold",
-    "reviewer.batch_size": "reviewer_batch_size",
-    "extraction.accept_overall": "extraction_accept_overall",
-    "extraction.max_iter": "extraction_max_iter",
-    "extraction.mask_batch": "extraction_mask_batch",
-    "eval.abs_tol": "eval_abs_tol",
-    "eval.rel_tol": "eval_rel_tol",
-    "eval.level3_rel_tol": "eval_level3_rel_tol",
-    "analysis.seed": "analysis_seed",
-    "max_concurrency": "max_concurrency",
-    "collect.per_query_cap": "collect_per_query_cap",
-}
-FIELD_MAP = {v: k for k, v in KEY_MAP.items()}
 
 # The packer clamps every budget to this cap; the default budget is the cap.
 MAX_BUDGET = 131072
@@ -78,6 +61,14 @@ class PipelineConfig:
         if self.provider_retries < 1:
             raise ConfigError("provider.retries must be >= 1")
 
+
+SECTIONS = ("provider", "packer", "reviewer", "extraction", "eval", "analysis", "collect")
+# Config-file key -> dataclass field.
+KEY_MAP = {
+    (f.name.replace("_", ".", 1) if f.name.split("_", 1)[0] in SECTIONS else f.name): f.name
+    for f in fields(PipelineConfig)
+}
+FIELD_MAP = {v: k for k, v in KEY_MAP.items()}
 
 # The one home of every default: library functions take theirs from here.
 DEFAULTS = PipelineConfig()

@@ -10,10 +10,9 @@ pass is exactly maximum (Glover 1967, convex bipartite graphs).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -85,6 +84,29 @@ def within_tolerance(a: float, b: float, abs_tol: float, rel_tol: float) -> bool
     return abs(a - b) <= max(abs_tol, rel_tol * abs(b))
 
 
+def tolerance_run(
+    values: Sequence[float], b: float, abs_tol: float, rel_tol: float
+) -> tuple[int, int]:
+    """(start, end) such that values[start:end] are exactly the sorted,
+    NaN-free `values` within tolerance of `b`.
+
+    Bisects on the raw bounds b +/- max(abs_tol, rel_tol * |b|), then steps
+    each end with `within_tolerance`, as rounding can misplace a bound by a
+    value. Equal values share a verdict, so a step skips all of them.
+    """
+    width = max(abs_tol, rel_tol * abs(b))
+    start, end = bisect_left(values, b - width), bisect_right(values, b + width)
+    while start > 0 and within_tolerance(values[start - 1], b, abs_tol, rel_tol):
+        start = bisect_left(values, values[start - 1])
+    while start < end and not within_tolerance(values[start], b, abs_tol, rel_tol):
+        start = bisect_right(values, values[start])
+    while end < len(values) and within_tolerance(values[end], b, abs_tol, rel_tol):
+        end = bisect_right(values, values[end])
+    while end > start and not within_tolerance(values[end - 1], b, abs_tol, rel_tol):
+        end = bisect_left(values, values[end - 1])
+    return start, end
+
+
 def match_values(
     extracted: Sequence[float],
     gold: Sequence[float],
@@ -105,9 +127,7 @@ def match_values(
     values = [extracted[i] for i in order]
     runs = []  # (end, start, gold index): gold admits values[start:end]
     for j, b in enumerate(gold):
-        admits = functools.partial(within_tolerance, b=b, abs_tol=abs_tol, rel_tol=rel_tol)
-        start = bisect_left(values, True, key=lambda a: a >= b or admits(a))
-        end = bisect_left(values, True, key=lambda a: a > b and not admits(a))
+        start, end = tolerance_run(values, b, abs_tol, rel_tol)
         runs.append((end, start, j))
 
     free = list(range(len(values) + 1))  # union-find: the first free slot >= k

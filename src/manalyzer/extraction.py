@@ -11,8 +11,8 @@ checker's suggestion back into another attempt, at most three in total.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +30,7 @@ from .errors import (
     UnparseableReplyError,
     UnparseableTableError,
 )
-from .evaluation import within_tolerance
+from .evaluation import tolerance_run, within_tolerance
 from .gateway import Gateway
 from .parsing import (
     normalize_numeric,
@@ -333,7 +333,6 @@ def validate_provenance(
     since those have no grid. Numeric output cells no citation vouches for
     are violations too.
     """
-    close = functools.partial(within_tolerance, abs_tol=abs_tol, rel_tol=rel_tol)
     by_id = {p.part_id: p for p in parts}
     grids: dict[str, tuple[list[str], list[list[str]]]] = {}
     violations = []
@@ -364,7 +363,9 @@ def validate_provenance(
                 cell_value = normalize_numeric(cell_text)
             except UnparseableNumericError:
                 cell_value = None
-            if cell_value is None or not close(entry.value, cell_value):
+            if cell_value is None or not within_tolerance(
+                entry.value, cell_value, abs_tol, rel_tol
+            ):
                 violations.append(
                     Violation(
                         "value-mismatch",
@@ -385,9 +386,10 @@ def validate_provenance(
                     )
                 )
 
-    cited = list(table.provenance)
+    cited = sorted(e.value for e in table.provenance if not math.isnan(e.value))
     for i, j, value in table.numeric_cells():
-        if not any(close(e.value, value) for e in cited):
+        start, end = tolerance_run(cited, value, abs_tol, rel_tol)
+        if start == end:
             violations.append(
                 Violation(
                     "uncited",

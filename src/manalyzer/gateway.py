@@ -151,12 +151,6 @@ class ScriptedProvider:
             raise DuplicateScriptKeyError(f"script key already registered: {key}")
         self._script[key] = response
 
-    def register_for(self, request: AgentRequest, response: str) -> str:
-        """Register a reply for this exact request; returns the digest."""
-        digest = digest_request(request)
-        self.register_script(request.request_tag, digest, response)
-        return digest
-
     def complete(self, request: AgentRequest) -> AgentResponse:
         key = (request.request_tag, digest_request(request))
         with self._lock:

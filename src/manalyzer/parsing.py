@@ -12,6 +12,7 @@ import ast
 import math
 import re
 import threading
+from collections.abc import Sequence
 
 from .errors import UnparseableNumericError, UnparseableReplyError, UnparseableTableError
 
@@ -74,7 +75,7 @@ def parse_markdown_table(text: str) -> tuple[list[str], list[list[str]]]:
     return tables[0]
 
 
-def render_markdown_table(header: list[str], rows: list[list[object]]) -> str:
+def render_markdown_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render a grid back to a pipe table.
 
     Cells that are floats or None go through render_numeric so that
@@ -137,6 +138,15 @@ def render_numeric(value: float | None) -> str:
     return repr(value)
 
 
+def _literal(text: str, malformed: str) -> object:
+    """`ast.literal_eval(text)` under the lock, or UnparseableReplyError(malformed)."""
+    try:
+        with _AST_LOCK:
+            return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        raise UnparseableReplyError(malformed) from None
+
+
 def parse_real_list(text: str, count: int) -> list[float]:
     """Parse a bare bracketed list of `count` reals like "[0.8, 0.3, 0.9]".
 
@@ -147,11 +157,7 @@ def parse_real_list(text: str, count: int) -> list[float]:
     match = re.search(r"\[[^\[\]]*\]", text)
     if not match:
         raise UnparseableReplyError("no bracketed list in reply")
-    try:
-        with _AST_LOCK:
-            parsed = ast.literal_eval(match.group(0))
-    except (ValueError, SyntaxError):
-        raise UnparseableReplyError(f"malformed list: {match.group(0)!r}") from None
+    parsed = _literal(match.group(0), f"malformed list: {match.group(0)!r}")
     values: list[float] = []
     for item in parsed:
         if not isinstance(item, (int, float)) or isinstance(item, bool):
@@ -168,11 +174,7 @@ def parse_string_groups(text: str) -> list[list[str]]:
     end = text.rfind("]")
     if start < 0 or end <= start:
         raise UnparseableReplyError("no bracketed groups in reply")
-    try:
-        with _AST_LOCK:
-            parsed = ast.literal_eval(text[start : end + 1])
-    except (ValueError, SyntaxError):
-        raise UnparseableReplyError("malformed keyword groups") from None
+    parsed = _literal(text[start : end + 1], "malformed keyword groups")
     if not isinstance(parsed, list):
         raise UnparseableReplyError("keyword reply is not a list")
     groups: list[list[str]] = []
@@ -223,11 +225,7 @@ def parse_check_reply(text: str) -> dict[str, object]:
     end = text.rfind("}")
     if start < 0 or end <= start:
         raise UnparseableReplyError("no dict in checker reply")
-    try:
-        with _AST_LOCK:
-            parsed = ast.literal_eval(text[start : end + 1])
-    except (ValueError, SyntaxError):
-        raise UnparseableReplyError("malformed checker dict") from None
+    parsed = _literal(text[start : end + 1], "malformed checker dict")
     if not isinstance(parsed, dict):
         raise UnparseableReplyError("checker reply is not a dict")
     out: dict[str, object] = {}

@@ -3,11 +3,11 @@
 The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
 on and recording progress in the workspace manifest. Each stage method is
-wrapped by ``@stage(name)``: a pipeline error raised inside it becomes
-``StageFailure(name)`` (exit 3), and when it returns, the status marks it
-appended to the manifest's log are compacted into manifest.json. A killed
-run resumes from the manifest: completed documents are never recomputed
-and their agent calls are never re-issued.
+wrapped by ``@stage(name)``: a pipeline error or OSError raised inside it
+becomes ``StageFailure(name)`` (exit 3), and when it returns, the status
+marks it appended to the manifest's log are compacted into manifest.json.
+A killed run resumes from the manifest: completed documents are never
+recomputed and their agent calls are never re-issued.
 
 Per-document work (packing, independent review, comparative review
 batches, extraction) runs on one bounded worker pool, ``_per_document``,
@@ -96,16 +96,16 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
 
 
 def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Run a Pipeline method as stage `name`: a pipeline error inside it is
-    re-raised as StageFailure(name), and the workspace's status log is folded
-    into manifest.json when it returns. A stage that raises leaves the log
-    for `Workspace.load`."""
+    """Run a Pipeline method as stage `name`: a pipeline error or an OSError
+    (a failed write, say) inside it is re-raised as StageFailure(name), and
+    the workspace's status log is folded into manifest.json when it returns.
+    A stage that raises leaves the log for `Workspace.load`."""
     def wrap(method: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(method)
         def run_stage(self: "Pipeline", *args, **kwargs) -> T:
             try:
                 result = method(self, *args, **kwargs)
-            except ManalyzerError as exc:
+            except (ManalyzerError, OSError) as exc:
                 raise StageFailure(name, exc) from exc
             self.ws.compact()
             return result
@@ -509,9 +509,7 @@ class Pipeline:
 
     def load_merged(self) -> MergedTable:
         merged = self._read("analysis/merged.json", MergedTable)
-        if merged is None:
-            return MergedTable(header=("doc_id",), rows=(), row_count=0, missing_count=0)
-        return merged
+        return merge_tables([]) if merged is None else merged
 
     def load_traces(self) -> list[TraceSummary]:
         traces = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .analysis import AnalysisResult, MergedTable
-from .parsing import render_numeric
+from .parsing import render_markdown_table
 from .reviewer import ReviewRecord
 
 
@@ -31,32 +31,6 @@ class TraceSummary:
 def _fmt(value: float, places: int = 4) -> str:
     text = f"{value:.{places}f}"
     return text.rstrip("0").rstrip(".") if "." in text else text
-
-
-def _review_section(records: Sequence[ReviewRecord]) -> list[str]:
-    lines = [
-        "| Paper | s1 | s2 | s_r | Final | Kept |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for r in sorted(records, key=lambda r: r.doc_id):
-        lines.append(
-            f"| {r.doc_id} | {r.independent.s1} | {r.independent.s2} "
-            f"| {_fmt(r.s_r, 2)} | {_fmt(r.final, 2)} | {'yes' if r.kept else 'no'} |"
-        )
-    return lines
-
-
-def _provenance_section(traces: Sequence[TraceSummary]) -> list[str]:
-    lines = [
-        "| Paper | Rows | Cited values | Violations | Attempts | Accepted |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for t in sorted(traces, key=lambda t: t.doc_id):
-        lines.append(
-            f"| {t.doc_id} | {t.row_count} | {t.provenance_count} "
-            f"| {t.violation_count} | {t.iterations} | {'yes' if t.accepted else 'no'} |"
-        )
-    return lines
 
 
 def _result_lines(result: AnalysisResult, number: int) -> list[str]:
@@ -140,14 +114,7 @@ def render_report(
         )
         lines.append("")
         preview = merged.rows[:10]
-        lines.append("| " + " | ".join(merged.header) + " |")
-        lines.append("| " + " | ".join("---" for _ in merged.header) + " |")
-        for row in preview:
-            cells = [
-                str(row[0]),
-                *(render_numeric(c) if (c is None or isinstance(c, float)) else str(c) for c in row[1:]),
-            ]
-            lines.append("| " + " | ".join(cells) + " |")
+        lines.append(render_markdown_table(merged.header, preview))
         if merged.row_count > len(preview):
             lines.append("")
             lines.append(f"(first {len(preview)} of {merged.row_count} rows shown)")
@@ -156,13 +123,19 @@ def render_report(
             lines += _result_lines(result, number)
 
     if review_records:
-        lines += ["Screening scores:", ""]
-        lines += _review_section(review_records)
-        lines.append("")
+        table = render_markdown_table(
+            ["Paper", "s1", "s2", "s_r", "Final", "Kept"],
+            [[r.doc_id, r.independent.s1, r.independent.s2, _fmt(r.s_r, 2), _fmt(r.final, 2),
+              "yes" if r.kept else "no"] for r in sorted(review_records, key=lambda r: r.doc_id)],
+        )
+        lines += ["Screening scores:", "", table, ""]
     if traces:
-        lines += ["Extraction provenance per paper:", ""]
-        lines += _provenance_section(traces)
-        lines.append("")
+        table = render_markdown_table(
+            ["Paper", "Rows", "Cited values", "Violations", "Attempts", "Accepted"],
+            [[t.doc_id, t.row_count, t.provenance_count, t.violation_count, t.iterations,
+              "yes" if t.accepted else "no"] for t in sorted(traces, key=lambda t: t.doc_id)],
+        )
+        lines += ["Extraction provenance per paper:", "", table, ""]
 
     lines += ["## Discussion", ""]
     if narrative.strip():

@@ -26,6 +26,7 @@ import re
 import tempfile
 from pathlib import Path
 
+from .collector import ImageRef, PaperMeta, Paragraph, ParsedDocument, save_parsed
 from .config import DEFAULTS, PipelineConfig
 from .errors import DuplicateScriptKeyError
 from .evaluation import GoldDataPoint, save_gold
@@ -221,31 +222,20 @@ def write_docs(docs_dir: Path) -> None:
         figure_image = f"images/{doc_id}-fig.png"
         (docs_dir / table_image).write_bytes(f"synthetic-table-image:{doc_id}".encode() * 4)
         (docs_dir / figure_image).write_bytes(f"synthetic-figure-image:{doc_id}".encode() * 4)
-        payload = {
-            "doc_id": doc_id,
-            "title": f"Rainfall and wheat yield: field trial {doc_id}",
-            "doi": None,
-            "paragraphs": [
-                {"index": i, "text": text} for i, text in enumerate(doc_paragraphs(doc_id))
-            ],
-            "figures": [
-                {
-                    "id": f"{doc_id}-fig",
-                    "caption": f"Figure 1 ({doc_id}): yield response to water supply",
-                    "image": figure_image,
-                }
-            ],
-            "tables": [
-                {
-                    "id": f"{doc_id}-tbl",
-                    "caption": f"Table 1 ({doc_id}): seasonal rainfall and yield",
-                    "image": table_image,
-                }
-            ],
-        }
-        (docs_dir / f"{doc_id}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+        doc = ParsedDocument(
+            meta=PaperMeta(
+                doc_id, f"Rainfall and wheat yield: field trial {doc_id}", None, "local"
+            ),
+            paragraphs=tuple(Paragraph(i, text) for i, text in enumerate(doc_paragraphs(doc_id))),
+            figures=(ImageRef(
+                f"{doc_id}-fig", f"Figure 1 ({doc_id}): yield response to water supply",
+                figure_image,
+            ),),
+            tables=(ImageRef(
+                f"{doc_id}-tbl", f"Table 1 ({doc_id}): seasonal rainfall and yield", table_image
+            ),),
         )
+        save_parsed(doc, docs_dir / f"{doc_id}.json")
 
 
 def write_gold(path: Path) -> None:

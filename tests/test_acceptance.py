@@ -34,6 +34,8 @@ from manalyzer.pipeline import Pipeline
 from manalyzer.reviewer import baseline_screen, fuse
 from manalyzer.workspace import Workspace
 
+from helpers import register_for
+
 
 class _Verdict:
     def __init__(self, number, label):
@@ -312,7 +314,8 @@ def run_scripted_loop(suggestions, accept_last):
     prior = None
     for round_no, reply in enumerate(replies):
         value = str(40 + round_no)
-        provider.register_for(
+        register_for(
+            provider,
             prompts.extract_request(LOOP_TOPIC, ["value"], rendered, prior),
             extract_reply(value),
         )
@@ -320,7 +323,8 @@ def run_scripted_loop(suggestions, accept_last):
             "d1", ("value",), ((float(value),),),
             (ProvenanceEntry(float(value), "para-0", 1, 1),), 1,
         )
-        provider.register_for(
+        register_for(
+            provider,
             prompts.check_request(LOOP_TOPIC, rendered, table.render()), reply
         )
         prior = suggestions[round_no] if round_no < len(suggestions) else None

@@ -16,6 +16,8 @@ from manalyzer.analysis import (
 from manalyzer.errors import HeaderMismatchError, NoValidStepsError
 from manalyzer.extraction import ExtractedTable
 
+from helpers import register_for
+
 TOPIC = "rainfall and yield"
 
 
@@ -80,7 +82,7 @@ def test_plan_analysis_uses_agent_steps_and_backfills(scripted):
     provider, gateway = scripted()
     merged = merged_from([(float(i), float(i * 2)) for i in range(6)])
     reply = json.dumps([{"kind": "clustering", "features": ["x", "y"], "k": 3}])
-    provider.register_for(plan_request_for(merged), reply)
+    register_for(provider, plan_request_for(merged), reply)
     plan = plan_analysis(merged, TOPIC, gateway)
     kinds = [s.kind for s in plan.steps]
     assert kinds == ["clustering", "classification", "regression"]
@@ -91,7 +93,7 @@ def test_plan_analysis_uses_agent_steps_and_backfills(scripted):
 def test_plan_analysis_falls_back_on_garbage(scripted):
     provider, gateway = scripted()
     merged = merged_from([(1.0, 2.0), (3.0, 4.0)])
-    provider.register_for(plan_request_for(merged), "I would rather chat about the weather.")
+    register_for(provider, plan_request_for(merged), "I would rather chat about the weather.")
     plan = plan_analysis(merged, TOPIC, gateway)
     assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
 
@@ -107,7 +109,7 @@ def test_plan_analysis_drops_invalid_steps(scripted):
             {"kind": "regression", "features": ["x", "y"], "response": "y"},
         ]
     )
-    provider.register_for(plan_request_for(merged), reply)
+    register_for(provider, plan_request_for(merged), reply)
     plan = plan_analysis(merged, TOPIC, gateway)
     # Every agent step was invalid, so only the defaults remain.
     assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
@@ -116,7 +118,7 @@ def test_plan_analysis_drops_invalid_steps(scripted):
 def test_plan_analysis_single_column_regresses_on_index(scripted):
     provider, gateway = scripted()
     merged = merged_from([(1.0,), (2.0,), (4.0,)], header=("v",))
-    provider.register_for(plan_request_for(merged), "[]")
+    register_for(provider, plan_request_for(merged), "[]")
     plan = plan_analysis(merged, TOPIC, gateway)
     regression = [s for s in plan.steps if s.kind == "regression"][0]
     assert regression.features == (INDEX_COLUMN,)

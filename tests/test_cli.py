@@ -343,6 +343,55 @@ def test_report_and_resume_after_a_kill_at_an_extract_write(
     assert tree(ws) == tree(clean)
 
 
+def no_space(path):
+    return OSError(28, "No space left on device")
+
+
+def test_a_failed_write_in_a_stage_is_a_stage_failure_and_resumes(
+    runner, tmp_path, corpus_dir, initialized, monkeypatch
+):
+    ws, config = initialized
+    clean = tmp_path / "clean"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("run",),
+    ):
+        assert invoke(runner, clean, *args, config=config).exit_code == 0
+    write = pipeline.atomic_write_json
+
+    def full_disk_write(path, payload):
+        if path.parent.name == "packed" and path.name == "d03.json":
+            raise no_space(path)
+        write(path, payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "atomic_write_json", full_disk_write)
+        result = invoke(runner, ws, "run", config=config)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.splitlines() == [
+        "error: stage 'pack' failed: [Errno 28] No space left on device"
+    ]
+    assert not (ws / "packed" / "d03.json").exists()
+    result = invoke(runner, ws, "resume", config=config)
+    assert result.exit_code == 0, result.output
+    assert tree(ws) == tree(clean)
+
+
+def test_a_failed_write_outside_a_stage_exits_3(runner, tmp_path, corpus_dir, monkeypatch):
+    ws = tmp_path / "ws"
+    config = corpus_dir / "config.txt"
+    assert invoke(runner, ws, "init", "--direction", "x", config=config).exit_code == 0
+
+    def full_disk_save(doc, path):
+        raise no_space(path)
+
+    monkeypatch.setattr(collector, "save_parsed", full_disk_save)
+    result = invoke(runner, ws, "ingest", "--from", str(corpus_dir / "docs"), config=config)
+    assert result.exit_code == 3, result.output
+    assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
 def test_eval_extraction_missing_gold(runner, initialized):
     ws, config = initialized
     result = invoke(

@@ -25,6 +25,8 @@ from manalyzer.errors import (
     UnparseableReplyError,
 )
 
+from helpers import register_for
+
 CROSSREF_BODY = json.dumps(
     {
         "message": {
@@ -263,7 +265,7 @@ def test_generate_keywords(scripted):
     provider, gateway = scripted()
     direction = "cover crops and soil nitrogen"
     req = prompts.keyword_request(direction)
-    provider.register_for(req, '[["cover crop", "nitrogen"], ["legume", "meta-analysis"]]')
+    register_for(provider, req, '[["cover crop", "nitrogen"], ["legume", "meta-analysis"]]')
     groups = generate_keywords(direction, gateway)
     assert groups == [["cover crop", "nitrogen"], ["legume", "meta-analysis"]]
 
@@ -272,8 +274,8 @@ def test_generate_keywords_reasks(scripted):
     provider, gateway = scripted()
     direction = "topic"
     req = prompts.keyword_request(direction)
-    provider.register_for(req, "Sure! Here are some ideas but no list.")
-    provider.register_for(req.with_addendum(prompts.REASK_LIST), '[["a", "b"]]')
+    register_for(provider, req, "Sure! Here are some ideas but no list.")
+    register_for(provider, req.with_addendum(prompts.REASK_LIST), '[["a", "b"]]')
     assert generate_keywords(direction, gateway) == [["a", "b"]]
     assert len(provider.calls) == 2
 
@@ -281,9 +283,10 @@ def test_generate_keywords_reasks(scripted):
 def test_generate_keywords_gives_up(scripted):
     provider, gateway = scripted()
     req = prompts.keyword_request("topic")
-    provider.register_for(req, "no")
-    provider.register_for(req.with_addendum(prompts.REASK_LIST), "still no")
-    provider.register_for(
+    register_for(provider, req, "no")
+    register_for(provider, req.with_addendum(prompts.REASK_LIST), "still no")
+    register_for(
+        provider,
         req.with_addendum(prompts.REASK_LIST).with_addendum(prompts.REASK_LIST), "nope"
     )
     with pytest.raises(UnparseableReplyError):

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -14,6 +16,7 @@ from manalyzer.errors import (
     UnparseableReplyError,
     UnparseableTableError,
 )
+from manalyzer.evaluation import within_tolerance
 from manalyzer.extraction import (
     ConvertedPart,
     ExtractedTable,
@@ -29,6 +32,8 @@ from manalyzer.extraction import (
 )
 from manalyzer.parsing import render_markdown_table
 from manalyzer.workspace import from_json
+
+from helpers import register_for
 
 TOPIC = "wheat yield response to irrigation"
 
@@ -95,7 +100,7 @@ def test_convert_table_image_single(tmp_path, scripted):
     img = tmp_path / "t.png"
     img.write_bytes(b"table image bytes")
     req = prompts.table_convert_request(str(img), "Table 1: yields")
-    provider.register_for(req, GOOD_TABLE_REPLY)
+    register_for(provider, req, GOOD_TABLE_REPLY)
     parts = convert_table_image(str(img), "Table 1: yields", gateway, "tbl-1")
     assert len(parts) == 1
     assert parts[0].part_id == "tbl-1"
@@ -117,7 +122,7 @@ def test_convert_table_image_multi_table_suffixes(tmp_path, scripted):
         "| b |\n| --- |\n| 2 |\n"
     )
     req = prompts.table_convert_request(str(img), "cap")
-    provider.register_for(req, reply)
+    register_for(provider, req, reply)
     parts = convert_table_image(str(img), "cap", gateway, "tbl-9")
     assert [p.part_id for p in parts] == ["tbl-9#1", "tbl-9#2"]
     assert parts[0].title == "First."
@@ -137,7 +142,7 @@ def test_convert_table_image_empty_blocks_fall_back(tmp_path, scripted, caption,
         "[The Start of Title]\n \n[The End of Title]\n"
         "[The Start of Footnote]\n[The End of Footnote]\n"
     )
-    provider.register_for(prompts.table_convert_request(str(img), caption), reply)
+    register_for(provider, prompts.table_convert_request(str(img), caption), reply)
     [part] = convert_table_image(str(img), caption, gateway, "tbl-2")
     assert (part.title, part.footnote) == (fallback, fallback)
 
@@ -147,8 +152,8 @@ def test_convert_table_image_reasks_then_fails(tmp_path, scripted):
     img = tmp_path / "t.png"
     img.write_bytes(b"img")
     req = prompts.table_convert_request(str(img), "cap")
-    provider.register_for(req, "There is prose but no table here.")
-    provider.register_for(req.with_addendum(prompts.REASK_TABLE), "still prose")
+    register_for(provider, req, "There is prose but no table here.")
+    register_for(provider, req.with_addendum(prompts.REASK_TABLE), "still prose")
     with pytest.raises(NoTableFoundError):
         convert_table_image(str(img), "cap", gateway, "tbl-1")
     assert len(provider.calls) == 2
@@ -161,7 +166,7 @@ def test_summarize_figure_requires_bullets(tmp_path, scripted):
     img = tmp_path / "f.png"
     img.write_bytes(b"img")
     req = prompts.figure_summary_request(str(img), "Figure 1")
-    provider.register_for(req, "- rises with rainfall\n- flattens at peak")
+    register_for(provider, req, "- rises with rainfall\n- flattens at peak")
     part = summarize_figure(str(img), "Figure 1", gateway, "fig-1")
     assert part.origin == "figure-image"
     assert part.body.startswith("- rises")
@@ -169,8 +174,8 @@ def test_summarize_figure_requires_bullets(tmp_path, scripted):
     img2 = tmp_path / "g.png"
     img2.write_bytes(b"other")
     req2 = prompts.figure_summary_request(str(img2), "Figure 2")
-    provider.register_for(req2, "a paragraph, not bullets")
-    provider.register_for(req2.with_addendum(prompts.REASK_BULLETS), "still prose")
+    register_for(provider, req2, "a paragraph, not bullets")
+    register_for(provider, req2.with_addendum(prompts.REASK_BULLETS), "still prose")
     with pytest.raises(ConversionFailure):
         summarize_figure(str(img2), "Figure 2", gateway, "fig-2")
 
@@ -181,9 +186,9 @@ def test_relevance_mask_batches_and_clamps(scripted):
     batch1 = [render_part(p, i) for i, p in enumerate(parts[:2], start=1)]
     batch2 = [render_part(p, i) for i, p in enumerate(parts[2:4], start=1)]
     batch3 = [render_part(p, i) for i, p in enumerate(parts[4:], start=1)]
-    provider.register_for(prompts.mask_request(TOPIC, batch1), "[0.9, -0.5]")
-    provider.register_for(prompts.mask_request(TOPIC, batch2), "[1.7, 0.5]")
-    provider.register_for(prompts.mask_request(TOPIC, batch3), "[0.4]")
+    register_for(provider, prompts.mask_request(TOPIC, batch1), "[0.9, -0.5]")
+    register_for(provider, prompts.mask_request(TOPIC, batch2), "[1.7, 0.5]")
+    register_for(provider, prompts.mask_request(TOPIC, batch3), "[0.4]")
     scores = relevance_mask(parts, TOPIC, gateway, batch_size=2)
     assert scores == [0.9, 0.0, 1.0, 0.5, 0.4]
     assert len(provider.calls) == 3
@@ -194,8 +199,9 @@ def test_relevance_mask_reasks_on_length_mismatch(scripted):
     parts = [prose_part(f"p{i}") for i in range(3)]
     rendered = [render_part(p, i) for i, p in enumerate(parts, start=1)]
     req = prompts.mask_request(TOPIC, rendered)
-    provider.register_for(req, "[0.9, 0.8]")
-    provider.register_for(
+    register_for(provider, req, "[0.9, 0.8]")
+    register_for(
+        provider,
         req.with_addendum(f"{prompts.REASK_LIST} It must hold exactly 3 values."),
         "[0.9, 0.8, 0.1]",
     )
@@ -207,8 +213,9 @@ def test_relevance_mask_fails_after_reask(scripted):
     parts = [prose_part("p0")]
     rendered = [render_part(parts[0], 1)]
     req = prompts.mask_request(TOPIC, rendered)
-    provider.register_for(req, "no list")
-    provider.register_for(
+    register_for(provider, req, "no list")
+    register_for(
+        provider,
         req.with_addendum(f"{prompts.REASK_LIST} It must hold exactly 1 values."),
         "still none",
     )
@@ -237,7 +244,7 @@ def test_extract_to_table_happy_path(scripted):
     part = prose_part()
     rendered = [render_part(part, 1)]
     reply = extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
-    provider.register_for(prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
+    register_for(provider, prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
     table = extract_to_table([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.rows == ((42.0,),)
     assert table.provenance == (
@@ -258,7 +265,8 @@ def test_extract_to_table_header_mismatch(scripted):
     part = prose_part()
     rendered = [render_part(part, 1)]
     reply = extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
-    provider.register_for(
+    register_for(
+        provider,
         prompts.extract_request(TOPIC, ["other column"], rendered, None), reply
     )
     with pytest.raises(HeaderMismatchError):
@@ -275,7 +283,7 @@ def test_extract_to_table_header_tolerates_markup(scripted):
         "1. The number 42: Comes from Part 1, Row 1, Column 1.\n"
         "[The End of Explanation]\n"
     )
-    provider.register_for(prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
+    register_for(provider, prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
     table = extract_to_table([part], ["value"], TOPIC, gateway)
     assert table.header == ("value",)
 
@@ -285,7 +293,7 @@ def test_extract_to_table_rejects_unparseable_cells(scripted):
     part = prose_part()
     rendered = [render_part(part, 1)]
     reply = extract_reply(["about half"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
-    provider.register_for(prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
+    register_for(provider, prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
     with pytest.raises(UnparseableTableError):
         extract_to_table([part], ["value"], TOPIC, gateway)
 
@@ -294,7 +302,8 @@ def test_extract_to_table_requires_explanations_for_numbers(scripted):
     provider, gateway = scripted()
     part = prose_part()
     rendered = [render_part(part, 1)]
-    provider.register_for(
+    register_for(
+        provider,
         prompts.extract_request(TOPIC, ["value"], rendered, None),
         "| value |\n| --- |\n| 42 |\n",
     )
@@ -306,7 +315,8 @@ def test_extract_to_table_nan_cells_need_no_explanation(scripted):
     provider, gateway = scripted()
     part = prose_part()
     rendered = [render_part(part, 1)]
-    provider.register_for(
+    register_for(
+        provider,
         prompts.extract_request(TOPIC, ["value"], rendered, None),
         "| value |\n| --- |\n| NaN |\n",
     )
@@ -320,7 +330,7 @@ def test_extract_to_table_unresolvable_part_number(scripted):
     part = prose_part()
     rendered = [render_part(part, 1)]
     reply = extract_reply(["42"], ["The number 42: Comes from Part 7, Row 1, Column 1."])
-    provider.register_for(prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
+    register_for(provider, prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
     table = extract_to_table([part], ["value"], TOPIC, gateway)
     assert table.provenance[0].part_id == "#7"
     violations = validate_provenance(table, [part])
@@ -403,6 +413,56 @@ def test_validate_provenance_respects_tolerance():
     assert kinds == ["value-mismatch", "uncited"]
 
 
+def uncited_by_all_pairs(table, abs_tol, rel_tol):
+    return [
+        (i, j) for i, j, value in table.numeric_cells()
+        if not any(within_tolerance(e.value, value, abs_tol, rel_tol) for e in table.provenance)
+    ]
+
+
+def uncited_cells(table, abs_tol, rel_tol):
+    return [
+        (int(row), int(column))
+        for v in validate_provenance(table, [], abs_tol, rel_tol) if v.kind == "uncited"
+        for row, column in [re.search(r"row (\d+), column (\d+)", v.reason).groups()]
+    ]
+
+
+def edge_heavy_table(rng, cells, abs_tol, rel_tol):
+    """Cells and citations at a few values, their tolerance bounds, and one
+    ulp inside or beyond those bounds; every citation names no part."""
+    pool = [round(rng.uniform(-500, 500), rng.choice([0, 2])) for _ in range(max(1, cells // 8))]
+
+    def draw():
+        b = rng.choice(pool)
+        bound = b + rng.choice([-1, 1]) * max(abs_tol, rel_tol * abs(b))
+        return rng.choice([b, bound, math.nextafter(bound, math.inf),
+                           math.nextafter(bound, -math.inf)])
+
+    rows = tuple((draw(), draw()) for _ in range(cells // 2))
+    provenance = tuple(
+        ProvenanceEntry(draw(), "none", 1, 1) for _ in range(rng.randint(0, cells))
+    )
+    return ExtractedTable("d1", ("a", "b"), rows, provenance, 1)
+
+
+def test_uncited_check_matches_an_all_pairs_scan_on_edge_heavy_tables():
+    rng = random.Random(77)
+    for case in range(500):
+        abs_tol, rel_tol = rng.choice([(0.0, 0.0), (1e-9, 1e-4), (0.5, 0.0), (0.0, 0.01)])
+        table = edge_heavy_table(rng, rng.randint(0, 24), abs_tol, rel_tol)
+        expected = uncited_by_all_pairs(table, abs_tol, rel_tol)
+        assert uncited_cells(table, abs_tol, rel_tol) == expected, f"case {case}"
+
+
+def test_uncited_check_matches_an_all_pairs_scan_at_2000_cells():
+    rng = random.Random(2000)
+    table = edge_heavy_table(rng, 2000, 1e-9, 1e-4)
+    expected = uncited_by_all_pairs(table, 1e-9, 1e-4)
+    assert 0 < len(expected) < 2000
+    assert uncited_cells(table, 1e-9, 1e-4) == expected
+
+
 def test_validate_provenance_recovers_planted_corruptions_exactly():
     """Across 20 synthetic documents, corrupt ~10% of citations in known
     ways; validation must flag exactly the planted set."""
@@ -462,7 +522,8 @@ def test_check_table_parses_and_clamps(scripted):
     )
     rendered = [render_part(part, 1)]
     req = prompts.check_request(TOPIC, rendered, table.render())
-    provider.register_for(
+    register_for(
+        provider,
         req,
         "{'Data Accuracy': 15, 'Semantic Consistency': 0, 'Data Completeness': 8, "
         "'Overall Score': 7, 'Suggestion': 'ok'}",
@@ -482,8 +543,8 @@ def test_check_table_fails_after_reask(scripted):
     )
     rendered = [render_part(part, 1)]
     req = prompts.check_request(TOPIC, rendered, table.render())
-    provider.register_for(req, "no dict")
-    provider.register_for(req.with_addendum(prompts.REASK_CHECK), "still no dict")
+    register_for(provider, req, "no dict")
+    register_for(provider, req.with_addendum(prompts.REASK_CHECK), "still no dict")
     with pytest.raises(CheckerFailure):
         check_table(table, [part], TOPIC, gateway)
 
@@ -498,7 +559,8 @@ class LoopHarness:
         self.rendered = [render_part(part, 1)]
 
     def script_extract(self, prior, reply):
-        self.provider.register_for(
+        register_for(
+            self.provider,
             prompts.extract_request(TOPIC, self.template, self.rendered, prior), reply
         )
 
@@ -510,7 +572,8 @@ class LoopHarness:
             (),
             1,
         )
-        self.provider.register_for(
+        register_for(
+            self.provider,
             prompts.check_request(TOPIC, self.rendered, table.render()), reply
         )
 
@@ -604,8 +667,8 @@ def test_feedback_loop_checker_failure_accepts_with_minimum_trace(scripted):
     )
     table = ExtractedTable("d1", ("value",), ((42.0,),), (), 1)
     req = prompts.check_request(TOPIC, harness.rendered, table.render())
-    provider.register_for(req, "garbage")
-    provider.register_for(req.with_addendum(prompts.REASK_CHECK), "more garbage")
+    register_for(provider, req, "garbage")
+    register_for(provider, req.with_addendum(prompts.REASK_CHECK), "more garbage")
     table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.accepted
     assert len(trace) == 1

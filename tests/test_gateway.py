@@ -23,6 +23,8 @@ from manalyzer.gateway import (
     digest_request,
 )
 
+from helpers import register_for
+
 
 def text_request(*texts, tag="extract"):
     return AgentRequest(
@@ -118,7 +120,7 @@ def test_request_validation():
 def test_scripted_provider_round_trip():
     provider = ScriptedProvider()
     req = text_request("question")
-    provider.register_for(req, "answer")
+    register_for(provider, req, "answer")
     assert provider.complete(req).raw_text == "answer"
     assert provider.complete(req).raw_text == "answer"
     assert provider.calls.count(("extract", digest_request(req))) == 2
@@ -133,16 +135,16 @@ def test_scripted_provider_misses_loudly():
 def test_scripted_provider_rejects_duplicate_keys():
     provider = ScriptedProvider()
     req = text_request("q")
-    provider.register_for(req, "a")
+    register_for(provider, req, "a")
     with pytest.raises(DuplicateScriptKeyError):
-        provider.register_for(req, "different")
+        register_for(provider, req, "different")
 
 
 def test_script_save_load_round_trip(tmp_path):
     provider = ScriptedProvider()
     reqs = [text_request(f"q{i}") for i in range(5)]
     for i, req in enumerate(reqs):
-        provider.register_for(req, f"a{i}\nwith a second line")
+        register_for(provider, req, f"a{i}\nwith a second line")
     path = tmp_path / "script.jsonl"
     provider.save_script(path)
 
@@ -293,7 +295,7 @@ def test_gateway_map_returns_results_in_input_order():
     provider = ScriptedProvider()
     requests = [text_request(f"q{i}") for i in range(4)]
     for i, request in enumerate(requests):
-        provider.register_for(request, f"a{i}")
+        register_for(provider, request, f"a{i}")
     gateway = Gateway(provider, max_in_flight=4, sleep=lambda s: None)
     done = [threading.Event() for _ in requests]
     finished = []
@@ -335,7 +337,7 @@ def test_gateway_map_starts_no_item_after_a_failure_is_seen():
     provider = ScriptedProvider()
     requests = [text_request(f"q{i}") for i in range(32)]
     for request in requests:
-        provider.register_for(request, "ok")
+        register_for(provider, request, "ok")
     gateway = Gateway(provider, max_in_flight=2, sleep=lambda s: None)
     started = []
     lock = threading.Lock()
@@ -381,7 +383,7 @@ def test_gateway_map_stress_keeps_slots_bounded_and_loses_no_call():
     requests = [[text_request(f"item {i} call {k}") for k in range(3)] for i in range(32)]
     for chain in requests:
         for request in chain:
-            provider.register_for(request, request.user_parts[0].text)
+            register_for(provider, request, request.user_parts[0].text)
     gateway = Gateway(provider, max_in_flight=3, sleep=lambda s: None)
 
     def fn(i):

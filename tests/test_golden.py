@@ -66,7 +66,7 @@ README_FLOW = [
     [*COMMON, "screen-eval", "--gold", "<corpus>/screening_gold.txt"],
     [*COMMON, "eval-extraction", "--gold", "<corpus>/gold.jsonl"],
 ]
-SETUP = README_FLOW[:2]
+SETUP = README_FLOW[:2]  # init, ingest
 FLOWS = {
     "readme": README_FLOW,
     "stagewise": [
@@ -78,7 +78,7 @@ FLOWS = {
         *SETUP,
         [*COMMON, "pack"],
         [*COMMON, "screen", "--threshold", "11"],
-        README_FLOW[4],
+        [*COMMON, "screen-eval", "--gold", "<corpus>/screening_gold.txt"],
         [*COMMON, "run"],
     ],
     "errors": [

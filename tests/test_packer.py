@@ -18,6 +18,8 @@ from manalyzer.packer import (
     select_paragraphs,
 )
 
+from helpers import register_for
+
 
 def make_items(spec):
     """spec: list of (importance, weight) in index order."""
@@ -221,7 +223,8 @@ def test_pack_document_subtracts_caption_weight(scripted):
     # One paragraph of weight 3; caption of weight 2; budget 4 leaves
     # effective budget 2 so the paragraph cannot fit.
     doc = make_doc(["x" * 12], captions=["y" * 8])
-    provider.register_for(
+    register_for(
+        provider,
         prompts.paragraph_score_request(doc.paragraphs[0].text), "7"
     )
     packed = pack_document(doc, gateway, budget=4)
@@ -234,7 +237,7 @@ def test_pack_document_scores_and_selects_over_budget(scripted):
     texts = ["a" * 40, "b" * 40, "c" * 40]  # weight 10 each
     doc = make_doc(texts)
     for text, score in zip(texts, ("9", "3", "8")):
-        provider.register_for(prompts.paragraph_score_request(text), score)
+        register_for(provider, prompts.paragraph_score_request(text), score)
     packed = pack_document(doc, gateway, budget=20)
     assert packed.selected_indices == (0, 2)
     assert packed.total_importance == 17
@@ -245,8 +248,8 @@ def test_score_paragraphs_reasks_then_defaults(scripted):
     provider, gateway = scripted()
     doc = make_doc(["needs scoring"])
     first = prompts.paragraph_score_request("needs scoring")
-    provider.register_for(first, "I cannot rate this.")
-    provider.register_for(first.with_addendum(prompts.REASK_INTEGER), "also words")
+    register_for(provider, first, "I cannot rate this.")
+    register_for(provider, first.with_addendum(prompts.REASK_INTEGER), "also words")
     rated = score_paragraphs(doc, gateway)
     assert rated[0].importance == DEFAULTS.packer_default_importance
     assert len(provider.calls) == 2
@@ -256,8 +259,8 @@ def test_score_paragraphs_reasks_out_of_range(scripted):
     provider, gateway = scripted()
     doc = make_doc(["p"])
     first = prompts.paragraph_score_request("p")
-    provider.register_for(first, "25")
-    provider.register_for(first.with_addendum(prompts.REASK_INTEGER), "8")
+    register_for(provider, first, "25")
+    register_for(provider, first.with_addendum(prompts.REASK_INTEGER), "8")
     rated = score_paragraphs(doc, gateway)
     assert rated[0].importance == 8
 

@@ -16,6 +16,8 @@ from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
 
+from helpers import register_for
+
 DIRECTION = "mini direction"
 
 
@@ -59,7 +61,7 @@ def test_build_provider_default_is_empty_scripted(tmp_path):
 def test_build_provider_resolves_relative_script(tmp_path):
     recorded = ScriptedProvider()
     request = prompts.report_request("t", "s")
-    recorded.register_for(request, "narrative")
+    register_for(recorded, request, "narrative")
     recorded.save_script(tmp_path / "s.jsonl")
     provider = build_provider(
         PipelineConfig(provider_script="s.jsonl"), tmp_path
@@ -165,13 +167,13 @@ def test_review_isolates_failed_papers(mini):
     }
 
     good = prompts.independent_review_request(DIRECTION, text_of["ma"])
-    provider.register_for(good, "Topic Relevance: 7\nFeasibility: 7")
+    register_for(provider, good, "Topic Relevance: 7\nFeasibility: 7")
     bad = prompts.independent_review_request(DIRECTION, text_of["mb"])
-    provider.register_for(bad, "no scores here")
-    provider.register_for(bad.with_addendum(prompts.REASK_SCORES), "still nothing")
+    register_for(provider, bad, "no scores here")
+    register_for(provider, bad.with_addendum(prompts.REASK_SCORES), "still nothing")
     # Only the reviewable paper reaches the comparative batch.
     batch = prompts.comparative_review_request(DIRECTION, [text_of["ma"]])
-    provider.register_for(batch, "[0.8]")
+    register_for(provider, batch, "[0.8]")
 
     pipe.stage_review()
     assert pipe.ws.status_of("ma") == "reviewed"
@@ -622,14 +624,14 @@ def test_empty_table_reply_is_one_call_and_a_warning(tmp_path):
     (source / "t1.png").write_bytes(b"table pixels")
 
     provider = ScriptedProvider()
-    provider.register_for(prompts.table_convert_request(str(source / "t1.png"), "Outcomes"), "")
+    register_for(provider, prompts.table_convert_request(str(source / "t1.png"), "Outcomes"), "")
     rendered = [
         extraction.render_part(
             extraction.ConvertedPart(f"para-{i}", "text-paragraph", text), i + 1
         )
         for i, text in enumerate(texts)
     ]
-    provider.register_for(prompts.mask_request(DIRECTION, rendered), "[0.0, 0.0]")
+    register_for(provider, prompts.mask_request(DIRECTION, rendered), "[0.0, 0.0]")
     ws = Workspace.init(tmp_path / "run", DIRECTION, PipelineConfig())
     pipe = Pipeline(ws, PipelineConfig(), provider)
     pipe.ingest_dir(source)

@@ -17,6 +17,8 @@ from manalyzer.reviewer import (
     screen,
 )
 
+from helpers import register_for
+
 DIRECTION = "effects of cover crops on soil nitrogen"
 
 
@@ -34,7 +36,7 @@ def record(doc_id, final, kept=None):
 def test_review_independent_happy_path(scripted):
     provider, gateway = scripted()
     req = prompts.independent_review_request(DIRECTION, "paper text", ())
-    provider.register_for(req, "Topic Relevance: 8\nFeasibility: 6")
+    register_for(provider, req, "Topic Relevance: 8\nFeasibility: 6")
     scores = review_independent("paper text", DIRECTION, gateway)
     assert (scores.s1, scores.s2) == (8, 6)
     assert len(provider.calls) == 1
@@ -43,7 +45,7 @@ def test_review_independent_happy_path(scripted):
 def test_review_independent_includes_captions(scripted):
     provider, gateway = scripted()
     req = prompts.independent_review_request(DIRECTION, "text", ("Figure 1: setup",))
-    provider.register_for(req, "Topic Relevance: 5\nFeasibility: 5")
+    register_for(provider, req, "Topic Relevance: 5\nFeasibility: 5")
     scores = review_independent("text", DIRECTION, gateway, captions=("Figure 1: setup",))
     assert scores.s1 == 5
 
@@ -51,8 +53,9 @@ def test_review_independent_includes_captions(scripted):
 def test_review_independent_reasks_then_clamps(scripted):
     provider, gateway = scripted()
     req = prompts.independent_review_request(DIRECTION, "text", ())
-    provider.register_for(req, "Topic Relevance: 14\nFeasibility: 0")
-    provider.register_for(
+    register_for(provider, req, "Topic Relevance: 14\nFeasibility: 0")
+    register_for(
+        provider,
         req.with_addendum(prompts.REASK_SCORES), "Topic Relevance: 12\nFeasibility: 0"
     )
     scores = review_independent("text", DIRECTION, gateway)
@@ -63,8 +66,8 @@ def test_review_independent_reasks_then_clamps(scripted):
 def test_review_independent_fails_after_reask(scripted):
     provider, gateway = scripted()
     req = prompts.independent_review_request(DIRECTION, "text", ())
-    provider.register_for(req, "I decline to score this.")
-    provider.register_for(req.with_addendum(prompts.REASK_SCORES), "still no scores")
+    register_for(provider, req, "I decline to score this.")
+    register_for(provider, req.with_addendum(prompts.REASK_SCORES), "still no scores")
     with pytest.raises(ReviewFailure):
         review_independent("text", DIRECTION, gateway)
 
@@ -73,7 +76,7 @@ def test_review_batch_happy_path(scripted):
     provider, gateway = scripted()
     texts = ["paper a", "paper b", "paper c"]
     req = prompts.comparative_review_request(DIRECTION, texts)
-    provider.register_for(req, "[0.9, 0.1, 0.55]")
+    register_for(provider, req, "[0.9, 0.1, 0.55]")
     assert review_batch(texts, DIRECTION, gateway) == [0.9, 0.1, 0.55]
 
 
@@ -81,7 +84,7 @@ def test_review_batch_clamps_into_unit_interval(scripted):
     provider, gateway = scripted()
     texts = ["a", "b"]
     req = prompts.comparative_review_request(DIRECTION, texts)
-    provider.register_for(req, "[1.4, -0.2]")
+    register_for(provider, req, "[1.4, -0.2]")
     assert review_batch(texts, DIRECTION, gateway) == [1.0, 0.0]
 
 
@@ -89,8 +92,9 @@ def test_review_batch_length_mismatch_reask_then_failure(scripted):
     provider, gateway = scripted()
     texts = ["a", "b", "c"]
     req = prompts.comparative_review_request(DIRECTION, texts)
-    provider.register_for(req, "[0.5, 0.5]")
-    provider.register_for(
+    register_for(provider, req, "[0.5, 0.5]")
+    register_for(
+        provider,
         req.with_addendum(f"{prompts.REASK_LIST} It must hold exactly 3 values."),
         "[0.5]",
     )
@@ -103,8 +107,9 @@ def test_review_batch_recovers_on_reask(scripted):
     provider, gateway = scripted()
     texts = ["a", "b"]
     req = prompts.comparative_review_request(DIRECTION, texts)
-    provider.register_for(req, "no list here")
-    provider.register_for(
+    register_for(provider, req, "no list here")
+    register_for(
+        provider,
         req.with_addendum(f"{prompts.REASK_LIST} It must hold exactly 2 values."),
         "[0.7, 0.3]",
     )
