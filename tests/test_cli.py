@@ -343,10 +343,6 @@ def test_report_and_resume_after_a_kill_at_an_extract_write(
     assert tree(ws) == tree(clean)
 
 
-def no_space(path):
-    return OSError(28, "No space left on device")
-
-
 def test_a_failed_write_in_a_stage_is_a_stage_failure_and_resumes(
     runner, tmp_path, corpus_dir, initialized, monkeypatch
 ):
@@ -362,7 +358,7 @@ def test_a_failed_write_in_a_stage_is_a_stage_failure_and_resumes(
 
     def full_disk_write(path, payload):
         if path.parent.name == "packed" and path.name == "d03.json":
-            raise no_space(path)
+            raise OSError(28, "No space left on device")
         write(path, payload)
 
     with monkeypatch.context() as patch:
@@ -384,7 +380,7 @@ def test_a_failed_write_outside_a_stage_exits_3(runner, tmp_path, corpus_dir, mo
     assert invoke(runner, ws, "init", "--direction", "x", config=config).exit_code == 0
 
     def full_disk_save(doc, path):
-        raise no_space(path)
+        raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(collector, "save_parsed", full_disk_save)
     result = invoke(runner, ws, "ingest", "--from", str(corpus_dir / "docs"), config=config)
