@@ -10,9 +10,10 @@ pass is exactly maximum (Glover 1967, convex bipartite graphs).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -88,22 +89,11 @@ def tolerance_run(
     values: Sequence[float], b: float, abs_tol: float, rel_tol: float
 ) -> tuple[int, int]:
     """(start, end) such that values[start:end] are exactly the sorted,
-    NaN-free `values` within tolerance of `b`.
-
-    Bisects on the raw bounds b +/- max(abs_tol, rel_tol * |b|), then steps
-    each end with `within_tolerance`, as rounding can misplace a bound by a
-    value. Equal values share a verdict, so a step skips all of them.
-    """
-    width = max(abs_tol, rel_tol * abs(b))
-    start, end = bisect_left(values, b - width), bisect_right(values, b + width)
-    while start > 0 and within_tolerance(values[start - 1], b, abs_tol, rel_tol):
-        start = bisect_left(values, values[start - 1])
-    while start < end and not within_tolerance(values[start], b, abs_tol, rel_tol):
-        start = bisect_right(values, values[start])
-    while end < len(values) and within_tolerance(values[end], b, abs_tol, rel_tol):
-        end = bisect_right(values, values[end])
-    while end > start and not within_tolerance(values[end - 1], b, abs_tol, rel_tol):
-        end = bisect_left(values, values[end - 1])
+    NaN-free `values` within tolerance of `b`: |a - b| only grows as `a`
+    moves away from `b`, so each end is one bisect on `within_tolerance`."""
+    admits = functools.partial(within_tolerance, b=b, abs_tol=abs_tol, rel_tol=rel_tol)
+    start = bisect_left(values, True, key=lambda a: a >= b or admits(a))
+    end = bisect_left(values, True, key=lambda a: a > b and not admits(a))
     return start, end
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import re
 from dataclasses import asdict
@@ -33,7 +32,7 @@ from manalyzer.extraction import (
 from manalyzer.parsing import render_markdown_table
 from manalyzer.workspace import from_json
 
-from helpers import register_for
+from helpers import edge_values, register_for
 
 TOPIC = "wheat yield response to irrigation"
 
@@ -432,35 +431,21 @@ def edge_heavy_table(rng, cells, abs_tol, rel_tol):
     """Cells and citations at a few values, their tolerance bounds, and one
     ulp inside or beyond those bounds; every citation names no part."""
     pool = [round(rng.uniform(-500, 500), rng.choice([0, 2])) for _ in range(max(1, cells // 8))]
-
-    def draw():
-        b = rng.choice(pool)
-        bound = b + rng.choice([-1, 1]) * max(abs_tol, rel_tol * abs(b))
-        return rng.choice([b, bound, math.nextafter(bound, math.inf),
-                           math.nextafter(bound, -math.inf)])
-
-    rows = tuple((draw(), draw()) for _ in range(cells // 2))
-    provenance = tuple(
-        ProvenanceEntry(draw(), "none", 1, 1) for _ in range(rng.randint(0, cells))
+    grid = edge_values(rng, pool, cells // 2 * 2, abs_tol, rel_tol)
+    cited = edge_values(rng, pool, rng.randint(0, cells), abs_tol, rel_tol)
+    return ExtractedTable(
+        "d1", ("a", "b"), tuple(zip(grid[::2], grid[1::2])),
+        tuple(ProvenanceEntry(value, "none", 1, 1) for value in cited), 1,
     )
-    return ExtractedTable("d1", ("a", "b"), rows, provenance, 1)
 
 
 def test_uncited_check_matches_an_all_pairs_scan_on_edge_heavy_tables():
     rng = random.Random(77)
-    for case in range(500):
+    for case, cells in enumerate([rng.randint(0, 24) for _ in range(500)] + [2000]):
         abs_tol, rel_tol = rng.choice([(0.0, 0.0), (1e-9, 1e-4), (0.5, 0.0), (0.0, 0.01)])
-        table = edge_heavy_table(rng, rng.randint(0, 24), abs_tol, rel_tol)
+        table = edge_heavy_table(rng, cells, abs_tol, rel_tol)
         expected = uncited_by_all_pairs(table, abs_tol, rel_tol)
         assert uncited_cells(table, abs_tol, rel_tol) == expected, f"case {case}"
-
-
-def test_uncited_check_matches_an_all_pairs_scan_at_2000_cells():
-    rng = random.Random(2000)
-    table = edge_heavy_table(rng, 2000, 1e-9, 1e-4)
-    expected = uncited_by_all_pairs(table, 1e-9, 1e-4)
-    assert 0 < len(expected) < 2000
-    assert uncited_cells(table, 1e-9, 1e-4) == expected
 
 
 def test_validate_provenance_recovers_planted_corruptions_exactly():
