@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -185,13 +185,15 @@ def plan_analysis(merged: MergedTable, topic: str, gateway: Gateway) -> Analysis
 
 
 def _step_matrix(
-    merged: MergedTable, names: Sequence[str]
+    merged: MergedTable, step: AnalysisStep
 ) -> tuple[np.ndarray, int]:
-    """Rows x columns array over `names` with listwise deletion.
+    """Rows x columns array over the step's features, then its label or
+    response, with listwise deletion.
 
     Returns the dense matrix and the number of excluded rows.
     """
     import numpy as np  # imported where used, so commands that never analyze skip it
+    names = [*step.features, *filter(None, (step.label, step.response))]
     columns = [merged.column(name) for name in names]
     keep = [
         i
@@ -222,16 +224,14 @@ def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray
     return assignment, centroids, iteration
 
 
-def _run_clustering(step: AnalysisStep, merged: MergedTable, seed: int) -> AnalysisResult:
-    data, excluded = _step_matrix(merged, step.features)
+# Each runner takes the step's matrix and returns its stats, or the reason
+# the step is skipped.
+def _run_clustering(step: AnalysisStep, data: np.ndarray, seed: int) -> dict | str:
     if len(data) < step.k:
-        return AnalysisResult(
-            step=step, excluded_rows=excluded, skipped=True,
-            reason=f"only {len(data)} complete rows for k={step.k}",
-        )
+        return f"only {len(data)} complete rows for k={step.k}"
     assignment, centroids, iterations = _kmeans(data, step.k, seed)
     sizes = [int((assignment == c).sum()) for c in range(step.k)]
-    stats = {
+    return {
         "cluster_sizes": sizes,
         "centroids": [[float(x) for x in c] for c in centroids],
         "iterations": iterations,
@@ -239,70 +239,50 @@ def _run_clustering(step: AnalysisStep, merged: MergedTable, seed: int) -> Analy
         "assignment": [int(a) for a in assignment],
         "points": [[float(x) for x in row] for row in data],
     }
-    return AnalysisResult(step=step, stats=stats, excluded_rows=excluded)
 
 
-def _run_classification(step: AnalysisStep, merged: MergedTable, seed: int) -> AnalysisResult:
+def _run_classification(step: AnalysisStep, data: np.ndarray, seed: int) -> dict | str:
     import numpy as np
-    data, excluded = _step_matrix(merged, list(step.features) + [step.label])
     features, labels = data[:, :-1], data[:, -1]
     if len(data) < 2:
-        return AnalysisResult(
-            step=step, excluded_rows=excluded, skipped=True,
-            reason="fewer than two complete rows",
-        )
+        return "fewer than two complete rows"
     if len(np.unique(labels)) < 2:
-        return AnalysisResult(
-            step=step, excluded_rows=excluded, skipped=True,
-            reason="all labels identical",
-        )
+        return "all labels identical"
     distances = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
     np.fill_diagonal(distances, np.inf)
     nearest = distances.argmin(axis=1)
     predicted = labels[nearest]
     accuracy = float((predicted == labels).mean())
-    stats = {
+    return {
         "accuracy": accuracy,
         "n": int(len(data)),
         "classes": int(len(np.unique(labels))),
         "labels": [float(v) for v in labels],
         "predicted": [float(v) for v in predicted],
     }
-    return AnalysisResult(step=step, stats=stats, excluded_rows=excluded)
 
 
-def _run_regression(step: AnalysisStep, merged: MergedTable, seed: int) -> AnalysisResult:
-    data, excluded = _step_matrix(merged, [step.features[0], step.response])
-    x, y = data[:, 0], data[:, 1]
+def _run_regression(step: AnalysisStep, data: np.ndarray, seed: int) -> dict | str:
+    x, y = data[:, 0], data[:, -1]
     if len(data) < 2:
-        return AnalysisResult(
-            step=step, excluded_rows=excluded, skipped=True,
-            reason="fewer than two complete rows",
-        )
+        return "fewer than two complete rows"
     x_var = float(((x - x.mean()) ** 2).sum())
     if x_var == 0.0:
-        return AnalysisResult(
-            step=step, excluded_rows=excluded, skipped=True,
-            reason="zero variance in feature",
-        )
+        return "zero variance in feature"
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
-        return AnalysisResult(
-            step=step, excluded_rows=excluded, skipped=True,
-            reason="zero variance in response",
-        )
+        return "zero variance in response"
     slope = float(((x - x.mean()) * (y - y.mean())).sum() / x_var)
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (slope * x + intercept)
     r2 = 1.0 - float((residuals**2).sum()) / ss_tot
-    stats = {
+    return {
         "slope": slope,
         "intercept": intercept,
         "r2": r2,
         "n": int(len(data)),
         "points": [[float(a), float(b)] for a, b in zip(x, y)],
     }
-    return AnalysisResult(step=step, stats=stats, excluded_rows=excluded)
 
 
 _RUNNERS = {
@@ -325,16 +305,17 @@ def run_analysis(
     """
     results = []
     for number, step in enumerate(plan.steps, start=1):
-        result = _RUNNERS[step.kind](step, merged, seed)
-        if out_dir is not None and not result.skipped:
+        data, excluded = _step_matrix(merged, step)
+        stats = _RUNNERS[step.kind](step, data, seed)
+        if isinstance(stats, str):
+            results.append(AnalysisResult(step, excluded_rows=excluded, skipped=True, reason=stats))
+            continue
+        artifacts: tuple[str, ...] = ()
+        if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             name = f"step-{number}-{step.kind}.json"
-            payload = {
-                "step": asdict(step),
-                "stats": result.stats,
-                "excluded_rows": result.excluded_rows,
-            }
+            payload = {"step": asdict(step), "stats": stats, "excluded_rows": excluded}
             atomic_write_text(out_dir / name, json.dumps(payload, indent=2, sort_keys=True))
-            result = replace(result, artifacts=(name,))
-        results.append(result)
+            artifacts = (name,)
+        results.append(AnalysisResult(step, stats, artifacts, excluded_rows=excluded))
     return results

@@ -149,4 +149,3 @@ class StageFailure(ManalyzerError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-        self.cause = cause

@@ -5,7 +5,8 @@ tests can swap in the deterministic ScriptedProvider and the whole engine
 runs with no network and no model. Script entries are keyed on
 (request_tag, content digest); the digest covers only the user-visible
 content parts, not the system prompt, so prompt-template churn does not
-invalidate a recorded script.
+invalidate a recorded script. The request types come from `prompts`, and
+`REQUEST_TAGS` is the key set of its tag -> system prompt table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
@@ -28,69 +29,15 @@ from .errors import (
     TransportError,
     UnparseableReplyError,
 )
+from .prompts import SYSTEM, AgentRequest, ImagePart, TextPart  # ImagePart: re-exported
 
-REQUEST_TAGS = frozenset(
-    {
-        "keyword",
-        "paragraph_score",
-        "independent_review",
-        "comparative_review",
-        "table_convert",
-        "figure_summary",
-        "mask",
-        "extract",
-        "check",
-        "plan",
-        "report",
-    }
-)
+REQUEST_TAGS = frozenset(SYSTEM)
 
 _PART_SEPARATOR = "\x1e"  # record separator between user parts
 BACKOFF_S = (1.0, 2.0, 4.0)  # seconds slept after each failed attempt; the last repeats
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-@dataclass(frozen=True)
-class TextPart:
-    text: str
-
-
-@dataclass(frozen=True)
-class ImagePart:
-    path: str  # workspace-relative or absolute path to the image file
-    caption: str = ""
-
-
-Part = TextPart | ImagePart
-
-
-@dataclass(frozen=True)
-class AgentRequest:
-    """One agent call: fixed role tag, system prompt, and ordered content parts.
-
-    A request with an ImagePart among its parts is a vision call; every other
-    request is a text call. Providers call the model at temperature 0.
-    """
-
-    system_prompt: str
-    user_parts: tuple[Part, ...]
-    request_tag: str
-
-    def __post_init__(self) -> None:
-        if self.request_tag not in REQUEST_TAGS:
-            raise InvalidRequestError(f"unknown request tag {self.request_tag!r}")
-        if not self.user_parts:
-            raise InvalidRequestError("user_parts must be non-empty")
-
-    def with_addendum(self, text: str) -> "AgentRequest":
-        """Return a copy with one more text part (used for re-asks).
-
-        The extra part changes the content digest, so a script can hold a
-        distinct reply for the re-ask.
-        """
-        return replace(self, user_parts=self.user_parts + (TextPart(text),))
 
 
 @dataclass(frozen=True)
@@ -183,7 +130,8 @@ class ScriptedProvider:
                 provider.register_script(
                     record["tag"], record["digest"], record["response"]
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, InvalidRequestError,
+                    DuplicateScriptKeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad script record: {exc}") from exc
         return provider
 

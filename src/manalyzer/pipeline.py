@@ -9,11 +9,13 @@ marks it appended to the manifest's log are compacted into manifest.json.
 A killed run resumes from the manifest: completed documents are never
 recomputed and their agent calls are never re-issued.
 
-Per-document work (packing, independent review, comparative review
-batches, extraction) runs on one bounded worker pool, ``_per_document``,
-whose finish step writes each result and its mark on the orchestrator
-thread; merge points (screening, table merge, report) are single-threaded.
-Only the orchestrator thread writes the manifest.
+Each stage takes its work list from the manifest as the documents at one
+status (``Workspace.docs_at``). Per-document work (packing, independent
+review, comparative review batches, extraction) runs on one bounded
+worker pool, ``_per_document``, whose finish step writes each result and
+its mark on the orchestrator thread; a finish step that raises cancels
+the items not yet started. Merge points (screening, table merge, report)
+are single-threaded. Only the orchestrator thread writes the manifest.
 
 Inside a document, the independent agent calls (paragraph scores, mask
 batches) fan out through ``Gateway.map``, so up to
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
-from .reviewer import IndependentScores, ReviewRecord
+from .reviewer import ReviewRecord
 from .workspace import (
     Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, from_json,
 )
@@ -148,13 +150,18 @@ class Pipeline:
         failures: dict[K, Exception] = {}
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
             futures = {pool.submit(work, key): key for key in todo}
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    failures[futures[future]] = exc
-                else:
-                    finish(futures[future], result)
+            try:
+                for future in as_completed(futures):
+                    try:
+                        result = future.result()
+                    except Exception as exc:
+                        failures[futures[future]] = exc
+                    else:
+                        finish(futures[future], result)
+            finally:
+                # When `finish` raises, items not yet started never run.
+                for future in futures:
+                    future.cancel()
         for key in todo:
             if key in failures:
                 raise failures[key]
@@ -223,10 +230,7 @@ class Pipeline:
 
     @stage("pack")
     def stage_pack(self) -> None:
-        todo = [
-            d for d in self.ws.doc_ids()
-            if self.ws.at_least(d, "parsed") and not self.ws.at_least(d, "packed")
-        ]
+        todo = self.ws.docs_at("parsed")
         if not todo:
             return
 
@@ -244,19 +248,21 @@ class Pipeline:
 
     # -- review ----------------------------------------------------------
 
-    def _record_review(self, doc_id: str, **fields: Any) -> None:
-        atomic_write_json(self.ws.dir("reviews") / f"{doc_id}.json", {"doc_id": doc_id, **fields})
-        self.ws.mark(doc_id, "reviewed")
-
     @stage("review")
     def stage_review(self) -> None:
-        docs = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
-        todo = [d for d in docs if not self.ws.at_least(d, "reviewed")]
-        if not todo:
+        if not self.ws.docs_at("packed"):
             return
         direction = self.ws.direction
+        reviews = self.ws.dir("reviews")
 
-        # Phase 1: independent scores, one file per paper.
+        def record(doc_id: str, **fields: Any) -> None:
+            if not self.ws.at_least(doc_id, "reviewed"):
+                atomic_write_json(reviews / f"{doc_id}.json", {"doc_id": doc_id, **fields})
+                self.ws.mark(doc_id, "reviewed")
+
+        # Phase 1: independent scores, one file per paper, for every packed
+        # paper (a reviewed paper's file is read back: batches span it too).
+        # A paper that fails here gets its failure record and no batch.
         def independent(doc_id: str) -> dict:
             name = f"reviews/{doc_id}.indep.json"
             if (payload := self._read(name)) is not None:
@@ -273,15 +279,14 @@ class Pipeline:
             return payload
 
         indep: dict[str, dict] = {}
-        self._per_document(independent, todo, indep.__setitem__)
-        for doc_id in docs:
-            if doc_id not in indep and (payload := self._read(f"reviews/{doc_id}.indep.json")):
-                indep[doc_id] = payload
 
-        # Failed papers are reviewed (with a failure record), never batched.
-        for doc_id in todo:
-            if indep[doc_id].get("failed"):
-                self._record_review(doc_id, **indep[doc_id])
+        def keep(doc_id: str, payload: dict) -> None:
+            indep[doc_id] = payload
+            if payload.get("failed"):
+                record(doc_id, **payload)
+
+        packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
+        self._per_document(independent, packed, keep)
 
         # Phase 2: comparative batches over all successfully scored papers,
         # in sorted order, run on the pool. Batches whose members are all
@@ -306,13 +311,11 @@ class Pipeline:
 
         def finish(batch_id: int, relatives: list[float] | ReviewFailure) -> None:
             for k, doc_id in enumerate(batches[batch_id]):
-                if self.ws.at_least(doc_id, "reviewed"):
-                    continue
                 if isinstance(relatives, ReviewFailure):
-                    self._record_review(doc_id, failed=True, reason=str(relatives))
+                    record(doc_id, failed=True, reason=str(relatives))
                     continue
                 s1, s2, s_r = indep[doc_id]["s1"], indep[doc_id]["s2"], relatives[k]
-                self._record_review(
+                record(
                     doc_id, s1=s1, s2=s2, s_r=s_r, final=reviewer.fuse(s1, s2, s_r),
                     batch_id=batch_id,
                 )
@@ -337,24 +340,14 @@ class Pipeline:
             if raw.get("failed"):
                 failures.append(raw)
                 continue
-            history = self.ws.docs[doc_id]
             screened = self.ws.at_least(doc_id, "screened_in")
-            records.append(ReviewRecord(
-                doc_id=doc_id,
-                independent=IndependentScores(raw["s1"], raw["s2"]),
-                s_r=raw["s_r"],
-                final=raw["final"],
-                kept="screened_in" in history if screened else raw["final"] >= threshold,
-                batch_id=raw["batch_id"],
-            ))
+            kept = "screened_in" in self.ws.docs[doc_id] if screened else raw["final"] >= threshold
+            records.append(ReviewRecord(**raw, kept=kept))
         return records, failures
 
     @stage("screen")
     def stage_screen(self) -> None:
-        pending = [
-            d for d in self.ws.doc_ids()
-            if self.ws.at_least(d, "reviewed") and not self.ws.at_least(d, "screened_in")
-        ]
+        pending = self.ws.docs_at("reviewed")
         screening = self.ws.dir("reviews") / "screening.json"
         if not pending and screening.exists():
             return
@@ -458,12 +451,11 @@ class Pipeline:
             self.ws.mark(doc_id, "extracted")
             self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
 
-        for doc_id in self.ws.doc_ids():
-            if self.ws.status_of(doc_id) == "extracted":  # its table.json precedes the mark
-                finish(doc_id, self.load_table(doc_id))
-        todo = [d for d in self.ws.doc_ids() if self.ws.status_of(d) == "screened_in"]
+        for doc_id in self.ws.docs_at("extracted"):  # its table.json precedes the mark
+            finish(doc_id, self.load_table(doc_id))
         self._per_document(
-            lambda doc_id: self._extract_one(doc_id, template, direction), todo, finish
+            lambda doc_id: self._extract_one(doc_id, template, direction),
+            self.ws.docs_at("screened_in"), finish,
         )
 
     # -- analyze ---------------------------------------------------------
@@ -482,9 +474,7 @@ class Pipeline:
     def stage_analyze(self, force: bool) -> None:
         out = self.ws.dir("analysis")
         results_path = out / "results.json"
-        pending = [
-            d for d in self.ws.doc_ids() if self.ws.status_of(d) == "accepted"
-        ]
+        pending = self.ws.docs_at("accepted")
         if results_path.exists() and not pending and not force:
             return
 

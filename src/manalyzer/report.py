@@ -125,7 +125,7 @@ def render_report(
     if review_records:
         table = render_markdown_table(
             ["Paper", "s1", "s2", "s_r", "Final", "Kept"],
-            [[r.doc_id, r.independent.s1, r.independent.s2, _fmt(r.s_r, 2), _fmt(r.final, 2),
+            [[r.doc_id, r.s1, r.s2, _fmt(r.s_r, 2), _fmt(r.final, 2),
               "yes" if r.kept else "no"] for r in sorted(review_records, key=lambda r: r.doc_id)],
         )
         lines += ["Screening scores:", "", table, ""]

@@ -32,8 +32,11 @@ class IndependentScores:
 
 @dataclass(frozen=True)
 class ReviewRecord:
+    """A paper's `reviews/<doc>.json`, plus whether screening keeps it."""
+
     doc_id: str
-    independent: IndependentScores
+    s1: int
+    s2: int
     s_r: float
     final: float
     kept: bool

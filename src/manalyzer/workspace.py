@@ -267,6 +267,10 @@ class Workspace:
     def doc_ids(self) -> list[str]:
         return sorted(self.docs)
 
+    def docs_at(self, status: str) -> list[str]:
+        """Sorted ids of the documents whose current status is `status`."""
+        return sorted(d for d, history in self.docs.items() if history[-1] == status)
+
     def at_least(self, doc_id: str, status: str) -> bool:
         return self.rank_of(doc_id) >= STATUS_RANK[status]
 

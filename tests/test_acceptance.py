@@ -469,7 +469,7 @@ def test_criterion_10_hybrid_discriminates_where_independent_cannot(
     with verdict(10, "identical (s1,s2): independent screening flat, hybrid F1 = 1.0"):
         records, failures = uninterrupted.pipe.load_review_records()
         assert failures == []
-        assert {(r.independent.s1, r.independent.s2) for r in records} == {(7, 7)}
+        assert {(r.s1, r.s2) for r in records} == {(7, 7)}
         assert sorted(r.s_r for r in records) == sorted(synth.S_R)
 
         labels = reviewer.load_screening_gold(corpus_dir / "screening_gold.txt")
@@ -480,7 +480,7 @@ def test_criterion_10_hybrid_discriminates_where_independent_cannot(
         hybrid_metrics = reviewer.classification_metrics(hybrid, gold, corpus)
         assert hybrid_metrics.f1 == 1.0
 
-        independent_votes = {baseline_screen(r.independent.s1, r.independent.s2) for r in records}
+        independent_votes = {baseline_screen(r.s1, r.s2) for r in records}
         assert len(independent_votes) == 1  # no discrimination at all
         independent = (
             {r.doc_id for r in records} if independent_votes == {True} else set()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,22 @@ def test_init_with_missing_provider_script_writes_nothing(runner, tmp_path, corp
     assert not (ws / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("records, message", [
+    (['{"tag": "bogus", "digest": "d", "response": "r"}'],
+     "1: bad script record: unknown request tag 'bogus'"),
+    (['{"tag": "plan", "digest": "d", "response": "r"}'] * 2,
+     "2: bad script record: script key already registered: ('plan', 'd')"),
+], ids=["unknown-tag", "repeated-key"])
+def test_init_with_bad_script_record_names_file_and_line(runner, tmp_path, records, message):
+    script = tmp_path / "s.jsonl"
+    script.write_text("\n".join(records) + "\n", encoding="utf-8")
+    config = tmp_path / "bad-script.cfg"
+    config.write_text(f"provider.kind = scripted\nprovider.script = {script}\n", encoding="utf-8")
+    result = invoke(runner, tmp_path / "ws", "init", "--direction", "x", config=config)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines() == [f"error: {script}:{message}"]
+
+
 def test_run_with_missing_provider_script_is_a_validation_error(runner, tmp_path,
                                                                 missing_script_config):
     config, message = missing_script_config
@@ -426,15 +443,29 @@ def test_eval_extraction_reads_level3_tolerance_from_config(runner, tmp_path, co
     assert "| 3 | 6 | 1.0000 |" in result.stdout
 
 
-@pytest.mark.parametrize("module", ["requests", "numpy"])
-def test_cli_import_does_not_load(module):
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports manalyzer from this tree."""
     src = str(Path(manalyzer.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run(
-        [sys.executable, "-c", f"import manalyzer.cli, sys; assert {module!r} not in sys.modules"],
-        env=env, check=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", ["requests", "numpy"])
+def test_cli_import_does_not_load(module):
+    result = run_python(f"import manalyzer.cli, sys; assert {module!r} not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+def test_each_module_imports_on_its_own():
+    # In process, the modules are imported in one fixed order, which can
+    # hide an import cycle; a fresh interpreter per module cannot.
+    names = sorted(p.stem for p in Path(manalyzer.__file__).parent.glob("*.py"))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = dict(zip(names, pool.map(lambda n: run_python(f"import manalyzer.{n}"), names)))
+    assert {n: r.stderr for n, r in results.items() if r.returncode} == {}
 
 
 def test_collect_dedups_caps_and_skips_undownloadable(runner, tmp_path, monkeypatch):

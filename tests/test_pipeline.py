@@ -4,12 +4,14 @@ the end-to-end run over the bundled scripted corpus."""
 import dataclasses
 import json
 import re
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from manalyzer import extraction, prompts, synth
+from manalyzer import extraction, pipeline, prompts, synth
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ConfigError, ScriptMissError, StageFailure
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
@@ -339,6 +341,36 @@ def test_pack_keeps_finished_documents_when_another_fails(tmp_path):
     provider = MissingScores()
     Pipeline(Workspace.load(ws.root), config, provider).run(None)
     assert provider.scored and all("Alpha" in text for text in provider.scored)
+
+
+def test_per_document_runs_no_queued_item_after_finish_raises(mini, monkeypatch):
+    pipe, _provider = mini
+    started, all_busy, gate = [], threading.Event(), threading.Event()
+
+    class GatedPool(ThreadPoolExecutor):
+        # Busy items are released only once the pool shuts down, after
+        # `_per_document` had its chance to cancel the queued ones.
+        def shutdown(self, *args, **kwargs):
+            gate.set()
+            super().shutdown(*args, **kwargs)
+
+    def work(item):
+        started.append(item)
+        if len(started) == 3:  # item 0 returned, both workers busy
+            all_busy.set()
+        if item:
+            assert gate.wait(timeout=30)
+        return item
+
+    def finish(item, result):
+        assert all_busy.wait(timeout=30)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", GatedPool)
+    pipe.config = dataclasses.replace(pipe.config, max_concurrency=2)
+    with pytest.raises(OSError):
+        pipe._per_document(work, list(range(20)), finish)
+    assert sorted(started) == [0, 1, 2]
 
 
 # -- end-to-end over the bundled corpus --------------------------------------

@@ -3,7 +3,7 @@ import re
 from manalyzer.analysis import AnalysisPlan, AnalysisStep, merge_tables, run_analysis
 from manalyzer.extraction import ExtractedTable
 from manalyzer.report import TraceSummary, render_report
-from manalyzer.reviewer import IndependentScores, ReviewRecord
+from manalyzer.reviewer import ReviewRecord
 
 TOPIC = "irrigation and wheat yield"
 
@@ -11,7 +11,8 @@ TOPIC = "irrigation and wheat yield"
 def record(doc_id, final, kept):
     return ReviewRecord(
         doc_id=doc_id,
-        independent=IndependentScores(7, 7),
+        s1=7,
+        s2=7,
         s_r=final / 14,
         final=final,
         kept=kept,

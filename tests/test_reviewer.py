@@ -25,7 +25,8 @@ DIRECTION = "effects of cover crops on soil nitrogen"
 def record(doc_id, final, kept=None):
     return ReviewRecord(
         doc_id=doc_id,
-        independent=IndependentScores(7, 7),
+        s1=7,
+        s2=7,
         s_r=0.5,
         final=final,
         kept=final >= DEFAULTS.reviewer_threshold if kept is None else kept,

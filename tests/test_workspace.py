@@ -189,6 +189,24 @@ def test_doc_ids_sorted(ws):
     assert ws.doc_ids() == ["d01", "d05", "d09"]
 
 
+def test_docs_at_lists_exactly_the_documents_at_that_status(ws):
+    # Two documents at each status, each marked through one status of every
+    # earlier rank, so earlier statuses are in its history but not current.
+    first_of_rank = {}
+    for status, rank in STATUS_RANK.items():
+        first_of_rank.setdefault(rank, status)
+    at = {status: [f"{status}-b", f"{status}-a"] for status in STATUS_RANK}
+    for status, doc_ids in at.items():
+        for doc_id in doc_ids:
+            for rank in range(STATUS_RANK[status]):
+                ws.mark(doc_id, first_of_rank[rank])
+            ws.mark(doc_id, status)
+    for status, doc_ids in at.items():
+        assert ws.docs_at(status) == sorted(doc_ids), status
+    assert ws.docs_at("packed") == ["packed-a", "packed-b"]  # not "reviewed-*" or later
+    assert ws.docs_at("screened_in") == ["screened_in-a", "screened_in-b"]  # not "screened_out-*"
+
+
 def test_atomic_write_leaves_no_tmp(tmp_path):
     target = tmp_path / "out.txt"
     atomic_write_text(target, "first")
