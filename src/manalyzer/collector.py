@@ -253,8 +253,9 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
     """Validate one parsed-document file into a ParsedDocument.
 
     Schema: doc_id, title, doi, paragraphs:[{index,text}],
-    figures:[{id,caption,image}], tables:[{id,caption,image}]. Image paths
-    are relative to images_root and must exist.
+    figures:[{id,caption,image}], tables:[{id,caption,image}]. Both name
+    workspace files: doc_id must be a plain file name, and image paths must
+    be relative to images_root, with no `..` part, and exist.
     """
     try:
         raw = json.loads(parse_file.read_text(encoding="utf-8"))
@@ -263,6 +264,7 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
     _require(isinstance(raw, dict), f"{parse_file}: top level must be an object")
     doc_id = raw.get("doc_id")
     _require(isinstance(doc_id, str) and bool(doc_id), "doc_id: missing or empty")
+    _require("/" not in doc_id and doc_id not in (".", ".."), f"doc_id: {doc_id!r} is not a file name")
     title = raw.get("title", "")
     _require(isinstance(title, str), "title: must be a string")
     doi = raw.get("doi")
@@ -294,6 +296,8 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
             _require(isinstance(caption, str), f"{field_name}[{pos}].caption: must be a string")
             _require(isinstance(image, str) and bool(image), f"{field_name}[{pos}].image: missing")
             _require(ref_id not in seen_ids, f"{field_name}[{pos}].id: duplicate id {ref_id!r}")
+            _require(not Path(image).is_absolute() and ".." not in Path(image).parts,
+                     f"{field_name}[{pos}].image: {image!r} leaves the images directory")
             seen_ids.add(ref_id)
             if not (images_root / image).exists():
                 raise DanglingImageError(f"{field_name}[{pos}].image: {image!r} not found")

@@ -33,6 +33,7 @@ from .errors import (
 from .evaluation import tolerance_run, within_tolerance
 from .gateway import Gateway
 from .parsing import (
+    CHECK_KEYS,
     normalize_numeric,
     parse_all_markdown_tables,
     parse_check_reply,
@@ -233,7 +234,7 @@ _EXPLANATION_LINE = re.compile(
 _HEADER_JUNK = re.compile(r"[\s*`]+")
 
 
-def _canon_header(name: str) -> str:
+def canon_header(name: str) -> str:
     return _HEADER_JUNK.sub(" ", name).strip().lower()
 
 
@@ -269,7 +270,7 @@ def extract_to_table(
 
     header, raw_rows = parse_markdown_table(reply)
     if len(header) != len(template) or any(
-        _canon_header(a) != _canon_header(b) for a, b in zip(header, template)
+        canon_header(a) != canon_header(b) for a, b in zip(header, template)
     ):
         raise HeaderMismatchError(
             f"reply columns {header!r} do not match template {list(template)!r}"
@@ -414,8 +415,7 @@ def check_table(
 
     def parse(reply: str) -> CheckReport:
         raw = parse_check_reply(reply)
-        keys = ("Data Accuracy", "Semantic Consistency", "Data Completeness", "Overall Score")
-        scores = [max(1, min(10, int(raw[k]))) for k in keys]  # type: ignore[call-overload]
+        scores = [max(1, min(10, int(raw[k]))) for k in CHECK_KEYS]  # type: ignore[call-overload]
         return CheckReport(*scores, suggestion=str(raw["Suggestion"]))
 
     request = prompts.check_request(topic, rendered, table.render())

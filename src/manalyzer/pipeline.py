@@ -116,7 +116,9 @@ def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
 
 
 def load_template(path: Path) -> list[str]:
-    """Extraction template: ordered column names, one per line."""
+    """Extraction template: ordered column names, one per line. A column that
+    holds `|`, which splits table rows, or that equals `doc_id` or another
+    column under `extraction.canon_header` can never work, so it is refused."""
     columns = []
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -124,6 +126,14 @@ def load_template(path: Path) -> list[str]:
             columns.append(line)
     if not columns:
         raise ConfigError(f"template {path} holds no columns")
+    seen = {"doc_id": "the merged table's doc_id column"}
+    for column in columns:
+        name = extraction.canon_header(column)
+        if "|" in column:
+            raise ConfigError(f"template {path}: column {column!r} holds '|'")
+        if name in seen:
+            raise ConfigError(f"template {path}: column {column!r} clashes with {seen[name]}")
+        seen[name] = repr(column)
     return columns
 
 
@@ -212,6 +222,8 @@ class Pipeline:
         copied into the workspace under the same relative paths. Not a
         stage: a bad parse file stays a validation error.
         """
+        if not source.is_dir():
+            raise ConfigError(f"{source} is not a directory")
         doc_ids = []
         for parse_file in sorted(source.glob("*.json")):
             doc = collector.ingest_parsed(parse_file, source)

@@ -1,8 +1,40 @@
 """Helpers shared by the test modules."""
 
+import contextlib
+import io
 import math
+from pathlib import Path
+from typing import NamedTuple
 
+from manalyzer import cli
 from manalyzer.gateway import AgentRequest, ScriptedProvider, digest_request
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv) -> CliResult:
+    """Run `manalyzer *argv` in process, capturing stdout and stderr. A usage
+    error or `--help` ends argparse's parse by SystemExit, whose code is the
+    exit code; any other exception propagates."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([str(arg) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code or 0, stdout.getvalue(), stderr.getvalue())
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by its posix path relative to `root`."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
 
 
 def register_for(provider: ScriptedProvider, request: AgentRequest, response: str) -> str:

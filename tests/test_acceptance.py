@@ -34,7 +34,7 @@ from manalyzer.pipeline import Pipeline
 from manalyzer.reviewer import baseline_screen, fuse
 from manalyzer.workspace import Workspace
 
-from helpers import register_for
+from helpers import register_for, tree
 
 
 class _Verdict:
@@ -377,14 +377,6 @@ def run_corpus(root, corpus_dir):
     return pipe, provider, summary
 
 
-def snapshot_tree(root):
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
-
-
 def strip_path(summary):
     # Workspaces live in distinct temp dirs, so the report path is the one
     # legitimately differing field.
@@ -406,7 +398,7 @@ def uninterrupted(tmp_path_factory, corpus_dir):
         tmp_path_factory.mktemp("uninterrupted"), corpus_dir
     )
     return SimpleNamespace(
-        pipe=pipe, summary=summary, tree=snapshot_tree(pipe.ws.root)
+        pipe=pipe, summary=summary, tree=tree(pipe.ws.root)
     )
 
 
@@ -429,7 +421,7 @@ def test_criterion_8_end_to_end_deterministic_offline(tmp_path, corpus_dir, monk
         report_a = pipe_a.ws.report_path.read_bytes()
         report_b = pipe_b.ws.report_path.read_bytes()
         assert report_a == report_b
-        assert snapshot_tree(pipe_a.ws.root) == snapshot_tree(pipe_b.ws.root)
+        assert tree(pipe_a.ws.root) == tree(pipe_b.ws.root)
 
         levels = level_hit_rates(pipe_a, corpus_dir)
         assert levels[1] == 1.0
@@ -460,7 +452,7 @@ def test_criterion_9_resume_is_byte_equivalent_with_no_repeat_calls(
 
         second_keys = set(second_provider.calls)
         assert first_keys & second_keys == set()
-        assert snapshot_tree(resumed_ws.root) == uninterrupted.tree
+        assert tree(resumed_ws.root) == uninterrupted.tree
 
 
 def test_criterion_10_hybrid_discriminates_where_independent_cannot(

@@ -9,102 +9,97 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import manalyzer
 from manalyzer import collector, pipeline, reviewer, synth
-from manalyzer.cli import main
 from manalyzer.errors import NotDownloadableError
 from manalyzer.workspace import Workspace
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from helpers import run_cli, tree
 
 
-def invoke(runner, ws, *args, config=None):
-    argv = ["--workspace", str(ws)]
+def invoke(ws, *args, config=None):
+    argv = ["--workspace", ws]
     if config is not None:
-        argv += ["--config", str(config)]
-    return runner.invoke(main, argv + list(args))
+        argv += ["--config", config]
+    return run_cli(argv + list(args))
 
 
 @pytest.fixture
-def initialized(runner, tmp_path, corpus_dir):
+def initialized(tmp_path, corpus_dir):
     """Workspace initialized under the corpus config with docs ingested."""
     ws = tmp_path / "ws"
     config = corpus_dir / "config.txt"
     result = invoke(
-        runner, ws, "init", "--direction", synth.DIRECTION,
+        ws, "init", "--direction", synth.DIRECTION,
         "--template", str(corpus_dir / "template.txt"), config=config,
     )
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     result = invoke(
-        runner, ws, "ingest", "--from", str(corpus_dir / "docs"), config=config
+        ws, "ingest", "--from", str(corpus_dir / "docs"), config=config
     )
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert "ingested 10 documents" in result.stdout
     return ws, config
 
 
-def test_init_reports_path(runner, tmp_path):
+def test_init_reports_path(tmp_path):
     ws = tmp_path / "ws"
-    result = invoke(runner, ws, "init", "--direction", "anything")
+    result = invoke(ws, "init", "--direction", "anything")
     assert result.exit_code == 0
     assert f"initialized workspace at {ws}" in result.stdout
 
 
-def test_init_twice_is_a_validation_error(runner, tmp_path):
+def test_init_twice_is_a_validation_error(tmp_path):
     ws = tmp_path / "ws"
-    assert invoke(runner, ws, "init", "--direction", "x").exit_code == 0
-    result = invoke(runner, ws, "init", "--direction", "x")
+    assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    result = invoke(ws, "init", "--direction", "x")
     assert result.exit_code == 2
     assert "already holds a workspace" in result.stderr
 
 
-def test_status_without_workspace(runner, tmp_path):
-    result = invoke(runner, tmp_path / "missing", "status")
+def test_status_without_workspace(tmp_path):
+    result = invoke(tmp_path / "missing", "status")
     assert result.exit_code == 2
     assert "not a workspace" in result.stderr
 
 
-def test_config_drift_refuses_resume(runner, tmp_path, initialized):
+def test_config_drift_refuses_resume(tmp_path, initialized):
     ws, _config = initialized
     drifted = tmp_path / "other.cfg"
     drifted.write_text("packer.budget = 64\n", encoding="utf-8")
-    result = invoke(runner, ws, "status", config=drifted)
+    result = invoke(ws, "status", config=drifted)
     assert result.exit_code == 0  # status is read-only, no digest check
-    result = invoke(runner, ws, "resume", config=drifted)
+    result = invoke(ws, "resume", config=drifted)
     assert result.exit_code == 2
     assert "config digest mismatch" in result.stderr
 
 
-def test_unscripted_review_is_a_stage_failure(runner, tmp_path, corpus_dir):
+def test_unscripted_review_is_a_stage_failure(tmp_path, corpus_dir):
     # No --config, so the provider has no script: packing succeeds without
     # agent calls (everything fits the budget) and review is the first
     # stage to need one.
     ws = tmp_path / "ws"
-    invoke(runner, ws, "init", "--direction", synth.DIRECTION)
-    invoke(runner, ws, "ingest", "--from", str(corpus_dir / "docs"))
-    result = invoke(runner, ws, "run", "--template", str(corpus_dir / "template.txt"))
+    invoke(ws, "init", "--direction", synth.DIRECTION)
+    invoke(ws, "ingest", "--from", str(corpus_dir / "docs"))
+    result = invoke(ws, "run", "--template", str(corpus_dir / "template.txt"))
     assert result.exit_code == 3
     assert "stage 'review' failed" in result.stderr
 
 
-def test_pack_budget_override_needs_scores(runner, tmp_path, corpus_dir):
+def test_pack_budget_override_needs_scores(tmp_path, corpus_dir):
     ws = tmp_path / "ws"
-    invoke(runner, ws, "init", "--direction", synth.DIRECTION)
-    invoke(runner, ws, "ingest", "--from", str(corpus_dir / "docs"))
-    result = invoke(runner, ws, "pack", "--budget", "1")
+    invoke(ws, "init", "--direction", synth.DIRECTION)
+    invoke(ws, "ingest", "--from", str(corpus_dir / "docs"))
+    result = invoke(ws, "pack", "--budget", "1")
     assert result.exit_code == 3
     assert "stage 'pack' failed" in result.stderr
 
 
-def test_full_run_and_evaluation(runner, initialized, corpus_dir):
+def test_full_run_and_evaluation(initialized, corpus_dir):
     ws, config = initialized
-    result = invoke(runner, ws, "run", config=config)
-    assert result.exit_code == 0, result.output
+    result = invoke(ws, "run", config=config)
+    assert result.exit_code == 0, result.stderr
     assert "documents:       10" in result.stdout
     assert "screened in:     6" in result.stdout
     assert "accepted tables: 6" in result.stdout
@@ -112,36 +107,36 @@ def test_full_run_and_evaluation(runner, initialized, corpus_dir):
     assert "report:" in result.stdout
     assert (ws / "report.md").exists()
 
-    result = invoke(runner, ws, "status", config=config)
+    result = invoke(ws, "status", config=config)
     assert result.exit_code == 0
     assert "analyzed     6" in result.stdout
     assert "screened_out 4" in result.stdout
 
     result = invoke(
-        runner, ws, "screen-eval",
+        ws, "screen-eval",
         "--gold", str(corpus_dir / "screening_gold.txt"), config=config,
     )
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert "f1:        1.0000" in result.stdout
     assert "tp=6 fp=0 tn=4 fn=0" in result.stdout
 
     result = invoke(
-        runner, ws, "eval-extraction",
+        ws, "eval-extraction",
         "--gold", str(corpus_dir / "gold.jsonl"), config=config,
     )
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert "| 1 | 6 | 1.0000 |" in result.stdout
     assert "| 2 | 6 | 1.0000 |" in result.stdout
     assert "| 3 | 6 | 0.0000 |" in result.stdout
 
     # Resume on a finished workspace changes nothing and calls no agent.
     before = (ws / "report.md").read_bytes()
-    result = invoke(runner, ws, "resume", config=config)
+    result = invoke(ws, "resume", config=config)
     assert result.exit_code == 0
     assert (ws / "report.md").read_bytes() == before
 
 
-def test_stagewise_flow_matches_run(runner, tmp_path, initialized, corpus_dir):
+def test_stagewise_flow_matches_run(tmp_path, initialized, corpus_dir):
     ws, config = initialized
     for args, expected in (
         (("pack",), "pack stage complete"),
@@ -150,20 +145,20 @@ def test_stagewise_flow_matches_run(runner, tmp_path, initialized, corpus_dir):
         (("analyze",), "analyze stage complete"),
         (("report",), "report.md"),
     ):
-        result = invoke(runner, ws, *args, config=config)
-        assert result.exit_code == 0, (args, result.output)
+        result = invoke(ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.stderr)
         assert expected in result.stdout
 
 
 def test_screen_threshold_override_is_what_later_commands_read(
-    runner, initialized, corpus_dir
+    initialized, corpus_dir
 ):
     # At the configured threshold of 8, d07 (final 5.6) would be dropped; the
     # override keeps it, and screen-eval and report must agree with the manifest.
     ws, config = initialized
     for args in (("pack",), ("screen", "--threshold", "5")):
-        result = invoke(runner, ws, *args, config=config)
-        assert result.exit_code == 0, (args, result.output)
+        result = invoke(ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.stderr)
     assert "kept 7 of 10 reviewed papers" in result.stdout
     docs = json.loads((ws / "manifest.json").read_text(encoding="utf-8"))["docs"]
     kept = {d for d, history in docs.items() if "screened_in" in history}
@@ -172,13 +167,13 @@ def test_screen_threshold_override_is_what_later_commands_read(
     assert set(screening["kept"]) == kept
 
     gold_path = corpus_dir / "screening_gold.txt"
-    result = invoke(runner, ws, "screen-eval", "--gold", str(gold_path), config=config)
-    assert result.exit_code == 0, result.output
+    result = invoke(ws, "screen-eval", "--gold", str(gold_path), config=config)
+    assert result.exit_code == 0, result.stderr
     gold = {d for d, keep in reviewer.load_screening_gold(gold_path).items() if keep}
     tp = len(kept & gold)
     assert f"tp={tp} fp={len(kept) - tp} " in result.stdout
 
-    assert invoke(runner, ws, "report", config=config).exit_code == 0
+    assert invoke(ws, "report", config=config).exit_code == 0
     report = (ws / "report.md").read_text(encoding="utf-8")
     assert f"{len(kept)} papers passed screening." in report
     for doc_id in docs:
@@ -186,17 +181,17 @@ def test_screen_threshold_override_is_what_later_commands_read(
         assert row.endswith("| yes |" if doc_id in kept else "| no |"), row
 
 
-def test_collect_without_script_fails_cleanly(runner, initialized):
+def test_collect_without_script_fails_cleanly(initialized):
     ws, config = initialized
-    result = invoke(runner, ws, "collect", config=config)
+    result = invoke(ws, "collect", config=config)
     assert result.exit_code == 3
     assert "error:" in result.stderr
 
 
-def test_bad_config_file(runner, tmp_path):
+def test_bad_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("packer.budget = soon\n", encoding="utf-8")
-    result = invoke(runner, tmp_path / "ws", "init", "--direction", "x", config=bad)
+    result = invoke(tmp_path / "ws", "init", "--direction", "x", config=bad)
     assert result.exit_code == 2
     assert "bad value 'soon'" in result.stderr
 
@@ -209,13 +204,13 @@ def missing_script_config(tmp_path):
 
 
 @pytest.mark.parametrize("template", [True, False], ids=["template", "no-template"])
-def test_init_with_missing_provider_script_writes_nothing(runner, tmp_path, corpus_dir,
+def test_init_with_missing_provider_script_writes_nothing(tmp_path, corpus_dir,
                                                           missing_script_config, template):
     config, message = missing_script_config
     ws = tmp_path / "ws"
     args = ["--template", str(corpus_dir / "template.txt")] if template else []
-    result = invoke(runner, ws, "init", "--direction", "x", *args, config=config)
-    assert result.exit_code == 2, result.output
+    result = invoke(ws, "init", "--direction", "x", *args, config=config)
+    assert result.exit_code == 2, result.stderr
     assert result.stderr.splitlines() == [message]
     assert not (ws / "manifest.json").exists()
 
@@ -226,26 +221,26 @@ def test_init_with_missing_provider_script_writes_nothing(runner, tmp_path, corp
     (['{"tag": "plan", "digest": "d", "response": "r"}'] * 2,
      "2: bad script record: script key already registered: ('plan', 'd')"),
 ], ids=["unknown-tag", "repeated-key"])
-def test_init_with_bad_script_record_names_file_and_line(runner, tmp_path, records, message):
+def test_init_with_bad_script_record_names_file_and_line(tmp_path, records, message):
     script = tmp_path / "s.jsonl"
     script.write_text("\n".join(records) + "\n", encoding="utf-8")
     config = tmp_path / "bad-script.cfg"
     config.write_text(f"provider.kind = scripted\nprovider.script = {script}\n", encoding="utf-8")
-    result = invoke(runner, tmp_path / "ws", "init", "--direction", "x", config=config)
-    assert result.exit_code == 2, result.output
+    result = invoke(tmp_path / "ws", "init", "--direction", "x", config=config)
+    assert result.exit_code == 2, result.stderr
     assert result.stderr.splitlines() == [f"error: {script}:{message}"]
 
 
-def test_run_with_missing_provider_script_is_a_validation_error(runner, tmp_path,
+def test_run_with_missing_provider_script_is_a_validation_error(tmp_path,
                                                                 missing_script_config):
     config, message = missing_script_config
     script = tmp_path / "missing.jsonl"
     script.write_text("", encoding="utf-8")
     ws = tmp_path / "ws"
-    assert invoke(runner, ws, "init", "--direction", "x", config=config).exit_code == 0
+    assert invoke(ws, "init", "--direction", "x", config=config).exit_code == 0
     script.unlink()
-    result = invoke(runner, ws, "run", config=config)
-    assert result.exit_code == 2, result.output
+    result = invoke(ws, "run", config=config)
+    assert result.exit_code == 2, result.stderr
     assert result.stderr.splitlines() == [message]
 
 
@@ -256,31 +251,31 @@ def test_run_with_missing_provider_script_is_a_validation_error(runner, tmp_path
     (synth.DIRECTION, ("extract",), "no extraction template stored; pass --template"),
 ], ids=["negative-rel-tol", "blank-direction", "extract-without-template"])
 def test_out_of_range_input_is_a_validation_error(
-    runner, tmp_path, corpus_dir, direction, args, message
+    tmp_path, corpus_dir, direction, args, message
 ):
     # With no `args`, `init` itself is the command that must refuse.
     ws = tmp_path / "ws"
-    result = invoke(runner, ws, "init", "--direction", direction)
+    result = invoke(ws, "init", "--direction", direction)
     if args:
         assert result.exit_code == 0
         gold = str(corpus_dir / "gold.jsonl")
-        result = invoke(runner, ws, *(arg.format(gold=gold) for arg in args))
-    assert result.exit_code == 2, result.output
+        result = invoke(ws, *(arg.format(gold=gold) for arg in args))
+    assert result.exit_code == 2, result.stderr
     assert result.stderr.splitlines() == [f"error: {message}"]
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
     assert (ws / "manifest.json").exists() == bool(args)
 
 
-def test_extract_with_a_differing_template_is_a_validation_error(runner, tmp_path, initialized):
+def test_extract_with_a_differing_template_is_a_validation_error(tmp_path, initialized):
     ws, config = initialized
     other = tmp_path / "other.txt"
     other.write_text("another column\n", encoding="utf-8")
-    result = invoke(runner, ws, "extract", "--template", str(other), config=config)
-    assert result.exit_code == 2, result.output
+    result = invoke(ws, "extract", "--template", str(other), config=config)
+    assert result.exit_code == 2, result.stderr
     assert result.stderr.startswith("error: extraction template differs")
 
 
-def test_extract_topic_holds_for_that_command_only(runner, tmp_path, corpus_dir, monkeypatch):
+def test_extract_topic_holds_for_that_command_only(tmp_path, corpus_dir, monkeypatch):
     monkeypatch.setattr(
         "manalyzer.cli.build_provider", lambda config, base: synth.AnsweringProvider()
     )
@@ -292,22 +287,15 @@ def test_extract_topic_holds_for_that_command_only(runner, tmp_path, corpus_dir,
         ("screen",),
         ("extract", "--topic", "another topic"),
     ):
-        result = invoke(runner, ws, *args)
-        assert result.exit_code == 0, (args, result.output)
+        result = invoke(ws, *args)
+        assert result.exit_code == 0, (args, result.stderr)
     assert Workspace.load(ws).direction == synth.DIRECTION
 
 
-def tree(root):
-    return {
-        path.relative_to(root).as_posix(): path.read_bytes()
-        for path in sorted(root.rglob("*")) if path.is_file()
-    }
-
-
-def test_blank_topic_is_a_validation_error(runner, initialized, monkeypatch):
+def test_blank_topic_is_a_validation_error(initialized, monkeypatch):
     ws, config = initialized
     for args in (("pack",), ("screen",)):
-        assert invoke(runner, ws, *args, config=config).exit_code == 0
+        assert invoke(ws, *args, config=config).exit_code == 0
     before = tree(ws)
     providers = []
     build_provider = pipeline.build_provider
@@ -317,8 +305,8 @@ def test_blank_topic_is_a_validation_error(runner, initialized, monkeypatch):
         return providers[-1]
 
     monkeypatch.setattr("manalyzer.cli.build_provider", recording_provider)
-    result = invoke(runner, ws, "extract", "--topic", " ", config=config)
-    assert result.exit_code == 2, result.output
+    result = invoke(ws, "extract", "--topic", " ", config=config)
+    assert result.exit_code == 2, result.stderr
     assert result.stderr.splitlines() == ["error: --topic is empty"]
     assert [call for provider in providers for call in provider.calls] == []
     assert tree(ws) == before
@@ -330,7 +318,7 @@ class Killed(BaseException):
 
 @pytest.mark.parametrize("name", ["parts.json", "trace.json", "table.json"])
 def test_report_and_resume_after_a_kill_at_an_extract_write(
-    runner, tmp_path, corpus_dir, initialized, monkeypatch, name
+    tmp_path, corpus_dir, initialized, monkeypatch, name
 ):
     ws, config = initialized
     clean = tmp_path / "clean"
@@ -339,7 +327,7 @@ def test_report_and_resume_after_a_kill_at_an_extract_write(
         ("ingest", "--from", str(corpus_dir / "docs")),
         ("run",),
     ):
-        assert invoke(runner, clean, *args, config=config).exit_code == 0
+        assert invoke(clean, *args, config=config).exit_code == 0
     victim = synth.KEPT[0]
     write = pipeline.atomic_write_json
 
@@ -351,17 +339,17 @@ def test_report_and_resume_after_a_kill_at_an_extract_write(
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "atomic_write_json", killing_write)
         with pytest.raises(Killed):
-            invoke(runner, ws, "run", config=config)
+            invoke(ws, "run", config=config)
     assert not (ws / "extracted" / victim / "table.json").exists()
-    result = invoke(runner, ws, "report", config=config)
-    assert result.exit_code == 0, result.output
-    result = invoke(runner, ws, "resume", config=config)
-    assert result.exit_code == 0, result.output
+    result = invoke(ws, "report", config=config)
+    assert result.exit_code == 0, result.stderr
+    result = invoke(ws, "resume", config=config)
+    assert result.exit_code == 0, result.stderr
     assert tree(ws) == tree(clean)
 
 
 def test_a_failed_write_in_a_stage_is_a_stage_failure_and_resumes(
-    runner, tmp_path, corpus_dir, initialized, monkeypatch
+    tmp_path, corpus_dir, initialized, monkeypatch
 ):
     ws, config = initialized
     clean = tmp_path / "clean"
@@ -370,7 +358,7 @@ def test_a_failed_write_in_a_stage_is_a_stage_failure_and_resumes(
         ("ingest", "--from", str(corpus_dir / "docs")),
         ("run",),
     ):
-        assert invoke(runner, clean, *args, config=config).exit_code == 0
+        assert invoke(clean, *args, config=config).exit_code == 0
     write = pipeline.atomic_write_json
 
     def full_disk_write(path, payload):
@@ -380,42 +368,42 @@ def test_a_failed_write_in_a_stage_is_a_stage_failure_and_resumes(
 
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "atomic_write_json", full_disk_write)
-        result = invoke(runner, ws, "run", config=config)
-    assert result.exit_code == 3, result.output
+        result = invoke(ws, "run", config=config)
+    assert result.exit_code == 3, result.stderr
     assert result.stderr.splitlines() == [
         "error: stage 'pack' failed: [Errno 28] No space left on device"
     ]
     assert not (ws / "packed" / "d03.json").exists()
-    result = invoke(runner, ws, "resume", config=config)
-    assert result.exit_code == 0, result.output
+    result = invoke(ws, "resume", config=config)
+    assert result.exit_code == 0, result.stderr
     assert tree(ws) == tree(clean)
 
 
-def test_a_failed_write_outside_a_stage_exits_3(runner, tmp_path, corpus_dir, monkeypatch):
+def test_a_failed_write_outside_a_stage_exits_3(tmp_path, corpus_dir, monkeypatch):
     ws = tmp_path / "ws"
     config = corpus_dir / "config.txt"
-    assert invoke(runner, ws, "init", "--direction", "x", config=config).exit_code == 0
+    assert invoke(ws, "init", "--direction", "x", config=config).exit_code == 0
 
     def full_disk_save(doc, path):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(collector, "save_parsed", full_disk_save)
-    result = invoke(runner, ws, "ingest", "--from", str(corpus_dir / "docs"), config=config)
-    assert result.exit_code == 3, result.output
+    result = invoke(ws, "ingest", "--from", str(corpus_dir / "docs"), config=config)
+    assert result.exit_code == 3, result.stderr
     assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 
 
-def test_eval_extraction_missing_gold(runner, initialized):
+def test_eval_extraction_missing_gold(initialized):
     ws, config = initialized
     result = invoke(
-        runner, ws, "eval-extraction", "--gold", "/nonexistent/gold.jsonl",
+        ws, "eval-extraction", "--gold", "/nonexistent/gold.jsonl",
         config=config,
     )
-    # click validates the path itself before the command body runs
+    # argparse checks that the path exists before the command runs
     assert result.exit_code == 2
 
 
-def test_eval_extraction_reads_level3_tolerance_from_config(runner, tmp_path, corpus_dir):
+def test_eval_extraction_reads_level3_tolerance_from_config(tmp_path, corpus_dir):
     # Level-3 gold values are sums the scripted extractor never computes:
     # they read 0.0 at the default tolerance (test_full_run_and_evaluation)
     # and every one is within 100% of some extracted value.
@@ -432,12 +420,12 @@ def test_eval_extraction_reads_level3_tolerance_from_config(runner, tmp_path, co
         ("ingest", "--from", str(corpus_dir / "docs")),
         ("run",),
     ):
-        result = invoke(runner, ws, *args, config=config)
-        assert result.exit_code == 0, (args, result.output)
+        result = invoke(ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.stderr)
     result = invoke(
-        runner, ws, "eval-extraction", "--gold", str(corpus_dir / "gold.jsonl"), config=config
+        ws, "eval-extraction", "--gold", str(corpus_dir / "gold.jsonl"), config=config
     )
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert "| 1 | 6 | 1.0000 |" in result.stdout
     assert "| 2 | 6 | 1.0000 |" in result.stdout
     assert "| 3 | 6 | 1.0000 |" in result.stdout
@@ -453,7 +441,7 @@ def run_python(code):
     )
 
 
-@pytest.mark.parametrize("module", ["requests", "numpy"])
+@pytest.mark.parametrize("module", ["requests", "numpy", "click"])
 def test_cli_import_does_not_load(module):
     result = run_python(f"import manalyzer.cli, sys; assert {module!r} not in sys.modules")
     assert result.returncode == 0, result.stderr
@@ -468,9 +456,9 @@ def test_each_module_imports_on_its_own():
     assert {n: r.stderr for n, r in results.items() if r.returncode} == {}
 
 
-def test_collect_dedups_caps_and_skips_undownloadable(runner, tmp_path, monkeypatch):
+def test_collect_dedups_caps_and_skips_undownloadable(tmp_path, monkeypatch):
     ws = tmp_path / "ws"
-    assert invoke(runner, ws, "init", "--direction", "soil carbon").exit_code == 0
+    assert invoke(ws, "init", "--direction", "soil carbon").exit_code == 0
 
     def meta(doc_id, source, doi=None, title=None):
         return collector.PaperMeta(
@@ -501,8 +489,8 @@ def test_collect_dedups_caps_and_skips_undownloadable(runner, tmp_path, monkeypa
     monkeypatch.setattr(collector, "search", search)
     monkeypatch.setattr(collector, "download_pdf", download_pdf)
 
-    result = invoke(runner, ws, "collect", "--max-papers", "5")
-    assert result.exit_code == 0, result.output
+    result = invoke(ws, "collect", "--max-papers", "5")
+    assert result.exit_code == 0, result.stderr
     # x1 repeats c1's DOI, c2 repeats itself across groups, x5 repeats x2's
     # title; x4 falls past the cap, which also stops the third group.
     assert searched == [
@@ -514,3 +502,112 @@ def test_collect_dedups_caps_and_skips_undownloadable(runner, tmp_path, monkeypa
     manifest = Workspace.load(ws)
     assert manifest.doc_ids() == ["c1", "c2", "c3", "x3"]
     assert all(manifest.status_of(d) == "collected" for d in manifest.doc_ids())
+
+
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-option": ["status", "--bogus"],
+    "abbreviated-option": ["init", "--dir", "x"],
+    "abbreviated-global-option": ["--work", "ws", "init", "--direction", "x"],
+    "missing-direction": ["init"],
+    "max-iter-out-of-range": ["extract", "--max-iter", "4"],
+    "unknown-source": ["collect", "--source", "web"],
+    "non-integer-budget": ["pack", "--budget", "x"],
+    "ingest-from-a-file": ["ingest", "--from", "file.txt"],
+    "missing-config": ["--config", "missing.cfg", "init", "--direction", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("x\n", encoding="utf-8")
+    assert run_cli(argv).exit_code == 2
+    assert tree(tmp_path) == {"file.txt": b"x\n"}
+
+
+OPTIONS = {
+    "init": ["--direction", "--template"],
+    "collect": ["--max-papers", "--source"],
+    "ingest": ["--from"],
+    "pack": ["--budget"],
+    "screen": ["--threshold", "--batch-size"],
+    "screen-eval": ["--gold"],
+    "extract": ["--template", "--topic", "--max-iter"],
+    "analyze": ["--seed"],
+    "report": [],
+    "eval-extraction": ["--gold", "--abs-tol", "--rel-tol"],
+    "run": ["--template"],
+    "resume": [],
+    "status": [],
+}
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], ["--workspace", "--config", *OPTIONS]),
+    *(([command, "--help"], options) for command, options in OPTIONS.items()),
+], ids=["group", *OPTIONS])
+def test_help_exits_0_and_names_every_option(argv, names):
+    result = run_cli(argv)
+    assert result.exit_code == 0, result
+    assert [name for name in [*names, "--help"] if name not in result.stdout] == []
+
+
+def test_an_option_value_starting_with_a_dash_is_given_after_an_equals_sign(tmp_path):
+    ws = tmp_path / "ws"
+    assert run_cli(["--workspace", ws, "init", "--direction=-omega3"]).exit_code == 0
+    assert Workspace.load(ws).direction == "-omega3"
+
+
+@pytest.mark.parametrize("doc_id, image", [
+    ("../escaped", "fig.png"),
+    ("../../x", "fig.png"),
+    ("..", "fig.png"),
+    ("d1", "../outside.png"),
+    ("d1", "figs/../../outside.png"),
+    ("d1", "{absolute}"),
+], ids=["doc-id-up", "doc-id-up-twice", "doc-id-dot-dot", "image-up", "image-up-inside",
+        "image-absolute"])
+def test_ingest_keeps_every_path_inside_the_workspace(tmp_path, doc_id, image):
+    source = tmp_path / "in" / "docs"
+    (source / "figs").mkdir(parents=True)
+    for path in (source / "fig.png", tmp_path / "in" / "outside.png"):
+        path.write_bytes(b"png")
+    (source / "d1.json").write_text(json.dumps({
+        "doc_id": doc_id, "title": "t", "paragraphs": [{"index": 0, "text": "p"}],
+        "figures": [{"id": "f1", "caption": "c",
+                     "image": image.format(absolute=source / "fig.png")}],
+    }), encoding="utf-8")
+    # The workspace's parent holds nothing else, so any file written beside
+    # the workspace, or anywhere up to one level above it, shows in `out`.
+    out = tmp_path / "out"
+    ws = out / "ws"
+    assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    before = tree(out)
+    result = invoke(ws, "ingest", "--from", source)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert tree(out) == before
+
+
+BAD_TEMPLATES = {
+    "pipe": ("season | year\nrain\nrain\n", "column 'season | year' holds '|'"),
+    "doc-id": ("doc_id\nrain\n", "column 'doc_id' clashes with the merged table's doc_id column"),
+    "repeated": ("rain\nyield\n**Rain**\n", "column '**Rain**' clashes with 'rain'"),
+}
+
+
+@pytest.mark.parametrize("command", ["init", "run", "extract"])
+@pytest.mark.parametrize("text, message", BAD_TEMPLATES.values(), ids=BAD_TEMPLATES)
+def test_a_template_that_can_never_work_is_refused(tmp_path, command, text, message):
+    template = tmp_path / "template.txt"
+    template.write_text(text, encoding="utf-8")
+    ws = tmp_path / "ws"
+    if command != "init":
+        assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    before = tree(tmp_path)
+    args = ["--direction", "x"] if command == "init" else []
+    result = invoke(ws, command, *args, "--template", template)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.splitlines() == [f"error: template {template}: {message}"]
+    assert tree(tmp_path) == before

@@ -1,7 +1,7 @@
 """Golden pins of four CLI flows over the bundled corpus: characterization
 tests.
 
-Each flow runs in process through click's CliRunner, in a fresh workspace:
+Each flow runs in process through `helpers.run_cli`, in a fresh workspace:
 
 - readme: the README's command sequence (init, ingest, run, status,
   screen-eval, eval-extraction);
@@ -45,9 +45,9 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from manalyzer import cli
+
+from helpers import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -105,12 +105,11 @@ def run_flow(ws: Path, flow: list[list[str]]) -> dict:
         providers.append(build_provider(config, base))
         return providers[-1]
 
-    runner = CliRunner()
     commands = []
     cli.build_provider = recording_provider
     try:
         for argv in flow:
-            result = runner.invoke(cli.main, [real(arg) for arg in argv])
+            result = run_cli([real(arg) for arg in argv])
             commands.append({
                 "argv": argv,
                 "exit_code": result.exit_code,

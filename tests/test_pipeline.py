@@ -18,7 +18,7 @@ from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
 
-from helpers import register_for
+from helpers import register_for, tree
 
 DIRECTION = "mini direction"
 
@@ -220,10 +220,6 @@ def test_stage_error_becomes_stage_failure(tmp_path):
 # -- fan-out inside a document ------------------------------------------------
 
 
-def snapshot(root):
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 class ContentAnsweringProvider(ScriptedProvider):
     """Replies computed from the request content, recorded in ``calls``.
 
@@ -288,7 +284,7 @@ def test_fan_out_matches_one_call_in_flight(tmp_path):
         )
         pipe.ingest_dir(source)
         pipe.run(["rainfall mm"])
-        trees.append(snapshot(ws.root))
+        trees.append(tree(ws.root))
         calls.append(Counter(provider.calls))
 
     assert pipe.ws.status_of("long") == "analyzed"
@@ -424,7 +420,7 @@ def test_build_corpus_reproduces_the_bundled_corpus(tmp_path, corpus_dir):
     # script.jsonl is the sorted set of served (tag, digest) pairs, so this
     # also pins the set of agent calls a corpus run makes.
     synth.build_corpus(tmp_path / "corpus")
-    assert snapshot(tmp_path / "corpus") == snapshot(corpus_dir)
+    assert tree(tmp_path / "corpus") == tree(corpus_dir)
 
 
 def test_resume_never_repeats_a_call(tmp_path, corpus_dir):
@@ -450,7 +446,7 @@ class Killed(Exception):
 def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
     clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
     clean.run(synth.TEMPLATE)
-    expected = snapshot(clean.ws.root)
+    expected = tree(clean.ws.root)
 
     for k in range(len(synth.DOC_IDS)):
         pipe, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir)
@@ -470,7 +466,7 @@ def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
             pipe.run(None)
         resumed, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, ingest=False)
         resumed.run(None)
-        assert snapshot(resumed.ws.root) == expected, f"killed at review mark {k}"
+        assert tree(resumed.ws.root) == expected, f"killed at review mark {k}"
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +476,7 @@ def clean_corpus_run(tmp_path_factory, corpus_dir):
     clean, _ = corpus_pipeline(tmp_path_factory.mktemp("clean"), corpus_dir)
     clean.run(synth.TEMPLATE)
     reached = Counter(status for history in clean.ws.docs.values() for status in history)
-    return snapshot(clean.ws.root), reached
+    return tree(clean.ws.root), reached
 
 
 @pytest.mark.parametrize("which", ["first", "last"])
@@ -512,7 +508,7 @@ def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
         assert pipe.ws.log_path.exists()
     resumed, _ = corpus_pipeline(tmp_path, corpus_dir, ingest=status == "parsed")
     resumed.run(synth.TEMPLATE)
-    assert snapshot(resumed.ws.root) == expected
+    assert tree(resumed.ws.root) == expected
 
 
 def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monkeypatch):
@@ -548,7 +544,7 @@ def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monke
 def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, corpus_dir):
     clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
     clean.run(synth.TEMPLATE)
-    expected = snapshot(clean.ws.root)
+    expected = tree(clean.ws.root)
 
     pipe, _ = corpus_pipeline(tmp_path / "kill", corpus_dir)
     pipe.store_template(synth.TEMPLATE)
@@ -571,7 +567,7 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
     resumed.run(None)
     extract_tags = {"table_convert", "figure_summary", "mask", "extract", "check"}
     assert [key for key in provider.calls if key[0] in extract_tags] == []
-    assert snapshot(resumed.ws.root) == expected
+    assert tree(resumed.ws.root) == expected
 
 
 class MissingBatch(ContentAnsweringProvider):

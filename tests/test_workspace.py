@@ -5,9 +5,7 @@ import json
 import re
 
 import pytest
-from click.testing import CliRunner
 
-from manalyzer.cli import main
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.errors import CorruptManifestError, RefuseResumeError, WorkspaceError
 from manalyzer.workspace import (
@@ -18,6 +16,8 @@ from manalyzer.workspace import (
     atomic_write_json,
     atomic_write_text,
 )
+
+from helpers import run_cli, tree
 
 
 @pytest.fixture
@@ -279,7 +279,7 @@ def test_bad_log_line_exits_2_through_the_cli(ws):
     ws.mark("d01", "parsed")
     with ws.log_path.open("ab") as log:
         log.write(b'garbage\n["d02", "parsed"]\n')
-    result = CliRunner().invoke(main, ["--workspace", str(ws.root), "status"])
+    result = run_cli(["--workspace", ws.root, "status"])
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ") and "line 2 does not decode" in result.stderr
@@ -300,19 +300,15 @@ def test_log_beside_compacted_manifest_replays_as_no_op(ws):
     assert not ws.log_path.exists()
 
 
-def _files(root):
-    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 def test_status_replays_a_pending_log_and_writes_nothing(ws):
     ws.mark("d01", "collected")
     ws.compact()
     ws.mark("d01", "parsed")
     ws.mark("d02", "reviewed")
-    before = _files(ws.root)
-    result = CliRunner().invoke(main, ["--workspace", str(ws.root), "status"])
-    assert result.exit_code == 0, result.output
+    before = tree(ws.root)
+    result = run_cli(["--workspace", ws.root, "status"])
+    assert result.exit_code == 0, result.stderr
     lines = result.stdout.splitlines()
     assert re.sub(r" +", " ", lines[-2]) == " d01 parsed"
     assert re.sub(r" +", " ", lines[-1]) == " d02 reviewed"
-    assert _files(ws.root) == before
+    assert tree(ws.root) == before
