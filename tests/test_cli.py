@@ -526,6 +526,15 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, argv):
     assert tree(tmp_path) == {"file.txt": b"x\n"}
 
 
+def test_ingest_from_a_file_exits_2_and_writes_nothing(tmp_path, corpus_dir):
+    ws = tmp_path / "ws"
+    assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    before = tree(ws)
+    result = invoke(ws, "ingest", "--from", corpus_dir / "template.txt")
+    assert result.exit_code == 2, result.stderr
+    assert tree(ws) == before
+
+
 OPTIONS = {
     "init": ["--direction", "--template"],
     "collect": ["--max-papers", "--source"],
