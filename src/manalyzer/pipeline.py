@@ -6,16 +6,25 @@ on and recording progress in the workspace manifest. Each stage method is
 wrapped by ``@stage(name)``: a pipeline error or OSError raised inside it
 becomes ``StageFailure(name)`` (exit 3), and when it returns, the status
 marks it appended to the manifest's log are compacted into manifest.json.
-A killed run resumes from the manifest: completed documents are never
-recomputed and their agent calls are never re-issued.
+A killed run resumes where it stopped: completed documents are never
+recomputed and their agent calls are never re-issued, with two exceptions.
 
 Each stage takes its work list from the manifest as the documents at one
 status (``Workspace.docs_at``). Per-document work (packing, independent
 review, comparative review batches, extraction) runs on one bounded
-worker pool, ``_per_document``, whose finish step writes each result and
-its mark on the orchestrator thread; a finish step that raises cancels
-the items not yet started. Merge points (screening, table merge, report)
-are single-threaded. Only the orchestrator thread writes the manifest.
+worker pool, ``_per_document``. The artifact its work step writes last
+(``packed/<doc>.json``, ``reviews/<doc>.json``,
+``extracted/<doc>/table.json``) records that a document finished the
+stage, so a work step that finds it returns with no agent call; the
+finish step only appends marks, on the orchestrator thread, and one that
+raises cancels the items not yet started. The exceptions: a kill at an
+``analyzed`` mark repeats the ``plan`` call (``results.json`` cannot tell
+a current analysis from a stale one), and a kill between two record
+writes of one review batch repeats the batch's call. An artifact a killed
+command wrote is kept under a later command's overrides (``pack
+--budget``, ``screen --batch-size``, ``extract --topic``), as a marked
+document's is. Merge points (screening, table merge, report) are
+single-threaded. Only the orchestrator thread writes the manifest.
 
 Inside a document, the independent agent calls (paragraph scores, mask
 batches) fan out through ``Gateway.map``, so up to
@@ -51,7 +60,9 @@ from .errors import (
     ManalyzerError,
     NoValidStepsError,
     ReviewFailure,
+    SchemaViolationError,
     StageFailure,
+    WorkspaceError,
 )
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
@@ -156,7 +167,9 @@ class Pipeline:
         and call `finish` here, on the orchestrator thread, as each item
         completes, so every finished item is kept even when another fails.
         The first failure in `todo` order is raised once the pool has
-        drained."""
+        drained. `work` writes its item's artifacts and returns early when
+        the last one exists, so `finish` only marks; the module docstring
+        names the two cases where a resume still repeats a call."""
         failures: dict[K, Exception] = {}
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
             futures = {pool.submit(work, key): key for key in todo}
@@ -216,17 +229,27 @@ class Pipeline:
     # -- ingest ----------------------------------------------------------
 
     def ingest_dir(self, source: Path) -> list[str]:
-        """Validate and import every parse file under `source`.
+        """Validate every parse file under `source`, then import them all.
 
         Image paths inside the files are relative to `source`; images are
         copied into the workspace under the same relative paths. Not a
-        stage: a bad parse file stays a validation error.
+        stage: a bad parse file, a doc_id two files share, or a document
+        already packed (by status or by packed/<doc>.json, which vouches for
+        its parse) is a validation error, refused before anything is written.
         """
         if not source.is_dir():
             raise ConfigError(f"{source} is not a directory")
-        doc_ids = []
+        docs: dict[str, tuple[Path, collector.ParsedDocument]] = {}
         for parse_file in sorted(source.glob("*.json")):
             doc = collector.ingest_parsed(parse_file, source)
+            if doc.doc_id in docs:
+                twin = docs[doc.doc_id][0].name
+                raise SchemaViolationError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
+            packed = self.ws.dir("packed") / f"{doc.doc_id}.json"
+            if self.ws.at_least(doc.doc_id, "packed") or packed.exists():
+                raise WorkspaceError(f"{doc.doc_id} is packed already; its parse cannot change")
+            docs[doc.doc_id] = parse_file, doc
+        for _, doc in docs.values():
             for ref in list(doc.figures) + list(doc.tables):
                 target = self.ws.root / ref.image
                 target.parent.mkdir(parents=True, exist_ok=True)
@@ -234,29 +257,24 @@ class Pipeline:
                     atomic_write_bytes(target, (source / ref.image).read_bytes())
             collector.save_parsed(doc, self._parsed_path(doc.doc_id))
             self.ws.mark(doc.doc_id, "parsed")
-            doc_ids.append(doc.doc_id)
         self.ws.compact()
-        return doc_ids
+        return list(docs)
 
     # -- pack ------------------------------------------------------------
 
     @stage("pack")
     def stage_pack(self) -> None:
-        todo = self.ws.docs_at("parsed")
-        if not todo:
-            return
+        def work(doc_id: str) -> None:
+            path = self.ws.dir("packed") / f"{doc_id}.json"
+            if not path.exists():
+                atomic_write_json(path, asdict(packer.pack_document(
+                    self._load_parsed(doc_id), self.gateway, self.config.packer_budget,
+                    self.config.packer_default_importance,
+                )))
 
-        def work(doc_id: str) -> packer.PackedDocument:
-            return packer.pack_document(
-                self._load_parsed(doc_id), self.gateway, self.config.packer_budget,
-                self.config.packer_default_importance,
-            )
-
-        def finish(doc_id: str, packed: packer.PackedDocument) -> None:
-            atomic_write_json(self.ws.dir("packed") / f"{doc_id}.json", asdict(packed))
-            self.ws.mark(doc_id, "packed")
-
-        self._per_document(work, todo, finish)
+        self._per_document(
+            work, self.ws.docs_at("parsed"), lambda doc_id, _: self.ws.mark(doc_id, "packed")
+        )
 
     # -- review ----------------------------------------------------------
 
@@ -268,26 +286,32 @@ class Pipeline:
         reviews = self.ws.dir("reviews")
 
         def record(doc_id: str, **fields: Any) -> None:
-            if not self.ws.at_least(doc_id, "reviewed"):
-                atomic_write_json(reviews / f"{doc_id}.json", {"doc_id": doc_id, **fields})
-                self.ws.mark(doc_id, "reviewed")
+            path = reviews / f"{doc_id}.json"
+            if not path.exists():
+                atomic_write_json(path, {"doc_id": doc_id, **fields})
+
+        def mark(*doc_ids: str) -> None:
+            for doc_id in doc_ids:
+                if not self.ws.at_least(doc_id, "reviewed"):
+                    self.ws.mark(doc_id, "reviewed")
 
         # Phase 1: independent scores, one file per paper, for every packed
         # paper (a reviewed paper's file is read back: batches span it too).
         # A paper that fails here gets its failure record and no batch.
         def independent(doc_id: str) -> dict:
             name = f"reviews/{doc_id}.indep.json"
-            if (payload := self._read(name)) is not None:
-                return payload
-            packed = self._read(f"packed/{doc_id}.json", packer.PackedDocument)
-            try:
-                scores = reviewer.review_independent(
-                    packed.text, direction, self.gateway, packed.captions
-                )
-                payload = {"s1": scores.s1, "s2": scores.s2}
-            except ReviewFailure as exc:
-                payload = {"failed": True, "reason": str(exc)}
-            atomic_write_json(self.ws.root / name, payload)
+            if (payload := self._read(name)) is None:
+                packed = self._read(f"packed/{doc_id}.json", packer.PackedDocument)
+                try:
+                    scores = reviewer.review_independent(
+                        packed.text, direction, self.gateway, packed.captions
+                    )
+                    payload = {"s1": scores.s1, "s2": scores.s2}
+                except ReviewFailure as exc:
+                    payload = {"failed": True, "reason": str(exc)}
+                atomic_write_json(self.ws.root / name, payload)
+            if payload.get("failed"):
+                record(doc_id, **payload)
             return payload
 
         indep: dict[str, dict] = {}
@@ -295,48 +319,38 @@ class Pipeline:
         def keep(doc_id: str, payload: dict) -> None:
             indep[doc_id] = payload
             if payload.get("failed"):
-                record(doc_id, **payload)
+                mark(doc_id)
 
         packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
         self._per_document(independent, packed, keep)
 
         # Phase 2: comparative batches over all successfully scored papers,
-        # in sorted order, run on the pool. Batches whose members are all
-        # marked reviewed are skipped, so a stage-boundary resume issues no
-        # repeat calls. The mark, not the record file, is the progress
-        # record: a kill between the two redoes the batch rather than
-        # leaving the paper unreviewed. A batch whose reply is unusable gives
+        # in sorted order, run on the pool. A batch whose members all hold
+        # their records issues no call; one whose reply is unusable gives
         # each of its papers a failure record.
         scored = sorted(d for d, info in indep.items() if not info.get("failed"))
         size = self.config.reviewer_batch_size
         batches = [scored[start : start + size] for start in range(0, len(scored), size)]
 
-        def comparative(batch_id: int) -> list[float] | ReviewFailure:
-            texts = [
-                self._read(f"packed/{d}.json", packer.PackedDocument).text
-                for d in batches[batch_id]
-            ]
+        def comparative(batch_id: int) -> None:
+            batch = batches[batch_id]
+            if all((reviews / f"{d}.json").exists() for d in batch):
+                return
+            texts = [self._read(f"packed/{d}.json", packer.PackedDocument).text for d in batch]
             try:
-                return reviewer.review_batch(texts, direction, self.gateway)
+                relatives = reviewer.review_batch(texts, direction, self.gateway)
             except ReviewFailure as exc:
-                return exc
+                for doc_id in batch:
+                    record(doc_id, failed=True, reason=str(exc))
+                return
+            for doc_id, s_r in zip(batch, relatives):
+                s1, s2 = indep[doc_id]["s1"], indep[doc_id]["s2"]
+                final = reviewer.fuse(s1, s2, s_r)
+                record(doc_id, s1=s1, s2=s2, s_r=s_r, final=final, batch_id=batch_id)
 
-        def finish(batch_id: int, relatives: list[float] | ReviewFailure) -> None:
-            for k, doc_id in enumerate(batches[batch_id]):
-                if isinstance(relatives, ReviewFailure):
-                    record(doc_id, failed=True, reason=str(relatives))
-                    continue
-                s1, s2, s_r = indep[doc_id]["s1"], indep[doc_id]["s2"], relatives[k]
-                record(
-                    doc_id, s1=s1, s2=s2, s_r=s_r, final=reviewer.fuse(s1, s2, s_r),
-                    batch_id=batch_id,
-                )
-
-        pending = [
-            batch_id for batch_id, batch in enumerate(batches)
-            if not all(self.ws.at_least(d, "reviewed") for d in batch)
-        ]
-        self._per_document(comparative, pending, finish)
+        self._per_document(
+            comparative, list(range(len(batches))), lambda batch_id, _: mark(*batches[batch_id])
+        )
 
     # -- screen ----------------------------------------------------------
 
@@ -405,26 +419,17 @@ class Pipeline:
             except (ExtractionError, EmptyResponseError) as exc:
                 warnings.append(f"figure {ref.ref_id}: {exc}")
 
-        mask = (
-            extraction.relevance_mask(
-                parts, direction, self.gateway, self.config.extraction_mask_batch
-            )
-            if parts
-            else []
-        )
+        mask = extraction.relevance_mask(
+            parts, direction, self.gateway, self.config.extraction_mask_batch
+        ) if parts else []
         retained = extraction.retain_parts(parts, mask)
 
         try:
             table, trace = extraction.run_feedback_loop(
-                retained,
-                template,
-                direction,
-                self.gateway,
-                doc_id=doc_id,
+                retained, template, direction, self.gateway, doc_id=doc_id,
                 accept_overall=self.config.extraction_accept_overall,
                 max_iter=self.config.extraction_max_iter,
-                abs_tol=self.config.eval_abs_tol,
-                rel_tol=self.config.eval_rel_tol,
+                abs_tol=self.config.eval_abs_tol, rel_tol=self.config.eval_rel_tol,
             )
         except ExtractionError as exc:
             warnings.append(f"extraction failed: {exc}")
@@ -459,16 +464,15 @@ class Pipeline:
         in for the workspace direction in this call only."""
         direction = self.ws.direction if topic is None else topic
 
+        def work(doc_id: str) -> extraction.ExtractedTable:
+            return self.load_table(doc_id) or self._extract_one(doc_id, template, direction)
+
         def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
             self.ws.mark(doc_id, "extracted")
             self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
 
-        for doc_id in self.ws.docs_at("extracted"):  # its table.json precedes the mark
-            finish(doc_id, self.load_table(doc_id))
-        self._per_document(
-            lambda doc_id: self._extract_one(doc_id, template, direction),
-            self.ws.docs_at("screened_in"), finish,
-        )
+        todo = self.ws.docs_at("extracted") + self.ws.docs_at("screened_in")
+        self._per_document(work, todo, finish)
 
     # -- analyze ---------------------------------------------------------
 
@@ -561,13 +565,8 @@ class Pipeline:
             if (packed := self._read(f"packed/{doc_id}.json", packer.PackedDocument))
         }
         text = render_report(
-            topic=self.ws.direction,
-            merged=merged,
-            results=results,
-            review_records=records,
-            traces=traces,
-            narrative=self._narrative(merged, results),
-            titles=titles,
+            topic=self.ws.direction, merged=merged, results=results, review_records=records,
+            traces=traces, narrative=self._narrative(merged, results), titles=titles,
         )
         atomic_write_text(self.ws.report_path, text)
 

@@ -13,8 +13,8 @@ returns, so a finished command leaves no log behind. `load` replays a log
 left by a killed process in memory, through the same transition rules,
 and writes nothing: a status already in a document's history is skipped
 (a kill between the snapshot's rename and the log's unlink) and a torn
-last line is ignored (its artifact was written first, so the work is
-redone); any other bad line makes the manifest corrupt.
+last line is ignored (its artifact was written first, so the next run
+marks it again); any other bad line makes the manifest corrupt.
 
 Every artifact write goes through `atomic_write_bytes` (the text and JSON
 writers encode, then call it): a temp file renamed over the target, so a

@@ -535,6 +535,36 @@ def test_ingest_from_a_file_exits_2_and_writes_nothing(tmp_path, corpus_dir):
     assert tree(ws) == before
 
 
+def write_doc(source, name, doc_id, text):
+    (source / name).write_text(json.dumps({
+        "doc_id": doc_id, "title": "t", "paragraphs": [{"index": 0, "text": text}],
+    }), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["bad-file-last", "shared-doc-id", "packed", "packed-artifact"])
+def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
+    source, ws = tmp_path / "docs", tmp_path / "ws"
+    source.mkdir()
+    write_doc(source, "a.json", "a", "Alpha.")
+    assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    if case == "bad-file-last":
+        (source / "b.json").write_text("{", encoding="utf-8")
+    elif case == "shared-doc-id":
+        write_doc(source, "b.json", "a", "Beta.")
+    else:
+        assert invoke(ws, "ingest", "--from", source).exit_code == 0
+        if case == "packed":
+            assert invoke(ws, "pack").exit_code == 0
+        else:  # what a `pack` killed before its mark leaves
+            (ws / "packed" / "a.json").write_text("{}\n", encoding="utf-8")
+        write_doc(source, "a.json", "a", "Alpha, revised.")
+    before = tree(ws)
+    result = invoke(ws, "ingest", "--from", source)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert tree(ws) == before
+
+
 OPTIONS = {
     "init": ["--direction", "--template"],
     "collect": ["--max-papers", "--source"],

@@ -339,6 +339,41 @@ def test_pack_keeps_finished_documents_when_another_fails(tmp_path):
     assert provider.scored and all("Alpha" in text for text in provider.scored)
 
 
+def test_kill_at_the_first_packed_mark_repeats_no_paragraph_score(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    for doc_id, name in (("ma", "Alpha"), ("mb", "Beta"), ("mc", "Gamma")):
+        write_mini_doc(source, doc_id, [
+            f"Finding {i}. {name} rainfall reached {400 + i} mm in trial {i}." for i in range(12)
+        ])
+    config = PipelineConfig(packer_budget=100)  # below every document's weight
+
+    def ingested(run, provider):
+        pipe = Pipeline(Workspace.init(tmp_path / run, DIRECTION, config), config, provider)
+        pipe.ingest_dir(source)
+        return pipe
+
+    clean = ingested("clean", ContentAnsweringProvider())
+    clean.stage_pack()
+    killed = ContentAnsweringProvider()
+    pipe = ingested("kill", killed)
+    mark = pipe.ws.mark
+
+    def killing_mark(doc_id, status):
+        if status == "packed":
+            raise Killed(doc_id)
+        mark(doc_id, status)
+
+    pipe.ws.mark = killing_mark
+    with pytest.raises(Killed):
+        pipe.stage_pack()
+    provider = ContentAnsweringProvider()
+    Pipeline(Workspace.load(pipe.ws.root), config, provider).stage_pack()
+    assert {tag for tag, _ in killed.calls} == {"paragraph_score"}
+    assert set(killed.calls) & set(provider.calls) == set()
+    assert tree(pipe.ws.root / "packed") == tree(clean.ws.root / "packed")
+
+
 def test_per_document_runs_no_queued_item_after_finish_raises(mini, monkeypatch):
     pipe, _provider = mini
     started, all_busy, gate = [], threading.Event(), threading.Event()
@@ -449,7 +484,7 @@ def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
     expected = tree(clean.ws.root)
 
     for k in range(len(synth.DOC_IDS)):
-        pipe, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir)
+        pipe, killed = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir)
         pipe.store_template(synth.TEMPLATE)
         reviewed = []
         mark = pipe.ws.mark
@@ -464,9 +499,10 @@ def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
         pipe.ws.mark = killing_mark
         with pytest.raises(Killed):
             pipe.run(None)
-        resumed, _ = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, ingest=False)
+        resumed, provider = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, ingest=False)
         resumed.run(None)
         assert tree(resumed.ws.root) == expected, f"killed at review mark {k}"
+        assert set(killed.calls) & set(provider.calls) == set(), f"killed at review mark {k}"
 
 
 @pytest.fixture(scope="module")
@@ -489,7 +525,7 @@ def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
 ):
     expected, reached = clean_corpus_run
     kill_at = 0 if which == "first" else reached[status] - 1
-    pipe, _ = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
+    pipe, killed = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
     seen = []
     mark = pipe.ws.mark
 
@@ -506,9 +542,14 @@ def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
         pipe.run(synth.TEMPLATE)
     if kill_at:  # the stage's earlier marks are only in the log
         assert pipe.ws.log_path.exists()
-    resumed, _ = corpus_pipeline(tmp_path, corpus_dir, ingest=status == "parsed")
+    resumed, provider = corpus_pipeline(tmp_path, corpus_dir, ingest=status == "parsed")
     resumed.run(synth.TEMPLATE)
     assert tree(resumed.ws.root) == expected
+    # A finished document's artifact spares its calls. The one exception:
+    # results.json cannot tell a current analysis from a stale one, so a
+    # kill at an `analyzed` mark repeats the plan call.
+    repeated = [tag for tag, digest in provider.calls if (tag, digest) in set(killed.calls)]
+    assert repeated == (["plan"] if status == "analyzed" else [])
 
 
 def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monkeypatch):
