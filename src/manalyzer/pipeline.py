@@ -2,29 +2,35 @@
 
 The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
-on and recording progress in the workspace manifest. Each stage method is
-wrapped by ``@stage(name)``: a pipeline error or OSError raised inside it
-becomes ``StageFailure(name)`` (exit 3), and when it returns, the status
-marks it appended to the manifest's log are compacted into manifest.json.
-A killed run resumes where it stopped: completed documents are never
-recomputed and their agent calls are never re-issued, with two exceptions.
+on and recording progress in the workspace manifest. Status marks stay in
+memory, and manifest.json is written once per stage: each stage method is
+wrapped by ``@stage(name)``, which writes it when the stage returns, and
+also when a pipeline error or OSError inside it is re-raised as
+``StageFailure(name)`` (exit 3), so ``status`` then shows the documents
+the stage finished. Any other exception, a kill among them, writes
+nothing: after a kill, ``status`` shows the last finished stage until the
+next command runs.
 
-Each stage takes its work list from the manifest as the documents at one
-status (``Workspace.docs_at``). Per-document work (packing, independent
-review, comparative review batches, extraction) runs on one bounded
-worker pool, ``_per_document``. The artifact its work step writes last
-(``packed/<doc>.json``, ``reviews/<doc>.json``,
+A killed run resumes where it stopped, and every status comes back from
+files already on disk with no agent call. A killed ``ingest`` is redone by
+running ``ingest`` again. Each stage takes its work list from the manifest
+as the documents at one status (``Workspace.docs_at``). Per-document work
+(packing, independent review, comparative review batches, extraction)
+runs on one bounded worker pool, ``_per_document``. The artifact its work
+step writes last (``packed/<doc>.json``, ``reviews/<doc>.json``,
 ``extracted/<doc>/table.json``) records that a document finished the
 stage, so a work step that finds it returns with no agent call; the
-finish step only appends marks, on the orchestrator thread, and one that
-raises cancels the items not yet started. The exceptions: a kill at an
-``analyzed`` mark repeats the ``plan`` call (``results.json`` cannot tell
-a current analysis from a stale one), and a kill between two record
-writes of one review batch repeats the batch's call. An artifact a killed
-command wrote is kept under a later command's overrides (``pack
---budget``, ``screen --batch-size``, ``extract --topic``), as a marked
-document's is. Merge points (screening, table merge, report) are
-single-threaded. Only the orchestrator thread writes the manifest.
+finish step only marks, on the orchestrator thread, and one that raises
+cancels the items not yet started. Screening outcomes are recomputed from
+the review records and the threshold. The exceptions: a kill after the
+``plan`` call and before analyze's manifest write repeats the ``plan``
+call (``results.json`` cannot tell a current analysis from a stale one),
+and a kill between two record writes of one review batch repeats the
+batch's call. An artifact a killed command wrote is kept under a later
+command's overrides (``pack --budget``, ``screen --batch-size``,
+``extract --topic``), as a marked document's is. Merge points (screening,
+table merge, report) are single-threaded. Only the orchestrator thread
+marks statuses.
 
 Inside a document, the independent agent calls (paragraph scores, mask
 batches) fan out through ``Gateway.map``, so up to
@@ -109,16 +115,17 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
 
 
 def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Run a Pipeline method as stage `name`: a pipeline error or an OSError
-    (a failed write, say) inside it is re-raised as StageFailure(name), and
-    the workspace's status log is folded into manifest.json when it returns.
-    A stage that raises leaves the log for `Workspace.load`."""
+    """Run a Pipeline method as stage `name` and write the workspace
+    manifest once when it returns. A pipeline error or an OSError (a failed
+    write, say) inside it writes the manifest too, then is re-raised as
+    StageFailure(name); any other exception writes nothing."""
     def wrap(method: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(method)
         def run_stage(self: "Pipeline", *args, **kwargs) -> T:
             try:
                 result = method(self, *args, **kwargs)
             except (ManalyzerError, OSError) as exc:
+                self.ws.compact()
                 raise StageFailure(name, exc) from exc
             self.ws.compact()
             return result
@@ -191,11 +198,15 @@ class Pipeline:
 
     def _read(self, name: str, cls: Any = None) -> Any:
         """The JSON artifact at workspace-relative `name`, rebuilt as `cls`
-        when one is given; None when the file is absent."""
+        when one is given; None when the file is absent. A file that does
+        not decode is a ValueError naming it (exit 2, inside a stage too)."""
         path = self.ws.root / name
         if not path.exists():
             return None
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         return raw if cls is None else from_json(cls, raw)
 
     def _parsed_path(self, doc_id: str) -> Path:

@@ -6,15 +6,13 @@ append-only status history per document; statuses only ever advance along
 the pipeline order, and the recorded config digest must match the active
 config or resuming is refused.
 
-A status mark costs O(1): it appends one JSON line, `[doc_id, status]`, to
-manifest.log beside the manifest. `compact` folds the log into
-manifest.json and deletes it; the pipeline compacts whenever a stage
-returns, so a finished command leaves no log behind. `load` replays a log
-left by a killed process in memory, through the same transition rules,
-and writes nothing: a status already in a document's history is skipped
-(a kill between the snapshot's rename and the log's unlink) and a torn
-last line is ignored (its artifact was written first, so the next run
-marks it again); any other bad line makes the manifest corrupt.
+Status marks stay in memory: a mark checks the transition and appends to
+the history. `compact` writes manifest.json once per stage, when a stage,
+`ingest_dir` or `collect` returns. After a kill, the manifest (and so
+`status`) shows the last finished stage until the next command runs; that
+command recovers the killed stage's progress from the artifacts on disk
+(see the pipeline module). A status log that an older build left beside
+the manifest is ignored.
 
 Every artifact write goes through `atomic_write_bytes` (the text and JSON
 writers encode, then call it): a temp file renamed over the target, so a
@@ -98,18 +96,13 @@ class Workspace:
         self.direction = direction
         self.digest = digest
         self.docs = docs
-        self._dirty = False  # manifest.json lags `docs`; the log holds the rest
-        self._replayed = False  # the log on disk was left by an earlier process
+        self._dirty = False  # `docs` holds marks that manifest.json lacks
 
     # -- paths ---------------------------------------------------------
 
     @property
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
-
-    @property
-    def log_path(self) -> Path:
-        return self.root / "manifest.log"
 
     @property
     def report_path(self) -> Path:
@@ -144,7 +137,7 @@ class Workspace:
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptManifestError(f"unreadable manifest: {exc}") from exc
+            raise CorruptManifestError(f"{path}: unreadable manifest: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("version") != MANIFEST_VERSION:
             raise CorruptManifestError(f"unsupported manifest version in {path}")
         docs = raw.get("docs")
@@ -162,33 +155,7 @@ class Workspace:
                 ranks.append(STATUS_RANK[status])
             if any(b <= a for a, b in zip(ranks, ranks[1:])):
                 raise CorruptManifestError(f"{doc_id}: status history regressed: {history}")
-        ws = cls(root, direction, digest, docs)
-        if ws.log_path.exists():
-            ws._replay()
-        return ws
-
-    def _replay(self) -> None:
-        """Apply manifest.log to `docs` in memory; see the module docstring."""
-        *lines, torn = self.log_path.read_bytes().split(b"\n")  # `torn` lacks its newline
-        for number, line in enumerate(lines, start=1):
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                if number == len(lines) and not torn:
-                    break
-                raise CorruptManifestError(
-                    f"{self.log_path}: line {number} does not decode: {line[:80]!r}"
-                ) from None
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and all(isinstance(field, str) for field in entry)
-                    and entry[1] in STATUS_RANK):
-                raise CorruptManifestError(
-                    f"{self.log_path}: line {number} is not a [doc_id, status] pair: {entry!r}"
-                )
-            doc_id, status = entry
-            if status not in self.docs.get(doc_id, ()):
-                self._advance(doc_id, status)
-        self._dirty = self._replayed = True
+        return cls(root, direction, digest, docs)
 
     def save(self) -> None:
         atomic_write_json(
@@ -202,13 +169,11 @@ class Workspace:
         )
 
     def compact(self) -> None:
-        """Fold the log into manifest.json and delete it; a no-op when no
-        mark is pending."""
-        if not self._dirty:
-            return
-        self.save()
-        self.log_path.unlink(missing_ok=True)
-        self._dirty = self._replayed = False
+        """Write manifest.json once if a mark changed `docs` since the last
+        write; a no-op otherwise."""
+        if self._dirty:
+            self.save()
+            self._dirty = False
 
     def check_config(self, config: PipelineConfig) -> None:
         active = config_digest(config)
@@ -230,24 +195,11 @@ class Workspace:
         return -1 if status is None else STATUS_RANK[status]
 
     def mark(self, doc_id: str, status: str) -> None:
-        """Append a status to the log; a no-op when already recorded, an
-        error when it would regress."""
+        """Append `status` to the document's history in memory; a no-op when
+        it is the current status already, an error when it would regress.
+        Nothing reaches disk until `compact`."""
         if status not in STATUS_RANK:
             raise WorkspaceError(f"unknown status {status!r}")
-        if not self._advance(doc_id, status):
-            return
-        self._dirty = True
-        if self._replayed:
-            # An earlier process's log may end in a torn line: fold it into
-            # the snapshot rather than append after it.
-            self.compact()
-            return
-        with self.log_path.open("a", encoding="utf-8") as log:
-            log.write(json.dumps([doc_id, status]) + "\n")
-
-    def _advance(self, doc_id: str, status: str) -> bool:
-        """Append `status` to the in-memory history; False when it is the
-        current status already, an error when it would regress."""
         history = self.docs.setdefault(doc_id, [])
         if history:
             current = STATUS_RANK[history[-1]]
@@ -256,13 +208,13 @@ class Workspace:
                     raise CorruptManifestError(
                         f"{doc_id}: conflicting outcomes {history[-1]!r} vs {status!r}"
                     )
-                return False
+                return
             if STATUS_RANK[status] < current:
                 raise CorruptManifestError(
                     f"{doc_id}: status would regress from {history[-1]!r} to {status!r}"
                 )
         history.append(status)
-        return True
+        self._dirty = True
 
     def doc_ids(self) -> list[str]:
         return sorted(self.docs)

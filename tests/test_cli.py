@@ -393,6 +393,24 @@ def test_a_failed_write_outside_a_stage_exits_3(tmp_path, corpus_dir, monkeypatc
     assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 
 
+@pytest.mark.parametrize("command, name", [
+    (("report",), "packed/d01.json"),
+    (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), "reviews/d01.json"),
+], ids=["report", "screen-eval"])
+def test_an_undecodable_artifact_exits_2_and_names_the_file(
+    initialized, corpus_dir, command, name
+):
+    ws, config = initialized
+    for args in (("pack",), ("screen",)):
+        assert invoke(ws, *args, config=config).exit_code == 0
+    (ws / name).write_bytes(b"")
+    argv = [arg.replace("<corpus>", str(corpus_dir)) for arg in command]
+    result = invoke(ws, *argv, config=config)
+    assert result.exit_code == 2, result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {ws / name}: ")
+
+
 def test_eval_extraction_missing_gold(initialized):
     ws, config = initialized
     result = invoke(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from manalyzer import extraction, pipeline, prompts, synth
+from manalyzer import collector, extraction, pipeline, prompts, synth, workspace
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ConfigError, ScriptMissError, StageFailure
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
@@ -333,6 +333,8 @@ def test_pack_keeps_finished_documents_when_another_fails(tmp_path):
     assert ws.status_of("ma") == "parsed"
     assert ws.status_of("mb") == "packed"
     assert (ws.dir("packed") / "mb.json").exists()
+    # The failed stage wrote the manifest, so `status` shows mb packed.
+    assert Workspace.load(ws.root).status_of("mb") == "packed"
 
     provider = MissingScores()
     Pipeline(Workspace.load(ws.root), config, provider).run(None)
@@ -474,8 +476,8 @@ def test_resume_never_repeats_a_call(tmp_path, corpus_dir):
     assert len(first_keys) + len(second_keys) == 43
 
 
-class Killed(Exception):
-    pass
+class Killed(BaseException):
+    """A kill of the process: no handler in the pipeline catches it."""
 
 
 def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
@@ -540,8 +542,6 @@ def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
     with pytest.raises(Killed):
         pipe.ingest_dir(corpus_dir / "docs")
         pipe.run(synth.TEMPLATE)
-    if kill_at:  # the stage's earlier marks are only in the log
-        assert pipe.ws.log_path.exists()
     resumed, provider = corpus_pipeline(tmp_path, corpus_dir, ingest=status == "parsed")
     resumed.run(synth.TEMPLATE)
     assert tree(resumed.ws.root) == expected
@@ -576,7 +576,6 @@ def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monke
         before = len(writes)
         stage()
         per_stage[name] = len(writes) - before
-        assert not pipe.ws.log_path.exists(), name
     # Each stage marks between 6 and 10 documents.
     assert per_stage == dict.fromkeys(per_stage, 1)
     assert Workspace.load(pipe.ws.root).docs == pipe.ws.docs
@@ -609,6 +608,83 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
     extract_tags = {"table_convert", "figure_summary", "mask", "extract", "check"}
     assert [key for key in provider.calls if key[0] in extract_tags] == []
     assert tree(resumed.ws.root) == expected
+
+
+def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkeypatch):
+    # One worker and one call in flight fix the order of calls and writes.
+    config = PipelineConfig(max_concurrency=1, provider_max_in_flight=1)
+    write = workspace.atomic_write_bytes
+    finishing = {
+        name for d in synth.DOC_IDS for name in (
+            f"packed/{d}.json", f"reviews/{d}.indep.json", f"reviews/{d}.json",
+            f"extracted/{d}/table.json",
+        )
+    }
+
+    def start(root, provider, hook):
+        """Ingest and run on a fresh workspace, whose later writes go through
+        `hook`, until done or killed; returns whether ingest returned."""
+        pipe = Pipeline(Workspace.init(root, synth.DIRECTION, config), config, provider)
+        with monkeypatch.context() as patch:
+            for module in (workspace, pipeline, collector):
+                patch.setattr(module, "atomic_write_bytes", hook)
+            try:
+                pipe.ingest_dir(corpus_dir / "docs")
+            except Killed:
+                return False
+            try:
+                pipe.run(synth.TEMPLATE)
+            except Killed:
+                pass
+        return True
+
+    def script():
+        return ScriptedProvider.load_script(corpus_dir / "script.jsonl")
+
+    writes = []
+    clean = tmp_path / "clean"
+    start(clean, script(), lambda path, data: (writes.append(path), write(path, data)))
+    expected = tree(clean)
+    assert not [name for name in expected if name.endswith(".tmp")]
+
+    batch_repeats = []
+    for k in range(len(writes)):
+        root = tmp_path / f"kill{k}"
+        done = []  # (workspace-relative name, calls issued by then) per finished write
+
+        def killing_write(path, data):
+            if len(done) == k:
+                path.with_name(path.name + ".tmp").write_bytes(data)
+                done.append(None)
+            if len(done) > k:  # the process is dead: no later write happens
+                raise Killed(path)
+            write(path, data)
+            done.append((path.relative_to(root).as_posix(), len(killed.calls)))
+
+        killed, provider = script(), script()
+        ingested = start(root, killed, killing_write)
+        assert len(done) == k + 1, f"write {k} was never reached"
+        resumed = Pipeline(Workspace.load(root), config, provider)
+        if not ingested:
+            resumed.ingest_dir(corpus_dir / "docs")
+        resumed.run(synth.TEMPLATE)
+        assert tree(root) == expected, f"killed at write {k}: {writes[k]}"
+
+        # A call issued before the last finished artifact was written is
+        # vouched for by it and never repeated; but a kill between two record
+        # writes of one comparative batch repeats the batch's call.
+        vouched = max([calls for name, calls in done[:k] if name in finishing], default=0)
+        repeated = set(killed.calls[:vouched]) & set(provider.calls)
+        if repeated:
+            last_two = [done[k - 1][0], writes[k].relative_to(clean).as_posix()]
+            assert all(re.fullmatch(r"reviews/d\d\d\.json", name) for name in last_two), (
+                f"killed at write {k}: {writes[k]} repeated {repeated}"
+            )
+            assert repeated == {killed.calls[-1]}
+            assert killed.calls[-1][0] == "comparative_review"
+            batch_repeats.append(k)
+    # The corpus makes one batch of ten records, with nine gaps between them.
+    assert len(batch_repeats) == len(synth.DOC_IDS) - 1
 
 
 class MissingBatch(ContentAnsweringProvider):

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from manalyzer import workspace
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.errors import CorruptManifestError, RefuseResumeError, WorkspaceError
 from manalyzer.workspace import (
@@ -43,6 +44,7 @@ def test_load_round_trip(ws):
     ws.mark("d01", "collected")
     ws.mark("d01", "parsed")
     ws.mark("d02", "collected")
+    ws.compact()
     loaded = Workspace.load(ws.root)
     assert loaded.direction == "test direction"
     assert loaded.digest == ws.digest
@@ -56,7 +58,7 @@ def test_load_requires_manifest(tmp_path):
 
 def test_load_rejects_unparseable_json(ws):
     ws.manifest_path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(CorruptManifestError, match="unreadable"):
+    with pytest.raises(CorruptManifestError, match="manifest.json: unreadable"):
         Workspace.load(ws.root)
 
 
@@ -107,7 +109,7 @@ def test_load_rejects_non_advancing_history(ws, history):
 
 def test_mark_appends_and_persists(ws):
     ws.mark("d01", "collected")
-    # Every mark hits disk; a crash right after must not lose the status.
+    ws.compact()
     assert Workspace.load(ws.root).status_of("d01") == "collected"
 
 
@@ -224,91 +226,39 @@ def test_atomic_write_json_is_stable(tmp_path):
     assert first.endswith(b"\n")
 
 
-# -- the status log ------------------------------------------------------------
+# -- the manifest write --------------------------------------------------------
 
 
-def test_mark_appends_one_log_line_and_compact_folds_it(ws):
-    snapshot = ws.manifest_path.read_bytes()
+def test_mark_writes_nothing_and_compact_writes_the_manifest_once(ws, monkeypatch):
+    written = []
+    write = workspace.atomic_write_bytes
+
+    def counting_write(path, data):
+        written.append(path.name)
+        write(path, data)
+
+    monkeypatch.setattr(workspace, "atomic_write_bytes", counting_write)
+    before = tree(ws.root)
     ws.mark("d01", "collected")
-    ws.mark("d01", "collected")  # no-op: nothing logged
+    ws.mark("d01", "collected")  # no-op
     ws.mark("d01", "parsed")
-    assert ws.manifest_path.read_bytes() == snapshot
-    assert ws.log_path.read_text(encoding="utf-8") == (
-        '["d01", "collected"]\n["d01", "parsed"]\n'
-    )
+    assert written == []
+    assert tree(ws.root) == before
     ws.compact()
-    assert not ws.log_path.exists()
+    assert written == ["manifest.json"]
     assert json.loads(ws.manifest_path.read_text(encoding="utf-8"))["docs"] == {
         "d01": ["collected", "parsed"]
     }
     ws.compact()  # nothing pending: no write
-    assert not ws.log_path.exists()
+    assert written == ["manifest.json"]
 
 
-@pytest.mark.parametrize("torn", [b'["d02", "pars', b'["d02", "parsed"]', b'["d02", "pars\n'],
-                         ids=["no-newline", "unterminated", "undecodable"])
-def test_replay_ignores_torn_last_line(ws, torn):
-    ws.mark("d01", "collected")
-    ws.mark("d01", "parsed")
-    with ws.log_path.open("ab") as log:
-        log.write(torn)
-    loaded = Workspace.load(ws.root)
-    assert loaded.docs == {"d01": ["collected", "parsed"]}
-    # The next mark folds the torn log into the snapshot instead of
-    # appending after the torn line.
-    loaded.mark("d02", "parsed")
-    assert not loaded.log_path.exists()
-    assert Workspace.load(ws.root).docs == {"d01": ["collected", "parsed"], "d02": ["parsed"]}
-
-
-@pytest.mark.parametrize("bad, message", [
-    (b"garbage\n", "does not decode"),
-    (b'["d01"]\n', "not a \\[doc_id, status\\] pair"),
-    (b'["d01", "polished"]\n', "not a \\[doc_id, status\\] pair"),
-    (b'["d01", "collected"]\n', "regress"),
-], ids=["undecodable", "short", "unknown-status", "regression"])
-def test_replay_rejects_a_bad_line_before_the_last(ws, bad, message):
-    ws.mark("d01", "parsed")
-    with ws.log_path.open("ab") as log:
-        log.write(bad + b'["d02", "parsed"]\n')
-    with pytest.raises(CorruptManifestError, match=message):
-        Workspace.load(ws.root)
-
-
-def test_bad_log_line_exits_2_through_the_cli(ws):
-    ws.mark("d01", "parsed")
-    with ws.log_path.open("ab") as log:
-        log.write(b'garbage\n["d02", "parsed"]\n')
-    result = run_cli(["--workspace", ws.root, "status"])
-    assert result.exit_code == 2
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error: ") and "line 2 does not decode" in result.stderr
-
-
-def test_log_beside_compacted_manifest_replays_as_no_op(ws):
-    # A kill between the snapshot's rename and the log's unlink.
-    for doc_id, status in (("d01", "collected"), ("d01", "parsed"), ("d02", "screened_out")):
-        ws.mark(doc_id, status)
-    log = ws.log_path.read_bytes()
-    ws.compact()
-    snapshot = ws.manifest_path.read_bytes()
-    ws.log_path.write_bytes(log)
-    loaded = Workspace.load(ws.root)
-    assert loaded.docs == ws.docs
-    loaded.compact()
-    assert ws.manifest_path.read_bytes() == snapshot
-    assert not ws.log_path.exists()
-
-
-def test_status_replays_a_pending_log_and_writes_nothing(ws):
+def test_status_ignores_an_old_builds_log_and_writes_nothing(ws):
     ws.mark("d01", "collected")
     ws.compact()
-    ws.mark("d01", "parsed")
-    ws.mark("d02", "reviewed")
+    (ws.root / "manifest.log").write_bytes(b'["d01", "parsed"]\n["d02", "reviewed"]\ngarb')
     before = tree(ws.root)
     result = run_cli(["--workspace", ws.root, "status"])
     assert result.exit_code == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert re.sub(r" +", " ", lines[-2]) == " d01 parsed"
-    assert re.sub(r" +", " ", lines[-1]) == " d02 reviewed"
+    assert re.sub(r" +", " ", result.stdout.splitlines()[-1]) == " d01 collected"
     assert tree(ws.root) == before
