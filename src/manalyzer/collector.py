@@ -11,9 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 from urllib.parse import urlencode
@@ -107,6 +105,9 @@ def dedup_key(doi: str | None, title: str) -> str:
 
 def _hit(source: str, title: str, doi: str | None, pdf_url: str | None = None) -> PaperMeta:
     """A search result, named by a digest of its de-dup key."""
+    # Imported here, as urllib.request is in `_get`: only `collect` needs it.
+    from datetime import datetime, timezone
+
     key = dedup_key(doi, title)
     doc_id = f"{source}-{hashlib.sha256(key.encode('utf-8')).hexdigest()[:12]}"
     return PaperMeta(doc_id, title, doi, source, pdf_url, datetime.now(timezone.utc).isoformat())
@@ -133,6 +134,9 @@ def _search_crossref(query: str, max_results: int, fetch: Callable[[str], str]) 
 
 
 def _search_arxiv(query: str, max_results: int, fetch: Callable[[str], str]) -> list[PaperMeta]:
+    # Imported here, as urllib.request is in `_get`: only `collect` needs it.
+    import xml.etree.ElementTree as ET
+
     url = ARXIV_URL + "?" + urlencode(
         {"search_query": f"all:{query}", "start": 0, "max_results": max_results}
     )

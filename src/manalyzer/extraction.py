@@ -443,20 +443,21 @@ def run_feedback_loop(
     max_iter: int = DEFAULTS.extraction_max_iter,
     abs_tol: float = DEFAULTS.eval_abs_tol,
     rel_tol: float = DEFAULTS.eval_rel_tol,
-) -> tuple[ExtractedTable, list[tuple[int, CheckReport]]]:
+) -> tuple[ExtractedTable, list[tuple[int, CheckReport]], list[Violation]]:
     """Extract, validate, and check until accepted or attempts run out.
 
     Acceptance needs an overall check score at or above the threshold AND
     zero provenance violations. The checker's suggestion plus the violation
     list feed the next attempt. On exhaustion the best-scoring attempt is
     returned, flagged unaccepted. Extraction errors on the final attempt
-    propagate; earlier ones become feedback.
+    propagate; earlier ones become feedback. The returned table comes with
+    its check trace and its provenance violations.
     """
     if not 1 <= max_iter <= 3:
         raise ValueError("max_iter must be in [1, 3]")
     trace: list[tuple[int, CheckReport]] = []
     prior: str | None = None
-    best: tuple[int, int, ExtractedTable] | None = None  # (overall, -violations, table)
+    best: tuple[tuple[int, int], ExtractedTable, list[Violation]] | None = None
 
     for iteration in range(1, max_iter + 1):
         try:
@@ -477,20 +478,20 @@ def run_feedback_loop(
             trace.append(
                 (iteration, CheckReport(1, 1, 1, 1, "checker unusable; accepted with warning"))
             )
-            return dataclasses.replace(table, accepted=True), trace
+            return dataclasses.replace(table, accepted=True), trace, violations
 
         trace.append((iteration, report))
         if report.overall >= accept_overall and not violations:
-            return dataclasses.replace(table, accepted=True), trace
+            return dataclasses.replace(table, accepted=True), trace, violations
 
         key = (report.overall, -len(violations))
-        if best is None or key > (best[0], best[1]):
-            best = (report.overall, -len(violations), table)
+        if best is None or key > best[0]:
+            best = (key, table, violations)
         if table.is_empty():
             # Re-asking over zero retained parts cannot change anything.
             break
         prior = _feedback_text(report, violations)
 
     assert best is not None
-    return dataclasses.replace(best[2], accepted=False), trace
+    return dataclasses.replace(best[1], accepted=False), trace, best[2]
 

@@ -21,13 +21,14 @@ step writes last (``packed/<doc>.json``, ``reviews/<doc>.json``,
 ``extracted/<doc>/table.json``) records that a document finished the
 stage, so a work step that finds it returns with no agent call; the
 finish step only marks, on the orchestrator thread, and one that raises
-cancels the items not yet started. Screening outcomes are recomputed from
-the review records and the threshold. The exceptions: a kill after the
-``plan`` call and before analyze's manifest write repeats the ``plan``
-call (``results.json`` cannot tell a current analysis from a stale one),
-and a kill between two record writes of one review batch repeats the
-batch's call. An artifact a killed command wrote is kept under a later
-command's overrides (``pack --budget``, ``screen --batch-size``,
+cancels the items not yet started. Review marks instead, once the stage
+ends or fails, exactly the papers whose record exists. Screening outcomes
+are recomputed from the review records and the threshold. The exceptions:
+a kill after the ``plan`` call and before analyze's manifest write repeats
+the ``plan`` call (``results.json`` cannot tell a current analysis from a
+stale one), and a kill between two record writes of one review batch
+repeats the batch's call. An artifact a killed command wrote is kept under
+a later command's overrides (``pack --budget``, ``screen --batch-size``,
 ``extract --topic``), as a marked document's is. Merge points (screening,
 table merge, report) are single-threaded. Only the orchestrator thread
 marks statuses.
@@ -45,7 +46,7 @@ import json
 import logging
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -93,6 +94,23 @@ class RunSummary:
     accepted: int
     merged_rows: int
     report_path: str | None
+
+
+@dataclass(frozen=True)
+class ExtractionTrace:
+    """An ``extracted/<doc>/trace.json``: each attempt's check report, and
+    the provenance violations of the table kept."""
+
+    trace: tuple[dict, ...]
+    violations: tuple[dict, ...]
+
+
+def _fit(path: Path, cls: Any, raw: Any) -> Any:
+    """`raw`, read from `path`, rebuilt as `cls`; a ValueError names `path`."""
+    try:
+        return from_json(cls, raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
@@ -168,14 +186,15 @@ class Pipeline:
     # -- small helpers ---------------------------------------------------
 
     def _per_document(
-        self, work: Callable[[K], T], todo: list[K], finish: Callable[[K, T], None]
+        self, work: Callable[[K], T], todo: list[K], finish: Callable[[K, T], None] = lambda *_: None
     ) -> None:
         """Run `work` over `todo` (documents, or review batches) on the pool
         and call `finish` here, on the orchestrator thread, as each item
         completes, so every finished item is kept even when another fails.
         The first failure in `todo` order is raised once the pool has
         drained. `work` writes its item's artifacts and returns early when
-        the last one exists, so `finish` only marks; the module docstring
+        the last one exists, so `finish` only marks or collects (review
+        marks from its records once the stage ends); the module docstring
         names the two cases where a resume still repeats a call."""
         failures: dict[K, Exception] = {}
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
@@ -199,7 +218,8 @@ class Pipeline:
     def _read(self, name: str, cls: Any = None) -> Any:
         """The JSON artifact at workspace-relative `name`, rebuilt as `cls`
         when one is given; None when the file is absent. A file that does
-        not decode is a ValueError naming it (exit 2, inside a stage too)."""
+        not decode, or does not fit `cls`, is a ValueError naming it (exit
+        2, inside a stage too)."""
         path = self.ws.root / name
         if not path.exists():
             return None
@@ -207,7 +227,7 @@ class Pipeline:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        return raw if cls is None else from_json(cls, raw)
+        return raw if cls is None else _fit(path, cls, raw)
 
     def _parsed_path(self, doc_id: str) -> Path:
         return self.ws.dir("parsed") / f"{doc_id}.json"
@@ -301,11 +321,6 @@ class Pipeline:
             if not path.exists():
                 atomic_write_json(path, {"doc_id": doc_id, **fields})
 
-        def mark(*doc_ids: str) -> None:
-            for doc_id in doc_ids:
-                if not self.ws.at_least(doc_id, "reviewed"):
-                    self.ws.mark(doc_id, "reviewed")
-
         # Phase 1: independent scores, one file per paper, for every packed
         # paper (a reviewed paper's file is read back: batches span it too).
         # A paper that fails here gets its failure record and no batch.
@@ -325,24 +340,10 @@ class Pipeline:
                 record(doc_id, **payload)
             return payload
 
-        indep: dict[str, dict] = {}
-
-        def keep(doc_id: str, payload: dict) -> None:
-            indep[doc_id] = payload
-            if payload.get("failed"):
-                mark(doc_id)
-
-        packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
-        self._per_document(independent, packed, keep)
-
         # Phase 2: comparative batches over all successfully scored papers,
         # in sorted order, run on the pool. A batch whose members all hold
         # their records issues no call; one whose reply is unusable gives
         # each of its papers a failure record.
-        scored = sorted(d for d, info in indep.items() if not info.get("failed"))
-        size = self.config.reviewer_batch_size
-        batches = [scored[start : start + size] for start in range(0, len(scored), size)]
-
         def comparative(batch_id: int) -> None:
             batch = batches[batch_id]
             if all((reviews / f"{d}.json").exists() for d in batch):
@@ -359,9 +360,18 @@ class Pipeline:
                 final = reviewer.fuse(s1, s2, s_r)
                 record(doc_id, s1=s1, s2=s2, s_r=s_r, final=final, batch_id=batch_id)
 
-        self._per_document(
-            comparative, list(range(len(batches))), lambda batch_id, _: mark(*batches[batch_id])
-        )
+        indep: dict[str, dict] = {}
+        packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
+        try:
+            self._per_document(independent, packed, indep.__setitem__)
+            scored = sorted(d for d, info in indep.items() if not info.get("failed"))
+            size = self.config.reviewer_batch_size
+            batches = [scored[start : start + size] for start in range(0, len(scored), size)]
+            self._per_document(comparative, list(range(len(batches))))
+        finally:  # reviewed: exactly the papers whose record exists, even after a failure
+            for doc_id in self.ws.docs_at("packed"):
+                if (reviews / f"{doc_id}.json").exists():
+                    self.ws.mark(doc_id, "reviewed")
 
     # -- screen ----------------------------------------------------------
 
@@ -371,15 +381,19 @@ class Pipeline:
         records, failures = [], []
         threshold = self.config.reviewer_threshold
         for doc_id in self.ws.doc_ids():
-            raw = self._read(f"reviews/{doc_id}.json")
+            name = f"reviews/{doc_id}.json"
+            raw = self._read(name)
             if raw is None:
                 continue
-            if raw.get("failed"):
+            if isinstance(raw, dict) and raw.get("failed"):
                 failures.append(raw)
                 continue
-            screened = self.ws.at_least(doc_id, "screened_in")
-            kept = "screened_in" in self.ws.docs[doc_id] if screened else raw["final"] >= threshold
-            records.append(ReviewRecord(**raw, kept=kept))
+            record = _fit(self.ws.root / name, ReviewRecord, raw)
+            if self.ws.at_least(doc_id, "screened_in"):
+                kept = "screened_in" in self.ws.docs[doc_id]
+            else:
+                kept = reviewer.clears_threshold(record.final, threshold)
+            records.append(replace(record, kept=kept))
         return records, failures
 
     @stage("screen")
@@ -436,7 +450,7 @@ class Pipeline:
         retained = extraction.retain_parts(parts, mask)
 
         try:
-            table, trace = extraction.run_feedback_loop(
+            table, trace, violations = extraction.run_feedback_loop(
                 retained, template, direction, self.gateway, doc_id=doc_id,
                 accept_overall=self.config.extraction_accept_overall,
                 max_iter=self.config.extraction_max_iter,
@@ -448,23 +462,18 @@ class Pipeline:
                 doc_id=doc_id, header=tuple(template), rows=(), provenance=(),
                 iteration=self.config.extraction_max_iter, accepted=False,
             )
-            trace = []
+            trace, violations = [], []
 
-        violations = extraction.validate_provenance(
-            table, retained, self.config.eval_abs_tol, self.config.eval_rel_tol
-        )
         atomic_write_json(out / "parts.json", {
             "parts": [asdict(p) for p in parts],
             "mask": mask,
             "retained": [p.part_id for p in retained],
             "warnings": warnings,
         })
-        atomic_write_json(out / "trace.json", {
-            "trace": [{"iteration": i, **asdict(r)} for i, r in trace],
-            "violations": [
-                {"kind": v.kind, "reason": v.reason} for v in violations
-            ],
-        })
+        atomic_write_json(out / "trace.json", asdict(ExtractionTrace(
+            trace=tuple({"iteration": i, **asdict(r)} for i, r in trace),
+            violations=tuple({"kind": v.kind, "reason": v.reason} for v in violations),
+        )))
         # Last: a table.json vouches that the document's other files exist.
         atomic_write_json(out / "table.json", asdict(table))
         return table
@@ -534,14 +543,14 @@ class Pipeline:
             table = self.load_table(doc_id)
             if table is None:
                 continue
-            trace = self._read(f"extracted/{doc_id}/trace.json")
+            trace = self._read(f"extracted/{doc_id}/trace.json", ExtractionTrace)
             traces.append(TraceSummary(
                 doc_id=doc_id,
-                iterations=max([t["iteration"] for t in trace["trace"]], default=0),
+                iterations=max([t["iteration"] for t in trace.trace], default=0),
                 accepted=table.accepted,
                 row_count=len(table.rows),
                 provenance_count=len(table.provenance),
-                violation_count=len(trace["violations"]),
+                violation_count=len(trace.violations),
             ))
         return traces
 

@@ -39,8 +39,8 @@ class ReviewRecord:
     s2: int
     s_r: float
     final: float
-    kept: bool
     batch_id: int
+    kept: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,14 @@ def fuse(s1: int, s2: int, s_r: float) -> float:
     return s_r * (s1 + s2)
 
 
+def clears_threshold(final: float, threshold: float) -> bool:
+    """The screening rule: a paper survives when its final score reaches the threshold."""
+    return final >= threshold
+
+
 def screen(records: Iterable[ReviewRecord], threshold: float) -> list[str]:
     """Doc ids whose final score clears the threshold, sorted."""
-    return sorted(r.doc_id for r in records if r.final >= threshold)
+    return sorted(r.doc_id for r in records if clears_threshold(r.final, threshold))
 
 
 def baseline_screen(s1: int, s2: int) -> bool:

@@ -67,9 +67,16 @@ def atomic_write_json(path: Path, payload: object) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# Resolved once per class: a table holds many entries, and resolving the
-# hints costs ten times the rest of the rebuild.
-_type_hints = functools.cache(get_type_hints)
+@functools.cache
+def _fields(cls: Any) -> tuple[dict[str, Any], frozenset[str]]:
+    """A dataclass's field types by name, and the names of the fields with
+    no default. Resolved once per class: a table holds many entries, and
+    resolving the hints costs ten times the rest of the rebuild."""
+    required = frozenset(
+        f.name for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    return get_type_hints(cls), required
 
 
 def from_json(cls: Any, raw: Any) -> Any:
@@ -77,12 +84,22 @@ def from_json(cls: Any, raw: Any) -> Any:
 
     Dataclasses and `tuple[X, ...]` fields are rebuilt by their type hints;
     fields absent from `raw` take their defaults, and every other value
-    (numbers, strings, None, dicts, unions) is taken as read.
+    (numbers, strings, None, dicts, unions) is taken as read. A ValueError
+    names what does not fit: a non-object where a dataclass is expected, a
+    missing required field or an unknown one, a non-list for a tuple.
     """
     if dataclasses.is_dataclass(cls):
-        hints = _type_hints(cls)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{cls.__name__}: expected an object, got {type(raw).__name__}")
+        hints, required = _fields(cls)
+        if unknown := raw.keys() - hints.keys():
+            raise ValueError(f"{cls.__name__}: unknown field {sorted(unknown)[0]!r}")
+        if missing := required - raw.keys():
+            raise ValueError(f"{cls.__name__}: missing field {sorted(missing)[0]!r}")
         return cls(**{name: from_json(hints[name], value) for name, value in raw.items()})
     if get_origin(cls) is tuple:
+        if not isinstance(raw, list):
+            raise ValueError(f"expected a list, got {type(raw).__name__}")
         item_type = get_args(cls)[0]
         if not (dataclasses.is_dataclass(item_type) or get_origin(item_type) is tuple):
             return tuple(raw)

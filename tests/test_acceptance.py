@@ -328,7 +328,7 @@ def run_scripted_loop(suggestions, accept_last):
             prompts.check_request(LOOP_TOPIC, rendered, table.render()), reply
         )
         prior = suggestions[round_no] if round_no < len(suggestions) else None
-    table, trace = run_feedback_loop([part], ["value"], LOOP_TOPIC, gateway, doc_id="d1")
+    table, trace, _ = run_feedback_loop([part], ["value"], LOOP_TOPIC, gateway, doc_id="d1")
     tags = [tag for tag, _ in Counter(provider.calls)]
     return table, trace, tags
 

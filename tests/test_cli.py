@@ -3,6 +3,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -393,17 +395,86 @@ def test_a_failed_write_outside_a_stage_exits_3(tmp_path, corpus_dir, monkeypatc
     assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 
 
-@pytest.mark.parametrize("command, name", [
-    (("report",), "packed/d01.json"),
-    (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), "reviews/d01.json"),
-], ids=["report", "screen-eval"])
-def test_an_undecodable_artifact_exits_2_and_names_the_file(
-    initialized, corpus_dir, command, name
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory, corpus_dir):
+    """A workspace after a full corpus run, and its config; copy it to change it."""
+    ws = tmp_path_factory.mktemp("finished") / "ws"
+    config = corpus_dir / "config.txt"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("run",),
+    ):
+        assert invoke(ws, *args, config=config).exit_code == 0
+    return ws, config
+
+
+def test_a_failed_record_write_in_review_marks_the_papers_with_records(
+    initialized, finished, monkeypatch
 ):
     ws, config = initialized
-    for args in (("pack",), ("screen",)):
-        assert invoke(ws, *args, config=config).exit_code == 0
-    (ws / name).write_bytes(b"")
+    write = pipeline.atomic_write_json
+    records = []
+
+    def full_disk_write(path, payload):
+        if path.parent.name == "reviews" and re.fullmatch(r"d\d\d\.json", path.name):
+            records.append(path.name)
+            if len(records) == 2:
+                raise OSError(28, "No space left on device")
+        write(path, payload)
+
+    providers = []
+    build_provider = pipeline.build_provider
+
+    def recording_provider(config, base):
+        providers.append(build_provider(config, base))
+        return providers[-1]
+
+    monkeypatch.setattr("manalyzer.cli.build_provider", recording_provider)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "atomic_write_json", full_disk_write)
+        result = invoke(ws, "run", config=config)
+    assert result.exit_code == 3, result.stderr
+    assert result.stderr.splitlines() == [
+        "error: stage 'review' failed: [Errno 28] No space left on device"
+    ]
+    # The corpus's one comparative batch wrote d01's record, then failed.
+    assert records == ["d01.json", "d02.json"]
+    loaded = Workspace.load(ws)
+    assert [d for d in loaded.doc_ids() if loaded.status_of(d) == "reviewed"] == ["d01"]
+    assert sorted(p.stem for p in (ws / "reviews").glob("d??.json")) == ["d01"]
+
+    result = invoke(ws, "resume", config=config)
+    assert result.exit_code == 0, result.stderr
+    killed, resumed = providers
+    repeated = [key for key in resumed.calls if key in set(killed.calls)]
+    assert [tag for tag, _ in repeated] == ["comparative_review"]
+    assert tree(ws) == tree(finished[0])
+
+
+WRONG_SHAPES = {
+    "packed": "packed/d01.json",
+    "review": "reviews/d01.json",
+    "table": "extracted/d01/table.json",
+    "trace": "extracted/d01/trace.json",
+    "merged": "analysis/merged.json",
+}
+
+
+@pytest.mark.parametrize("command, name, content", [
+    (("report",), "packed/d01.json", b""),
+    (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), "reviews/d01.json", b""),
+    *((("report",), name, content) for name in WRONG_SHAPES.values() for content in (b"[]", b"{}")),
+], ids=[
+    "report", "screen-eval",
+    *(f"report-{key}-{kind}" for key in WRONG_SHAPES for kind in ("list", "object")),
+])
+def test_an_undecodable_artifact_exits_2_and_names_the_file(
+    tmp_path, finished, corpus_dir, command, name, content
+):
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    (ws / name).write_bytes(content)
     argv = [arg.replace("<corpus>", str(corpus_dir)) for arg in command]
     result = invoke(ws, *argv, config=config)
     assert result.exit_code == 2, result.stderr
@@ -459,7 +530,11 @@ def run_python(code):
     )
 
 
-@pytest.mark.parametrize("module", ["requests", "numpy", "click"])
+# numpy is imported only where it is used; the XML parser and the HTTP
+# client only by `collect`.
+@pytest.mark.parametrize(
+    "module", ["requests", "numpy", "click", "xml.etree.ElementTree", "urllib.request"]
+)
 def test_cli_import_does_not_load(module):
     result = run_python(f"import manalyzer.cli, sys; assert {module!r} not in sys.modules")
     assert result.returncode == 0, result.stderr

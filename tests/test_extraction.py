@@ -571,8 +571,9 @@ def test_feedback_loop_accepts_first_try(scripted):
         None, extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
     )
     harness.script_check(["42"], ACCEPT_REPLY)
-    table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
+    table, trace, violations = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.accepted
+    assert violations == []
     assert table.iteration == 1
     assert len(trace) == 1
     assert trace[0][1].overall == 8
@@ -596,7 +597,7 @@ def test_feedback_loop_reject_reject_accept(scripted):
         extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."]),
     )
     harness.script_check(["42"], ACCEPT_REPLY)
-    table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
+    table, trace, _ = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.accepted
     assert table.rows == ((42.0,),)
     assert table.iteration == 3
@@ -611,10 +612,11 @@ def test_feedback_loop_exhausts_and_returns_best_unaccepted(scripted):
     harness.script_extract(None, reply)
     harness.script_extract("No.", reply)
     harness.script_check(["42"], reject_reply("No."))
-    table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
+    table, trace, violations = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert not table.accepted
     assert table.rows == ((42.0,),)
     assert len(trace) == 3
+    assert violations == validate_provenance(table, [part])
 
 
 def test_feedback_loop_violations_block_acceptance(scripted):
@@ -636,11 +638,40 @@ def test_feedback_loop_violations_block_acceptance(scripted):
         prior, extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
     )
     harness.script_check(["42"], ACCEPT_REPLY)
-    table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
+    table, trace, violations = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.accepted
     assert table.rows == ((42.0,),)
     assert len(trace) == 2
-    assert validate_provenance(table, [part]) == []
+    assert violations == validate_provenance(table, [part]) == []
+
+
+def test_feedback_loop_returns_the_violations_of_the_best_attempt(scripted):
+    provider, gateway = scripted()
+    part = prose_part(body="Only 42 appears in this text.")
+    harness = LoopHarness(provider, part)
+    # Attempt 1 cites 43, which the part never states, and scores 9; the
+    # clean attempt 2 scores 4, so attempt 1 stays the best.
+    harness.script_extract(
+        None, extract_reply(["43"], ["The number 43: Comes from Part 1, Row 1, Column 1."])
+    )
+    harness.script_check(
+        ["43"],
+        "{'Data Accuracy': 9, 'Semantic Consistency': 9, 'Data Completeness': 9, "
+        "'Overall Score': 9, 'Suggestion': 'Fine.'}",
+    )
+    prior = "Fine.\nProvenance problems found by validation:\n- value 43 does not appear in para-0"
+    harness.script_extract(
+        prior, extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
+    )
+    harness.script_check(["42"], reject_reply("Worse."))
+    table, trace, violations = run_feedback_loop(
+        [part], ["value"], TOPIC, gateway, doc_id="d1", max_iter=2
+    )
+    assert not table.accepted
+    assert table.rows == ((43.0,),)
+    assert [t[1].overall for t in trace] == [9, 4]
+    assert [v.reason for v in violations] == ["value 43 does not appear in para-0"]
+    assert violations == validate_provenance(table, [part])
 
 
 def test_feedback_loop_checker_failure_accepts_with_minimum_trace(scripted):
@@ -654,8 +685,9 @@ def test_feedback_loop_checker_failure_accepts_with_minimum_trace(scripted):
     req = prompts.check_request(TOPIC, harness.rendered, table.render())
     register_for(provider, req, "garbage")
     register_for(provider, req.with_addendum(prompts.REASK_CHECK), "more garbage")
-    table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
+    table, trace, violations = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.accepted
+    assert violations == validate_provenance(table, [part])
     assert len(trace) == 1
     assert trace[0][1].overall == 1
     assert "warning" in trace[0][1].suggestion
@@ -686,15 +718,16 @@ def test_feedback_loop_earlier_error_becomes_feedback(scripted):
         prior, extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
     )
     harness.script_check(["42"], ACCEPT_REPLY)
-    table, trace = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1", max_iter=2)
+    table, trace, _ = run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1", max_iter=2)
     assert table.accepted
     assert len(trace) == 1  # only the successful round reached the checker
 
 
 def test_feedback_loop_empty_parts_single_round(scripted):
     provider, gateway = scripted()
-    table, trace = run_feedback_loop([], ["value"], TOPIC, gateway, doc_id="d1")
+    table, trace, violations = run_feedback_loop([], ["value"], TOPIC, gateway, doc_id="d1")
     assert table.is_empty()
+    assert violations == []
     assert not table.accepted
     assert len(trace) == 1
     assert trace[0][1].overall == 1
@@ -733,3 +766,19 @@ def test_table_json_round_trip():
     # Fields absent from the JSON take their defaults.
     raw = {"value": 1.0, "part_id": "para-0", "row": 1, "column": 1}
     assert from_json(ProvenanceEntry, raw) == ProvenanceEntry(1.0, "para-0", 1, 1)
+
+
+ENTRY = {"value": 1.0, "part_id": "para-0", "row": 1, "column": 1}
+TABLE = {"doc_id": "d1", "header": ["a"], "rows": [[1.0]], "provenance": [ENTRY], "iteration": 1}
+
+
+@pytest.mark.parametrize("cls, raw, message", [
+    (ProvenanceEntry, [], "ProvenanceEntry: expected an object, got list"),
+    (ProvenanceEntry, {**ENTRY, "colum": 1}, "ProvenanceEntry: unknown field 'colum'"),
+    (ProvenanceEntry, {"value": 1.0, "part_id": "para-0"}, "ProvenanceEntry: missing field 'column'"),
+    (ExtractedTable, {**TABLE, "rows": {}}, "expected a list, got dict"),
+    (ExtractedTable, {**TABLE, "provenance": [[]]}, "ProvenanceEntry: expected an object, got list"),
+], ids=["list", "unknown-field", "missing-field", "rows-object", "nested-entry"])
+def test_from_json_refuses_an_artifact_of_the_wrong_shape(cls, raw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(cls, raw)

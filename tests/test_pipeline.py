@@ -453,6 +453,22 @@ def test_finished_run_is_a_no_op(tmp_path, corpus_dir):
     assert resumed.ws.report_path.read_bytes() == report
 
 
+def test_a_corpus_run_validates_each_extracted_table_once(tmp_path, corpus_dir, monkeypatch):
+    # The feedback loop returns the violations it found; the pipeline writes
+    # those rather than validating the table a second time.
+    validated = []
+    validate = extraction.validate_provenance
+
+    def spy(table, *args):
+        validated.append(table.doc_id)
+        return validate(table, *args)
+
+    monkeypatch.setattr(extraction, "validate_provenance", spy)
+    pipe, _ = corpus_pipeline(tmp_path, corpus_dir)
+    assert pipe.run(synth.TEMPLATE).accepted == 6
+    assert sorted(validated) == synth.KEPT
+
+
 def test_build_corpus_reproduces_the_bundled_corpus(tmp_path, corpus_dir):
     # script.jsonl is the sorted set of served (tag, digest) pairs, so this
     # also pins the set of agent calls a corpus run makes.
