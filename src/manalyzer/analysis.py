@@ -6,19 +6,27 @@ classification scored by leave-one-out accuracy, and simple least-squares
 regression. Steps referencing unknown columns are dropped; missing kinds
 are back-filled with defaults when the table's shape permits them. Rows
 with missing values in a step's columns are excluded per step (listwise).
-All randomness flows from one integer seed.
+
+All randomness flows from one integer seed in [0, 2**32): k-means takes
+its seed rows from ``numpy.random.RandomState(seed)``'s stream, which NEP
+19 freezes, drawn with the standard library's Mersenne Twister so that
+``numpy.random`` is never imported. Leave-one-out 1-NN computes distances
+for one block of query rows at a time, about NN_BLOCK_CELLS differences,
+so its memory is linear in the row count; its neighbours, ties to the
+lowest index included, are those of the full distance matrix.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import prompts
-from .config import DEFAULTS
+from .config import DEFAULTS, SEED_LIMIT
 from .errors import HeaderMismatchError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
@@ -30,6 +38,8 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 100
+NN_BLOCK_CELLS = 1 << 20  # feature differences held at once by leave-one-out 1-NN
+_MT_STATE_WORDS = 624  # MT19937 state size, in 32-bit words
 INDEX_COLUMN = "index"  # pseudo-column: row ordinal, for regression fallback
 
 
@@ -206,10 +216,33 @@ def _step_matrix(
     return data, merged.row_count - len(keep)
 
 
+def _seed_rows(n: int, k: int, seed: int) -> list[int]:
+    """``numpy.random.RandomState(seed).choice(n, k, replace=False)``,
+    drawn with the standard library's Mersenne Twister.
+
+    The state is MT19937's ``init_genrand(seed)``, as RandomState seeds
+    from an int; the rows are the first k of its legacy shuffle of
+    ``range(n)``, which draws each swap index by masked rejection.
+    """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError("seed must be in [0, 2**32)")
+    key = [seed]
+    for i in range(1, _MT_STATE_WORDS):
+        key.append((1812433253 * (key[-1] ^ (key[-1] >> 30)) + i) % SEED_LIMIT)
+    rng = random.Random()
+    rng.setstate((3, (*key, _MT_STATE_WORDS), None))
+    rows = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while (j := rng.getrandbits(32) & mask) > i:
+            pass
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows[:k]
+
+
 def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     import numpy as np
-    rng = np.random.RandomState(seed)
-    centroids = data[rng.choice(len(data), size=k, replace=False)]
+    centroids = data[_seed_rows(len(data), k, seed)]
     assignment = np.zeros(len(data), dtype=np.int64)
     for iteration in range(1, KMEANS_MAX_ITER + 1):
         distances = np.linalg.norm(data[:, None, :] - centroids[None, :, :], axis=2)
@@ -248,9 +281,17 @@ def _run_classification(step: AnalysisStep, data: np.ndarray, seed: int) -> dict
         return "fewer than two complete rows"
     if len(np.unique(labels)) < 2:
         return "all labels identical"
-    distances = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
-    np.fill_diagonal(distances, np.inf)
-    nearest = distances.argmin(axis=1)
+    # One block of query rows at a time keeps memory linear in n. Each
+    # distance is computed as in the full matrix, and argmin breaks ties to
+    # the lowest index, so `nearest` equals the full matrix's.
+    n = len(features)
+    block = max(1, NN_BLOCK_CELLS // (n * features.shape[1]))
+    nearest = np.empty(n, dtype=np.intp)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        distances = np.linalg.norm(features[rows, None, :] - features[None, :, :], axis=2)
+        distances[rows - start, rows] = np.inf
+        nearest[rows] = distances.argmin(axis=1)
     predicted = labels[nearest]
     accuracy = float((predicted == labels).mean())
     return {
@@ -300,8 +341,8 @@ def run_analysis(
 ) -> list[AnalysisResult]:
     """Run every step; write one plot-data artifact per completed step.
 
-    Each step gets a fresh RandomState from the same seed, so step order
-    cannot leak randomness between steps.
+    Each step draws afresh from the same seed, so step order cannot leak
+    randomness between steps.
     """
     results = []
     for number, step in enumerate(plan.steps, start=1):

@@ -18,6 +18,8 @@ from .errors import ConfigError
 
 # The packer clamps every budget to this cap; the default budget is the cap.
 MAX_BUDGET = 131072
+# analysis.seed seeds a 32-bit Mersenne Twister: it must lie in [0, SEED_LIMIT).
+SEED_LIMIT = 2**32
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class PipelineConfig:
             raise ConfigError("provider.max_in_flight must be >= 1")
         if self.provider_retries < 1:
             raise ConfigError("provider.retries must be >= 1")
+        if not 0 <= self.analysis_seed < SEED_LIMIT:
+            raise ConfigError("analysis.seed must be in [0, 2**32)")
 
 
 SECTIONS = ("provider", "packer", "reviewer", "extraction", "eval", "analysis", "collect")

@@ -150,11 +150,13 @@ class Gateway:
 
     ``map`` runs independent call chains concurrently, on up to
     ``max_in_flight`` threads of its own; the semaphore stays the only bound
-    on calls in flight. It returns results in input order, as a serial loop
-    would. If any item fails it raises the exception of the first failing
-    item in input order, the one the serial loop would have raised, after
-    cancelling every item not yet started; items already running finish
-    first, so a failure can leave calls issued for later items.
+    on calls in flight. Each thread claims the next item in input order and
+    stores its result at that item's index, so no item gets a future of its
+    own, and results come back in input order, as a serial loop would. Once
+    any item has failed no item is claimed; items already claimed finish
+    first, so a failure can leave calls issued for later items. ``map`` then
+    raises the exception of the first failing item in input order, the one
+    the serial loop would have raised.
     """
 
     def __init__(
@@ -211,10 +213,31 @@ class Gateway:
         items = list(items)
         if len(items) < 2:
             return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.max_in_flight, len(items))) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            try:
-                return [future.result() for future in futures]
-            finally:
-                for future in futures:
-                    future.cancel()
+        results: list[R | None] = [None] * len(items)
+        failures: dict[int, BaseException] = {}
+        claimed = 0
+        lock = threading.Lock()
+
+        def drain() -> None:
+            nonlocal claimed
+            while True:
+                with lock:
+                    if failures or claimed == len(items):
+                        return
+                    index = claimed
+                    claimed += 1
+                try:
+                    results[index] = fn(items[index])
+                except BaseException as exc:  # re-raised on the calling thread
+                    with lock:
+                        failures[index] = exc
+                    return
+
+        workers = min(self.max_in_flight, len(items))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            drains = [pool.submit(drain) for _ in range(workers)]
+        for finished in drains:
+            finished.result()
+        if failures:
+            raise failures[min(failures)]
+        return results  # type: ignore[return-value]

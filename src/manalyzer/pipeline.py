@@ -97,12 +97,36 @@ class RunSummary:
 
 
 @dataclass(frozen=True)
+class TraceEntry(extraction.CheckReport):
+    """One feedback-loop attempt: its check report and its number."""
+
+    iteration: int
+
+
+@dataclass(frozen=True)
+class TraceViolation:
+    """A provenance violation, without the entry it concerns."""
+
+    kind: str
+    reason: str
+
+
+@dataclass(frozen=True)
 class ExtractionTrace:
     """An ``extracted/<doc>/trace.json``: each attempt's check report, and
     the provenance violations of the table kept."""
 
-    trace: tuple[dict, ...]
-    violations: tuple[dict, ...]
+    trace: tuple[TraceEntry, ...]
+    violations: tuple[TraceViolation, ...]
+
+
+@dataclass(frozen=True)
+class IndependentFailure:
+    """The ``reviews/<doc>.indep.json`` of a paper whose independent review
+    failed; that of a scored paper holds ``reviewer.IndependentScores``."""
+
+    failed: bool
+    reason: str
 
 
 def _fit(path: Path, cls: Any, raw: Any) -> Any:
@@ -324,21 +348,26 @@ class Pipeline:
         # Phase 1: independent scores, one file per paper, for every packed
         # paper (a reviewed paper's file is read back: batches span it too).
         # A paper that fails here gets its failure record and no batch.
-        def independent(doc_id: str) -> dict:
+        def independent(doc_id: str) -> reviewer.IndependentScores | IndependentFailure:
             name = f"reviews/{doc_id}.indep.json"
-            if (payload := self._read(name)) is None:
+            path = self.ws.root / name
+            scores: reviewer.IndependentScores | IndependentFailure
+            if (raw := self._read(name)) is not None:
+                failed = isinstance(raw, dict) and "failed" in raw
+                cls = IndependentFailure if failed else reviewer.IndependentScores
+                scores = _fit(path, cls, raw)
+            else:
                 packed = self._read(f"packed/{doc_id}.json", packer.PackedDocument)
                 try:
                     scores = reviewer.review_independent(
                         packed.text, direction, self.gateway, packed.captions
                     )
-                    payload = {"s1": scores.s1, "s2": scores.s2}
                 except ReviewFailure as exc:
-                    payload = {"failed": True, "reason": str(exc)}
-                atomic_write_json(self.ws.root / name, payload)
-            if payload.get("failed"):
-                record(doc_id, **payload)
-            return payload
+                    scores = IndependentFailure(failed=True, reason=str(exc))
+                atomic_write_json(path, asdict(scores))
+            if isinstance(scores, IndependentFailure):
+                record(doc_id, **asdict(scores))
+            return scores
 
         # Phase 2: comparative batches over all successfully scored papers,
         # in sorted order, run on the pool. A batch whose members all hold
@@ -356,15 +385,15 @@ class Pipeline:
                     record(doc_id, failed=True, reason=str(exc))
                 return
             for doc_id, s_r in zip(batch, relatives):
-                s1, s2 = indep[doc_id]["s1"], indep[doc_id]["s2"]
+                s1, s2 = indep[doc_id].s1, indep[doc_id].s2
                 final = reviewer.fuse(s1, s2, s_r)
                 record(doc_id, s1=s1, s2=s2, s_r=s_r, final=final, batch_id=batch_id)
 
-        indep: dict[str, dict] = {}
+        indep: dict[str, Any] = {}
         packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
         try:
             self._per_document(independent, packed, indep.__setitem__)
-            scored = sorted(d for d, info in indep.items() if not info.get("failed"))
+            scored = sorted(d for d, s in indep.items() if not isinstance(s, IndependentFailure))
             size = self.config.reviewer_batch_size
             batches = [scored[start : start + size] for start in range(0, len(scored), size)]
             self._per_document(comparative, list(range(len(batches))))
@@ -471,8 +500,8 @@ class Pipeline:
             "warnings": warnings,
         })
         atomic_write_json(out / "trace.json", asdict(ExtractionTrace(
-            trace=tuple({"iteration": i, **asdict(r)} for i, r in trace),
-            violations=tuple({"kind": v.kind, "reason": v.reason} for v in violations),
+            trace=tuple(TraceEntry(**asdict(r), iteration=i) for i, r in trace),
+            violations=tuple(TraceViolation(v.kind, v.reason) for v in violations),
         )))
         # Last: a table.json vouches that the document's other files exist.
         atomic_write_json(out / "table.json", asdict(table))
@@ -546,7 +575,7 @@ class Pipeline:
             trace = self._read(f"extracted/{doc_id}/trace.json", ExtractionTrace)
             traces.append(TraceSummary(
                 doc_id=doc_id,
-                iterations=max([t["iteration"] for t in trace.trace], default=0),
+                iterations=max([t.iteration for t in trace.trace], default=0),
                 accepted=table.accepted,
                 row_count=len(table.rows),
                 provenance_count=len(table.provenance),

@@ -4,15 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from manalyzer import prompts
+from manalyzer import analysis, prompts
 from manalyzer.analysis import (
     INDEX_COLUMN,
     AnalysisPlan,
     AnalysisStep,
+    _run_classification,
+    _seed_rows,
     merge_tables,
     plan_analysis,
     run_analysis,
 )
+from manalyzer.config import SEED_LIMIT
 from manalyzer.errors import HeaderMismatchError, NoValidStepsError
 from manalyzer.extraction import ExtractedTable
 
@@ -153,6 +156,48 @@ def test_kmeans_deterministic_per_seed():
     first = run_analysis(AnalysisPlan((step,)), merged, seed=42)[0]
     second = run_analysis(AnalysisPlan((step,)), merged, seed=42)[0]
     assert first.stats == second.stats
+
+
+def test_seed_rows_equal_numpy_random_state_choice():
+    # RandomState's stream is frozen (NEP 19), so the k-means seed rows
+    # drawn without numpy.random must stay equal to its choice().
+    rng = random.Random(18)
+    seeds = [0, 42, SEED_LIMIT - 1]
+    for case in range(2000):
+        n = rng.randint(2, 3000) if case % 4 == 0 else rng.randint(2, 40)
+        k = rng.randint(1, n)
+        seed = seeds[case] if case < len(seeds) else rng.randrange(SEED_LIMIT)
+        expected = np.random.RandomState(seed).choice(n, k, replace=False)
+        assert _seed_rows(n, k, seed) == expected.tolist(), (n, k, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+def test_seed_rows_refuse_a_seed_out_of_range(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        _seed_rows(5, 2, seed)
+
+
+def loo_nearest_oracle(features):
+    """Leave-one-out nearest neighbours from the full n x n distance matrix."""
+    distances = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
+    np.fill_diagonal(distances, np.inf)
+    return distances.argmin(axis=1)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_classification_in_row_blocks_equals_the_full_matrix(monkeypatch, block_rows):
+    # Features from a few small integers, so that ties are everywhere and
+    # the lowest-index rule decides most neighbours. With every row its own
+    # label, `predicted` is the index of each row's nearest neighbour.
+    rng = random.Random(block_rows)
+    step = AnalysisStep(kind="classification", features=("f",), label="label")
+    for _ in range(100):
+        n, d = rng.randint(2, 80), rng.randint(1, 3)
+        features = np.array([[rng.randint(0, 3) for _ in range(d)] for _ in range(n)], float)
+        data = np.column_stack([features, np.arange(n, dtype=float)])
+        monkeypatch.setattr(analysis, "NN_BLOCK_CELLS", block_rows * n * d)
+        stats = _run_classification(step, data, seed=0)
+        assert stats["predicted"] == loo_nearest_oracle(features).astype(float).tolist()
 
 
 def test_clustering_skips_when_rows_short():

@@ -190,6 +190,17 @@ def test_collect_without_script_fails_cleanly(initialized):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_init_with_an_out_of_range_seed_exits_2_and_writes_nothing(tmp_path, seed):
+    config = tmp_path / "seed.cfg"
+    config.write_text(f"analysis.seed = {seed}\n", encoding="utf-8")
+    ws = tmp_path / "ws"
+    result = invoke(ws, "init", "--direction", "x", config=config)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.splitlines() == ["error: analysis.seed must be in [0, 2**32)"]
+    assert not ws.exists()
+
+
 def test_bad_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("packer.budget = soon\n", encoding="utf-8")
@@ -461,19 +472,34 @@ WRONG_SHAPES = {
 }
 
 
+WRONG_TRACE_ENTRIES = {
+    "attempt": b'{"trace": [[]], "violations": []}',
+    "violation": b'{"trace": [], "violations": [[]]}',
+}
+
+
 @pytest.mark.parametrize("command, name, content", [
     (("report",), "packed/d01.json", b""),
     (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), "reviews/d01.json", b""),
     *((("report",), name, content) for name in WRONG_SHAPES.values() for content in (b"[]", b"{}")),
+    *((("report",), WRONG_SHAPES["trace"], content) for content in WRONG_TRACE_ENTRIES.values()),
+    *((("screen",), "reviews/d01.indep.json", content) for content in (b"[]", b"{}")),
 ], ids=[
     "report", "screen-eval",
     *(f"report-{key}-{kind}" for key in WRONG_SHAPES for kind in ("list", "object")),
+    *(f"report-trace-{key}-list" for key in WRONG_TRACE_ENTRIES),
+    "screen-indep-list", "screen-indep-object",
 ])
 def test_an_undecodable_artifact_exits_2_and_names_the_file(
-    tmp_path, finished, corpus_dir, command, name, content
+    request, tmp_path, corpus_dir, command, name, content
 ):
-    ws, config = tmp_path / "ws", finished[1]
-    shutil.copytree(finished[0], ws)
+    if command == ("screen",):  # `screen` runs review, which reads the scores back
+        ws, config = request.getfixturevalue("initialized")
+        assert invoke(ws, "pack", config=config).exit_code == 0
+    else:
+        finished = request.getfixturevalue("finished")
+        ws, config = tmp_path / "ws", finished[1]
+        shutil.copytree(finished[0], ws)
     (ws / name).write_bytes(content)
     argv = [arg.replace("<corpus>", str(corpus_dir)) for arg in command]
     result = invoke(ws, *argv, config=config)
@@ -538,6 +564,27 @@ def run_python(code):
 def test_cli_import_does_not_load(module):
     result = run_python(f"import manalyzer.cli, sys; assert {module!r} not in sys.modules")
     assert result.returncode == 0, result.stderr
+
+
+def test_a_corpus_run_does_not_load_numpy_random(tmp_path, corpus_dir):
+    # k-means draws its seed rows without numpy.random (analysis._seed_rows).
+    ws = tmp_path / "ws"
+    common = ["--workspace", str(ws), "--config", str(corpus_dir / "config.txt")]
+    commands = [
+        [*common, "init", "--direction", synth.DIRECTION,
+         "--template", str(corpus_dir / "template.txt")],
+        [*common, "ingest", "--from", str(corpus_dir / "docs")],
+        [*common, "run"],
+    ]
+    result = run_python(
+        "import sys\n"
+        "from manalyzer import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert (ws / "analysis" / "step-1-clustering.json").exists()
 
 
 def test_each_module_imports_on_its_own():

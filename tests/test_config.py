@@ -86,6 +86,8 @@ def test_parse_reports_source_name():
         ({"max_concurrency": 0}, "max_concurrency"),
         ({"provider_max_in_flight": 0}, "provider.max_in_flight"),
         ({"provider_retries": 0}, "provider.retries"),
+        ({"analysis_seed": -1}, "analysis.seed"),
+        ({"analysis_seed": 2**32}, "analysis.seed"),
     ],
 )
 def test_validation(kwargs, message):

@@ -2,9 +2,11 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from manalyzer import gateway as gateway_module
 from manalyzer.errors import (
     DuplicateScriptKeyError,
     EmptyResponseError,
@@ -359,6 +361,20 @@ def test_gateway_map_starts_no_item_after_a_failure_is_seen():
     expected = {("extract", digest_request(requests[i])) for i in started if i != 0}
     assert set(provider.calls) == expected
     assert len(provider.calls) == len(expected)
+
+
+def test_gateway_map_submits_one_task_per_thread_not_per_item(monkeypatch):
+    submitted = []
+
+    class SpyExecutor(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", SpyExecutor)
+    gateway = Gateway(ScriptedProvider(), max_in_flight=4, sleep=lambda s: None)
+    assert gateway.map(lambda i: i * i, range(1000)) == [i * i for i in range(1000)]
+    assert 1 <= len(submitted) <= 4
 
 
 def test_gateway_map_stress_keeps_slots_bounded_and_loses_no_call():
