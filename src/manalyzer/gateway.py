@@ -148,15 +148,16 @@ class Gateway:
     asked for again with a format reminder appended. The caller owns the
     fallback once the re-asks run out: a default value, or its own error.
 
-    ``map`` runs independent call chains concurrently, on up to
-    ``max_in_flight`` threads of its own; the semaphore stays the only bound
-    on calls in flight. Each thread claims the next item in input order and
-    stores its result at that item's index, so no item gets a future of its
-    own, and results come back in input order, as a serial loop would. Once
-    any item has failed no item is claimed; items already claimed finish
-    first, so a failure can leave calls issued for later items. ``map`` then
-    raises the exception of the first failing item in input order, the one
-    the serial loop would have raised.
+    ``map`` runs independent call chains concurrently: on its calling thread
+    and on up to ``max_in_flight - 1`` helper threads, so a ``max_in_flight``
+    of 1, or a single item, starts no thread. The semaphore stays the only
+    bound on calls in flight. Each thread claims the next item in input
+    order and stores its result at that item's index, so no item gets a
+    future of its own, and results come back in input order, as a serial
+    loop would. Once any item has failed no item is claimed; items already
+    claimed finish first, so a failure can leave calls issued for later
+    items. ``map`` then raises the exception of the first failing item in
+    input order, the one the serial loop would have raised.
     """
 
     def __init__(
@@ -211,8 +212,6 @@ class Gateway:
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``[fn(item) for item in items]``, with the calls run concurrently."""
         items = list(items)
-        if len(items) < 2:
-            return [fn(item) for item in items]
         results: list[R | None] = [None] * len(items)
         failures: dict[int, BaseException] = {}
         claimed = 0
@@ -233,11 +232,10 @@ class Gateway:
                         failures[index] = exc
                     return
 
-        workers = min(self.max_in_flight, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            drains = [pool.submit(drain) for _ in range(workers)]
-        for finished in drains:
-            finished.result()
+        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
+            for _ in range(min(self.max_in_flight, len(items)) - 1):
+                pool.submit(drain)
+            drain()
         if failures:
             raise failures[min(failures)]
         return results  # type: ignore[return-value]

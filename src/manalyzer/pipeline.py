@@ -20,8 +20,8 @@ runs on one bounded worker pool, ``_per_document``. The artifact its work
 step writes last (``packed/<doc>.json``, ``reviews/<doc>.json``,
 ``extracted/<doc>/table.json``) records that a document finished the
 stage, so a work step that finds it returns with no agent call; the
-finish step only marks, on the orchestrator thread, and one that raises
-cancels the items not yet started. Review marks instead, once the stage
+finish step only marks, on the orchestrator thread once the pool has
+drained, in work-list order. Review marks instead, once the stage
 ends or fails, exactly the papers whose record exists. Screening outcomes
 are recomputed from the review records and the threshold. The exceptions:
 a kill after the ``plan`` call and before analyze's manifest write repeats
@@ -34,9 +34,10 @@ table merge, report) are single-threaded. Only the orchestrator thread
 marks statuses.
 
 Inside a document, the independent agent calls (paragraph scores, mask
-batches) fan out through ``Gateway.map``, so up to
-``max_concurrency x (1 + provider.max_in_flight)`` threads can exist while
-the calls in flight stay at most ``provider.max_in_flight``.
+batches) fan out through ``Gateway.map``, on the document's own thread and
+its helpers, so up to ``max_concurrency x provider.max_in_flight`` threads
+besides the orchestrator can exist while the calls in flight stay at most
+``provider.max_in_flight``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import functools
 import json
 import logging
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, TypeVar
@@ -212,32 +213,29 @@ class Pipeline:
     def _per_document(
         self, work: Callable[[K], T], todo: list[K], finish: Callable[[K, T], None] = lambda *_: None
     ) -> None:
-        """Run `work` over `todo` (documents, or review batches) on the pool
-        and call `finish` here, on the orchestrator thread, as each item
-        completes, so every finished item is kept even when another fails.
-        The first failure in `todo` order is raised once the pool has
-        drained. `work` writes its item's artifacts and returns early when
-        the last one exists, so `finish` only marks or collects (review
-        marks from its records once the stage ends); the module docstring
-        names the two cases where a resume still repeats a call."""
-        failures: dict[K, Exception] = {}
-        with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
-            futures = {pool.submit(work, key): key for key in todo}
+        """Run `work` over `todo` (documents, or review batches) on the pool.
+        Every item runs even when another fails. Once the pool has drained,
+        call `finish` here, on the orchestrator thread, for each item that
+        succeeded, in `todo` order, then raise the first failure in `todo`
+        order. An interrupt leaves queued items unstarted. `work` writes its
+        item's artifacts and returns early when the last one exists, so
+        `finish` only marks or collects (review marks from its records once
+        the stage ends); the module docstring names the two cases where a
+        resume still repeats a call."""
+        def attempt(key: K) -> tuple[bool, Any]:
             try:
-                for future in as_completed(futures):
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        failures[futures[future]] = exc
-                    else:
-                        finish(futures[future], result)
-            finally:
-                # When `finish` raises, items not yet started never run.
-                for future in futures:
-                    future.cancel()
-        for key in todo:
-            if key in failures:
-                raise failures[key]
+                return True, work(key)
+            except Exception as exc:
+                return False, exc
+
+        with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
+            outcomes = list(pool.map(attempt, todo))
+        for key, (ok, result) in zip(todo, outcomes):
+            if ok:
+                finish(key, result)
+        for ok, result in outcomes:
+            if not ok:
+                raise result
 
     def _read(self, name: str, cls: Any = None) -> Any:
         """The JSON artifact at workspace-relative `name`, rebuilt as `cls`

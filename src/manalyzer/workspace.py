@@ -27,8 +27,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, config_digest, render_config
 from .errors import ConfigError, CorruptManifestError, RefuseResumeError, WorkspaceError
@@ -79,14 +81,39 @@ def _fields(cls: Any) -> tuple[dict[str, Any], frozenset[str]]:
     return get_type_hints(cls), required
 
 
+@functools.cache
+def _leaf_types(hint: Any) -> frozenset[type] | None:
+    """The value types a hint that names only int, float, str, bool or None
+    admits (an int passes for a float, a bool for neither); None for any
+    other hint."""
+    named = frozenset(get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,))
+    if not named <= {int, float, str, bool, type(None)}:
+        return None
+    return named | {int} if float in named else named
+
+
+def _check_leaves(hint: Any, values: Iterable[Any]) -> None:
+    """A ValueError for the first of `values` of a type that `hint`, a leaf
+    hint, does not admit; any other hint checks nothing."""
+    allowed = _leaf_types(hint)
+    if allowed is not None:
+        for value in values:
+            if type(value) not in allowed:
+                name = getattr(hint, "__name__", hint)
+                raise ValueError(f"expected {name}, got {type(value).__name__}")
+
+
 def from_json(cls: Any, raw: Any) -> Any:
     """Rebuild a value of type `cls` from the JSON of `dataclasses.asdict`.
 
     Dataclasses and `tuple[X, ...]` fields are rebuilt by their type hints;
-    fields absent from `raw` take their defaults, and every other value
-    (numbers, strings, None, dicts, unions) is taken as read. A ValueError
-    names what does not fit: a non-object where a dataclass is expected, a
-    missing required field or an unknown one, a non-list for a tuple.
+    fields absent from `raw` take their defaults. A value whose hint names
+    only int, float, str, bool or None (alone, in a union or as a tuple's
+    items) is checked against it; every other value (dicts, say) is taken
+    as read. A ValueError names what does not fit and the field it is in,
+    as in `IndependentScores.s1: expected int, got str`: a non-object where
+    a dataclass is expected, a missing required field or an unknown one, a
+    non-list for a tuple, a leaf of another type.
     """
     if dataclasses.is_dataclass(cls):
         if not isinstance(raw, dict):
@@ -96,14 +123,22 @@ def from_json(cls: Any, raw: Any) -> Any:
             raise ValueError(f"{cls.__name__}: unknown field {sorted(unknown)[0]!r}")
         if missing := required - raw.keys():
             raise ValueError(f"{cls.__name__}: missing field {sorted(missing)[0]!r}")
-        return cls(**{name: from_json(hints[name], value) for name, value in raw.items()})
+        values = {}
+        for name, value in raw.items():
+            try:
+                values[name] = from_json(hints[name], value)
+            except ValueError as exc:
+                raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+        return cls(**values)
     if get_origin(cls) is tuple:
         if not isinstance(raw, list):
             raise ValueError(f"expected a list, got {type(raw).__name__}")
         item_type = get_args(cls)[0]
         if not (dataclasses.is_dataclass(item_type) or get_origin(item_type) is tuple):
+            _check_leaves(item_type, raw)
             return tuple(raw)
         return tuple(from_json(item_type, value) for value in raw)
+    _check_leaves(cls, (raw,))
     return raw
 
 

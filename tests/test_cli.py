@@ -478,20 +478,48 @@ WRONG_TRACE_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("command, name, content", [
-    (("report",), "packed/d01.json", b""),
-    (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), "reviews/d01.json", b""),
-    *((("report",), name, content) for name in WRONG_SHAPES.values() for content in (b"[]", b"{}")),
-    *((("report",), WRONG_SHAPES["trace"], content) for content in WRONG_TRACE_ENTRIES.values()),
-    *((("screen",), "reviews/d01.indep.json", content) for content in (b"[]", b"{}")),
+def _string_cell(table):
+    table["rows"][0][0] = "1.0"
+    return table
+
+
+def _string_final(record):
+    record["final"] = "7.5"
+    return record
+
+
+# Wrong leaf types: `content` rewrites the file's JSON, and the error names
+# the field too.
+WRONG_LEAVES = {
+    "screen-indep-string-score": (
+        ("screen",), "reviews/d01.indep.json", b'{"s1": "7", "s2": 8}', "IndependentScores.s1"
+    ),
+    "eval-extraction-string-cell": (
+        ("eval-extraction", "--gold", "<corpus>/gold.jsonl"), "extracted/d01/table.json",
+        _string_cell, "ExtractedTable.rows",
+    ),
+    "report-string-final": (("report",), "reviews/d01.json", _string_final, "ReviewRecord.final"),
+}
+
+
+@pytest.mark.parametrize("command, name, content, field", [
+    (("report",), "packed/d01.json", b"", None),
+    (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), "reviews/d01.json", b"", None),
+    *((("report",), name, content, None)
+      for name in WRONG_SHAPES.values() for content in (b"[]", b"{}")),
+    *((("report",), WRONG_SHAPES["trace"], content, None)
+      for content in WRONG_TRACE_ENTRIES.values()),
+    *((("screen",), "reviews/d01.indep.json", content, None) for content in (b"[]", b"{}")),
+    *WRONG_LEAVES.values(),
 ], ids=[
     "report", "screen-eval",
     *(f"report-{key}-{kind}" for key in WRONG_SHAPES for kind in ("list", "object")),
     *(f"report-trace-{key}-list" for key in WRONG_TRACE_ENTRIES),
     "screen-indep-list", "screen-indep-object",
+    *WRONG_LEAVES,
 ])
 def test_an_undecodable_artifact_exits_2_and_names_the_file(
-    request, tmp_path, corpus_dir, command, name, content
+    request, tmp_path, corpus_dir, command, name, content, field
 ):
     if command == ("screen",):  # `screen` runs review, which reads the scores back
         ws, config = request.getfixturevalue("initialized")
@@ -500,12 +528,17 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
         finished = request.getfixturevalue("finished")
         ws, config = tmp_path / "ws", finished[1]
         shutil.copytree(finished[0], ws)
+    if callable(content):
+        content = json.dumps(content(json.loads((ws / name).read_text(encoding="utf-8"))))
+        content = content.encode("utf-8")
     (ws / name).write_bytes(content)
     argv = [arg.replace("<corpus>", str(corpus_dir)) for arg in command]
     result = invoke(ws, *argv, config=config)
     assert result.exit_code == 2, result.stderr
     [line] = result.stderr.splitlines()
     assert line.startswith(f"error: {ws / name}: ")
+    if field is not None:
+        assert f": {field}: expected " in line, line
 
 
 def test_eval_extraction_missing_gold(initialized):

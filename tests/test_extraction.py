@@ -778,7 +778,21 @@ TABLE = {"doc_id": "d1", "header": ["a"], "rows": [[1.0]], "provenance": [ENTRY]
     (ProvenanceEntry, {"value": 1.0, "part_id": "para-0"}, "ProvenanceEntry: missing field 'column'"),
     (ExtractedTable, {**TABLE, "rows": {}}, "expected a list, got dict"),
     (ExtractedTable, {**TABLE, "provenance": [[]]}, "ProvenanceEntry: expected an object, got list"),
-], ids=["list", "unknown-field", "missing-field", "rows-object", "nested-entry"])
+    (ExtractedTable, {**TABLE, "rows": [[None, "1.0"]]},
+     "ExtractedTable.rows: expected float | None, got str"),
+    (ExtractedTable, {**TABLE, "iteration": True}, "ExtractedTable.iteration: expected int, got bool"),
+    (ExtractedTable, {**TABLE, "iteration": 1.0}, "ExtractedTable.iteration: expected int, got float"),
+    (ExtractedTable, {**TABLE, "header": [1]}, "ExtractedTable.header: expected str, got int"),
+    (ProvenanceEntry, {**ENTRY, "value": False}, "ProvenanceEntry.value: expected float, got bool"),
+], ids=[
+    "list", "unknown-field", "missing-field", "rows-object", "nested-entry", "string-cell",
+    "bool-for-int", "float-for-int", "int-header", "bool-for-float",
+])
 def test_from_json_refuses_an_artifact_of_the_wrong_shape(cls, raw, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         from_json(cls, raw)
+
+
+def test_from_json_takes_an_int_for_a_float():
+    assert from_json(ProvenanceEntry, {**ENTRY, "value": 1}).value == 1
+    assert from_json(ExtractedTable, {**TABLE, "rows": [[2, None]]}).rows == ((2, None),)

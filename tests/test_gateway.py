@@ -374,7 +374,22 @@ def test_gateway_map_submits_one_task_per_thread_not_per_item(monkeypatch):
     monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", SpyExecutor)
     gateway = Gateway(ScriptedProvider(), max_in_flight=4, sleep=lambda s: None)
     assert gateway.map(lambda i: i * i, range(1000)) == [i * i for i in range(1000)]
-    assert 1 <= len(submitted) <= 4
+    assert 1 <= len(submitted) <= 3
+
+
+def test_gateway_map_with_one_slot_submits_no_task_and_runs_on_the_caller(monkeypatch):
+    submitted = []
+
+    class SpyExecutor(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", SpyExecutor)
+    gateway = Gateway(ScriptedProvider(), max_in_flight=1, sleep=lambda s: None)
+    caller = threading.get_ident()
+    assert gateway.map(lambda i: threading.get_ident(), range(5)) == [caller] * 5
+    assert submitted == []
 
 
 def test_gateway_map_stress_keeps_slots_bounded_and_loses_no_call():

@@ -376,34 +376,55 @@ def test_kill_at_the_first_packed_mark_repeats_no_paragraph_score(tmp_path):
     assert tree(pipe.ws.root / "packed") == tree(clean.ws.root / "packed")
 
 
-def test_per_document_runs_no_queued_item_after_finish_raises(mini, monkeypatch):
+def test_per_document_starts_no_queued_item_after_an_interrupt(mini, monkeypatch):
     pipe, _provider = mini
-    started, all_busy, gate = [], threading.Event(), threading.Event()
+    started, gate = [], threading.Event()
 
     class GatedPool(ThreadPoolExecutor):
-        # Busy items are released only once the pool shuts down, after
-        # `_per_document` had its chance to cancel the queued ones.
+        # Busy items are released only once the pool shuts down, after the
+        # interrupt closed the result iterator and so cancelled the queue.
         def shutdown(self, *args, **kwargs):
             gate.set()
             super().shutdown(*args, **kwargs)
 
     def work(item):
         started.append(item)
-        if len(started) == 3:  # item 0 returned, both workers busy
-            all_busy.set()
-        if item:
-            assert gate.wait(timeout=30)
+        if item == 0:
+            raise KeyboardInterrupt
+        assert gate.wait(timeout=30)
         return item
 
-    def finish(item, result):
-        assert all_busy.wait(timeout=30)
-        raise OSError(28, "No space left on device")
-
+    finished = []
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", GatedPool)
     pipe.config = dataclasses.replace(pipe.config, max_concurrency=2)
-    with pytest.raises(OSError):
-        pipe._per_document(work, list(range(20)), finish)
-    assert sorted(started) == [0, 1, 2]
+    with pytest.raises(KeyboardInterrupt):
+        pipe._per_document(work, list(range(20)), lambda *args: finished.append(args))
+    # The worker freed by item 0 may take item 2 before the queue is cancelled.
+    assert sorted(started) in ([0, 1], [0, 1, 2])
+    assert finished == []
+
+
+def test_per_document_finishes_in_todo_order_then_raises_the_first_failure(mini):
+    pipe, _provider = mini
+    pipe.config = dataclasses.replace(pipe.config, max_concurrency=4)
+    later_done = threading.Event()
+    ran, finished = [], []
+
+    def work(item):
+        if item == 0:
+            # Item 0 finishes last, so completion order is not todo order.
+            assert later_done.wait(timeout=30)
+        ran.append(item)
+        if item == 5:
+            later_done.set()
+        if item in (3, 6):
+            raise ValueError(f"item {item}")
+        return item * 10
+
+    with pytest.raises(ValueError, match="item 3"):
+        pipe._per_document(work, list(range(8)), lambda *args: finished.append(args))
+    assert sorted(ran) == list(range(8))
+    assert finished == [(0, 0), (1, 10), (2, 20), (4, 40), (5, 50), (7, 70)]
 
 
 # -- end-to-end over the bundled corpus --------------------------------------
