@@ -7,23 +7,28 @@ regression. Steps referencing unknown columns are dropped; missing kinds
 are back-filled with defaults when the table's shape permits them. Rows
 with missing values in a step's columns are excluded per step (listwise).
 
+The numbers are computed on the standard library, with every floating-point
+operation in the order numpy's float64 code uses (see `_sum`), so the results
+are bit-identical to numpy's and do not drift between interpreter versions.
+
 All randomness flows from one integer seed in [0, 2**32): k-means takes
 its seed rows from ``numpy.random.RandomState(seed)``'s stream, which NEP
-19 freezes, drawn with the standard library's Mersenne Twister so that
-``numpy.random`` is never imported. Leave-one-out 1-NN computes distances
-for one block of query rows at a time, about NN_BLOCK_CELLS differences,
-so its memory is linear in the row count; its neighbours, ties to the
-lowest index included, are those of the full distance matrix.
+19 freezes, drawn with the standard library's Mersenne Twister. Leave-one-
+out 1-NN scans the distinct rows in sorted order and stops at an exact
+bound (see `_loo_nearest`), so its memory is linear in the row count; its
+neighbours, ties to the lowest index included, are those of the full
+distance matrix.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import prompts
 from .config import DEFAULTS, SEED_LIMIT
@@ -32,15 +37,13 @@ from .extraction import ExtractedTable
 from .gateway import Gateway
 from .workspace import atomic_write_text
 
-if TYPE_CHECKING:
-    import numpy as np
-
 log = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 100
-NN_BLOCK_CELLS = 1 << 20  # feature differences held at once by leave-one-out 1-NN
 _MT_STATE_WORDS = 624  # MT19937 state size, in 32-bit words
 INDEX_COLUMN = "index"  # pseudo-column: row ordinal, for regression fallback
+
+Row = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -194,26 +197,76 @@ def plan_analysis(merged: MergedTable, topic: str, gateway: Gateway) -> Analysis
     return AnalysisPlan(steps=tuple(steps))
 
 
-def _step_matrix(
-    merged: MergedTable, step: AnalysisStep
-) -> tuple[np.ndarray, int]:
-    """Rows x columns array over the step's features, then its label or
-    response, with listwise deletion.
+def _step_matrix(merged: MergedTable, step: AnalysisStep) -> tuple[list[Row], int]:
+    """Rows over the step's features, then its label or response, with
+    listwise deletion.
 
-    Returns the dense matrix and the number of excluded rows.
+    Returns the complete rows and the number of excluded rows.
     """
-    import numpy as np  # imported where used, so commands that never analyze skip it
     names = [*step.features, *filter(None, (step.label, step.response))]
     columns = [merged.column(name) for name in names]
-    keep = [
-        i
-        for i in range(merged.row_count)
-        if all(col[i] is not None for col in columns)
-    ]
-    data = np.array(
-        [[float(col[i]) for col in columns] for i in keep], dtype=np.float64
-    ).reshape(len(keep), len(names))
-    return data, merged.row_count - len(keep)
+    rows = [tuple(map(float, cells)) for cells in zip(*columns) if None not in cells]
+    return rows, merged.row_count - len(rows)
+
+
+def _sum(values: Sequence[float]) -> float:
+    """The float64 sum of `values` in numpy's order for one contiguous axis.
+
+    numpy sums pairwise: under 8 items left to right; up to 128 items into 8
+    interleaved accumulators, combined as a tree, then the rest in order;
+    above that, two halves split at a multiple of 8. The reduction starts
+    from its identity, 0.0. Builtin ``sum`` is compensated from Python 3.12
+    on, so it would round differently.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
+
+
+def _distance(p: Row, q: Row) -> float:
+    """Euclidean distance, rounded as ``numpy.linalg.norm(p - q)``."""
+    if len(p) >= 8:
+        return math.sqrt(_sum([(a - b) * (a - b) for a, b in zip(p, q)]))
+    total = 0.0  # `_sum`'s plain loop, inlined: this is k-means' and 1-NN's inner loop
+    for a, b in zip(p, q):
+        total += (a - b) * (a - b)
+    return math.sqrt(total)
+
+
+def _mean(rows: Sequence[Row]) -> Row:
+    """Column means, rounded as ``numpy.mean(rows, axis=0)``: one column is
+    a contiguous axis, summed pairwise; wider rows are added row by row."""
+    if len(rows[0]) == 1:
+        return (_sum([row[0] for row in rows]) / len(rows),)
+    totals = [0.0] * len(rows[0])
+    for row in rows:
+        totals = [t + v for t, v in zip(totals, row)]
+    return tuple(t / len(rows) for t in totals)
 
 
 def _seed_rows(n: int, k: int, seed: int) -> list[int]:
@@ -240,89 +293,131 @@ def _seed_rows(n: int, k: int, seed: int) -> list[int]:
     return rows[:k]
 
 
-def _kmeans(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    import numpy as np
-    centroids = data[_seed_rows(len(data), k, seed)]
-    assignment = np.zeros(len(data), dtype=np.int64)
+def _kmeans(data: list[Row], k: int, seed: int) -> tuple[list[int], list[Row], int]:
+    centroids = [data[i] for i in _seed_rows(len(data), k, seed)]
+    assignment: list[int] = []  # never equal to the first pass's, as len(data) >= k >= 2
     for iteration in range(1, KMEANS_MAX_ITER + 1):
-        distances = np.linalg.norm(data[:, None, :] - centroids[None, :, :], axis=2)
-        new_assignment = distances.argmin(axis=1)
-        for c in range(k):
-            members = data[new_assignment == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-        if iteration > 1 and np.array_equal(new_assignment, assignment):
+        new_assignment = []
+        for row in data:
+            # The first nearest centroid, as numpy's argmin. Only centroid 0
+            # can be NaN (its members are the rows infinitely far from every
+            # centroid), and min() keeps a NaN in first place, as argmin does.
+            distances = [_distance(row, centroid) for centroid in centroids]
+            new_assignment.append(distances.index(min(distances)))
+        members: list[list[Row]] = [[] for _ in range(k)]
+        for row, c in zip(data, new_assignment):
+            members[c].append(row)
+        centroids = [_mean(rows) if rows else old for rows, old in zip(members, centroids)]
+        if new_assignment == assignment:
             break
         assignment = new_assignment
-    return assignment, centroids, iteration
+    return new_assignment, centroids, iteration
 
 
-# Each runner takes the step's matrix and returns its stats, or the reason
+def _loo_nearest(points: list[Row]) -> list[int]:
+    """Each point's nearest other point: the argmin of its row of the full
+    distance matrix with an infinite diagonal, ties to the lowest index.
+
+    Identical points collapse into one that carries their lowest indices.
+    The distinct points are sorted by the coordinate with the most distinct
+    values, and each is scanned outwards in that order until the gap on that
+    coordinate alone is farther than the best distance so far. The distance
+    sums non-negative squares, that gap's among them, so with round-to-
+    nearest it is never less than the gap and no point beyond can be as near
+    (the bound k-d trees prune by: Friedman, Bentley and Finkel, TOMS 1977).
+    The stop is strict, so every equally near point is seen. Exact for
+    finite coordinates.
+    """
+    groups: dict[Row, list[int]] = {}
+    for i, point in enumerate(points):
+        groups.setdefault(point, []).append(i)
+    axis = max(range(len(points[0])), key=lambda a: len({p[a] for p in groups}))
+    order = sorted(groups, key=lambda p: p[axis])
+    keys = [p[axis] for p in order]
+    lowest = [groups[p][0] for p in order]
+    nearest = [0] * len(points)
+    for pos, query in enumerate(order):
+        rows = groups[query]
+        # Another copy of the query is at distance 0: only an index below
+        # that copy's, at distance 0 too, can beat it.
+        best, index = 0.0 if len(rows) > 1 else math.inf, len(points)
+        for step, stop in ((-1, -1), (1, len(order))):
+            for other in range(pos + step, stop, step):
+                gap = keys[other] - keys[pos]
+                if math.sqrt(gap * gap) > best:
+                    break
+                distance = _distance(query, order[other])
+                if distance < best or (distance == best and lowest[other] < index):
+                    best, index = distance, lowest[other]
+        if len(rows) > 1:
+            nearest[rows[0]] = min(rows[1], index)
+            for i in rows[1:]:
+                nearest[i] = min(rows[0], index)
+        else:
+            # With every other row infinitely far, the row's own infinite
+            # diagonal ties too, and argmin takes row 0.
+            nearest[rows[0]] = index if best < math.inf else 0
+    return nearest
+
+
+# Each runner takes the step's rows and returns its stats, or the reason
 # the step is skipped.
-def _run_clustering(step: AnalysisStep, data: np.ndarray, seed: int) -> dict | str:
+def _run_clustering(step: AnalysisStep, data: list[Row], seed: int) -> dict | str:
     if len(data) < step.k:
         return f"only {len(data)} complete rows for k={step.k}"
     assignment, centroids, iterations = _kmeans(data, step.k, seed)
-    sizes = [int((assignment == c).sum()) for c in range(step.k)]
     return {
-        "cluster_sizes": sizes,
-        "centroids": [[float(x) for x in c] for c in centroids],
+        "cluster_sizes": [assignment.count(c) for c in range(step.k)],
+        "centroids": [list(c) for c in centroids],
         "iterations": iterations,
-        "n": int(len(data)),
-        "assignment": [int(a) for a in assignment],
-        "points": [[float(x) for x in row] for row in data],
+        "n": len(data),
+        "assignment": assignment,
+        "points": [list(row) for row in data],
     }
 
 
-def _run_classification(step: AnalysisStep, data: np.ndarray, seed: int) -> dict | str:
-    import numpy as np
-    features, labels = data[:, :-1], data[:, -1]
+def _run_classification(step: AnalysisStep, data: list[Row], seed: int) -> dict | str:
+    labels = [row[-1] for row in data]
     if len(data) < 2:
         return "fewer than two complete rows"
-    if len(np.unique(labels)) < 2:
+    classes = len(set(labels))
+    if classes < 2:
         return "all labels identical"
-    # One block of query rows at a time keeps memory linear in n. Each
-    # distance is computed as in the full matrix, and argmin breaks ties to
-    # the lowest index, so `nearest` equals the full matrix's.
-    n = len(features)
-    block = max(1, NN_BLOCK_CELLS // (n * features.shape[1]))
-    nearest = np.empty(n, dtype=np.intp)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n))
-        distances = np.linalg.norm(features[rows, None, :] - features[None, :, :], axis=2)
-        distances[rows - start, rows] = np.inf
-        nearest[rows] = distances.argmin(axis=1)
-    predicted = labels[nearest]
-    accuracy = float((predicted == labels).mean())
+    predicted = [labels[j] for j in _loo_nearest([row[:-1] for row in data])]
+    hits = [p == label for p, label in zip(predicted, labels)].count(True)
     return {
-        "accuracy": accuracy,
-        "n": int(len(data)),
-        "classes": int(len(np.unique(labels))),
-        "labels": [float(v) for v in labels],
-        "predicted": [float(v) for v in predicted],
+        "accuracy": hits / len(data),
+        "n": len(data),
+        "classes": classes,
+        "labels": labels,
+        "predicted": predicted,
     }
 
 
-def _run_regression(step: AnalysisStep, data: np.ndarray, seed: int) -> dict | str:
-    x, y = data[:, 0], data[:, -1]
+def _run_regression(step: AnalysisStep, data: list[Row], seed: int) -> dict | str:
+    x = [row[0] for row in data]
+    y = [row[-1] for row in data]
     if len(data) < 2:
         return "fewer than two complete rows"
-    x_var = float(((x - x.mean()) ** 2).sum())
+    x_mean, y_mean = _sum(x) / len(x), _sum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    x_var = _sum([v * v for v in dx])
     if x_var == 0.0:
         return "zero variance in feature"
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    ss_tot = _sum([v * v for v in dy])
     if ss_tot == 0.0:
         return "zero variance in response"
-    slope = float(((x - x.mean()) * (y - y.mean())).sum() / x_var)
-    intercept = float(y.mean() - slope * x.mean())
-    residuals = y - (slope * x + intercept)
-    r2 = 1.0 - float((residuals**2).sum()) / ss_tot
+    slope = _sum([a * b for a, b in zip(dx, dy)]) / x_var
+    intercept = y_mean - slope * x_mean
+    residuals = [b - (slope * a + intercept) for a, b in zip(x, y)]
+    r2 = 1.0 - _sum([r * r for r in residuals]) / ss_tot
     return {
         "slope": slope,
         "intercept": intercept,
         "r2": r2,
-        "n": int(len(data)),
-        "points": [[float(a), float(b)] for a, b in zip(x, y)],
+        "n": len(data),
+        "points": [[a, b] for a, b in zip(x, y)],
     }
 
 

@@ -76,7 +76,7 @@ from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
 from .reviewer import ReviewRecord
 from .workspace import (
-    Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, from_json,
+    Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, from_json, read_json,
 )
 
 log = logging.getLogger(__name__)
@@ -240,13 +240,13 @@ class Pipeline:
     def _read(self, name: str, cls: Any = None) -> Any:
         """The JSON artifact at workspace-relative `name`, rebuilt as `cls`
         when one is given; None when the file is absent. A file that does
-        not decode, or does not fit `cls`, is a ValueError naming it (exit
-        2, inside a stage too)."""
+        not decode, holds NaN or an infinity, or does not fit `cls`, is a
+        ValueError naming it (exit 2, inside a stage too)."""
         path = self.ws.root / name
         if not path.exists():
             return None
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = read_json(path)
         except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         return raw if cls is None else _fit(path, cls, raw)

@@ -69,6 +69,16 @@ def atomic_write_json(path: Path, payload: object) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _refuse_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token}")
+
+
+def read_json(path: Path) -> Any:
+    """The JSON in `path`. The NaN, Infinity and -Infinity tokens, which
+    `json.loads` accepts but JSON does not define, are a ValueError."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+
 @functools.cache
 def _fields(cls: Any) -> tuple[dict[str, Any], frozenset[str]]:
     """A dataclass's field types by name, and the names of the fields with
@@ -187,8 +197,8 @@ class Workspace:
         if not path.exists():
             raise WorkspaceError(f"{root} is not a workspace (no manifest.json)")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = read_json(path)
+        except (OSError, ValueError) as exc:
             raise CorruptManifestError(f"{path}: unreadable manifest: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("version") != MANIFEST_VERSION:
             raise CorruptManifestError(f"unsupported manifest version in {path}")

@@ -1,16 +1,22 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from manalyzer import analysis, prompts
+from manalyzer import prompts
 from manalyzer.analysis import (
     INDEX_COLUMN,
+    KMEANS_MAX_ITER,
     AnalysisPlan,
     AnalysisStep,
-    _run_classification,
+    _distance,
+    _kmeans,
+    _loo_nearest,
+    _run_regression,
     _seed_rows,
+    _sum,
     merge_tables,
     plan_analysis,
     run_analysis,
@@ -177,27 +183,147 @@ def test_seed_rows_refuse_a_seed_out_of_range(seed):
         _seed_rows(5, 2, seed)
 
 
-def loo_nearest_oracle(features):
+# The numpy code that the standard-library analysis replaced, kept as its
+# oracle. Results must be equal bit for bit: they are compared by repr,
+# which tells -0.0 from 0.0 and prints NaN and inf.
+def kmeans_oracle(rows, k, seed):
+    data = np.array(rows, dtype=np.float64)
+    centroids = data[_seed_rows(len(data), k, seed)]
+    assignment = np.zeros(len(data), dtype=np.int64)
+    for iteration in range(1, KMEANS_MAX_ITER + 1):
+        distances = np.linalg.norm(data[:, None, :] - centroids[None, :, :], axis=2)
+        new_assignment = distances.argmin(axis=1)
+        for c in range(k):
+            members = data[new_assignment == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+        if iteration > 1 and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return assignment.tolist(), [tuple(c) for c in centroids.tolist()], iteration
+
+
+def loo_nearest_oracle(rows):
     """Leave-one-out nearest neighbours from the full n x n distance matrix."""
+    features = np.array(rows, dtype=np.float64)
     distances = np.linalg.norm(features[:, None, :] - features[None, :, :], axis=2)
     np.fill_diagonal(distances, np.inf)
-    return distances.argmin(axis=1)
+    return distances.argmin(axis=1).tolist()
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, 64])
-def test_classification_in_row_blocks_equals_the_full_matrix(monkeypatch, block_rows):
-    # Features from a few small integers, so that ties are everywhere and
-    # the lowest-index rule decides most neighbours. With every row its own
-    # label, `predicted` is the index of each row's nearest neighbour.
-    rng = random.Random(block_rows)
-    step = AnalysisStep(kind="classification", features=("f",), label="label")
-    for _ in range(100):
-        n, d = rng.randint(2, 80), rng.randint(1, 3)
-        features = np.array([[rng.randint(0, 3) for _ in range(d)] for _ in range(n)], float)
-        data = np.column_stack([features, np.arange(n, dtype=float)])
-        monkeypatch.setattr(analysis, "NN_BLOCK_CELLS", block_rows * n * d)
-        stats = _run_classification(step, data, seed=0)
-        assert stats["predicted"] == loo_nearest_oracle(features).astype(float).tolist()
+def regression_oracle(rows):
+    data = np.array(rows, dtype=np.float64)
+    x, y = data[:, 0], data[:, -1]
+    x_var = float(((x - x.mean()) ** 2).sum())
+    if x_var == 0.0:
+        return "zero variance in feature"
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    if ss_tot == 0.0:
+        return "zero variance in response"
+    slope = float(((x - x.mean()) * (y - y.mean())).sum() / x_var)
+    intercept = float(y.mean() - slope * x.mean())
+    residuals = y - (slope * x + intercept)
+    r2 = 1.0 - float((residuals**2).sum()) / ss_tot
+    return {
+        "slope": slope,
+        "intercept": intercept,
+        "r2": r2,
+        "n": int(len(data)),
+        "points": [[float(a), float(b)] for a, b in zip(x, y)],
+    }
+
+
+KINDS = ("ties", "continuous", "duplicates", "magnitudes")
+
+
+def random_rows(rng, kind, n, d):
+    """`n` rows of `d` values: tie-heavy small integers, continuous values,
+    rows drawn from a small pool, or both signs at magnitudes from 1e-200 to
+    1e308 (their squares underflow and overflow, their sums can too)."""
+    if kind == "ties":
+        return [tuple(float(rng.randint(0, 3)) for _ in range(d)) for _ in range(n)]
+    if kind == "continuous":
+        return [tuple(rng.uniform(-50, 50) for _ in range(d)) for _ in range(n)]
+    if kind == "duplicates":
+        scales = (1.0, 1e-200)  # the gaps between tiny values square to 0
+        pool = [
+            tuple(rng.uniform(-5, 5) * rng.choice(scales) for _ in range(d))
+            for _ in range(1 + n // 4)
+        ]
+        return [rng.choice(pool) for _ in range(n)]
+    exponents = (-200, -3, 0, 6, 150, 307)
+    return [
+        tuple(rng.choice((-1, 1)) * rng.uniform(1, 1.7) * 10.0 ** rng.choice(exponents)
+              for _ in range(d))
+        for _ in range(n)
+    ]
+
+
+def random_cases(kind, count, min_rows=1):
+    """Seeded (rows, seed) cases with 1-9 columns, so that sums of 8 or
+    more terms take the pairwise path, and a few with over 128 rows."""
+    rng = random.Random(kind)
+    for case in range(count):
+        n = rng.randint(129, 400) if case % 10 == 0 else rng.randint(min_rows, 60)
+        yield random_rows(rng, kind, n, rng.randint(1, 9)), rng.randrange(SEED_LIMIT)
+
+
+def test_sum_follows_numpys_pairwise_order():
+    rng = random.Random(20)
+    for n in [*range(0, 300), 1000, 8191, 8193, 100_000]:
+        values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        assert repr(_sum(values)) == repr(float(np.add.reduce(np.array(values)))), n
+    assert repr(_sum([-0.0] * 9)) == repr(float(np.add.reduce(np.full(9, -0.0))))
+
+
+def test_distance_rounds_as_numpy_norm_over_the_last_axis():
+    rng = random.Random(21)
+    for d in [*range(1, 20), 130]:
+        for _ in range(50):
+            p, q = ([rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(d)]
+                    for _ in range(2))
+            want = np.linalg.norm(np.array([p]) - np.array([q]), axis=1)[0]
+            assert repr(_distance(p, q)) == repr(float(want)), (p, q)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_leave_one_out_nearest_equals_the_full_matrix(kind):
+    for rows, _ in random_cases(kind, 150, min_rows=2):
+        with np.errstate(over="ignore"):
+            assert _loo_nearest(rows) == loo_nearest_oracle(rows), rows
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kmeans_equals_the_numpy_oracle(kind):
+    rng = random.Random(kind)
+    for rows, seed in random_cases(kind, 60, min_rows=5):
+        k = rng.randint(2, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(_kmeans(rows, k, seed)) == repr(kmeans_oracle(rows, k, seed)), rows
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_regression_equals_the_numpy_oracle(kind):
+    step = AnalysisStep(kind="regression", features=("x",), response="y")
+    for rows, _ in random_cases(kind, 150, min_rows=2):
+        pairs = [(row[0], row[-1]) for row in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(_run_regression(step, pairs, 0)) == repr(regression_oracle(pairs)), pairs
+
+
+def test_leave_one_out_nearest_of_20000_rows_stays_small():
+    # The full distance matrix of 20,000 rows would take 3.2 GB. A
+    # continuous feature and a three-level one keep the traced scan short.
+    rng = random.Random(6)
+    rows = [(rng.uniform(0, 1000), float(rng.randint(0, 2))) for _ in range(20_000)]
+    tracemalloc.start()
+    try:
+        nearest = _loo_nearest(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert all(i != j for i, j in enumerate(nearest))
 
 
 def test_clustering_skips_when_rows_short():

@@ -2,6 +2,7 @@
 0 success, 2 validation problems, 3 stage failures."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -541,6 +542,25 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
         assert f": {field}: expected " in line, line
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_cell_exits_2_and_names_the_file(tmp_path, finished, corpus_dir, value):
+    # json.dumps writes NaN, Infinity or -Infinity, which json.loads would
+    # read back as a float that passes the cell's type check.
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    path = ws / "extracted" / "d01" / "table.json"
+    table = json.loads(path.read_text(encoding="utf-8"))
+    table["rows"][0][1] = value
+    path.write_text(json.dumps(table), encoding="utf-8")
+    result = invoke(
+        ws, "eval-extraction", "--gold", str(corpus_dir / "gold.jsonl"), config=config
+    )
+    assert result.exit_code == 2, result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: "), line
+    assert "non-finite number" in line, line
+
+
 def test_eval_extraction_missing_gold(initialized):
     ws, config = initialized
     result = invoke(
@@ -599,8 +619,9 @@ def test_cli_import_does_not_load(module):
     assert result.returncode == 0, result.stderr
 
 
-def test_a_corpus_run_does_not_load_numpy_random(tmp_path, corpus_dir):
-    # k-means draws its seed rows without numpy.random (analysis._seed_rows).
+def test_a_corpus_run_does_not_load_numpy(tmp_path, corpus_dir):
+    # numpy serves only the packer's knapsack, which the bundled corpus's
+    # short documents never reach; analysis runs on the standard library.
     ws = tmp_path / "ws"
     common = ["--workspace", str(ws), "--config", str(corpus_dir / "config.txt")]
     commands = [
@@ -614,7 +635,7 @@ def test_a_corpus_run_does_not_load_numpy_random(tmp_path, corpus_dir):
         "from manalyzer import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
     )
     assert result.returncode == 0, result.stderr
     assert (ws / "analysis" / "step-1-clustering.json").exists()

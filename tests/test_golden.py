@@ -19,12 +19,10 @@ Each flow runs in process through `helpers.run_cli`, in a fresh workspace:
 - each command's argv, exit code, stdout and stderr, with the workspace
   and corpus paths written as <ws> and <corpus>;
 - the sorted (tag, digest) agent-call counts over the whole flow;
-- the sha256 of every workspace file, except `report.md`,
-  `analysis/results.json` and the `analysis/step-*.json` artifacts. Their
-  floats come from numpy (the regression from LAPACK), and CI installs
-  whichever numpy build pip resolves, so these are pinned by their parsed
-  values: every number within a relative tolerance of 1e-9, everything
-  else exactly.
+- the sha256 of every workspace file. The analysis floats are pinned by
+  their bytes too: they are computed on the standard library in a fixed
+  order of operations, so a change of summation order on any interpreter
+  shows here.
 
 After a deliberate change of behaviour, rewrite the pin with
 
@@ -35,11 +33,8 @@ and say in CHANGES.md which pinned bytes changed, and why.
 
 from __future__ import annotations
 
-import fnmatch
 import hashlib
 import json
-import math
-import re
 import sys
 import tempfile
 from collections import Counter
@@ -51,9 +46,6 @@ from helpers import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-BY_VALUE = ("report.md", "analysis/results.json", "analysis/step-*.json")
-REL_TOL = 1e-9
-NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 
 COMMON = ["--workspace", "<ws>", "--config", "<corpus>/config.txt"]
 README_FLOW = [
@@ -120,41 +112,15 @@ def run_flow(ws: Path, flow: list[list[str]]) -> dict:
         cli.build_provider = build_provider
 
     calls = Counter(key for provider in providers for key in provider.calls)
-    files, by_value = {}, {}
-    for path in sorted(p for p in ws.rglob("*") if p.is_file()):
-        name = path.relative_to(ws).as_posix()
-        if not any(fnmatch.fnmatch(name, pattern) for pattern in BY_VALUE):
-            files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        elif name.endswith(".json"):
-            by_value[name] = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            by_value[name] = path.read_text(encoding="utf-8")
+    files = {
+        path.relative_to(ws).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in ws.rglob("*") if p.is_file())
+    }
     return {
         "commands": commands,
         "calls": [[tag, digest, count] for (tag, digest), count in sorted(calls.items())],
         "files": files,
-        "by_value": by_value,
     }
-
-
-def _close(observed, pinned) -> bool:
-    """Equal, except that numbers (in text too) need only agree to REL_TOL."""
-    if isinstance(pinned, str) and isinstance(observed, str):
-        got, want = NUMBER.split(observed), NUMBER.split(pinned)
-        return len(got) == len(want) and all(
-            a == b if k % 2 == 0 else _close(float(a), float(b))
-            for k, (a, b) in enumerate(zip(got, want))
-        )
-    if isinstance(pinned, float) or isinstance(observed, float):
-        return (isinstance(observed, (int, float)) and isinstance(pinned, (int, float))
-                and math.isclose(observed, pinned, rel_tol=REL_TOL, abs_tol=REL_TOL))
-    if isinstance(pinned, dict) and isinstance(observed, dict):
-        return pinned.keys() == observed.keys() and all(
-            _close(observed[k], pinned[k]) for k in pinned
-        )
-    if isinstance(pinned, list) and isinstance(observed, list):
-        return len(pinned) == len(observed) and all(map(_close, observed, pinned))
-    return observed == pinned
 
 
 def _pin(flow: str) -> Path:
@@ -173,11 +139,6 @@ def _assert_matches_pin(flow: str, ws: Path) -> None:
         if pinned["files"].get(name) != observed["files"].get(name)
     )
     assert not changed, f"workspace files differ from the pin: {changed}"
-    assert observed["by_value"].keys() == pinned["by_value"].keys()
-    for name, want in pinned["by_value"].items():
-        assert _close(observed["by_value"][name], want), (
-            f"{name} differs from the pin beyond rel_tol {REL_TOL}"
-        )
 
 
 def test_readme_flow_matches_the_pin(tmp_path):

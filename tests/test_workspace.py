@@ -62,6 +62,12 @@ def test_load_rejects_unparseable_json(ws):
         Workspace.load(ws.root)
 
 
+def test_load_rejects_a_non_finite_number(ws):
+    ws.manifest_path.write_text('{"version": NaN}', encoding="utf-8")
+    with pytest.raises(CorruptManifestError, match="manifest.json: unreadable.*non-finite"):
+        Workspace.load(ws.root)
+
+
 def _rewrite_manifest(ws, mutate):
     raw = json.loads(ws.manifest_path.read_text(encoding="utf-8"))
     mutate(raw)
