@@ -421,6 +421,17 @@ def _run_regression(step: AnalysisStep, data: list[Row], seed: int) -> dict | st
     }
 
 
+def _finite(value: object) -> bool:
+    """Whether every float in a stats dict, list or number is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return True
+
+
 _RUNNERS = {
     "clustering": _run_clustering,
     "classification": _run_classification,
@@ -443,6 +454,10 @@ def run_analysis(
     for number, step in enumerate(plan.steps, start=1):
         data, excluded = _step_matrix(merged, step)
         stats = _RUNNERS[step.kind](step, data, seed)
+        if not isinstance(stats, str) and not _finite(stats):
+            # Values from about 1e154 up overflow when squared; a NaN or an
+            # infinity would make an artifact that no checked read accepts.
+            stats = "statistics overflow the float range"
         if isinstance(stats, str):
             results.append(AnalysisResult(step, excluded_rows=excluded, skipped=True, reason=stats))
             continue

@@ -8,7 +8,10 @@ then maximizes total importance under the budget, exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import le
 from typing import TYPE_CHECKING, Sequence
 
 from . import prompts
@@ -89,62 +92,121 @@ def select_paragraphs(items: Sequence[RatedParagraph], budget: int, doc_id: str 
 
     Maximizes total importance subject to total weight <= budget. Among
     optima, prefers the smaller total weight, then the lexicographically
-    smallest index set. The DP runs over the importance dimension (min
-    weight to reach each importance total), which stays small because
-    importances are capped at 10 per item.
+    smallest index set.
+
+    Items over the budget are dropped, and so are items of importance 0,
+    which only add weight. `_reduce` fixes the items that are in every
+    maximum-importance set or in none, and `_core_select` decides the rest
+    exactly. The fixed items are common to every set the tie-breaks
+    compare, so the union is the optimum under the full order.
     """
-    budget = min(budget, MAX_BUDGET)
-    if budget < 0:
-        budget = 0
-    ordered = sorted(items, key=lambda it: it.index)
-    eligible = [it for it in ordered if it.weight <= budget]
+    budget = max(0, min(budget, MAX_BUDGET))
+    pool = sorted(
+        (it for it in items if it.importance and it.weight <= budget), key=lambda it: it.index
+    )
+    fixed_in, core = _reduce(pool, budget)
+    room = budget - sum(it.weight for it in fixed_in)
+    chosen, importance, weight = _core_select([it for it in core if it.weight <= room], room)
+    return PackedDocument(
+        doc_id=doc_id,
+        selected_indices=tuple(sorted(chosen + [it.index for it in fixed_in])),
+        total_weight=budget - room + weight,
+        total_importance=importance + sum(it.importance for it in fixed_in),
+        budget=budget,
+    )
 
-    n = len(eligible)
-    if n == 0:
-        return PackedDocument(doc_id, (), 0, 0, budget)
 
-    import numpy as np  # imported here, so commands that never pack skip it
+def _by_ratio(items: Sequence[RatedParagraph]) -> list[RatedParagraph]:
+    """Items by importance per unit weight, best first. Float ratios order
+    exactly: equal ratios divide to equal floats, and distinct ones (numerators
+    up to 10, denominators up to MAX_BUDGET) differ far beyond rounding."""
+    return sorted(items, key=lambda it: it.importance / it.weight, reverse=True)
 
-    v_max = sum(it.importance for it in eligible)
-    inf = np.int64(1) << 62
-    # row[v] = min weight of a subset of eligible[i:] with importance sum v,
-    # rolled back from i = n to i = 0. Bit v of keep[i] records that taking
-    # item i is optimal at v (its take is no heavier than the row without
-    # it); the reconstruction needs only that. Packing the bits keeps the
-    # matrix small enough that it does not linger in per-thread malloc arenas.
-    row = np.full(v_max + 1, inf, dtype=np.int64)
-    row[0] = 0
-    keep = np.empty((n, (v_max + 8) // 8), dtype=np.uint8)
-    better = np.zeros(v_max + 1, dtype=bool)
-    for i in range(n - 1, -1, -1):
-        imp, w = eligible[i].importance, eligible[i].weight
-        take = row[: v_max + 1 - imp] + w
-        better[:imp] = False
-        np.less_equal(take, row[imp:], out=better[imp:])
-        keep[i] = np.packbits(better)
-        np.minimum(row[imp:], take, out=row[imp:])
 
-    feasible = np.nonzero(row <= budget)[0]
-    best_v = int(feasible[-1])
-    best_w = int(row[best_v])
+def _reduce(
+    pool: Sequence[RatedParagraph], budget: int
+) -> tuple[list[RatedParagraph], list[RatedParagraph]]:
+    """Split `pool` into the items every optimum takes and the undecided core.
 
+    This is the reduction of core methods (Martello and Toth, *Knapsack
+    Problems*, 1990; Pisinger, Operations Research 1997). `lower` is the
+    importance of a greedy fill, which is feasible. The Dantzig bound (the
+    fractional optimum, rounded down) caps what any set reaches. An item
+    whose absence caps the importance strictly below `lower` is in every
+    maximum-importance set; one whose presence does so is in none. The
+    tests are strict, so no tie is decided here. The core keeps `pool`'s
+    order.
+    """
+    ranked = _by_ratio(pool)
+    weights = list(accumulate((it.weight for it in ranked), initial=0))
+    importances = list(accumulate((it.importance for it in ranked), initial=0))
+
+    def upper(cap: int, skip: int) -> int:
+        """The Dantzig bound at capacity `cap` over `ranked` without `ranked[skip]`."""
+        total = 0
+        if weights[skip] <= cap:  # everything ranked above `skip` fits: step over it
+            cap += ranked[skip].weight
+            total -= ranked[skip].importance
+        k = bisect_right(weights, cap) - 1  # the fractional item is never `skip`
+        total += importances[k]
+        if k < len(ranked):
+            total += (cap - weights[k]) * ranked[k].importance // ranked[k].weight
+        return total
+
+    lower, room = 0, budget
+    for it in ranked:
+        if it.weight <= room:
+            lower += it.importance
+            room -= it.weight
+
+    fixed: dict[int, bool] = {}
+    for j, it in enumerate(ranked):
+        if upper(budget, j) < lower:
+            fixed[it.index] = True
+        elif it.importance + upper(budget - it.weight, j) < lower:
+            fixed[it.index] = False
+    return [it for it in pool if fixed.get(it.index)], [it for it in pool if it.index not in fixed]
+
+
+def _core_select(core: Sequence[RatedParagraph], budget: int) -> tuple[list[int], int, int]:
+    """The knapsack over `core` (in index order, no item over the budget):
+    the chosen indices, their importance and their weight.
+
+    The DP runs over the importance axis, capped at the core's Dantzig
+    bound: `row[v]` is the least weight of a subset of ``core[i:]`` with
+    importance `v`, rolled back from i = len(core) to 0. Any value over the
+    budget stands for unreachable; the values within it are exact.
+    ``keep[i][v - importance]`` records that taking item i is optimal at `v`
+    (its take is no heavier than the row without it).
+    """
+    cap, room = 0, budget
+    for it in _by_ratio(core):
+        if it.weight > room:
+            cap += room * it.importance // it.weight
+            break
+        cap += it.importance
+        room -= it.weight
+
+    row = [0] + [budget + 1] * cap
+    keep = [b""] * len(core)
+    for i in range(len(core) - 1, -1, -1):
+        imp, w = core[i].importance, core[i].weight
+        take = [x + w for x in row[: cap + 1 - imp]]
+        rest = row[imp:]
+        keep[i] = bytes(map(le, take, rest))
+        row[imp:] = [t if t < r else r for t, r in zip(take, rest)]
+
+    best = max(v for v, x in enumerate(row) if x <= budget)
     # Greedy front-to-back reconstruction: taking an item whenever doing so
     # still reaches the (importance, weight) optimum yields the smallest
     # index set in lexicographic order.
-    chosen: list[int] = []
-    v = best_v
-    for i in range(n):
-        if keep[i, v >> 3] >> (7 - (v & 7)) & 1:
-            chosen.append(eligible[i].index)
-            v -= eligible[i].importance
-
-    return PackedDocument(
-        doc_id=doc_id,
-        selected_indices=tuple(chosen),
-        total_weight=best_w,
-        total_importance=best_v,
-        budget=budget,
-    )
+    chosen = []
+    v = best
+    for it, bits in zip(core, keep):
+        if it.importance <= v and bits[v - it.importance]:
+            chosen.append(it.index)
+            v -= it.importance
+    return chosen, best, row[best]
 
 
 def pack_document(

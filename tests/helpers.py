@@ -3,9 +3,13 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import manalyzer
 from manalyzer import cli
 from manalyzer.gateway import AgentRequest, ScriptedProvider, digest_request
 
@@ -27,6 +31,16 @@ def run_cli(argv) -> CliResult:
         except SystemExit as exc:
             code = exc.code
     return CliResult(code or 0, stdout.getvalue(), stderr.getvalue())
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports manalyzer from this tree."""
+    src = str(Path(manalyzer.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 def tree(root: Path) -> dict[str, bytes]:

@@ -383,6 +383,17 @@ def test_regression_skips_degenerate_inputs():
     assert run_analysis(AnalysisPlan((step,)), flat_y)[0].reason == "zero variance in response"
 
 
+def test_regression_skips_statistics_out_of_float_range(tmp_path):
+    # The squares of values near ±1e200 overflow, so slope, intercept and r²
+    # come out NaN. No artifact may hold one: the step is skipped instead.
+    merged = merged_from([(1e200, 2e200), (-1e200, -3e200), (2e200, 1e200), (-2e200, -1e200)])
+    step = AnalysisStep(kind="regression", features=("x",), response="y")
+    result = run_analysis(AnalysisPlan((step,)), merged, out_dir=tmp_path)[0]
+    assert result.skipped
+    assert result.reason == "statistics overflow the float range"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_listwise_deletion_per_step():
     rows = [(1.0, 1.0), (2.0, None), (3.0, 3.0), (None, 4.0)]
     merged = merged_from(rows)

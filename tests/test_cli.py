@@ -3,11 +3,8 @@
 
 import json
 import math
-import os
 import re
 import shutil
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -18,7 +15,7 @@ from manalyzer import collector, pipeline, reviewer, synth
 from manalyzer.errors import NotDownloadableError
 from manalyzer.workspace import Workspace
 
-from helpers import run_cli, tree
+from helpers import run_cli, run_python, tree
 
 
 def invoke(ws, *args, config=None):
@@ -304,6 +301,38 @@ def test_extract_topic_holds_for_that_command_only(tmp_path, corpus_dir, monkeyp
         result = invoke(ws, *args)
         assert result.exit_code == 0, (args, result.stderr)
     assert Workspace.load(ws).direction == synth.DIRECTION
+
+
+def test_a_table_whose_statistics_overflow_runs_through_analyze_and_report(
+    tmp_path, corpus_dir, monkeypatch
+):
+    # Squares of values near ±1e200 overflow: the regression comes out NaN,
+    # which `results.json` may not hold, so the step is skipped with a reason.
+    monkeypatch.setattr(
+        "manalyzer.cli.build_provider", lambda config, base: synth.AnsweringProvider()
+    )
+    ws = tmp_path / "ws"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("pack",),
+        ("screen",),
+        ("extract",),
+    ):
+        assert invoke(ws, *args).exit_code == 0, args
+    for k, path in enumerate(sorted((ws / "extracted").glob("*/table.json"))):
+        table = json.loads(path.read_text(encoding="utf-8"))
+        table["rows"] = [
+            [row[0], (-1) ** (k + i) * (k + 1) * 1e200, (-1) ** i * (i + 2) * 1e200]
+            for i, row in enumerate(table["rows"])
+        ]
+        path.write_text(json.dumps(table), encoding="utf-8")
+    for args in (("analyze",), ("report",)):
+        result = invoke(ws, *args)
+        assert result.exit_code == 0, (args, result.stderr)
+    results = json.loads((ws / "analysis" / "results.json").read_text(encoding="utf-8"))
+    assert "statistics overflow the float range" in json.dumps(results)
+    assert "statistics overflow the float range" in (ws / "report.md").read_text(encoding="utf-8")
 
 
 def test_blank_topic_is_a_validation_error(initialized, monkeypatch):
@@ -599,18 +628,8 @@ def test_eval_extraction_reads_level3_tolerance_from_config(tmp_path, corpus_dir
     assert "| 3 | 6 | 1.0000 |" in result.stdout
 
 
-def run_python(code):
-    """Run `code` in a fresh interpreter that imports manalyzer from this tree."""
-    src = str(Path(manalyzer.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-    )
-
-
-# numpy is imported only where it is used; the XML parser and the HTTP
-# client only by `collect`.
+# No module imports numpy; the XML parser and the HTTP client are imported
+# only by `collect`.
 @pytest.mark.parametrize(
     "module", ["requests", "numpy", "click", "xml.etree.ElementTree", "urllib.request"]
 )
@@ -620,8 +639,8 @@ def test_cli_import_does_not_load(module):
 
 
 def test_a_corpus_run_does_not_load_numpy(tmp_path, corpus_dir):
-    # numpy serves only the packer's knapsack, which the bundled corpus's
-    # short documents never reach; analysis runs on the standard library.
+    # Nothing in the pipeline imports numpy, which the test extra installs
+    # for the oracles only. The knapsack's own check is in test_packer.
     ws = tmp_path / "ws"
     common = ["--workspace", str(ws), "--config", str(corpus_dir / "config.txt")]
     commands = [

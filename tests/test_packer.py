@@ -11,6 +11,7 @@ from manalyzer.packer import (
     MAX_BUDGET,
     PackedDocument,
     RatedParagraph,
+    _reduce,
     estimate_weight,
     pack_document,
     packed_text,
@@ -18,7 +19,7 @@ from manalyzer.packer import (
     select_paragraphs,
 )
 
-from helpers import register_for
+from helpers import register_for, run_python
 
 
 def make_items(spec):
@@ -78,6 +79,71 @@ def full_table_select(items, budget):
             chosen.append(eligible[i].index)
             v -= imp
     return tuple(chosen), best_v, int(g[0][best_v])
+
+
+def numpy_select(items, budget):
+    """The knapsack as the packer ran it on numpy: a rolling min-weight row
+    over every eligible item, importance-0 ones included, with one packed
+    keep bit per (item, importance) cell and the front-to-back keep-bit
+    reconstruction. The oracle for the bound-and-core selection."""
+    budget = max(0, min(budget, MAX_BUDGET))
+    eligible = [it for it in sorted(items, key=lambda it: it.index) if it.weight <= budget]
+    n = len(eligible)
+    if n == 0:
+        return (), 0, 0
+    v_max = sum(it.importance for it in eligible)
+    inf = np.int64(1) << 62
+    row = np.full(v_max + 1, inf, dtype=np.int64)
+    row[0] = 0
+    keep = np.empty((n, (v_max + 8) // 8), dtype=np.uint8)
+    better = np.zeros(v_max + 1, dtype=bool)
+    for i in range(n - 1, -1, -1):
+        imp, w = eligible[i].importance, eligible[i].weight
+        take = row[: v_max + 1 - imp] + w
+        better[:imp] = False
+        np.less_equal(take, row[imp:], out=better[imp:])
+        keep[i] = np.packbits(better)
+        np.minimum(row[imp:], take, out=row[imp:])
+    best_v = int(np.nonzero(row <= budget)[0][-1])
+    chosen = []
+    v = best_v
+    for i in range(n):
+        if keep[i, v >> 3] >> (7 - (v & 7)) & 1:
+            chosen.append(eligible[i].index)
+            v -= eligible[i].importance
+    return tuple(chosen), best_v, int(row[best_v])
+
+
+def oracle_cases(kind, rng):
+    """Seeded (items, budget) pairs of one shape."""
+    if kind == "tie_heavy":
+        for _ in range(300):
+            items = make_items(
+                [(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(rng.randint(1, 120))]
+            )
+            yield items, rng.randint(0, sum(it.weight for it in items) + 3)
+    elif kind == "random":
+        for _ in range(150):
+            items = make_items(
+                [(rng.randint(0, 10), rng.randint(1, 300)) for _ in range(rng.randint(1, 150))]
+            )
+            yield items, rng.randint(0, sum(it.weight for it in items) + 3)
+    elif kind == "deep_shaped":
+        # perfbench's `deep`: 1,500 paragraphs of 14-40 words rated 0-6,
+        # with a few planted relevant ones rated 10.
+        for _ in range(4):
+            yield make_items(
+                [(10 if rng.random() < 0.01 else rng.randint(0, 6), rng.randint(20, 75))
+                 for _ in range(1500)]
+            ), 4977
+    else:  # equal_ratio: every item is a multiple of one (importance, weight)
+        for _ in range(80):
+            imp, w = rng.choice([(1, 1), (1, 2), (2, 3), (10, 1), (3, 7)])
+            items = make_items(
+                [(imp * k, w * k) for k in
+                 (rng.randint(1, 10 // imp) for _ in range(rng.randint(1, 80)))]
+            )
+            yield items, rng.randint(0, sum(it.weight for it in items))
 
 
 def test_estimate_weight():
@@ -157,6 +223,38 @@ def test_select_matches_full_table_on_tie_heavy_instances():
         packed = select_paragraphs(items, budget)
         got = (packed.selected_indices, packed.total_importance, packed.total_weight)
         assert got == full_table_select(items, budget), f"case {case}"
+
+
+@pytest.mark.parametrize("kind", ["tie_heavy", "random", "deep_shaped", "equal_ratio"])
+def test_select_matches_the_numpy_oracle(kind):
+    rng = random.Random(f"packer-oracle-{kind}")
+    for case, (items, budget) in enumerate(oracle_cases(kind, rng)):
+        packed = select_paragraphs(items, budget)
+        got = (packed.selected_indices, packed.total_importance, packed.total_weight)
+        assert got == numpy_select(items, budget), f"{kind} case {case}"
+
+
+def test_reduction_decides_no_tie():
+    # Every item has importance/weight 2: each is in some optimum and out of
+    # another, so the core is everything, and the index tie-break picks the
+    # earliest items.
+    items = make_items([(2, 1)] * 10 + [(4, 2)] * 10)
+    pool = sorted(items, key=lambda it: it.index)
+    assert _reduce(pool, 7) == ([], pool)
+    assert select_paragraphs(items, 7).selected_indices == tuple(range(7))
+
+
+def test_an_over_budget_selection_does_not_load_numpy():
+    result = run_python(
+        "import random, sys\n"
+        "from manalyzer.packer import RatedParagraph, select_paragraphs\n"
+        "rng = random.Random(5)\n"
+        "items = [RatedParagraph(i, '', rng.randint(0, 6), rng.randint(20, 75))"
+        " for i in range(1500)]\n"
+        "assert select_paragraphs(items, 4977).total_weight <= 4977\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_budget_monotonicity():
