@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,13 +35,14 @@ from .config import DEFAULTS, SEED_LIMIT
 from .errors import HeaderMismatchError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
-from .workspace import atomic_write_text
+from .workspace import atomic_write_text, encode
 
 log = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 100
 _MT_STATE_WORDS = 624  # MT19937 state size, in 32-bit words
 INDEX_COLUMN = "index"  # pseudo-column: row ordinal, for regression fallback
+OVERFLOW = "statistics overflow the float range"
 
 Row = tuple[float, ...]
 
@@ -85,6 +86,15 @@ class AnalysisResult:
     excluded_rows: int = 0
     skipped: bool = False
     reason: str = ""
+
+
+@dataclass(frozen=True)
+class PlotData:
+    """An ``analysis/step-<n>-<kind>.json``: a completed step's stats."""
+
+    step: AnalysisStep
+    stats: dict[str, object]
+    excluded_rows: int
 
 
 def merge_tables(tables: Sequence[ExtractedTable]) -> MergedTable:
@@ -360,11 +370,21 @@ def _loo_nearest(points: list[Row]) -> list[int]:
     return nearest
 
 
+def _could_overflow(points: list[Row]) -> bool:
+    """Whether a squared distance between two of `points` could overflow:
+    the squared spans of the coordinates bound each one, and the factor 2
+    covers the rounding of another summation order."""
+    spans = [max(values) - min(values) for values in zip(*points)]
+    return not math.isfinite(2.0 * _sum([s * s for s in spans]))
+
+
 # Each runner takes the step's rows and returns its stats, or the reason
 # the step is skipped.
 def _run_clustering(step: AnalysisStep, data: list[Row], seed: int) -> dict | str:
     if len(data) < step.k:
         return f"only {len(data)} complete rows for k={step.k}"
+    if _could_overflow(data):
+        return OVERFLOW
     assignment, centroids, iterations = _kmeans(data, step.k, seed)
     return {
         "cluster_sizes": [assignment.count(c) for c in range(step.k)],
@@ -383,7 +403,10 @@ def _run_classification(step: AnalysisStep, data: list[Row], seed: int) -> dict 
     classes = len(set(labels))
     if classes < 2:
         return "all labels identical"
-    predicted = [labels[j] for j in _loo_nearest([row[:-1] for row in data])]
+    points = [row[:-1] for row in data]
+    if _could_overflow(points):
+        return OVERFLOW
+    predicted = [labels[j] for j in _loo_nearest(points)]
     hits = [p == label for p, label in zip(predicted, labels)].count(True)
     return {
         "accuracy": hits / len(data),
@@ -421,17 +444,6 @@ def _run_regression(step: AnalysisStep, data: list[Row], seed: int) -> dict | st
     }
 
 
-def _finite(value: object) -> bool:
-    """Whether every float in a stats dict, list or number is finite."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return True
-
-
 _RUNNERS = {
     "clustering": _run_clustering,
     "classification": _run_classification,
@@ -454,10 +466,11 @@ def run_analysis(
     for number, step in enumerate(plan.steps, start=1):
         data, excluded = _step_matrix(merged, step)
         stats = _RUNNERS[step.kind](step, data, seed)
-        if not isinstance(stats, str) and not _finite(stats):
-            # Values from about 1e154 up overflow when squared; a NaN or an
-            # infinity would make an artifact that no checked read accepts.
-            stats = "statistics overflow the float range"
+        if not isinstance(stats, str):
+            try:  # the encoder refuses NaN and inf, which values from about 1e154 up make
+                plot = encode(PlotData(step, stats, excluded))
+            except ValueError:
+                stats = OVERFLOW
         if isinstance(stats, str):
             results.append(AnalysisResult(step, excluded_rows=excluded, skipped=True, reason=stats))
             continue
@@ -465,8 +478,7 @@ def run_analysis(
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             name = f"step-{number}-{step.kind}.json"
-            payload = {"step": asdict(step), "stats": stats, "excluded_rows": excluded}
-            atomic_write_text(out_dir / name, json.dumps(payload, indent=2, sort_keys=True))
+            atomic_write_text(out_dir / name, plot)
             artifacts = (name,)
         results.append(AnalysisResult(step, stats, artifacts, excluded_rows=excluded))
     return results

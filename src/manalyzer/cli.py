@@ -267,3 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 3
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gateway import Gateway
 from .parsing import parse_string_groups
-from .workspace import atomic_write_bytes, atomic_write_text
+from .workspace import atomic_write_bytes, atomic_write_text, encode
 
 CROSSREF_URL = "https://api.crossref.org/works"
 ARXIV_URL = "http://export.arxiv.org/api/query"
@@ -60,21 +60,22 @@ class Paragraph:
 class ImageRef:
     """A figure or table rendered as an image file, plus its caption."""
 
-    ref_id: str
+    id: str
     caption: str
     image: str
 
 
 @dataclass(frozen=True)
 class ParsedDocument:
-    meta: PaperMeta
+    """A parsed-document file, as `ingest_parsed` reads it and `save_parsed`
+    writes it."""
+
+    doc_id: str
+    title: str
+    doi: str | None
     paragraphs: tuple[Paragraph, ...]
     figures: tuple[ImageRef, ...] = ()
     tables: tuple[ImageRef, ...] = ()
-
-    @property
-    def doc_id(self) -> str:
-        return self.meta.doc_id
 
     def captions(self) -> list[str]:
         return [r.caption for r in self.figures] + [r.caption for r in self.tables]
@@ -305,28 +306,13 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
             seen_ids.add(ref_id)
             if not (images_root / image).exists():
                 raise DanglingImageError(f"{field_name}[{pos}].image: {image!r} not found")
-            refs.append(ImageRef(ref_id=ref_id, caption=caption, image=image))
+            refs.append(ImageRef(id=ref_id, caption=caption, image=image))
         return tuple(refs)
 
-    meta = PaperMeta(doc_id=doc_id, title=title, doi=doi, source="local")
     return ParsedDocument(
-        meta=meta,
-        paragraphs=tuple(paragraphs),
-        figures=read_refs("figures"),
-        tables=read_refs("tables"),
+        doc_id, title, doi, tuple(paragraphs), read_refs("figures"), read_refs("tables")
     )
 
 
-def parsed_to_json(doc: ParsedDocument) -> dict:
-    return {
-        "doc_id": doc.doc_id,
-        "title": doc.meta.title,
-        "doi": doc.meta.doi,
-        "paragraphs": [{"index": p.index, "text": p.text} for p in doc.paragraphs],
-        "figures": [{"id": r.ref_id, "caption": r.caption, "image": r.image} for r in doc.figures],
-        "tables": [{"id": r.ref_id, "caption": r.caption, "image": r.image} for r in doc.tables],
-    }
-
-
 def save_parsed(doc: ParsedDocument, path: Path) -> None:
-    atomic_write_text(path, json.dumps(parsed_to_json(doc), indent=2, sort_keys=True))
+    atomic_write_text(path, encode(doc))

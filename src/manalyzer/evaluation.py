@@ -69,7 +69,7 @@ def load_gold(path: Path) -> list[GoldDataPoint]:
                 unit=str(raw.get("unit", "")),
                 label=str(raw.get("label", "")),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaViolationError(f"{path}:{lineno}: bad gold record: {exc}") from exc
         points.append(point)
     return points

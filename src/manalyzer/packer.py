@@ -239,7 +239,7 @@ def pack_document(
         rated = score_paragraphs(doc, gateway, default_importance)
         packed = select_paragraphs(rated, effective, doc_id=doc.doc_id)
     return replace(
-        packed, text=packed_text(doc, packed), captions=tuple(doc.captions()), title=doc.meta.title
+        packed, text=packed_text(doc, packed), captions=tuple(doc.captions()), title=doc.title
     )
 
 

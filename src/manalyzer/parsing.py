@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 import threading
 from collections.abc import Sequence
 
@@ -143,8 +144,19 @@ def _literal(text: str, malformed: str) -> object:
     try:
         with _AST_LOCK:
             return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, TypeError):  # TypeError: an unhashable dict key
         raise UnparseableReplyError(malformed) from None
+
+
+def _real(value: object, what: str) -> float:
+    """`value` as a finite float; UnparseableReplyError when it is not a
+    number, or when it is one outside the float range (`1e400` or a
+    400-digit integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UnparseableReplyError(f"{what} is not a number: {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max or not math.isfinite(value):
+        raise UnparseableReplyError(f"{what} is outside the float range")
+    return float(value)
 
 
 def parse_real_list(text: str, count: int) -> list[float]:
@@ -152,17 +164,13 @@ def parse_real_list(text: str, count: int) -> list[float]:
 
     Takes the first balanced bracket group in the reply; prose around it is
     ignored. Raises UnparseableReplyError when there is no such group, it
-    holds anything but numbers, or it does not hold `count` values.
+    holds anything but finite numbers, or it does not hold `count` values.
     """
     match = re.search(r"\[[^\[\]]*\]", text)
     if not match:
         raise UnparseableReplyError("no bracketed list in reply")
     parsed = _literal(match.group(0), f"malformed list: {match.group(0)!r}")
-    values: list[float] = []
-    for item in parsed:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise UnparseableReplyError(f"non-numeric list item: {item!r}")
-        values.append(float(item))
+    values = [_real(item, "list item") for item in parsed]
     if len(values) != count:
         raise UnparseableReplyError(f"expected {count} values, got {len(values)}")
     return values
@@ -232,9 +240,6 @@ def parse_check_reply(text: str) -> dict[str, object]:
     for key in CHECK_KEYS:
         if key not in parsed:
             raise UnparseableReplyError(f"checker reply missing {key!r}")
-        value = parsed[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UnparseableReplyError(f"checker score {key!r} is not a number")
-        out[key] = int(value)
+        out[key] = int(_real(parsed[key], f"checker score {key!r}"))
     out["Suggestion"] = str(parsed.get("Suggestion", ""))
     return out

@@ -47,7 +47,7 @@ import json
 import logging
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -76,7 +76,7 @@ from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
 from .reviewer import ReviewRecord
 from .workspace import (
-    Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, from_json, read_json,
+    Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, read_artifact,
 )
 
 log = logging.getLogger(__name__)
@@ -130,12 +130,34 @@ class IndependentFailure:
     reason: str
 
 
-def _fit(path: Path, cls: Any, raw: Any) -> Any:
-    """`raw`, read from `path`, rebuilt as `cls`; a ValueError names `path`."""
-    try:
-        return from_json(cls, raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+@dataclass(frozen=True)
+class ReviewFailureRecord(IndependentFailure):
+    """The ``reviews/<doc>.json`` of a paper whose review failed; that of a
+    reviewed paper holds ``reviewer.ReviewRecord``."""
+
+    doc_id: str
+
+
+@dataclass(frozen=True)
+class Screening:
+    """``reviews/screening.json``: the threshold, and the papers screening
+    kept, excluded, and could not review."""
+
+    threshold: float
+    kept: tuple[str, ...]
+    excluded: tuple[str, ...]
+    failures: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ExtractionParts:
+    """An ``extracted/<doc>/parts.json``: the converted parts, their mask
+    scores, the ids of the parts kept, and the conversion warnings."""
+
+    parts: tuple[extraction.ConvertedPart, ...]
+    mask: tuple[float, ...]
+    retained: tuple[str, ...]
+    warnings: tuple[str, ...]
 
 
 def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
@@ -237,20 +259,6 @@ class Pipeline:
             if not ok:
                 raise result
 
-    def _read(self, name: str, cls: Any = None) -> Any:
-        """The JSON artifact at workspace-relative `name`, rebuilt as `cls`
-        when one is given; None when the file is absent. A file that does
-        not decode, holds NaN or an infinity, or does not fit `cls`, is a
-        ValueError naming it (exit 2, inside a stage too)."""
-        path = self.ws.root / name
-        if not path.exists():
-            return None
-        try:
-            raw = read_json(path)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        return raw if cls is None else _fit(path, cls, raw)
-
     def _parsed_path(self, doc_id: str) -> Path:
         return self.ws.dir("parsed") / f"{doc_id}.json"
 
@@ -320,10 +328,10 @@ class Pipeline:
         def work(doc_id: str) -> None:
             path = self.ws.dir("packed") / f"{doc_id}.json"
             if not path.exists():
-                atomic_write_json(path, asdict(packer.pack_document(
+                atomic_write_json(path, packer.pack_document(
                     self._load_parsed(doc_id), self.gateway, self.config.packer_budget,
                     self.config.packer_default_importance,
-                )))
+                ))
 
         self._per_document(
             work, self.ws.docs_at("parsed"), lambda doc_id, _: self.ws.mark(doc_id, "packed")
@@ -338,33 +346,28 @@ class Pipeline:
         direction = self.ws.direction
         reviews = self.ws.dir("reviews")
 
-        def record(doc_id: str, **fields: Any) -> None:
-            path = reviews / f"{doc_id}.json"
+        def record(entry: ReviewRecord | ReviewFailureRecord) -> None:
+            path = reviews / f"{entry.doc_id}.json"
             if not path.exists():
-                atomic_write_json(path, {"doc_id": doc_id, **fields})
+                atomic_write_json(path, entry)
 
         # Phase 1: independent scores, one file per paper, for every packed
         # paper (a reviewed paper's file is read back: batches span it too).
         # A paper that fails here gets its failure record and no batch.
         def independent(doc_id: str) -> reviewer.IndependentScores | IndependentFailure:
-            name = f"reviews/{doc_id}.indep.json"
-            path = self.ws.root / name
-            scores: reviewer.IndependentScores | IndependentFailure
-            if (raw := self._read(name)) is not None:
-                failed = isinstance(raw, dict) and "failed" in raw
-                cls = IndependentFailure if failed else reviewer.IndependentScores
-                scores = _fit(path, cls, raw)
-            else:
-                packed = self._read(f"packed/{doc_id}.json", packer.PackedDocument)
+            path = reviews / f"{doc_id}.indep.json"
+            scores = read_artifact(path, reviewer.IndependentScores | IndependentFailure)
+            if scores is None:
+                packed = self.load_packed(doc_id)
                 try:
                     scores = reviewer.review_independent(
                         packed.text, direction, self.gateway, packed.captions
                     )
                 except ReviewFailure as exc:
                     scores = IndependentFailure(failed=True, reason=str(exc))
-                atomic_write_json(path, asdict(scores))
+                atomic_write_json(path, scores)
             if isinstance(scores, IndependentFailure):
-                record(doc_id, **asdict(scores))
+                record(ReviewFailureRecord(**vars(scores), doc_id=doc_id))
             return scores
 
         # Phase 2: comparative batches over all successfully scored papers,
@@ -375,17 +378,16 @@ class Pipeline:
             batch = batches[batch_id]
             if all((reviews / f"{d}.json").exists() for d in batch):
                 return
-            texts = [self._read(f"packed/{d}.json", packer.PackedDocument).text for d in batch]
+            texts = [self.load_packed(d).text for d in batch]
             try:
                 relatives = reviewer.review_batch(texts, direction, self.gateway)
             except ReviewFailure as exc:
                 for doc_id in batch:
-                    record(doc_id, failed=True, reason=str(exc))
+                    record(ReviewFailureRecord(failed=True, reason=str(exc), doc_id=doc_id))
                 return
             for doc_id, s_r in zip(batch, relatives):
                 s1, s2 = indep[doc_id].s1, indep[doc_id].s2
-                final = reviewer.fuse(s1, s2, s_r)
-                record(doc_id, s1=s1, s2=s2, s_r=s_r, final=final, batch_id=batch_id)
+                record(ReviewRecord(doc_id, s1, s2, s_r, reviewer.fuse(s1, s2, s_r), batch_id))
 
         indep: dict[str, Any] = {}
         packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
@@ -402,20 +404,19 @@ class Pipeline:
 
     # -- screen ----------------------------------------------------------
 
-    def load_review_records(self) -> tuple[list[ReviewRecord], list[dict]]:
+    def load_review_records(self) -> tuple[list[ReviewRecord], list[ReviewFailureRecord]]:
         """Review records and failure records. A screened paper is kept as
         its manifest says; an unscreened one by the configured threshold."""
         records, failures = [], []
         threshold = self.config.reviewer_threshold
         for doc_id in self.ws.doc_ids():
-            name = f"reviews/{doc_id}.json"
-            raw = self._read(name)
-            if raw is None:
+            path = self.ws.dir("reviews") / f"{doc_id}.json"
+            record = read_artifact(path, ReviewRecord | ReviewFailureRecord)
+            if record is None:
                 continue
-            if isinstance(raw, dict) and raw.get("failed"):
-                failures.append(raw)
+            if isinstance(record, ReviewFailureRecord):
+                failures.append(record)
                 continue
-            record = _fit(self.ws.root / name, ReviewRecord, raw)
             if self.ws.at_least(doc_id, "screened_in"):
                 kept = "screened_in" in self.ws.docs[doc_id]
             else:
@@ -431,12 +432,12 @@ class Pipeline:
             return
         records, failures = self.load_review_records()
         kept = {r.doc_id for r in records if r.kept}
-        atomic_write_json(screening, {
-            "threshold": self.config.reviewer_threshold,
-            "kept": sorted(kept),
-            "excluded": sorted(r.doc_id for r in records if not r.kept),
-            "failures": sorted(f["doc_id"] for f in failures),
-        })
+        atomic_write_json(screening, Screening(
+            threshold=self.config.reviewer_threshold,
+            kept=tuple(sorted(kept)),
+            excluded=tuple(sorted(r.doc_id for r in records if not r.kept)),
+            failures=tuple(sorted(f.doc_id for f in failures)),
+        ))
         for doc_id in pending:
             self.ws.mark(doc_id, "screened_in" if doc_id in kept else "screened_out")
 
@@ -459,17 +460,17 @@ class Pipeline:
         for ref in doc.tables:
             try:
                 parts.extend(extraction.convert_table_image(
-                    str(self.ws.root / ref.image), ref.caption, self.gateway, ref.ref_id
+                    str(self.ws.root / ref.image), ref.caption, self.gateway, ref.id
                 ))
             except (ExtractionError, EmptyResponseError) as exc:
-                warnings.append(f"table {ref.ref_id}: {exc}")
+                warnings.append(f"table {ref.id}: {exc}")
         for ref in doc.figures:
             try:
                 parts.append(extraction.summarize_figure(
-                    str(self.ws.root / ref.image), ref.caption, self.gateway, ref.ref_id
+                    str(self.ws.root / ref.image), ref.caption, self.gateway, ref.id
                 ))
             except (ExtractionError, EmptyResponseError) as exc:
-                warnings.append(f"figure {ref.ref_id}: {exc}")
+                warnings.append(f"figure {ref.id}: {exc}")
 
         mask = extraction.relevance_mask(
             parts, direction, self.gateway, self.config.extraction_mask_batch
@@ -491,18 +492,15 @@ class Pipeline:
             )
             trace, violations = [], []
 
-        atomic_write_json(out / "parts.json", {
-            "parts": [asdict(p) for p in parts],
-            "mask": mask,
-            "retained": [p.part_id for p in retained],
-            "warnings": warnings,
-        })
-        atomic_write_json(out / "trace.json", asdict(ExtractionTrace(
-            trace=tuple(TraceEntry(**asdict(r), iteration=i) for i, r in trace),
+        atomic_write_json(out / "parts.json", ExtractionParts(
+            tuple(parts), tuple(mask), tuple(p.part_id for p in retained), tuple(warnings)
+        ))
+        atomic_write_json(out / "trace.json", ExtractionTrace(
+            trace=tuple(TraceEntry(**vars(r), iteration=i) for i, r in trace),
             violations=tuple(TraceViolation(v.kind, v.reason) for v in violations),
-        )))
+        ))
         # Last: a table.json vouches that the document's other files exist.
-        atomic_write_json(out / "table.json", asdict(table))
+        atomic_write_json(out / "table.json", table)
         return table
 
     @stage("extract")
@@ -525,7 +523,8 @@ class Pipeline:
 
     def load_table(self, doc_id: str) -> extraction.ExtractedTable | None:
         """The document's extracted table; None before extraction wrote it."""
-        return self._read(f"extracted/{doc_id}/table.json", extraction.ExtractedTable)
+        path = self.ws.dir("extracted") / doc_id / "table.json"
+        return read_artifact(path, extraction.ExtractedTable)
 
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
         return [
@@ -542,7 +541,7 @@ class Pipeline:
             return
 
         merged = merge_tables(self.load_accepted_tables())
-        atomic_write_json(out / "merged.json", asdict(merged))
+        atomic_write_json(out / "merged.json", merged)
 
         results: list[AnalysisResult] = []
         plan = AnalysisPlan(steps=())
@@ -553,15 +552,18 @@ class Pipeline:
             except NoValidStepsError as exc:
                 log.warning("analysis skipped: %s", exc)
 
-        atomic_write_json(out / "plan.json", asdict(plan))
-        atomic_write_json(results_path, [asdict(r) for r in results])
+        atomic_write_json(out / "plan.json", plan)
+        atomic_write_json(results_path, results)
         for doc_id in pending:
             self.ws.mark(doc_id, "analyzed")
 
     # -- report ----------------------------------------------------------
 
+    def load_packed(self, doc_id: str) -> packer.PackedDocument | None:
+        return read_artifact(self.ws.dir("packed") / f"{doc_id}.json", packer.PackedDocument)
+
     def load_merged(self) -> MergedTable:
-        merged = self._read("analysis/merged.json", MergedTable)
+        merged = read_artifact(self.ws.dir("analysis") / "merged.json", MergedTable)
         return merge_tables([]) if merged is None else merged
 
     def load_traces(self) -> list[TraceSummary]:
@@ -570,7 +572,7 @@ class Pipeline:
             table = self.load_table(doc_id)
             if table is None:
                 continue
-            trace = self._read(f"extracted/{doc_id}/trace.json", ExtractionTrace)
+            trace = read_artifact(self.ws.dir("extracted") / doc_id / "trace.json", ExtractionTrace)
             traces.append(TraceSummary(
                 doc_id=doc_id,
                 iterations=max([t.iteration for t in trace.trace], default=0),
@@ -604,12 +606,14 @@ class Pipeline:
         if self.ws.report_path.exists() and not force:
             return
         merged = self.load_merged()
-        results = self._read("analysis/results.json", tuple[AnalysisResult, ...]) or ()
+        results = read_artifact(
+            self.ws.dir("analysis") / "results.json", tuple[AnalysisResult, ...]
+        ) or ()
         records, _failures = self.load_review_records()
         traces = self.load_traces()
         titles = {
             doc_id: packed.title for doc_id in self.ws.doc_ids()
-            if (packed := self._read(f"packed/{doc_id}.json", packer.PackedDocument))
+            if (packed := self.load_packed(doc_id))
         }
         text = render_report(
             topic=self.ws.direction, merged=merged, results=results, review_records=records,

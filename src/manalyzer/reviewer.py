@@ -9,7 +9,7 @@ s_r * (s1 + s2); papers at or above the threshold survive screening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,7 +40,7 @@ class ReviewRecord:
     s_r: float
     final: float
     batch_id: int
-    kept: bool = False
+    kept: bool = field(default=False, metadata={"transient": True})  # the encoder leaves it out
 
 
 @dataclass(frozen=True)

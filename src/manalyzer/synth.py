@@ -26,7 +26,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from .collector import ImageRef, PaperMeta, Paragraph, ParsedDocument, save_parsed
+from .collector import ImageRef, Paragraph, ParsedDocument, save_parsed
 from .config import DEFAULTS, PipelineConfig
 from .errors import DuplicateScriptKeyError
 from .evaluation import GoldDataPoint, save_gold
@@ -223,9 +223,7 @@ def write_docs(docs_dir: Path) -> None:
         (docs_dir / table_image).write_bytes(f"synthetic-table-image:{doc_id}".encode() * 4)
         (docs_dir / figure_image).write_bytes(f"synthetic-figure-image:{doc_id}".encode() * 4)
         doc = ParsedDocument(
-            meta=PaperMeta(
-                doc_id, f"Rainfall and wheat yield: field trial {doc_id}", None, "local"
-            ),
+            doc_id, f"Rainfall and wheat yield: field trial {doc_id}", None,
             paragraphs=tuple(Paragraph(i, text) for i, text in enumerate(doc_paragraphs(doc_id))),
             figures=(ImageRef(
                 f"{doc_id}-fig", f"Figure 1 ({doc_id}): yield response to water supply",

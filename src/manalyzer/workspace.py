@@ -16,10 +16,12 @@ the manifest is ignored.
 
 Every artifact write goes through `atomic_write_bytes` (the text and JSON
 writers encode, then call it): a temp file renamed over the target, so a
-killed process never leaves a half-written artifact. Dataclass artifacts
-are written as the JSON of `dataclasses.asdict` and read back with
-`from_json`. Manifest mutation is single-writer: only the orchestrator
-thread marks statuses. `STATUS_RANK` is the one list of statuses.
+killed process never leaves a half-written artifact. Every artifact is a
+dataclass with one format, `encode`'s: sorted-key, indent-2 JSON with
+finite numbers only. `atomic_write_json` is its one writer and
+`read_artifact` its one checked reader; both name the file in an error.
+Manifest mutation is single-writer: only the orchestrator thread marks
+statuses. `STATUS_RANK` is the one list of statuses.
 """
 
 from __future__ import annotations
@@ -65,8 +67,28 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_json(path: Path, payload: object) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+@functools.cache
+def _stored(cls: Any) -> tuple[str, ...]:
+    """A dataclass's fields that reach the file: all but those whose
+    metadata marks them "transient", which stay in memory."""
+    return tuple(f.name for f in dataclasses.fields(cls) if not f.metadata.get("transient"))
+
+
+def encode(obj: object) -> str:
+    """The artifact format: `obj` as sorted-key, indent-2 JSON, a dataclass
+    as its stored fields (shallow, with no copy). NaN or an infinity is a
+    ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=lambda d: {name: getattr(d, name) for name in _stored(type(d))})
+
+
+def atomic_write_json(path: Path, obj: object) -> None:
+    """Write `obj`'s encoding and a newline to `path`. A value the encoder
+    refuses is a ValueError naming `path`, and nothing is written."""
+    try:
+        atomic_write_text(path, encode(obj) + "\n")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _refuse_constant(token: str) -> float:
@@ -79,16 +101,29 @@ def read_json(path: Path) -> Any:
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
+def read_artifact(path: Path, cls: Any) -> Any:
+    """The artifact at `path` rebuilt as `cls`; None when the file is
+    absent. A file that does not decode, holds NaN or an infinity, or does
+    not fit `cls`, is a ValueError naming it (exit 2, inside a stage too)."""
+    if not path.exists():
+        return None
+    try:
+        return from_json(cls, read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 @functools.cache
 def _fields(cls: Any) -> tuple[dict[str, Any], frozenset[str]]:
-    """A dataclass's field types by name, and the names of the fields with
-    no default. Resolved once per class: a table holds many entries, and
-    resolving the hints costs ten times the rest of the rebuild."""
+    """A dataclass's stored field types by name, and the names of the fields
+    with no default. Resolved once per class: a table holds many entries,
+    and resolving the hints costs ten times the rest of the rebuild."""
     required = frozenset(
         f.name for f in dataclasses.fields(cls)
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     )
-    return get_type_hints(cls), required
+    hints = get_type_hints(cls)
+    return {name: hints[name] for name in _stored(cls)}, required
 
 
 @functools.cache
@@ -114,16 +149,18 @@ def _check_leaves(hint: Any, values: Iterable[Any]) -> None:
 
 
 def from_json(cls: Any, raw: Any) -> Any:
-    """Rebuild a value of type `cls` from the JSON of `dataclasses.asdict`.
+    """Rebuild a value of type `cls` from the JSON that `encode` writes.
 
     Dataclasses and `tuple[X, ...]` fields are rebuilt by their type hints;
-    fields absent from `raw` take their defaults. A value whose hint names
-    only int, float, str, bool or None (alone, in a union or as a tuple's
-    items) is checked against it; every other value (dicts, say) is taken
-    as read. A ValueError names what does not fit and the field it is in,
-    as in `IndependentScores.s1: expected int, got str`: a non-object where
-    a dataclass is expected, a missing required field or an unknown one, a
-    non-list for a tuple, a leaf of another type.
+    fields absent from `raw` take their defaults. A union of dataclasses is
+    read as its first member that declares every key of `raw`, or else as
+    its first member, which then names the key it lacks. A value whose hint
+    names only int, float, str, bool or None (alone, in a union or as a
+    tuple's items) is checked against it; every other value (dicts, say)
+    is taken as read. A ValueError names what does not fit and the field
+    it is in, as in `IndependentScores.s1: expected int, got str`: a
+    non-object where a dataclass is expected, a missing required field or
+    an unknown one, a non-list for a tuple, a leaf of another type.
     """
     if dataclasses.is_dataclass(cls):
         if not isinstance(raw, dict):
@@ -140,7 +177,8 @@ def from_json(cls: Any, raw: Any) -> Any:
             except ValueError as exc:
                 raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
         return cls(**values)
-    if get_origin(cls) is tuple:
+    origin = get_origin(cls)
+    if origin is tuple:
         if not isinstance(raw, list):
             raise ValueError(f"expected a list, got {type(raw).__name__}")
         item_type = get_args(cls)[0]
@@ -148,6 +186,10 @@ def from_json(cls: Any, raw: Any) -> Any:
             _check_leaves(item_type, raw)
             return tuple(raw)
         return tuple(from_json(item_type, value) for value in raw)
+    members = get_args(cls) if origin in (Union, UnionType) else ()
+    if members and all(map(dataclasses.is_dataclass, members)):
+        fits = [m for m in members if isinstance(raw, dict) and raw.keys() <= _fields(m)[0].keys()]
+        return from_json((fits or members)[0], raw)
     _check_leaves(cls, (raw,))
     return raw
 

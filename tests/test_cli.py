@@ -307,7 +307,7 @@ def test_a_table_whose_statistics_overflow_runs_through_analyze_and_report(
     tmp_path, corpus_dir, monkeypatch
 ):
     # Squares of values near ±1e200 overflow: the regression comes out NaN,
-    # which `results.json` may not hold, so the step is skipped with a reason.
+    # which `results.json` may not hold, so every step is skipped with a reason.
     monkeypatch.setattr(
         "manalyzer.cli.build_provider", lambda config, base: synth.AnsweringProvider()
     )
@@ -331,7 +331,11 @@ def test_a_table_whose_statistics_overflow_runs_through_analyze_and_report(
         result = invoke(ws, *args)
         assert result.exit_code == 0, (args, result.stderr)
     results = json.loads((ws / "analysis" / "results.json").read_text(encoding="utf-8"))
-    assert "statistics overflow the float range" in json.dumps(results)
+    # Clustering and 1-NN would run on distances that overflow to inf, and
+    # come out degenerate (one label predicted for every row): skipped too.
+    assert {r["step"]["kind"] for r in results} == {"clustering", "classification", "regression"}
+    assert [r["reason"] for r in results] == ["statistics overflow the float range"] * len(results)
+    assert list((ws / "analysis").glob("step-*.json")) == []
     assert "statistics overflow the float range" in (ws / "report.md").read_text(encoding="utf-8")
 
 
@@ -522,13 +526,25 @@ def _string_final(record):
 # the field too.
 WRONG_LEAVES = {
     "screen-indep-string-score": (
-        ("screen",), "reviews/d01.indep.json", b'{"s1": "7", "s2": 8}', "IndependentScores.s1"
+        ("screen",), "reviews/d01.indep.json", b'{"s1": "7", "s2": 8}',
+        "IndependentScores.s1: expected",
     ),
     "eval-extraction-string-cell": (
         ("eval-extraction", "--gold", "<corpus>/gold.jsonl"), "extracted/d01/table.json",
-        _string_cell, "ExtractedTable.rows",
+        _string_cell, "ExtractedTable.rows: expected",
     ),
-    "report-string-final": (("report",), "reviews/d01.json", _string_final, "ReviewRecord.final"),
+    "report-string-final": (
+        ("report",), "reviews/d01.json", _string_final, "ReviewRecord.final: expected"
+    ),
+    # A failure record is read as one, not as an unchecked dict.
+    "screen-failure-without-doc-id": (
+        ("screen",), "reviews/d01.json", b'{"failed": true}',
+        "ReviewFailureRecord: missing field 'doc_id'",
+    ),
+    "run-failure-with-int-doc-id": (
+        ("run",), "reviews/d01.json", b'{"failed": true, "doc_id": 5, "reason": "x"}',
+        "ReviewFailureRecord.doc_id: expected str, got int",
+    ),
 }
 
 
@@ -568,7 +584,7 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
     [line] = result.stderr.splitlines()
     assert line.startswith(f"error: {ws / name}: ")
     if field is not None:
-        assert f": {field}: expected " in line, line
+        assert f": {field}" in line, line
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -626,6 +642,16 @@ def test_eval_extraction_reads_level3_tolerance_from_config(tmp_path, corpus_dir
     assert "| 1 | 6 | 1.0000 |" in result.stdout
     assert "| 2 | 6 | 1.0000 |" in result.stdout
     assert "| 3 | 6 | 1.0000 |" in result.stdout
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    argv = ["manalyzer", "--workspace", str(tmp_path / "absent"), "status"]
+    result = run_python(
+        f"import runpy, sys; sys.argv = {argv!r}; "
+        "runpy.run_module('manalyzer.cli', run_name='__main__', alter_sys=True)"
+    )
+    assert result.returncode == 2, result
+    assert result.stderr.startswith("error: ") and "no manifest.json" in result.stderr
 
 
 # No module imports numpy; the XML parser and the HTTP client are imported

@@ -12,7 +12,6 @@ from manalyzer.collector import (
     download_pdf,
     generate_keywords,
     ingest_parsed,
-    parsed_to_json,
     save_parsed,
     search,
 )
@@ -85,13 +84,13 @@ def test_ingest_parsed_round_trip(tmp_path):
     doc = ingest_parsed(path, tmp_path)
     assert doc.doc_id == "docA"
     assert [p.text for p in doc.paragraphs] == ["first", "second"]
-    assert doc.figures[0].ref_id == "fig-1"
+    assert doc.figures[0].id == "fig-1"
     assert doc.captions() == ["Figure 1"]
 
     out = tmp_path / "roundtrip.json"
     save_parsed(doc, out)
     again = ingest_parsed(out, tmp_path)
-    assert parsed_to_json(again) == parsed_to_json(doc)
+    assert again == doc
 
 
 def test_ingest_parsed_missing_doc_id(tmp_path):

@@ -252,6 +252,14 @@ def test_load_gold_rejects_bad_lines(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(SchemaViolationError):
         load_gold(path)
+    # A level or value outside the float range, which int() and float()
+    # refuse with an OverflowError, not a ValueError.
+    good = '{"doc_id": "d1", "level": 1, "value": 1.0}\n'
+    for bad in ('{"doc_id": "d1", "level": 1e400, "value": 1.0}',
+                '{"doc_id": "d1", "level": 1, "value": 1%s}' % ("0" * 400)):
+        path.write_text(good + bad + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolationError, match=f"{path}:2: "):
+            load_gold(path)
 
 
 def test_gold_point_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from manalyzer import prompts
-from manalyzer.collector import PaperMeta, Paragraph, ParsedDocument
+from manalyzer.collector import Paragraph, ParsedDocument
 from manalyzer.config import DEFAULTS
 from manalyzer.packer import (
     MAX_BUDGET,
@@ -285,22 +285,16 @@ def test_budget_is_capped():
 
 
 def make_doc(paragraph_texts, captions=()):
-    meta = PaperMeta(
-        doc_id="doc-1",
-        title="A study",
-        doi=None,
-        source="local",
-        pdf_url=None,
-        fetched_at="",
-    )
     from manalyzer.collector import ImageRef
 
     figures = tuple(
-        ImageRef(ref_id=f"fig-{i}", caption=c, image=f"images/fig-{i}.png")
+        ImageRef(id=f"fig-{i}", caption=c, image=f"images/fig-{i}.png")
         for i, c in enumerate(captions)
     )
     return ParsedDocument(
-        meta=meta,
+        doc_id="doc-1",
+        title="A study",
+        doi=None,
         paragraphs=tuple(Paragraph(i, t) for i, t in enumerate(paragraph_texts)),
         figures=figures,
         tables=(),

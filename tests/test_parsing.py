@@ -170,6 +170,13 @@ def test_parse_real_list_rejects_non_numeric():
     assert parse_real_list("[]", 0) == []
 
 
+@pytest.mark.parametrize("reply", ["[" + "9" * 400 + "]", "[1e400]", "[0.5, -1e400]"])
+def test_parse_real_list_rejects_values_outside_the_float_range(reply):
+    # A re-ask follows only an UnparseableReplyError, not an OverflowError.
+    with pytest.raises(UnparseableReplyError, match="outside the float range"):
+        parse_real_list(reply, reply.count(",") + 1)
+
+
 def test_parse_real_list_enforces_the_count():
     with pytest.raises(UnparseableReplyError, match="expected 3 values, got 2"):
         parse_real_list("[0.5, 1]", 3)
@@ -245,6 +252,19 @@ def test_parse_check_reply_happy_path():
     got = parse_check_reply(reply)
     assert got["Overall Score"] == 8
     assert got["Suggestion"] == "Fine."
+
+
+@pytest.mark.parametrize("score", ["1e400", "-1e400", "9" * 400])
+def test_parse_check_reply_rejects_scores_outside_the_float_range(score):
+    reply = ("{'Data Accuracy': 9, 'Semantic Consistency': 8, "
+             f"'Data Completeness': 7, 'Overall Score': {score}, 'Suggestion': 'x'}}")
+    with pytest.raises(UnparseableReplyError, match="outside the float range"):
+        parse_check_reply(reply)
+
+
+def test_parse_check_reply_rejects_an_unhashable_key():
+    with pytest.raises(UnparseableReplyError, match="malformed"):
+        parse_check_reply("{[1]: 2, 'Overall Score': 8}")
 
 
 def test_parse_check_reply_rejects_missing_keys():

@@ -185,7 +185,7 @@ def test_review_isolates_failed_papers(mini):
     assert [r.doc_id for r in records] == ["ma"]
     assert records[0].final == pytest.approx(11.2)
     assert records[0].kept
-    assert [f["doc_id"] for f in failures] == ["mb"]
+    assert [f.doc_id for f in failures] == ["mb"]
 
     pipe.stage_screen()
     screening = json.loads(

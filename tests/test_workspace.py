@@ -1,14 +1,28 @@
 """Workspace lifecycle: manifest round-trips, status monotonicity, config
 digest enforcement, and crash-safe writes."""
 
+import dataclasses
 import json
+import math
 import re
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manalyzer import workspace
+from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
+from manalyzer.collector import ParsedDocument
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.errors import CorruptManifestError, RefuseResumeError, WorkspaceError
+from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable
+from manalyzer.packer import PackedDocument
+from manalyzer.pipeline import (
+    ExtractionParts, ExtractionTrace, IndependentFailure, ReviewFailureRecord, Screening,
+)
+from manalyzer.reviewer import IndependentScores, ReviewRecord
 from manalyzer.workspace import (
     MANIFEST_VERSION,
     STATUS_RANK,
@@ -16,6 +30,8 @@ from manalyzer.workspace import (
     Workspace,
     atomic_write_json,
     atomic_write_text,
+    read_artifact,
+    read_json,
 )
 
 from helpers import run_cli, tree
@@ -230,6 +246,110 @@ def test_atomic_write_json_is_stable(tmp_path):
     atomic_write_json(target, {"a": [2, 3], "b": 1})
     assert target.read_bytes() == first
     assert first.endswith(b"\n")
+
+
+# -- the artifact codec --------------------------------------------------------
+
+# What each artifact file is read back as; a union is a file that holds
+# either member.
+ARTIFACTS = [
+    PackedDocument, IndependentScores | IndependentFailure, ReviewRecord | ReviewFailureRecord,
+    Screening, ExtractionParts, ExtractionTrace, ExtractedTable, MergedTable, AnalysisPlan,
+    tuple[AnalysisResult, ...], PlotData, ParsedDocument,
+]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e-300, -1e-300, 1e308, -1e308, -0.0, 5e-324]
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+LEAVES = {int: st.integers(), float: FLOATS, str: st.text(), bool: st.booleans(),
+          type(None): st.none(), object: JSON}
+
+
+# Dataclasses whose constructor admits less than their field types.
+CHECKED = {
+    IndependentScores: st.builds(IndependentScores, st.integers(1, 10), st.integers(1, 10)),
+    ConvertedPart: st.builds(
+        ConvertedPart, st.text(), st.sampled_from(sorted(ORIGIN_LABELS)), st.text(),
+        st.text(min_size=1), st.text(min_size=1),
+    ),
+}
+
+
+def values_of(hint):
+    """The values of type `hint` that an artifact may hold: finite floats,
+    stored fields only, and JSON values where the hint admits anything."""
+    if hint in CHECKED:
+        return CHECKED[hint]
+    if dataclasses.is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return st.builds(hint, **{
+            f.name: values_of(hints[f.name])
+            for f in dataclasses.fields(hint) if not f.metadata.get("transient")
+        })
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        return st.lists(values_of(args[0]), max_size=3).map(tuple)
+    if origin in (Union, UnionType):
+        return st.one_of(*map(values_of, args))
+    if origin is dict:
+        return st.dictionaries(st.text(), JSON, max_size=3)
+    return LEAVES[hint]
+
+
+@pytest.mark.parametrize(
+    "cls", ARTIFACTS, ids=lambda hint: re.sub(r"<class '|'>|\w+\.", "", str(hint))
+)
+def test_every_artifact_reads_back_as_written(tmp_path, cls):
+    path = tmp_path / "artifact.json"
+
+    @settings(max_examples=60, deadline=None)
+    @given(values_of(cls))
+    def round_trip(value):
+        atomic_write_json(path, value)
+        assert read_artifact(path, cls) == value
+
+    round_trip()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_writer_refuses_a_non_finite_number_and_names_the_file(tmp_path, value):
+    path = tmp_path / "table.json"
+    table = ExtractedTable("d01", ("x",), ((1.0,), (value,)), (), iteration=1)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+        atomic_write_json(path, table)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+        atomic_write_json(path, {"stats": [value]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kept_stays_out_of_the_review_record_file(tmp_path):
+    path = tmp_path / "d01.json"
+    record = ReviewRecord("d01", 7, 7, 0.5, 7.0, 0, kept=True)
+    atomic_write_json(path, record)
+    assert "kept" not in read_json(path)
+    assert read_artifact(path, ReviewRecord) == dataclasses.replace(record, kept=False)
+    path.write_text(json.dumps({**read_json(path), "kept": True}), encoding="utf-8")
+    with pytest.raises(ValueError, match="ReviewRecord: unknown field 'kept'"):
+        read_artifact(path, ReviewRecord)
+
+
+def test_a_union_reads_the_member_that_declares_every_key(tmp_path):
+    path = tmp_path / "d01.json"
+    for raw, message in (
+        ({"failed": True}, "ReviewFailureRecord: missing field 'doc_id'"),
+        ({"doc_id": 5, "failed": True, "reason": "x"},
+         "ReviewFailureRecord.doc_id: expected str, got int"),
+        ({"s1": 7, "failed": True}, "ReviewRecord: unknown field 'failed'"),
+        ([], "ReviewRecord: expected an object, got list"),
+    ):
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_artifact(path, ReviewRecord | ReviewFailureRecord)
+    assert read_artifact(tmp_path / "absent.json", ReviewRecord | ReviewFailureRecord) is None
 
 
 # -- the manifest write --------------------------------------------------------
