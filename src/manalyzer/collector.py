@@ -3,7 +3,8 @@ and ingestion of externally parsed documents.
 
 OCR and PDF parsing are out of process. The pipeline consumes one parsed
 file per paper holding three lists (paragraphs, figures, tables); this
-module validates those files into ParsedDocument records.
+module reads those files into ParsedDocument records with the workspace's
+one checked reader, `from_json`, as the workspace's own artifacts are read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .gateway import Gateway
 from .parsing import parse_string_groups
-from .workspace import atomic_write_bytes, atomic_write_text, encode
+from .workspace import atomic_write_bytes, atomic_write_text, encode, from_json, read_json
 
 CROSSREF_URL = "https://api.crossref.org/works"
 ARXIV_URL = "http://export.arxiv.org/api/query"
@@ -61,21 +62,39 @@ class ImageRef:
     """A figure or table rendered as an image file, plus its caption."""
 
     id: str
-    caption: str
     image: str
+    caption: str = ""
 
 
 @dataclass(frozen=True)
 class ParsedDocument:
     """A parsed-document file, as `ingest_parsed` reads it and `save_parsed`
-    writes it."""
+    writes it. Its id and image paths name workspace files, so the id must
+    be a plain file name and an image path relative, with no `..` part;
+    paragraph i has index i, and figure and table ids are unique per list."""
 
     doc_id: str
-    title: str
-    doi: str | None
     paragraphs: tuple[Paragraph, ...]
+    title: str = ""
+    doi: str | None = None
     figures: tuple[ImageRef, ...] = ()
     tables: tuple[ImageRef, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.doc_id or "/" in self.doc_id or self.doc_id in (".", ".."):
+            raise ValueError(f"doc_id: {self.doc_id!r} is not a file name")
+        for pos, paragraph in enumerate(self.paragraphs):
+            if paragraph.index != pos:
+                raise ValueError(f"paragraphs[{pos}].index: expected {pos}, got {paragraph.index}")
+        for name in ("figures", "tables"):
+            seen: set[str] = set()
+            for pos, ref in enumerate(getattr(self, name)):
+                if not ref.id or ref.id in seen:
+                    raise ValueError(f"{name}[{pos}].id: empty or duplicate id {ref.id!r}")
+                seen.add(ref.id)
+                image = Path(ref.image)
+                if not ref.image or image.is_absolute() or ".." in image.parts:
+                    raise ValueError(f"{name}[{pos}].image: {ref.image!r} leaves the images directory")
 
     def captions(self) -> list[str]:
         return [r.caption for r in self.figures] + [r.caption for r in self.tables]
@@ -249,69 +268,20 @@ def download_pdf(
     return target
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaViolationError(message)
-
-
 def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
-    """Validate one parsed-document file into a ParsedDocument.
-
-    Schema: doc_id, title, doi, paragraphs:[{index,text}],
-    figures:[{id,caption,image}], tables:[{id,caption,image}]. Both name
-    workspace files: doc_id must be a plain file name, and image paths must
-    be relative to images_root, with no `..` part, and exist.
-    """
+    """Read one outside parse file into a ParsedDocument, through the
+    artifact reader, and check that its images exist under `images_root`.
+    A file that does not decode or does not fit ParsedDocument (a missing
+    or unknown field, a leaf of the wrong type, a failed check of
+    `ParsedDocument`) is a SchemaViolationError naming the file."""
     try:
-        raw = json.loads(parse_file.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = from_json(ParsedDocument, read_json(parse_file))
+    except (OSError, ValueError) as exc:
         raise SchemaViolationError(f"{parse_file}: unreadable parse file: {exc}") from exc
-    _require(isinstance(raw, dict), f"{parse_file}: top level must be an object")
-    doc_id = raw.get("doc_id")
-    _require(isinstance(doc_id, str) and bool(doc_id), "doc_id: missing or empty")
-    _require("/" not in doc_id and doc_id not in (".", ".."), f"doc_id: {doc_id!r} is not a file name")
-    title = raw.get("title", "")
-    _require(isinstance(title, str), "title: must be a string")
-    doi = raw.get("doi")
-    _require(doi is None or isinstance(doi, str), "doi: must be a string or null")
-
-    paragraphs_raw = raw.get("paragraphs")
-    _require(isinstance(paragraphs_raw, list), "paragraphs: missing or not a list")
-    paragraphs = []
-    for pos, entry in enumerate(paragraphs_raw):
-        _require(isinstance(entry, dict), f"paragraphs[{pos}]: must be an object")
-        index = entry.get("index")
-        text = entry.get("text")
-        _require(isinstance(index, int), f"paragraphs[{pos}].index: must be an integer")
-        _require(isinstance(text, str), f"paragraphs[{pos}].text: must be a string")
-        _require(index == pos, f"paragraphs[{pos}].index: expected {pos}, got {index}")
-        paragraphs.append(Paragraph(index=index, text=text))
-
-    def read_refs(field_name: str) -> tuple[ImageRef, ...]:
-        entries = raw.get(field_name, [])
-        _require(isinstance(entries, list), f"{field_name}: must be a list")
-        refs = []
-        seen_ids: set[str] = set()
-        for pos, entry in enumerate(entries):
-            _require(isinstance(entry, dict), f"{field_name}[{pos}]: must be an object")
-            ref_id = entry.get("id")
-            caption = entry.get("caption", "")
-            image = entry.get("image")
-            _require(isinstance(ref_id, str) and bool(ref_id), f"{field_name}[{pos}].id: missing")
-            _require(isinstance(caption, str), f"{field_name}[{pos}].caption: must be a string")
-            _require(isinstance(image, str) and bool(image), f"{field_name}[{pos}].image: missing")
-            _require(ref_id not in seen_ids, f"{field_name}[{pos}].id: duplicate id {ref_id!r}")
-            _require(not Path(image).is_absolute() and ".." not in Path(image).parts,
-                     f"{field_name}[{pos}].image: {image!r} leaves the images directory")
-            seen_ids.add(ref_id)
-            if not (images_root / image).exists():
-                raise DanglingImageError(f"{field_name}[{pos}].image: {image!r} not found")
-            refs.append(ImageRef(id=ref_id, caption=caption, image=image))
-        return tuple(refs)
-
-    return ParsedDocument(
-        doc_id, title, doi, tuple(paragraphs), read_refs("figures"), read_refs("tables")
-    )
+    for ref in doc.figures + doc.tables:
+        if not (images_root / ref.image).exists():
+            raise DanglingImageError(f"{parse_file}: image {ref.image!r} ({ref.id}) not found")
+    return doc
 
 
 def save_parsed(doc: ParsedDocument, path: Path) -> None:

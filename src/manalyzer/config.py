@@ -11,6 +11,7 @@ is its own key, as `max_concurrency` is.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,6 +44,9 @@ class PipelineConfig:
     collect_per_query_cap: int = 50
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # first: nan passes every `x < bound` check below
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{FIELD_MAP[f.name]} must be finite")
         if self.reviewer_batch_size < 1:
             raise ConfigError("reviewer.batch_size must be >= 1")
         if not 1 <= self.extraction_max_iter <= 3:

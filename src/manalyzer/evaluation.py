@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULTS, PipelineConfig
 from .errors import EmptyGoldError, SchemaViolationError
+from .workspace import from_json
 
 LEVELS = (1, 2, 3)
 
@@ -55,23 +56,17 @@ def default_rel_tol(level: int, config: PipelineConfig = DEFAULTS) -> float:
 
 
 def load_gold(path: Path) -> list[GoldDataPoint]:
-    """Read gold points, one JSON record per line."""
+    """Read gold points, one JSON record per line, each through `from_json`.
+    A line that does not fit GoldDataPoint (an unknown field, a float level,
+    a non-string unit) is a SchemaViolationError naming `path:line`."""
     points = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
-            point = GoldDataPoint(
-                doc_id=raw["doc_id"],
-                level=int(raw["level"]),
-                value=float(raw["value"]),
-                unit=str(raw.get("unit", "")),
-                label=str(raw.get("label", "")),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            points.append(from_json(GoldDataPoint, json.loads(line)))
+        except (ValueError, OverflowError) as exc:  # a 400-digit value overflows isfinite
             raise SchemaViolationError(f"{path}:{lineno}: bad gold record: {exc}") from exc
-        points.append(point)
     return points
 
 

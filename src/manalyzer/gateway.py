@@ -30,6 +30,7 @@ from .errors import (
     UnparseableReplyError,
 )
 from .prompts import SYSTEM, AgentRequest, ImagePart, TextPart  # ImagePart: re-exported
+from .workspace import from_json
 
 REQUEST_TAGS = frozenset(SYSTEM)
 
@@ -63,6 +64,16 @@ def digest_request(request: AgentRequest) -> str:
             pieces.append(f"image:{file_digest}:{part.caption}")
     joined = _PART_SEPARATOR.join(pieces)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class ScriptEntry:
+    """One line of a script file: the reply to the request with this tag
+    and content digest."""
+
+    tag: str
+    digest: str
+    response: str
 
 
 class Provider(Protocol):
@@ -126,12 +137,9 @@ class ScriptedProvider:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                provider.register_script(
-                    record["tag"], record["digest"], record["response"]
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, InvalidRequestError,
-                    DuplicateScriptKeyError) as exc:
+                entry = from_json(ScriptEntry, json.loads(line))
+                provider.register_script(entry.tag, entry.digest, entry.response)
+            except (ValueError, InvalidRequestError, DuplicateScriptKeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad script record: {exc}") from exc
         return provider
 

@@ -263,7 +263,11 @@ class Pipeline:
         return self.ws.dir("parsed") / f"{doc_id}.json"
 
     def _load_parsed(self, doc_id: str) -> collector.ParsedDocument:
-        return collector.ingest_parsed(self._parsed_path(doc_id), self.ws.root)
+        path = self._parsed_path(doc_id)
+        doc = read_artifact(path, collector.ParsedDocument)
+        if doc is None:
+            raise ValueError(f"{path}: no such file")
+        return doc
 
     def _template_path(self) -> Path:
         return self.ws.root / "template.txt"
@@ -406,7 +410,8 @@ class Pipeline:
 
     def load_review_records(self) -> tuple[list[ReviewRecord], list[ReviewFailureRecord]]:
         """Review records and failure records. A screened paper is kept as
-        its manifest says; an unscreened one by the configured threshold."""
+        its manifest says; an unscreened one by the configured threshold. A
+        record whose doc_id is not its file's name is a ValueError (exit 2)."""
         records, failures = [], []
         threshold = self.config.reviewer_threshold
         for doc_id in self.ws.doc_ids():
@@ -414,6 +419,8 @@ class Pipeline:
             record = read_artifact(path, ReviewRecord | ReviewFailureRecord)
             if record is None:
                 continue
+            if record.doc_id != doc_id:
+                raise ValueError(f"{path}: doc_id {record.doc_id!r} is not the file's name")
             if isinstance(record, ReviewFailureRecord):
                 failures.append(record)
                 continue

@@ -223,14 +223,15 @@ def write_docs(docs_dir: Path) -> None:
         (docs_dir / table_image).write_bytes(f"synthetic-table-image:{doc_id}".encode() * 4)
         (docs_dir / figure_image).write_bytes(f"synthetic-figure-image:{doc_id}".encode() * 4)
         doc = ParsedDocument(
-            doc_id, f"Rainfall and wheat yield: field trial {doc_id}", None,
+            doc_id,
             paragraphs=tuple(Paragraph(i, text) for i, text in enumerate(doc_paragraphs(doc_id))),
+            title=f"Rainfall and wheat yield: field trial {doc_id}",
             figures=(ImageRef(
-                f"{doc_id}-fig", f"Figure 1 ({doc_id}): yield response to water supply",
-                figure_image,
+                f"{doc_id}-fig", figure_image,
+                f"Figure 1 ({doc_id}): yield response to water supply",
             ),),
             tables=(ImageRef(
-                f"{doc_id}-tbl", f"Table 1 ({doc_id}): seasonal rainfall and yield", table_image
+                f"{doc_id}-tbl", table_image, f"Table 1 ({doc_id}): seasonal rainfall and yield"
             ),),
         )
         save_parsed(doc, docs_dir / f"{doc_id}.json")

@@ -20,6 +20,8 @@ killed process never leaves a half-written artifact. Every artifact is a
 dataclass with one format, `encode`'s: sorted-key, indent-2 JSON with
 finite numbers only. `atomic_write_json` is its one writer and
 `read_artifact` its one checked reader; both name the file in an error.
+Its rebuilder, `from_json`, also reads the inputs that come from outside
+the program: parse files, gold points and provider script lines.
 Manifest mutation is single-writer: only the orchestrator thread marks
 statuses. `STATUS_RANK` is the one list of statuses.
 """
@@ -172,6 +174,9 @@ def from_json(cls: Any, raw: Any) -> Any:
             raise ValueError(f"{cls.__name__}: missing field {sorted(missing)[0]!r}")
         values = {}
         for name, value in raw.items():
+            if type(value) in (_leaf_types(hints[name]) or ()):
+                values[name] = value  # a leaf that fits, taken without the recursive call
+                continue
             try:
                 values[name] = from_json(hints[name], value)
             except ValueError as exc:

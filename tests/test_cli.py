@@ -545,6 +545,21 @@ WRONG_LEAVES = {
         ("run",), "reviews/d01.json", b'{"failed": true, "doc_id": 5, "reason": "x"}',
         "ReviewFailureRecord.doc_id: expected str, got int",
     ),
+    # A record's doc_id must name its file, or screening counts a paper that is not there.
+    "screen-failure-under-another-name": (
+        ("screen",), "reviews/d01.json", b'{"doc_id": "zz", "failed": true, "reason": "x"}',
+        "doc_id 'zz' is not the file's name",
+    ),
+    # Read inside the pack stage, yet exit 2 and not the stage's exit 3.
+    "pack-empty-parse-file": (
+        ("pack",), "parsed/d01.json", b"{}", "ParsedDocument: missing field 'doc_id'"
+    ),
+    "pack-missing-parse-file": (("pack",), "parsed/d01.json", None, "no such file"),
+    "pack-image-outside-the-workspace": (
+        ("pack",), "parsed/d01.json",
+        lambda doc: {**doc, "figures": [{**doc["figures"][0], "image": "../x.png"}]},
+        "figures[0].image: '../x.png' leaves the images directory",
+    ),
 }
 
 
@@ -567,9 +582,10 @@ WRONG_LEAVES = {
 def test_an_undecodable_artifact_exits_2_and_names_the_file(
     request, tmp_path, corpus_dir, command, name, content, field
 ):
-    if command == ("screen",):  # `screen` runs review, which reads the scores back
+    if command in (("pack",), ("screen",)):
         ws, config = request.getfixturevalue("initialized")
-        assert invoke(ws, "pack", config=config).exit_code == 0
+        if command == ("screen",):  # `screen` runs review, which reads the scores back
+            assert invoke(ws, "pack", config=config).exit_code == 0
     else:
         finished = request.getfixturevalue("finished")
         ws, config = tmp_path / "ws", finished[1]
@@ -577,7 +593,10 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
     if callable(content):
         content = json.dumps(content(json.loads((ws / name).read_text(encoding="utf-8"))))
         content = content.encode("utf-8")
-    (ws / name).write_bytes(content)
+    if content is None:
+        (ws / name).unlink()
+    else:
+        (ws / name).write_bytes(content)
     argv = [arg.replace("<corpus>", str(corpus_dir)) for arg in command]
     result = invoke(ws, *argv, config=config)
     assert result.exit_code == 2, result.stderr
@@ -585,6 +604,16 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
     assert line.startswith(f"error: {ws / name}: ")
     if field is not None:
         assert f": {field}" in line, line
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_a_non_finite_threshold_exits_2_before_any_review_call(initialized, value):
+    ws, config = initialized
+    assert invoke(ws, "pack", config=config).exit_code == 0
+    result = invoke(ws, "screen", f"--threshold={value}", config=config)
+    assert result.exit_code == 2
+    assert result.stderr == "error: reviewer.threshold must be finite\n"
+    assert list((ws / "reviews").iterdir()) == []
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

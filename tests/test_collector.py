@@ -1,4 +1,5 @@
 import json
+import re
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -24,7 +25,7 @@ from manalyzer.errors import (
     UnparseableReplyError,
 )
 
-from helpers import register_for
+from helpers import register_for, run_cli
 
 CROSSREF_BODY = json.dumps(
     {
@@ -133,6 +134,47 @@ def test_ingest_parsed_rejects_malformed_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SchemaViolationError, match="unreadable"):
         ingest_parsed(path, tmp_path)
+
+
+def test_ingest_parsed_takes_defaults_for_the_optional_fields(tmp_path):
+    payload = {"doc_id": "docA", "paragraphs": [{"index": 0, "text": "only"}]}
+    doc = ingest_parsed(write_parse_file(tmp_path, payload), tmp_path)
+    assert (doc.title, doc.doi, doc.figures, doc.tables) == ("", None, (), ())
+    payload = make_parse_payload(figures=[{"id": "fig-1", "image": "images/fig1.png"}])
+    assert ingest_parsed(write_parse_file(tmp_path, payload), tmp_path).captions() == [""]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"doc_id": "a/b"}, "doc_id: 'a/b' is not a file name"),
+    ({"doc_id": ".."}, "doc_id: '..' is not a file name"),
+    ({"doc_id": ""}, "doc_id: '' is not a file name"),
+    ({"tables": [{"id": "", "image": "images/fig1.png"}]}, "tables[0].id: empty"),
+    ({"figures": [{"id": "f", "image": "../fig1.png"}]}, "figures[0].image: '../fig1.png' leaves"),
+    ({"figures": [{"id": "f", "image": "/fig1.png"}]}, "figures[0].image: '/fig1.png' leaves"),
+    ({"figures": [{"id": "f", "image": ""}]}, "figures[0].image: '' leaves"),
+    ({"title": 5}, "ParsedDocument.title: expected str, got int"),
+])
+def test_ingest_parsed_refuses_what_the_types_admit_but_the_checks_do_not(
+    tmp_path, overrides, message
+):
+    path = write_parse_file(tmp_path, make_parse_payload(**overrides))
+    with pytest.raises(SchemaViolationError, match=re.escape(f"{path}: unreadable parse file: {message}")):
+        ingest_parsed(path, tmp_path)
+
+
+def test_a_misspelt_key_makes_ingest_exit_2_and_name_the_file(tmp_path):
+    # Ignoring the unknown key "figure" would drop the figure without a word.
+    payload = make_parse_payload()
+    payload["figure"] = payload.pop("figures")
+    path = write_parse_file(tmp_path, payload)
+    ws = tmp_path / "ws"
+    assert run_cli(["--workspace", ws, "init", "--direction", "d"]).exit_code == 0
+    result = run_cli(["--workspace", ws, "ingest", "--from", tmp_path])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: {path}: unreadable parse file: ParsedDocument: unknown field 'figure'\n"
+    )
+    assert list((ws / "parsed").iterdir()) == []
 
 
 def test_dedup_key_prefers_doi_case_insensitively():

@@ -1,10 +1,12 @@
 """Config parsing, validation, rendering, and digest stability."""
 
 import dataclasses
+import math
 
 import pytest
 
 from manalyzer.config import (
+    FIELD_MAP,
     KEY_MAP,
     PipelineConfig,
     config_digest,
@@ -93,6 +95,18 @@ def test_parse_reports_source_name():
 def test_validation(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"]
+)
+def test_a_non_finite_float_is_refused(field, value):
+    message = f"{FIELD_MAP[field]} must be finite"
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"{FIELD_MAP[field]} = {value}")
 
 
 def test_render_parse_round_trip():

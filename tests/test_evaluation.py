@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from manalyzer.evaluation import (
     within_tolerance,
 )
 
-from helpers import edge_values
+from helpers import edge_values, run_cli
 
 
 def admissible(a, b, abs_tol, rel_tol):
@@ -260,6 +261,27 @@ def test_load_gold_rejects_bad_lines(tmp_path):
         path.write_text(good + bad + "\n", encoding="utf-8")
         with pytest.raises(SchemaViolationError, match=f"{path}:2: "):
             load_gold(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    # Coercing would read this line as level 1, value 11.5, unit "3".
+    ('{"doc_id": "d01", "level": 1.9, "value": "11.5", "unit": 3}',
+     "GoldDataPoint.level: expected int, got float"),
+    ('{"doc_id": "d01", "level": 1, "value": "11.5"}', "GoldDataPoint.value: expected float, got str"),
+    ('{"doc_id": "d01", "level": 1, "value": 1.0, "unit": 3}', "GoldDataPoint.unit: expected str, got int"),
+    ('{"doc_id": "d01", "level": 1, "value": 1.0, "units": "mm"}',
+     "GoldDataPoint: unknown field 'units'"),
+])
+def test_a_mistyped_gold_line_makes_eval_extraction_exit_2_naming_the_line(tmp_path, line, message):
+    path = tmp_path / "gold.jsonl"
+    path.write_text('{"doc_id": "d01", "level": 1, "value": 1.0}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(SchemaViolationError, match=re.escape(f"{path}:2: bad gold record: {message}")):
+        load_gold(path)
+    ws = tmp_path / "ws"
+    assert run_cli(["--workspace", ws, "init", "--direction", "d"]).exit_code == 0
+    result = run_cli(["--workspace", ws, "eval-extraction", "--gold", path])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {path}:2: bad gold record: {message}\n"
 
 
 def test_gold_point_validation():

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -25,7 +26,7 @@ from manalyzer.gateway import (
     digest_request,
 )
 
-from helpers import register_for
+from helpers import register_for, run_cli
 
 
 def text_request(*texts, tag="extract"):
@@ -163,6 +164,25 @@ def test_script_load_rejects_bad_records(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ValueError):
         ScriptedProvider.load_script(path)
+
+
+@pytest.mark.parametrize("record, message", [
+    # A non-string response would otherwise fail only when its reply is parsed.
+    ('{"tag": "extract", "digest": "d1", "response": 7}', "ScriptEntry.response: expected str, got int"),
+    ('{"tag": "extract", "digest": "d1", "reply": "a"}', "ScriptEntry: unknown field 'reply'"),
+    ('["extract", "d1", "a"]', "ScriptEntry: expected an object, got list"),
+])
+def test_a_mistyped_script_line_makes_init_exit_2_naming_the_line(tmp_path, record, message):
+    path = tmp_path / "script.jsonl"
+    path.write_text('{"tag": "extract", "digest": "d0", "response": "a"}\n' + record + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad script record: {message}")):
+        ScriptedProvider.load_script(path)
+    config = tmp_path / "config.txt"
+    config.write_text(f"provider.script = {path}\n")
+    result = run_cli(["--workspace", tmp_path / "ws", "--config", config, "init", "--direction", "d"])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {path}:2: bad script record: {message}\n"
+    assert not (tmp_path / "ws").exists()
 
 
 def test_gateway_retries_transport_errors_with_backoff():

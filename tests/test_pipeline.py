@@ -493,7 +493,7 @@ def test_a_corpus_run_validates_each_extracted_table_once(tmp_path, corpus_dir, 
 def test_build_corpus_reproduces_the_bundled_corpus(tmp_path, corpus_dir):
     # script.jsonl is the sorted set of served (tag, digest) pairs, so this
     # also pins the set of agent calls a corpus run makes.
-    synth.build_corpus(tmp_path / "corpus")
+    assert synth.main(["--out", str(tmp_path / "corpus")]) == 0
     assert tree(tmp_path / "corpus") == tree(corpus_dir)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from manalyzer import workspace
 from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
-from manalyzer.collector import ParsedDocument
+from manalyzer.collector import ImageRef, Paragraph, ParsedDocument
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.errors import CorruptManifestError, RefuseResumeError, WorkspaceError
 from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable
@@ -269,12 +270,30 @@ LEAVES = {int: st.integers(), float: FLOATS, str: st.text(), bool: st.booleans()
           type(None): st.none(), object: JSON}
 
 
+# Unique non-empty ids, and image paths that stay inside the images directory.
+IMAGE_REFS = st.lists(
+    st.builds(
+        ImageRef, st.text(min_size=1),
+        st.text(min_size=1).filter(lambda s: not Path(s).is_absolute() and ".." not in Path(s).parts),
+        st.text(),
+    ),
+    max_size=3, unique_by=lambda ref: ref.id,
+).map(tuple)
+
 # Dataclasses whose constructor admits less than their field types.
 CHECKED = {
     IndependentScores: st.builds(IndependentScores, st.integers(1, 10), st.integers(1, 10)),
     ConvertedPart: st.builds(
         ConvertedPart, st.text(), st.sampled_from(sorted(ORIGIN_LABELS)), st.text(),
         st.text(min_size=1), st.text(min_size=1),
+    ),
+    ParsedDocument: st.builds(
+        ParsedDocument,
+        doc_id=st.text(min_size=1).filter(lambda s: "/" not in s and s not in (".", "..")),
+        paragraphs=st.lists(st.text(), max_size=3).map(
+            lambda texts: tuple(Paragraph(i, text) for i, text in enumerate(texts))
+        ),
+        title=st.text(), doi=st.none() | st.text(), figures=IMAGE_REFS, tables=IMAGE_REFS,
     ),
 }
 
