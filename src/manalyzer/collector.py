@@ -278,10 +278,14 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
         doc = from_json(ParsedDocument, read_json(parse_file))
     except (OSError, ValueError) as exc:
         raise SchemaViolationError(f"{parse_file}: unreadable parse file: {exc}") from exc
-    for ref in doc.figures + doc.tables:
-        if not (images_root / ref.image).exists():
-            raise DanglingImageError(f"{parse_file}: image {ref.image!r} ({ref.id}) not found")
+    if ref := missing_image(doc, images_root):
+        raise DanglingImageError(f"{parse_file}: image {ref.image!r} ({ref.id}) not found")
     return doc
+
+
+def missing_image(doc: ParsedDocument, images_root: Path) -> ImageRef | None:
+    """The first figure or table of `doc` whose image is not under `images_root`."""
+    return next((r for r in doc.figures + doc.tables if not (images_root / r.image).exists()), None)
 
 
 def save_parsed(doc: ParsedDocument, path: Path) -> None:

@@ -263,10 +263,17 @@ class Pipeline:
         return self.ws.dir("parsed") / f"{doc_id}.json"
 
     def _load_parsed(self, doc_id: str) -> collector.ParsedDocument:
+        """`parsed/<doc_id>.json`, checked as `ingest` checked it: a missing
+        or corrupt file, a doc_id that is not the file's name or an image
+        gone from the workspace is a ValueError naming the file (exit 2)."""
         path = self._parsed_path(doc_id)
         doc = read_artifact(path, collector.ParsedDocument)
         if doc is None:
             raise ValueError(f"{path}: no such file")
+        if doc.doc_id != doc_id:
+            raise ValueError(f"{path}: doc_id {doc.doc_id!r} is not the file's name")
+        if ref := collector.missing_image(doc, self.ws.root):
+            raise ValueError(f"{path}: image {ref.image!r} ({ref.id}) not found")
         return doc
 
     def _template_path(self) -> Path:

@@ -174,9 +174,6 @@ def from_json(cls: Any, raw: Any) -> Any:
             raise ValueError(f"{cls.__name__}: missing field {sorted(missing)[0]!r}")
         values = {}
         for name, value in raw.items():
-            if type(value) in (_leaf_types(hints[name]) or ()):
-                values[name] = value  # a leaf that fits, taken without the recursive call
-                continue
             try:
                 values[name] = from_json(hints[name], value)
             except ValueError as exc:

@@ -555,6 +555,10 @@ WRONG_LEAVES = {
         ("pack",), "parsed/d01.json", b"{}", "ParsedDocument: missing field 'doc_id'"
     ),
     "pack-missing-parse-file": (("pack",), "parsed/d01.json", None, "no such file"),
+    "pack-parse-file-under-another-name": (
+        ("pack",), "parsed/d01.json", lambda doc: {**doc, "doc_id": "zz"},
+        "doc_id 'zz' is not the file's name",
+    ),
     "pack-image-outside-the-workspace": (
         ("pack",), "parsed/d01.json",
         lambda doc: {**doc, "figures": [{**doc["figures"][0], "image": "../x.png"}]},
@@ -604,6 +608,17 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
     assert line.startswith(f"error: {ws / name}: ")
     if field is not None:
         assert f": {field}" in line, line
+
+
+def test_an_image_deleted_after_ingest_exits_2_before_any_review_call(initialized):
+    ws, config = initialized
+    (ws / "images" / "d01-tbl.png").unlink()
+    result = invoke(ws, "run", config=config)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.splitlines() == [
+        f"error: {ws / 'parsed' / 'd01.json'}: image 'images/d01-tbl.png' (d01-tbl) not found"
+    ]
+    assert list((ws / "reviews").iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
