@@ -9,7 +9,6 @@ one checked reader, `from_json`, as the workspace's own artifacts are read.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Callable
 from urllib.parse import urlencode
 
 from . import prompts
+from .config import sha256_hex
 from .errors import (
     ApiError,
     ChecksumMismatchError,
@@ -129,7 +129,7 @@ def _hit(source: str, title: str, doi: str | None, pdf_url: str | None = None) -
     from datetime import datetime, timezone
 
     key = dedup_key(doi, title)
-    doc_id = f"{source}-{hashlib.sha256(key.encode('utf-8')).hexdigest()[:12]}"
+    doc_id = f"{source}-{sha256_hex(key.encode('utf-8'))[:12]}"
     return PaperMeta(doc_id, title, doi, source, pdf_url, datetime.now(timezone.utc).isoformat())
 
 
@@ -245,7 +245,7 @@ def download_pdf(
     target = papers_dir / f"{meta.doc_id}.pdf"
     sidecar = papers_dir / f"{meta.doc_id}.pdf.sha256"
     if target.exists() and sidecar.exists():
-        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        digest = sha256_hex(target.read_bytes())
         if digest != sidecar.read_text().strip():
             raise ChecksumMismatchError(f"{target} does not match its recorded digest")
         return target
@@ -264,7 +264,7 @@ def download_pdf(
     data = fetch_bytes(url)
     papers_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(target, data)
-    atomic_write_text(sidecar, hashlib.sha256(data).hexdigest())
+    atomic_write_text(sidecar, sha256_hex(data))
     return target
 
 

@@ -10,12 +10,22 @@ is its own key, as `max_concurrency` is.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+
+# The interpreter's built-in SHA-256 (`_sha2` on 3.12+, `_sha256` before):
+# hashlib would map OpenSSL's libcrypto into every process for the same
+# digest. hashlib stays the fallback for builds that ship no built-in hashes.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # The packer clamps every budget to this cap; the default budget is the cap.
 MAX_BUDGET = 131072
@@ -132,5 +142,10 @@ def render_config(config: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sha256_hex(data: bytes) -> str:
+    """The hex SHA-256 of `data`, as hashlib.sha256(data).hexdigest()."""
+    return _sha256(data).hexdigest()
+
+
 def config_digest(config: PipelineConfig) -> str:
-    return hashlib.sha256(render_config(config).encode("utf-8")).hexdigest()
+    return sha256_hex(render_config(config).encode("utf-8"))

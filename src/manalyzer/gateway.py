@@ -5,13 +5,15 @@ tests can swap in the deterministic ScriptedProvider and the whole engine
 runs with no network and no model. Script entries are keyed on
 (request_tag, content digest); the digest covers only the user-visible
 content parts, not the system prompt, so prompt-template churn does not
-invalidate a recorded script. The request types come from `prompts`, and
-`REQUEST_TAGS` is the key set of its tag -> system prompt table.
+invalidate a recorded script. The digests use the interpreter's built-in
+SHA-256 through `config.sha256_hex`, with hashlib as the fallback, so that
+OpenSSL's libcrypto is not loaded; only `collect` loads it, for HTTPS. The
+request types come from `prompts`, and `REQUEST_TAGS` is the key set of its
+tag -> system prompt table.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
-from .config import DEFAULTS
+from .config import DEFAULTS, sha256_hex
 from .errors import (
     DuplicateScriptKeyError,
     EmptyResponseError,
@@ -60,10 +62,10 @@ def digest_request(request: AgentRequest) -> str:
         if isinstance(part, TextPart):
             pieces.append(part.text)
         else:
-            file_digest = hashlib.sha256(Path(part.path).read_bytes()).hexdigest()
+            file_digest = sha256_hex(Path(part.path).read_bytes())
             pieces.append(f"image:{file_digest}:{part.caption}")
     joined = _PART_SEPARATOR.join(pieces)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    return sha256_hex(joined.encode("utf-8"))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -276,6 +276,22 @@ class Pipeline:
             raise ValueError(f"{path}: image {ref.image!r} ({ref.id}) not found")
         return doc
 
+    def _packed_path(self, doc_id: str) -> Path:
+        return self.ws.dir("packed") / f"{doc_id}.json"
+
+    def _require_packed(self, doc_ids: Iterable[str]) -> None:
+        """Refuse a missing `packed/<doc_id>.json` among `doc_ids` with a
+        ValueError naming it (exit 2)."""
+        for doc_id in doc_ids:
+            if not (path := self._packed_path(doc_id)).exists():
+                raise ValueError(f"{path}: no such file")
+
+    def load_packed(self, doc_id: str) -> packer.PackedDocument:
+        """`packed/<doc_id>.json`: a missing or corrupt file is a ValueError
+        naming it (exit 2)."""
+        self._require_packed([doc_id])
+        return read_artifact(self._packed_path(doc_id), packer.PackedDocument)
+
     def _template_path(self) -> Path:
         return self.ws.root / "template.txt"
 
@@ -402,6 +418,8 @@ class Pipeline:
 
         indep: dict[str, Any] = {}
         packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
+        # Before any call, not after the other papers' calls.
+        self._require_packed(d for d in packed if not (reviews / f"{d}.indep.json").exists())
         try:
             self._per_document(independent, packed, indep.__setitem__)
             scored = sorted(d for d, s in indep.items() if not isinstance(s, IndependentFailure))
@@ -573,9 +591,6 @@ class Pipeline:
 
     # -- report ----------------------------------------------------------
 
-    def load_packed(self, doc_id: str) -> packer.PackedDocument | None:
-        return read_artifact(self.ws.dir("packed") / f"{doc_id}.json", packer.PackedDocument)
-
     def load_merged(self) -> MergedTable:
         merged = read_artifact(self.ws.dir("analysis") / "merged.json", MergedTable)
         return merge_tables([]) if merged is None else merged
@@ -625,9 +640,9 @@ class Pipeline:
         ) or ()
         records, _failures = self.load_review_records()
         traces = self.load_traces()
-        titles = {
+        titles = {  # a missing packed file leaves its paper untitled
             doc_id: packed.title for doc_id in self.ws.doc_ids()
-            if (packed := self.load_packed(doc_id))
+            if (packed := read_artifact(self._packed_path(doc_id), packer.PackedDocument))
         }
         text = render_report(
             topic=self.ws.direction, merged=merged, results=results, review_records=records,

@@ -33,13 +33,14 @@ def run_cli(argv) -> CliResult:
     return CliResult(code or 0, stdout.getvalue(), stderr.getvalue())
 
 
-def run_python(code):
-    """Run `code` in a fresh interpreter that imports manalyzer from this tree."""
+def run_python(code, *flags):
+    """Run `code` in a fresh interpreter, started with `flags`, that imports
+    manalyzer from this tree."""
     src = str(Path(manalyzer.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
 
 

@@ -621,6 +621,48 @@ def test_an_image_deleted_after_ingest_exits_2_before_any_review_call(initialize
     assert list((ws / "reviews").iterdir()) == []
 
 
+def test_a_missing_packed_file_exits_2_before_any_review_call(initialized):
+    ws, config = initialized
+    assert invoke(ws, "pack", config=config).exit_code == 0
+    (ws / "packed" / "d01.json").unlink()
+    result = invoke(ws, "screen", config=config)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.splitlines() == [f"error: {ws / 'packed' / 'd01.json'}: no such file"]
+    assert list((ws / "reviews").iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def packed_ws(tmp_path_factory, corpus_dir):
+    """A corpus workspace after `pack`, and its config; copy it to change it."""
+    ws = tmp_path_factory.mktemp("packed") / "ws"
+    config = corpus_dir / "config.txt"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", str(corpus_dir / "template.txt")),
+        ("ingest", "--from", str(corpus_dir / "docs")),
+        ("pack",),
+    ):
+        assert invoke(ws, *args, config=config).exit_code == 0
+    return ws, config
+
+
+@pytest.mark.parametrize("damage", ["empty", "first-half", "empty-object", "deleted"])
+def test_a_damaged_packed_file_never_ends_in_a_traceback(tmp_path, packed_ws, damage):
+    ws = tmp_path / "ws"
+    shutil.copytree(packed_ws[0], ws)
+    path = ws / "packed" / "d01.json"
+    data = path.read_bytes()
+    if damage == "deleted":
+        path.unlink()
+    else:
+        path.write_bytes({"empty": b"", "first-half": data[: len(data) // 2],
+                          "empty-object": b"{}"}[damage])
+    for command in ("screen", "resume"):
+        result = invoke(ws, command, config=packed_ws[1])
+        assert result.exit_code in (0, 2), (command, result.stderr)
+        if result.exit_code == 2:
+            assert result.stderr.startswith(f"error: {path}: "), (command, result.stderr)
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_a_non_finite_threshold_exits_2_before_any_review_call(initialized, value):
     ws, config = initialized
@@ -706,6 +748,17 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
 def test_cli_import_does_not_load(module):
     result = run_python(f"import manalyzer.cli, sys; assert {module!r} not in sys.modules")
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_does_not_load_openssl():
+    # Digests come from the interpreter's built-in SHA-256; only `collect`'s
+    # HTTPS fetch loads OpenSSL. -S keeps site's .pth imports out of the check.
+    result = run_python(
+        "import manalyzer.cli, sys\n"
+        "print(sorted({'_hashlib', '_ssl', 'hashlib'} & set(sys.modules)))", "-S"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_a_corpus_run_does_not_load_numpy(tmp_path, corpus_dir):

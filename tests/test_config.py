@@ -1,6 +1,8 @@
 """Config parsing, validation, rendering, and digest stability."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
@@ -13,8 +15,15 @@ from manalyzer.config import (
     load_config,
     parse_config,
     render_config,
+    sha256_hex,
 )
 from manalyzer.errors import ConfigError
+
+from helpers import run_python
+
+# b"", ASCII, non-ASCII UTF-8, then 1 MiB of every byte value.
+SHORT_INPUTS = [b"", b"soil organic carbon", "Bodenkohlenstoff: Δ 10 °C, 土壌".encode("utf-8")]
+DIGEST_INPUTS = [*SHORT_INPUTS, bytes(range(256)) * 4096]
 
 
 def test_defaults():
@@ -162,3 +171,34 @@ def test_load_config_reads_file(tmp_path):
     path = tmp_path / "pipeline.cfg"
     path.write_text("max_concurrency = 2\n", encoding="utf-8")
     assert load_config(path).max_concurrency == 2
+
+
+@pytest.mark.parametrize("data", DIGEST_INPUTS, ids=["empty", "ascii", "utf-8", "1mib"])
+def test_sha256_hex_equals_hashlib(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_hex_equals_hashlib_on_every_corpus_file(corpus_dir):
+    files = [path for path in sorted(corpus_dir.rglob("*")) if path.is_file()]
+    assert files
+    for path in files:
+        data = path.read_bytes()
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest(), path
+
+
+def test_the_hashlib_fallback_gives_the_same_digests():
+    # An interpreter built with no built-in hashes: both module names are blocked.
+    result = run_python(
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from manalyzer import config\n"
+        "assert config._sha256 is hashlib.sha256\n"
+        f"inputs = {SHORT_INPUTS!r} + [bytes(range(256)) * 4096]\n"
+        "print(json.dumps([config.sha256_hex(data) for data in inputs]"
+        " + [config.config_digest(config.DEFAULTS)]))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [
+        *(hashlib.sha256(data).hexdigest() for data in DIGEST_INPUTS),
+        config_digest(PipelineConfig()),
+    ]
