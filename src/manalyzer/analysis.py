@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import prompts
 from .config import DEFAULTS, SEED_LIMIT
-from .errors import HeaderMismatchError, NoValidStepsError, UnparseableReplyError
+from .errors import ExtractionError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
 from .workspace import atomic_write_text, encode
@@ -105,7 +105,7 @@ def merge_tables(tables: Sequence[ExtractedTable]) -> MergedTable:
         if not table.accepted:
             raise ValueError(f"{table.doc_id}: refusing to merge an unaccepted table")
         if table.header != tables[0].header:
-            raise HeaderMismatchError(
+            raise ExtractionError(
                 f"{table.doc_id}: header {table.header!r} != {tables[0].header!r}"
             )
     rows: list[tuple[object, ...]] = []

@@ -1,8 +1,9 @@
 """Command-line surface, on the standard library's argparse.
 
-Exit codes: 0 success, 2 validation problem (any ValueError, which every
-`errors.ValidationError` is: bad config, schema, or workspace state), 3
-failure at runtime (any other ManalyzerError, or an OSError such as a full
+Exit codes follow one rule, which the exception hierarchy spells: 0
+success, 2 bad input (a plain ValueError: bad config, schema, option value,
+workspace state, or a missing or corrupt file), 3 failure at runtime (a
+ManalyzerError, a StageFailure among them, or an OSError such as a full
 disk). argparse exits 2 on a usage error before any command runs. An option
 value that starts with `-` goes after an equals sign: `--direction=-omega3`.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import collector, evaluation, reviewer
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, ManalyzerError
+from .errors import ManalyzerError
 from .pipeline import Pipeline, Provider, build_provider, load_template, status_text
 from .workspace import Workspace
 
@@ -171,7 +172,7 @@ def screen_eval(args: argparse.Namespace) -> None:
 def extract(args: argparse.Namespace) -> None:
     """Extract cited data tables from screened-in papers."""
     if args.topic is not None and not args.topic.strip():
-        raise ConfigError("--topic is empty")
+        raise ValueError("--topic is empty")
     pipe = _open(args, extraction_max_iter=args.max_iter)
     if args.template is not None:
         pipe.store_template(load_template(args.template))

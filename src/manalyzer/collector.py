@@ -18,14 +18,7 @@ from urllib.parse import urlencode
 
 from . import prompts
 from .config import sha256_hex
-from .errors import (
-    ApiError,
-    ChecksumMismatchError,
-    DanglingImageError,
-    NotDownloadableError,
-    SchemaViolationError,
-    UnparseableReplyError,
-)
+from .errors import ManalyzerError, UnparseableReplyError
 from .gateway import Gateway
 from .parsing import parse_string_groups
 from .workspace import atomic_write_bytes, atomic_write_text, encode, from_json, read_json
@@ -139,11 +132,11 @@ def _search_crossref(query: str, max_results: int, fetch: Callable[[str], str]) 
     try:
         items = json.loads(body)["message"]["items"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ApiError(f"malformed crossref response: {exc}") from exc
+        raise ManalyzerError(f"malformed crossref response: {exc}") from exc
     metas = []
     for item in items:
         if not isinstance(item, dict):
-            raise ApiError("malformed crossref item")
+            raise ManalyzerError("malformed crossref item")
         titles = item.get("title") or []
         title = titles[0] if titles else ""
         doi = item.get("DOI")
@@ -164,7 +157,7 @@ def _search_arxiv(query: str, max_results: int, fetch: Callable[[str], str]) -> 
     try:
         root = ET.fromstring(body)
     except ET.ParseError as exc:
-        raise ApiError(f"malformed arxiv response: {exc}") from exc
+        raise ManalyzerError(f"malformed arxiv response: {exc}") from exc
     metas = []
     for entry in root.findall(f"{_ATOM}entry"):
         title = (entry.findtext(f"{_ATOM}title") or "").strip()
@@ -195,7 +188,7 @@ def _default_fetch(url: str) -> str:
     try:
         body = _get(url, timeout=30)
     except OSError as exc:
-        raise ApiError(f"search API unreachable: {exc}") from exc
+        raise ManalyzerError(f"search API unreachable: {exc}") from exc
     return body.decode("utf-8", errors="replace")
 
 
@@ -239,7 +232,7 @@ def download_pdf(
     """Store the paper's PDF under papers_dir, once.
 
     A file whose recorded digest still matches is reused without any
-    network traffic. Papers with no usable URL raise NotDownloadableError;
+    network traffic. Papers with no usable URL raise ManalyzerError;
     callers log and skip them.
     """
     target = papers_dir / f"{meta.doc_id}.pdf"
@@ -247,19 +240,19 @@ def download_pdf(
     if target.exists() and sidecar.exists():
         digest = sha256_hex(target.read_bytes())
         if digest != sidecar.read_text().strip():
-            raise ChecksumMismatchError(f"{target} does not match its recorded digest")
+            raise ManalyzerError(f"{target} does not match its recorded digest")
         return target
 
     url = meta.pdf_url or (f"https://doi.org/{meta.doi}" if meta.doi else None)
     if not url:
-        raise NotDownloadableError(f"{meta.doc_id}: no pdf_url and no doi")
+        raise ManalyzerError(f"{meta.doc_id}: no pdf_url and no doi")
 
     if fetch_bytes is None:
         def fetch_bytes(u: str) -> bytes:
             try:
                 return _get(u, timeout=60)
             except OSError as exc:
-                raise NotDownloadableError(f"{meta.doc_id}: download failed: {exc}") from exc
+                raise ManalyzerError(f"{meta.doc_id}: download failed: {exc}") from exc
 
     data = fetch_bytes(url)
     papers_dir.mkdir(parents=True, exist_ok=True)
@@ -273,13 +266,13 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
     artifact reader, and check that its images exist under `images_root`.
     A file that does not decode or does not fit ParsedDocument (a missing
     or unknown field, a leaf of the wrong type, a failed check of
-    `ParsedDocument`) is a SchemaViolationError naming the file."""
+    `ParsedDocument`) is a ValueError naming the file."""
     try:
         doc = from_json(ParsedDocument, read_json(parse_file))
     except (OSError, ValueError) as exc:
-        raise SchemaViolationError(f"{parse_file}: unreadable parse file: {exc}") from exc
+        raise ValueError(f"{parse_file}: unreadable parse file: {exc}") from exc
     if ref := missing_image(doc, images_root):
-        raise DanglingImageError(f"{parse_file}: image {ref.image!r} ({ref.id}) not found")
+        raise ValueError(f"{parse_file}: image {ref.image!r} ({ref.id}) not found")
     return doc
 
 

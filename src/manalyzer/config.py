@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
 
 # The interpreter's built-in SHA-256 (`_sha2` on 3.12+, `_sha256` before):
 # hashlib would map OpenSSL's libcrypto into every process for the same
@@ -56,28 +55,28 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for f in fields(self):  # first: nan passes every `x < bound` check below
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{FIELD_MAP[f.name]} must be finite")
+                raise ValueError(f"{FIELD_MAP[f.name]} must be finite")
         if self.reviewer_batch_size < 1:
-            raise ConfigError("reviewer.batch_size must be >= 1")
+            raise ValueError("reviewer.batch_size must be >= 1")
         if not 1 <= self.extraction_max_iter <= 3:
-            raise ConfigError("extraction.max_iter must be in [1, 3]")
+            raise ValueError("extraction.max_iter must be in [1, 3]")
         if self.extraction_mask_batch < 1:
-            raise ConfigError("extraction.mask_batch must be >= 1")
+            raise ValueError("extraction.mask_batch must be >= 1")
         for key in ("eval_abs_tol", "eval_rel_tol", "eval_level3_rel_tol"):
             if getattr(self, key) < 0:
-                raise ConfigError(f"{FIELD_MAP[key]} must be >= 0")
+                raise ValueError(f"{FIELD_MAP[key]} must be >= 0")
         if self.packer_budget < 0:
-            raise ConfigError("packer.budget must be >= 0")
+            raise ValueError("packer.budget must be >= 0")
         if not 0 <= self.packer_default_importance <= 10:
-            raise ConfigError("packer.default_importance must be in [0, 10]")
+            raise ValueError("packer.default_importance must be in [0, 10]")
         if self.max_concurrency < 1:
-            raise ConfigError("max_concurrency must be >= 1")
+            raise ValueError("max_concurrency must be >= 1")
         if self.provider_max_in_flight < 1:
-            raise ConfigError("provider.max_in_flight must be >= 1")
+            raise ValueError("provider.max_in_flight must be >= 1")
         if self.provider_retries < 1:
-            raise ConfigError("provider.retries must be >= 1")
+            raise ValueError("provider.retries must be >= 1")
         if not 0 <= self.analysis_seed < SEED_LIMIT:
-            raise ConfigError("analysis.seed must be in [0, 2**32)")
+            raise ValueError("analysis.seed must be in [0, 2**32)")
 
 
 SECTIONS = ("provider", "packer", "reviewer", "extraction", "eval", "analysis", "collect")
@@ -102,12 +101,12 @@ def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
         if key not in KEY_MAP:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
         field_name = KEY_MAP[key]
         type_name = field_types[field_name]
         try:
@@ -118,7 +117,7 @@ def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
             else:
                 values[field_name] = value_text
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"{source}:{lineno}: bad value {value_text!r} for {key}"
             ) from None
     return PipelineConfig(**values)  # type: ignore[arg-type]
@@ -130,7 +129,7 @@ def load_config(path: Path | None) -> PipelineConfig:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path))
 
 

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import DEFAULTS, PipelineConfig
-from .errors import EmptyGoldError, SchemaViolationError
 from .workspace import from_json
 
 LEVELS = (1, 2, 3)
@@ -58,7 +57,7 @@ def default_rel_tol(level: int, config: PipelineConfig = DEFAULTS) -> float:
 def load_gold(path: Path) -> list[GoldDataPoint]:
     """Read gold points, one JSON record per line, each through `from_json`.
     A line that does not fit GoldDataPoint (an unknown field, a float level,
-    a non-string unit) is a SchemaViolationError naming `path:line`."""
+    a non-string unit) is a ValueError naming `path:line`."""
     points = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -66,7 +65,7 @@ def load_gold(path: Path) -> list[GoldDataPoint]:
         try:
             points.append(from_json(GoldDataPoint, json.loads(line)))
         except (ValueError, OverflowError) as exc:  # a 400-digit value overflows isfinite
-            raise SchemaViolationError(f"{path}:{lineno}: bad gold record: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: bad gold record: {exc}") from exc
     return points
 
 
@@ -107,6 +106,8 @@ def match_values(
     """
     if abs_tol < 0 or rel_tol < 0:
         raise ValueError("tolerances must be >= 0")
+    if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):  # nan passes the check above
+        raise ValueError("tolerances must be finite")
     order = sorted((i for i, a in enumerate(extracted) if not math.isnan(a)),
                    key=extracted.__getitem__)
     values = [extracted[i] for i in order]
@@ -140,7 +141,7 @@ def hit_rate(
 ) -> HitRateResult:
     """Hit rate for one document and level: matched gold / total gold."""
     if not gold_points:
-        raise EmptyGoldError("hit rate undefined without gold points")
+        raise ValueError("hit rate undefined without gold points")
     doc_ids = {p.doc_id for p in gold_points}
     levels = {p.level for p in gold_points}
     if len(doc_ids) != 1 or len(levels) != 1:

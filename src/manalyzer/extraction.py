@@ -21,14 +21,9 @@ from . import prompts
 from .config import DEFAULTS
 from .errors import (
     CheckerFailure,
-    ConversionFailure,
     ExtractionError,
-    HeaderMismatchError,
-    MissingExplanationError,
-    NoTableFoundError,
     UnparseableNumericError,
     UnparseableReplyError,
-    UnparseableTableError,
 )
 from .evaluation import tolerance_run, within_tolerance
 from .gateway import Gateway
@@ -136,7 +131,7 @@ def convert_table_image(
     """Transcribe one table image into ConvertedParts (one per table found).
 
     A reply with no parseable table gets one re-ask; a second miss raises
-    NoTableFoundError, and an empty reply EmptyResponseError. Missing or
+    ExtractionError, and an empty reply EmptyResponseError. Missing or
     empty title and footnote blocks fall back to the caption rather than
     failing the conversion.
     """
@@ -165,7 +160,7 @@ def convert_table_image(
     request = prompts.table_convert_request(image_path, caption)
     parts = gateway.ask(request, parse, prompts.REASK_TABLE)
     if parts is None:
-        raise NoTableFoundError(f"{part_id}: conversion reply holds no table")
+        raise ExtractionError(f"{part_id}: conversion reply holds no table")
     return parts
 
 
@@ -181,7 +176,7 @@ def summarize_figure(
     request = prompts.figure_summary_request(image_path, caption)
     part = gateway.ask(request, parse, prompts.REASK_BULLETS)
     if part is None:
-        raise ConversionFailure(f"{part_id}: figure summary reply holds no bullets")
+        raise ExtractionError(f"{part_id}: figure summary reply holds no bullets")
     return part
 
 
@@ -272,7 +267,7 @@ def extract_to_table(
     if len(header) != len(template) or any(
         canon_header(a) != canon_header(b) for a, b in zip(header, template)
     ):
-        raise HeaderMismatchError(
+        raise ExtractionError(
             f"reply columns {header!r} do not match template {list(template)!r}"
         )
 
@@ -283,7 +278,7 @@ def extract_to_table(
             try:
                 cells.append(normalize_numeric(text))
             except UnparseableNumericError as exc:
-                raise UnparseableTableError(str(exc)) from exc
+                raise ExtractionError(str(exc)) from exc
         rows.append(tuple(cells))
 
     provenance = []
@@ -316,7 +311,7 @@ def extract_to_table(
         iteration=iteration,
     )
     if not blocks and table.numeric_cells():
-        raise MissingExplanationError("extraction reply carries numbers but no explanation block")
+        raise ExtractionError("extraction reply carries numbers but no explanation block")
     return table
 
 

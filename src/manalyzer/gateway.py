@@ -26,8 +26,7 @@ from .config import DEFAULTS, sha256_hex
 from .errors import (
     DuplicateScriptKeyError,
     EmptyResponseError,
-    InvalidRequestError,
-    ScriptMissError,
+    ManalyzerError,
     TransportError,
     UnparseableReplyError,
 )
@@ -89,7 +88,7 @@ class Provider(Protocol):
 class ScriptedProvider:
     """Deterministic mock provider: a pure function of (tag, content digest).
 
-    Replies must be registered up front; unknown keys raise ScriptMissError
+    Replies must be registered up front; unknown keys raise ManalyzerError
     at call time. Registration is append-only (duplicate keys rejected), so
     a fully registered provider is read-only and freely shareable between
     worker threads. Every served call is appended to ``calls`` so tests can
@@ -105,7 +104,7 @@ class ScriptedProvider:
 
     def register_script(self, tag: str, digest: str, response: str) -> None:
         if tag not in REQUEST_TAGS:
-            raise InvalidRequestError(f"unknown request tag {tag!r}")
+            raise ValueError(f"unknown request tag {tag!r}")
         key = (tag, digest)
         if key in self._script:
             raise DuplicateScriptKeyError(f"script key already registered: {key}")
@@ -118,7 +117,7 @@ class ScriptedProvider:
         try:
             text = self._script[key]
         except KeyError:
-            raise ScriptMissError(
+            raise ManalyzerError(
                 f"no script entry for tag={key[0]!r} digest={key[1][:12]}..."
             ) from None
         return AgentResponse(raw_text=text, provider_id=self.provider_id, latency_ms=0)
@@ -141,7 +140,7 @@ class ScriptedProvider:
             try:
                 entry = from_json(ScriptEntry, json.loads(line))
                 provider.register_script(entry.tag, entry.digest, entry.response)
-            except (ValueError, InvalidRequestError, DuplicateScriptKeyError) as exc:
+            except (ValueError, DuplicateScriptKeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad script record: {exc}") from exc
         return provider
 
@@ -178,9 +177,9 @@ class Gateway:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if retries < 1:
-            raise InvalidRequestError("retries must be >= 1")
+            raise ValueError("retries must be >= 1")
         if max_in_flight < 1:
-            raise InvalidRequestError("max_in_flight must be >= 1")
+            raise ValueError("max_in_flight must be >= 1")
         self.provider = provider
         self.retries = retries
         self.max_in_flight = max_in_flight

@@ -15,7 +15,7 @@ import sys
 import threading
 from collections.abc import Sequence
 
-from .errors import UnparseableNumericError, UnparseableReplyError, UnparseableTableError
+from .errors import ExtractionError, UnparseableNumericError, UnparseableReplyError
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
 _MINUS_VARIANTS = str.maketrans({"−": "-", "‒": "-", "–": "-"})
@@ -69,10 +69,10 @@ def parse_all_markdown_tables(text: str) -> list[tuple[list[str], list[list[str]
 
 
 def parse_markdown_table(text: str) -> tuple[list[str], list[list[str]]]:
-    """First pipe table in *text*, or UnparseableTableError."""
+    """First pipe table in *text*, or ExtractionError."""
     tables = parse_all_markdown_tables(text)
     if not tables:
-        raise UnparseableTableError("no Markdown table found in reply")
+        raise ExtractionError("no Markdown table found in reply")
     return tables[0]
 
 

@@ -5,11 +5,11 @@ analyze -> report, persisting every per-document artifact before moving
 on and recording progress in the workspace manifest. Status marks stay in
 memory, and manifest.json is written once per stage: each stage method is
 wrapped by ``@stage(name)``, which writes it when the stage returns, and
-also when a pipeline error or OSError inside it is re-raised as
+also when a ManalyzerError or OSError inside it is re-raised as
 ``StageFailure(name)`` (exit 3), so ``status`` then shows the documents
-the stage finished. Any other exception, a kill among them, writes
-nothing: after a kill, ``status`` shows the last finished stage until the
-next command runs.
+the stage finished. Any other exception, a ValueError (bad input, exit 2)
+or a kill among them, writes nothing: after a kill, ``status`` shows the
+last finished stage until the next command runs.
 
 A killed run resumes where it stopped, and every status comes back from
 files already on disk with no agent call. A killed ``ingest`` is redone by
@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,15 +62,12 @@ from .analysis import (
 )
 from .config import PipelineConfig
 from .errors import (
-    ConfigError,
     EmptyResponseError,
     ExtractionError,
     ManalyzerError,
     NoValidStepsError,
     ReviewFailure,
-    SchemaViolationError,
     StageFailure,
-    WorkspaceError,
 )
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
@@ -164,7 +161,7 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
     """The provider named by the config. Only the scripted provider ships;
     live providers plug in through the Provider protocol."""
     if config.provider_kind != "scripted":
-        raise ConfigError(
+        raise ValueError(
             f"unknown provider.kind {config.provider_kind!r}; this build ships "
             "'scripted' (live providers implement the Provider protocol)"
         )
@@ -175,15 +172,16 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
         try:
             return ScriptedProvider.load_script(script)
         except OSError as exc:
-            raise ConfigError(f"provider.script {script}: {exc.strerror}") from exc
+            raise ValueError(f"provider.script {script}: {exc.strerror}") from exc
     return ScriptedProvider()
 
 
 def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
     """Run a Pipeline method as stage `name` and write the workspace
-    manifest once when it returns. A pipeline error or an OSError (a failed
+    manifest once when it returns. A ManalyzerError or an OSError (a failed
     write, say) inside it writes the manifest too, then is re-raised as
-    StageFailure(name); any other exception writes nothing."""
+    StageFailure(name) (exit 3); any other exception, a ValueError (bad
+    input, exit 2) among them, passes through and writes nothing."""
     def wrap(method: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(method)
         def run_stage(self: "Pipeline", *args, **kwargs) -> T:
@@ -198,6 +196,13 @@ def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
     return wrap
 
 
+def _require(path: Path) -> Path:
+    """`path`, or a ValueError naming it when no such file exists (exit 2)."""
+    if not path.exists():
+        raise ValueError(f"{path}: no such file")
+    return path
+
+
 def load_template(path: Path) -> list[str]:
     """Extraction template: ordered column names, one per line. A column that
     holds `|`, which splits table rows, or that equals `doc_id` or another
@@ -208,14 +213,14 @@ def load_template(path: Path) -> list[str]:
         if line and not line.startswith("#"):
             columns.append(line)
     if not columns:
-        raise ConfigError(f"template {path} holds no columns")
+        raise ValueError(f"template {path} holds no columns")
     seen = {"doc_id": "the merged table's doc_id column"}
     for column in columns:
         name = extraction.canon_header(column)
         if "|" in column:
-            raise ConfigError(f"template {path}: column {column!r} holds '|'")
+            raise ValueError(f"template {path}: column {column!r} holds '|'")
         if name in seen:
-            raise ConfigError(f"template {path}: column {column!r} clashes with {seen[name]}")
+            raise ValueError(f"template {path}: column {column!r} clashes with {seen[name]}")
         seen[name] = repr(column)
     return columns
 
@@ -266,10 +271,8 @@ class Pipeline:
         """`parsed/<doc_id>.json`, checked as `ingest` checked it: a missing
         or corrupt file, a doc_id that is not the file's name or an image
         gone from the workspace is a ValueError naming the file (exit 2)."""
-        path = self._parsed_path(doc_id)
+        path = _require(self._parsed_path(doc_id))
         doc = read_artifact(path, collector.ParsedDocument)
-        if doc is None:
-            raise ValueError(f"{path}: no such file")
         if doc.doc_id != doc_id:
             raise ValueError(f"{path}: doc_id {doc.doc_id!r} is not the file's name")
         if ref := collector.missing_image(doc, self.ws.root):
@@ -279,18 +282,10 @@ class Pipeline:
     def _packed_path(self, doc_id: str) -> Path:
         return self.ws.dir("packed") / f"{doc_id}.json"
 
-    def _require_packed(self, doc_ids: Iterable[str]) -> None:
-        """Refuse a missing `packed/<doc_id>.json` among `doc_ids` with a
-        ValueError naming it (exit 2)."""
-        for doc_id in doc_ids:
-            if not (path := self._packed_path(doc_id)).exists():
-                raise ValueError(f"{path}: no such file")
-
     def load_packed(self, doc_id: str) -> packer.PackedDocument:
         """`packed/<doc_id>.json`: a missing or corrupt file is a ValueError
         naming it (exit 2)."""
-        self._require_packed([doc_id])
-        return read_artifact(self._packed_path(doc_id), packer.PackedDocument)
+        return read_artifact(_require(self._packed_path(doc_id)), packer.PackedDocument)
 
     def _template_path(self) -> Path:
         return self.ws.root / "template.txt"
@@ -300,7 +295,7 @@ class Pipeline:
         if stored.exists():
             existing = load_template(stored)
             if existing != columns:
-                raise ConfigError(
+                raise ValueError(
                     "extraction template differs from the one this workspace "
                     "was run with (see template.txt); start a fresh workspace "
                     "to change templates"
@@ -311,7 +306,7 @@ class Pipeline:
     def load_stored_template(self) -> list[str]:
         path = self._template_path()
         if not path.exists():
-            raise ConfigError("no extraction template stored; pass --template")
+            raise ValueError("no extraction template stored; pass --template")
         return load_template(path)
 
     # -- ingest ----------------------------------------------------------
@@ -326,16 +321,16 @@ class Pipeline:
         its parse) is a validation error, refused before anything is written.
         """
         if not source.is_dir():
-            raise ConfigError(f"{source} is not a directory")
+            raise ValueError(f"{source} is not a directory")
         docs: dict[str, tuple[Path, collector.ParsedDocument]] = {}
         for parse_file in sorted(source.glob("*.json")):
             doc = collector.ingest_parsed(parse_file, source)
             if doc.doc_id in docs:
                 twin = docs[doc.doc_id][0].name
-                raise SchemaViolationError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
+                raise ValueError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
             packed = self.ws.dir("packed") / f"{doc.doc_id}.json"
             if self.ws.at_least(doc.doc_id, "packed") or packed.exists():
-                raise WorkspaceError(f"{doc.doc_id} is packed already; its parse cannot change")
+                raise ValueError(f"{doc.doc_id} is packed already; its parse cannot change")
             docs[doc.doc_id] = parse_file, doc
         for _, doc in docs.values():
             for ref in list(doc.figures) + list(doc.tables):
@@ -418,8 +413,9 @@ class Pipeline:
 
         indep: dict[str, Any] = {}
         packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
-        # Before any call, not after the other papers' calls.
-        self._require_packed(d for d in packed if not (reviews / f"{d}.indep.json").exists())
+        for doc_id in packed:  # before any call, not after the other papers' calls
+            if not (reviews / f"{doc_id}.indep.json").exists():
+                _require(self._packed_path(doc_id))
         try:
             self._per_document(independent, packed, indep.__setitem__)
             scored = sorted(d for d, s in indep.items() if not isinstance(s, IndependentFailure))
@@ -553,15 +549,19 @@ class Pipeline:
 
     # -- analyze ---------------------------------------------------------
 
+    def _table_path(self, doc_id: str) -> Path:
+        return self.ws.dir("extracted") / doc_id / "table.json"
+
     def load_table(self, doc_id: str) -> extraction.ExtractedTable | None:
         """The document's extracted table; None before extraction wrote it."""
-        path = self.ws.dir("extracted") / doc_id / "table.json"
-        return read_artifact(path, extraction.ExtractedTable)
+        return read_artifact(self._table_path(doc_id), extraction.ExtractedTable)
 
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
+        """The tables of the accepted documents; a missing one is a
+        ValueError naming it (exit 2)."""
         return [
-            self.load_table(doc_id) for doc_id in self.ws.doc_ids()
-            if "accepted" in self.ws.docs[doc_id]
+            read_artifact(_require(self._table_path(doc_id)), extraction.ExtractedTable)
+            for doc_id in self.ws.doc_ids() if "accepted" in self.ws.docs[doc_id]
         ]
 
     @stage("analyze")
@@ -596,12 +596,15 @@ class Pipeline:
         return merge_tables([]) if merged is None else merged
 
     def load_traces(self) -> list[TraceSummary]:
+        """One summary per document with a table; a trace missing beside its
+        table is a ValueError naming it (exit 2)."""
         traces = []
         for doc_id in self.ws.doc_ids():
             table = self.load_table(doc_id)
             if table is None:
                 continue
-            trace = read_artifact(self.ws.dir("extracted") / doc_id / "trace.json", ExtractionTrace)
+            path = _require(self.ws.dir("extracted") / doc_id / "trace.json")
+            trace = read_artifact(path, ExtractionTrace)
             traces.append(TraceSummary(
                 doc_id=doc_id,
                 iterations=max([t.iteration for t in trace.trace], default=0),

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import InvalidRequestError
 
 SYSTEM = {
     "keyword": """\
@@ -164,9 +163,9 @@ class AgentRequest:
 
     def __post_init__(self) -> None:
         if self.request_tag not in SYSTEM:
-            raise InvalidRequestError(f"unknown request tag {self.request_tag!r}")
+            raise ValueError(f"unknown request tag {self.request_tag!r}")
         if not self.user_parts:
-            raise InvalidRequestError("user_parts must be non-empty")
+            raise ValueError("user_parts must be non-empty")
 
     def with_addendum(self, text: str) -> "AgentRequest":
         """Return a copy with one more text part (used for re-asks).

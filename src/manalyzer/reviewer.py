@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import prompts
-from .errors import ReviewFailure, SchemaViolationError, UnparseableReplyError
+from .errors import ReviewFailure, UnparseableReplyError
 from .gateway import Gateway
 from .parsing import parse_labeled_score, parse_real_list
 
@@ -133,7 +133,7 @@ def load_screening_gold(path: Path) -> dict[str, bool]:
             continue
         fields = line.replace(",", " ").split()
         if len(fields) != 2 or fields[1] not in ("0", "1"):
-            raise SchemaViolationError(f"{path}:{lineno}: expected 'doc_id 0|1', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'doc_id 0|1', got {raw!r}")
         labels[fields[0]] = fields[1] == "1"
     return labels
 

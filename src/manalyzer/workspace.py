@@ -37,7 +37,6 @@ from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, config_digest, render_config
-from .errors import ConfigError, CorruptManifestError, RefuseResumeError, WorkspaceError
 
 MANIFEST_VERSION = 1
 
@@ -216,7 +215,7 @@ class Workspace:
 
     def dir(self, name: str) -> Path:
         if name not in SUBDIRS:
-            raise WorkspaceError(f"unknown workspace subdirectory {name!r}")
+            raise ValueError(f"unknown workspace subdirectory {name!r}")
         return self.root / name
 
     # -- lifecycle -----------------------------------------------------
@@ -224,9 +223,9 @@ class Workspace:
     @classmethod
     def init(cls, root: Path, direction: str, config: PipelineConfig) -> "Workspace":
         if not direction.strip():
-            raise ConfigError("research direction is empty")
+            raise ValueError("research direction is empty")
         if (root / "manifest.json").exists():
-            raise WorkspaceError(f"{root} already holds a workspace")
+            raise ValueError(f"{root} already holds a workspace")
         root.mkdir(parents=True, exist_ok=True)
         for sub in SUBDIRS:
             (root / sub).mkdir(exist_ok=True)
@@ -239,28 +238,28 @@ class Workspace:
     def load(cls, root: Path) -> "Workspace":
         path = root / "manifest.json"
         if not path.exists():
-            raise WorkspaceError(f"{root} is not a workspace (no manifest.json)")
+            raise ValueError(f"{root} is not a workspace (no manifest.json)")
         try:
             raw = read_json(path)
         except (OSError, ValueError) as exc:
-            raise CorruptManifestError(f"{path}: unreadable manifest: {exc}") from exc
+            raise ValueError(f"{path}: unreadable manifest: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("version") != MANIFEST_VERSION:
-            raise CorruptManifestError(f"unsupported manifest version in {path}")
+            raise ValueError(f"unsupported manifest version in {path}")
         docs = raw.get("docs")
         direction = raw.get("direction")
         digest = raw.get("config_digest")
         if not isinstance(docs, dict) or not isinstance(direction, str) or not isinstance(digest, str):
-            raise CorruptManifestError("manifest fields missing or mistyped")
+            raise ValueError("manifest fields missing or mistyped")
         for doc_id, history in docs.items():
             if not isinstance(history, list) or not history:
-                raise CorruptManifestError(f"{doc_id}: empty status history")
+                raise ValueError(f"{doc_id}: empty status history")
             ranks = []
             for status in history:
                 if status not in STATUS_RANK:
-                    raise CorruptManifestError(f"{doc_id}: unknown status {status!r}")
+                    raise ValueError(f"{doc_id}: unknown status {status!r}")
                 ranks.append(STATUS_RANK[status])
             if any(b <= a for a, b in zip(ranks, ranks[1:])):
-                raise CorruptManifestError(f"{doc_id}: status history regressed: {history}")
+                raise ValueError(f"{doc_id}: status history regressed: {history}")
         return cls(root, direction, digest, docs)
 
     def save(self) -> None:
@@ -284,7 +283,7 @@ class Workspace:
     def check_config(self, config: PipelineConfig) -> None:
         active = config_digest(config)
         if active != self.digest:
-            raise RefuseResumeError(
+            raise ValueError(
                 "config digest mismatch: the workspace was created under a "
                 "different configuration; rerun with the original config "
                 "file (see config.snapshot) or start a fresh workspace"
@@ -305,18 +304,18 @@ class Workspace:
         it is the current status already, an error when it would regress.
         Nothing reaches disk until `compact`."""
         if status not in STATUS_RANK:
-            raise WorkspaceError(f"unknown status {status!r}")
+            raise ValueError(f"unknown status {status!r}")
         history = self.docs.setdefault(doc_id, [])
         if history:
             current = STATUS_RANK[history[-1]]
             if STATUS_RANK[status] == current:
                 if history[-1] != status:
-                    raise CorruptManifestError(
+                    raise ValueError(
                         f"{doc_id}: conflicting outcomes {history[-1]!r} vs {status!r}"
                     )
                 return
             if STATUS_RANK[status] < current:
-                raise CorruptManifestError(
+                raise ValueError(
                     f"{doc_id}: status would regress from {history[-1]!r} to {status!r}"
                 )
         history.append(status)

@@ -22,7 +22,7 @@ from manalyzer.analysis import (
     run_analysis,
 )
 from manalyzer.config import SEED_LIMIT
-from manalyzer.errors import HeaderMismatchError, NoValidStepsError
+from manalyzer.errors import ExtractionError, NoValidStepsError
 from manalyzer.extraction import ExtractedTable
 
 from helpers import register_for
@@ -71,7 +71,7 @@ def test_merge_tables_rejects_unaccepted():
 def test_merge_tables_rejects_header_mismatch():
     t1 = accepted_table("d1", ("a",), [(1.0,)])
     t2 = accepted_table("d2", ("b",), [(1.0,)])
-    with pytest.raises(HeaderMismatchError):
+    with pytest.raises(ExtractionError, match=r"d2: header \('b',\) != \('a',\)"):
         merge_tables([t1, t2])
 
 

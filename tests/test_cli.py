@@ -12,7 +12,7 @@ import pytest
 
 import manalyzer
 from manalyzer import collector, pipeline, reviewer, synth
-from manalyzer.errors import NotDownloadableError
+from manalyzer.errors import ManalyzerError
 from manalyzer.workspace import Workspace
 
 from helpers import run_cli, run_python, tree
@@ -258,9 +258,18 @@ def test_run_with_missing_provider_script_is_a_validation_error(tmp_path,
 @pytest.mark.parametrize("direction, args, message", [
     (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "-1"),
      "tolerances must be >= 0"),
+    (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--abs-tol", "nan"),
+     "tolerances must be finite"),
+    (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "nan"),
+     "tolerances must be finite"),
+    (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--abs-tol", "inf"),
+     "tolerances must be finite"),
+    (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "inf"),
+     "tolerances must be finite"),
     (" ", (), "research direction is empty"),
     (synth.DIRECTION, ("extract",), "no extraction template stored; pass --template"),
-], ids=["negative-rel-tol", "blank-direction", "extract-without-template"])
+], ids=["negative-rel-tol", "nan-abs-tol", "nan-rel-tol", "inf-abs-tol", "inf-rel-tol",
+        "blank-direction", "extract-without-template"])
 def test_out_of_range_input_is_a_validation_error(
     tmp_path, corpus_dir, direction, args, message
 ):
@@ -274,6 +283,7 @@ def test_out_of_range_input_is_a_validation_error(
     assert result.exit_code == 2, result.stderr
     assert result.stderr.splitlines() == [f"error: {message}"]
     assert "Traceback" not in result.stdout + result.stderr
+    assert result.stdout == ""  # refused before the results table
     assert (ws / "manifest.json").exists() == bool(args)
 
 
@@ -663,6 +673,27 @@ def test_a_damaged_packed_file_never_ends_in_a_traceback(tmp_path, packed_ws, da
             assert result.stderr.startswith(f"error: {path}: "), (command, result.stderr)
 
 
+@pytest.mark.parametrize("name, refused_by", [("table.json", "analyze"), ("trace.json", "report")])
+def test_a_missing_extraction_file_never_ends_in_a_traceback(
+    tmp_path, finished, corpus_dir, name, refused_by
+):
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    docs = Workspace.load(ws).docs
+    doc_id = next(d for d in sorted(docs) if "accepted" in docs[d])
+    path = ws / "extracted" / doc_id / name
+    path.unlink()
+    for command in (
+        ("analyze",), ("report",), ("eval-extraction", "--gold", str(corpus_dir / "gold.jsonl")),
+        ("resume",),
+    ):
+        result = invoke(ws, *command, config=config)
+        expected = (2,) if command[0] == refused_by else (0, 2)
+        assert result.exit_code in expected, (command, result.stderr)
+        if result.exit_code == 2:
+            assert result.stderr == f"error: {path}: no such file\n", (command, result.stderr)
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_a_non_finite_threshold_exits_2_before_any_review_call(initialized, value):
     ws, config = initialized
@@ -817,7 +848,7 @@ def test_collect_dedups_caps_and_skips_undownloadable(tmp_path, monkeypatch):
 
     def download_pdf(meta, papers_dir):
         if meta.doc_id == "x2":
-            raise NotDownloadableError("x2: no pdf_url and no doi")
+            raise ManalyzerError("x2: no pdf_url and no doi")
         return papers_dir / f"{meta.doc_id}.pdf"
 
     groups = [["soil", "carbon"], ["tillage"], ["never", "searched"]]

@@ -16,14 +16,7 @@ from manalyzer.collector import (
     save_parsed,
     search,
 )
-from manalyzer.errors import (
-    ApiError,
-    ChecksumMismatchError,
-    DanglingImageError,
-    NotDownloadableError,
-    SchemaViolationError,
-    UnparseableReplyError,
-)
+from manalyzer.errors import ManalyzerError, UnparseableReplyError
 
 from helpers import register_for, run_cli
 
@@ -98,7 +91,7 @@ def test_ingest_parsed_missing_doc_id(tmp_path):
     payload = make_parse_payload()
     del payload["doc_id"]
     path = write_parse_file(tmp_path, payload)
-    with pytest.raises(SchemaViolationError, match="doc_id"):
+    with pytest.raises(ValueError, match="doc_id"):
         ingest_parsed(path, tmp_path)
 
 
@@ -107,7 +100,7 @@ def test_ingest_parsed_requires_contiguous_indices(tmp_path):
         paragraphs=[{"index": 0, "text": "a"}, {"index": 2, "text": "b"}]
     )
     path = write_parse_file(tmp_path, payload)
-    with pytest.raises(SchemaViolationError, match=r"paragraphs\[1\].index"):
+    with pytest.raises(ValueError, match=r"paragraphs\[1\].index"):
         ingest_parsed(path, tmp_path)
 
 
@@ -119,20 +112,20 @@ def test_ingest_parsed_rejects_duplicate_image_ids(tmp_path):
         ]
     )
     path = write_parse_file(tmp_path, payload)
-    with pytest.raises(SchemaViolationError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate"):
         ingest_parsed(path, tmp_path)
 
 
 def test_ingest_parsed_dangling_image(tmp_path):
     path = write_parse_file(tmp_path, make_parse_payload(), with_image=False)
-    with pytest.raises(DanglingImageError, match="fig1.png"):
+    with pytest.raises(ValueError, match="fig1.png"):
         ingest_parsed(path, tmp_path)
 
 
 def test_ingest_parsed_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(SchemaViolationError, match="unreadable"):
+    with pytest.raises(ValueError, match="unreadable"):
         ingest_parsed(path, tmp_path)
 
 
@@ -158,7 +151,7 @@ def test_ingest_parsed_refuses_what_the_types_admit_but_the_checks_do_not(
     tmp_path, overrides, message
 ):
     path = write_parse_file(tmp_path, make_parse_payload(**overrides))
-    with pytest.raises(SchemaViolationError, match=re.escape(f"{path}: unreadable parse file: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unreadable parse file: {message}")):
         ingest_parsed(path, tmp_path)
 
 
@@ -210,7 +203,7 @@ def test_search_caps_results():
 
 
 def test_search_crossref_malformed_body():
-    with pytest.raises(ApiError):
+    with pytest.raises(ManalyzerError, match="malformed crossref response"):
         search("crossref", "q", 5, fetch=lambda url: "<html>rate limited</html>")
 
 
@@ -257,13 +250,13 @@ def test_download_pdf_detects_corruption(tmp_path):
     )
     download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"original")
     (tmp_path / "arxiv-abc.pdf").write_bytes(b"tampered")
-    with pytest.raises(ChecksumMismatchError):
+    with pytest.raises(ManalyzerError, match="arxiv-abc.pdf does not match its recorded digest"):
         download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"original")
 
 
 def test_download_pdf_recovers_from_a_digest_write_cut_short(tmp_path, monkeypatch):
     # A kill while the digest is written must leave no torn sidecar: one
-    # would fail every later collect of the paper with ChecksumMismatchError.
+    # would fail every later collect of the paper with a digest mismatch.
     class Killed(BaseException):
         pass
 
@@ -289,7 +282,7 @@ def test_download_pdf_recovers_from_a_digest_write_cut_short(tmp_path, monkeypat
 
 def test_download_pdf_needs_a_url(tmp_path):
     meta = PaperMeta(doc_id="crossref-x", title="t", doi=None, source="crossref")
-    with pytest.raises(NotDownloadableError):
+    with pytest.raises(ManalyzerError, match="crossref-x: no pdf_url and no doi"):
         download_pdf(meta, tmp_path, fetch_bytes=lambda url: b"")
 
 
@@ -375,7 +368,7 @@ def test_default_fetch_maps_url_error_to_api_error(monkeypatch):
         raise urllib.error.URLError("no route to host")
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    with pytest.raises(ApiError, match="search API unreachable"):
+    with pytest.raises(ManalyzerError, match="search API unreachable"):
         search("arxiv", "soil", 5)
 
 
@@ -385,6 +378,6 @@ def test_default_download_maps_http_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     meta = PaperMeta("p1", "T", None, "arxiv", pdf_url="http://example.invalid/p.pdf")
-    with pytest.raises(NotDownloadableError, match="p1: download failed: HTTP Error 404"):
+    with pytest.raises(ManalyzerError, match="p1: download failed: HTTP Error 404"):
         download_pdf(meta, tmp_path)
     assert list(tmp_path.iterdir()) == []

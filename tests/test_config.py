@@ -17,7 +17,6 @@ from manalyzer.config import (
     render_config,
     sha256_hex,
 )
-from manalyzer.errors import ConfigError
 
 from helpers import run_python
 
@@ -58,27 +57,27 @@ def test_parse_happy_path():
 
 
 def test_parse_unknown_key():
-    with pytest.raises(ConfigError, match=r"<config>:2: unknown config key 'packer\.depth'"):
+    with pytest.raises(ValueError, match=r"<config>:2: unknown config key 'packer\.depth'"):
         parse_config("packer.budget = 1\npacker.depth = 2\n")
 
 
 def test_parse_missing_equals():
-    with pytest.raises(ConfigError, match="<config>:1: expected 'key = value'"):
+    with pytest.raises(ValueError, match="<config>:1: expected 'key = value'"):
         parse_config("packer.budget 1\n")
 
 
 def test_parse_bad_int():
-    with pytest.raises(ConfigError, match="bad value 'many'"):
+    with pytest.raises(ValueError, match="bad value 'many'"):
         parse_config("packer.budget = many\n")
 
 
 def test_parse_bad_float():
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ValueError, match="bad value"):
         parse_config("reviewer.threshold = high\n")
 
 
 def test_parse_reports_source_name():
-    with pytest.raises(ConfigError, match="my.cfg:1"):
+    with pytest.raises(ValueError, match="my.cfg:1"):
         parse_config("nope = 1\n", source="my.cfg")
 
 
@@ -102,7 +101,7 @@ def test_parse_reports_source_name():
     ],
 )
 def test_validation(kwargs, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ValueError, match=message):
         PipelineConfig(**kwargs)
 
 
@@ -112,9 +111,9 @@ def test_validation(kwargs, message):
 )
 def test_a_non_finite_float_is_refused(field, value):
     message = f"{FIELD_MAP[field]} must be finite"
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ValueError, match=message):
         PipelineConfig(**{field: value})
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ValueError, match=message):
         parse_config(f"{FIELD_MAP[field]} = {value}")
 
 
@@ -150,7 +149,7 @@ def test_digest_stable_and_sensitive():
         for value in deltas:
             try:
                 changed = dataclasses.replace(base, **{field.name: value})
-            except ConfigError:
+            except ValueError:
                 continue  # the default sits at a validation boundary
             break
         else:
@@ -163,7 +162,7 @@ def test_load_config_none_gives_defaults():
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read config"):
+    with pytest.raises(ValueError, match="cannot read config"):
         load_config(tmp_path / "absent.txt")
 
 

@@ -7,14 +7,7 @@ import pytest
 
 from manalyzer import prompts
 from manalyzer.analysis import AnalysisPlan, AnalysisResult, AnalysisStep, MergedTable
-from manalyzer.errors import (
-    ConversionFailure,
-    HeaderMismatchError,
-    MissingExplanationError,
-    NoTableFoundError,
-    UnparseableReplyError,
-    UnparseableTableError,
-)
+from manalyzer.errors import ExtractionError, UnparseableReplyError
 from manalyzer.evaluation import within_tolerance
 from manalyzer.extraction import (
     ConvertedPart,
@@ -153,7 +146,7 @@ def test_convert_table_image_reasks_then_fails(tmp_path, scripted):
     req = prompts.table_convert_request(str(img), "cap")
     register_for(provider, req, "There is prose but no table here.")
     register_for(provider, req.with_addendum(prompts.REASK_TABLE), "still prose")
-    with pytest.raises(NoTableFoundError):
+    with pytest.raises(ExtractionError, match="tbl-1: conversion reply holds no table"):
         convert_table_image(str(img), "cap", gateway, "tbl-1")
     assert len(provider.calls) == 2
 
@@ -175,7 +168,7 @@ def test_summarize_figure_requires_bullets(tmp_path, scripted):
     req2 = prompts.figure_summary_request(str(img2), "Figure 2")
     register_for(provider, req2, "a paragraph, not bullets")
     register_for(provider, req2.with_addendum(prompts.REASK_BULLETS), "still prose")
-    with pytest.raises(ConversionFailure):
+    with pytest.raises(ExtractionError, match="fig-2: figure summary reply holds no bullets"):
         summarize_figure(str(img2), "Figure 2", gateway, "fig-2")
 
 
@@ -268,7 +261,7 @@ def test_extract_to_table_header_mismatch(scripted):
         provider,
         prompts.extract_request(TOPIC, ["other column"], rendered, None), reply
     )
-    with pytest.raises(HeaderMismatchError):
+    with pytest.raises(ExtractionError, match="do not match template"):
         extract_to_table([part], ["other column"], TOPIC, gateway)
 
 
@@ -293,7 +286,7 @@ def test_extract_to_table_rejects_unparseable_cells(scripted):
     rendered = [render_part(part, 1)]
     reply = extract_reply(["about half"], ["The number 42: Comes from Part 1, Row 1, Column 1."])
     register_for(provider, prompts.extract_request(TOPIC, ["value"], rendered, None), reply)
-    with pytest.raises(UnparseableTableError):
+    with pytest.raises(ExtractionError, match="cannot parse cell 'about half'"):
         extract_to_table([part], ["value"], TOPIC, gateway)
 
 
@@ -306,7 +299,7 @@ def test_extract_to_table_requires_explanations_for_numbers(scripted):
         prompts.extract_request(TOPIC, ["value"], rendered, None),
         "| value |\n| --- |\n| 42 |\n",
     )
-    with pytest.raises(MissingExplanationError):
+    with pytest.raises(ExtractionError, match="numbers but no explanation block"):
         extract_to_table([part], ["value"], TOPIC, gateway)
 
 
@@ -698,7 +691,7 @@ def test_feedback_loop_final_attempt_error_propagates(scripted):
     part = prose_part()
     harness = LoopHarness(provider, part)
     harness.script_extract(None, "no table in this reply at all")
-    with pytest.raises(UnparseableTableError):
+    with pytest.raises(ExtractionError, match="no Markdown table found in reply"):
         run_feedback_loop([part], ["value"], TOPIC, gateway, doc_id="d1", max_iter=1)
 
 
@@ -712,7 +705,7 @@ def test_feedback_loop_earlier_error_becomes_feedback(scripted):
         from manalyzer.parsing import parse_markdown_table
 
         parse_markdown_table(bad_reply)
-    except UnparseableTableError as exc:
+    except ExtractionError as exc:
         prior = f"Your previous reply could not be used ({exc}). Follow the format exactly."
     harness.script_extract(
         prior, extract_reply(["42"], ["The number 42: Comes from Part 1, Row 1, Column 1."])

@@ -11,8 +11,7 @@ from manalyzer import gateway as gateway_module
 from manalyzer.errors import (
     DuplicateScriptKeyError,
     EmptyResponseError,
-    InvalidRequestError,
-    ScriptMissError,
+    ManalyzerError,
     TransportError,
     UnparseableReplyError,
 )
@@ -114,9 +113,9 @@ def test_with_addendum_changes_digest_and_keeps_original():
 
 
 def test_request_validation():
-    with pytest.raises(InvalidRequestError):
+    with pytest.raises(ValueError, match="unknown request tag 'not-a-tag'"):
         text_request("x", tag="not-a-tag")
-    with pytest.raises(InvalidRequestError):
+    with pytest.raises(ValueError, match="user_parts must be non-empty"):
         AgentRequest("s", (), "extract")
 
 
@@ -131,7 +130,7 @@ def test_scripted_provider_round_trip():
 
 def test_scripted_provider_misses_loudly():
     provider = ScriptedProvider()
-    with pytest.raises(ScriptMissError):
+    with pytest.raises(ManalyzerError, match="no script entry for tag='extract'"):
         provider.complete(text_request("never registered"))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manalyzer.errors import UnparseableNumericError, UnparseableReplyError, UnparseableTableError
+from manalyzer.errors import ExtractionError, UnparseableNumericError, UnparseableReplyError
 from manalyzer.parsing import (
     normalize_numeric,
     parse_all_markdown_tables,
@@ -138,7 +138,7 @@ def test_parse_all_markdown_tables_finds_each_block():
 
 
 def test_parse_markdown_table_requires_a_table():
-    with pytest.raises(UnparseableTableError):
+    with pytest.raises(ExtractionError, match="no Markdown table found in reply"):
         parse_markdown_table("no pipes here at all")
 
 

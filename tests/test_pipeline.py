@@ -13,7 +13,7 @@ import pytest
 
 from manalyzer import collector, extraction, pipeline, prompts, synth, workspace
 from manalyzer.config import PipelineConfig
-from manalyzer.errors import ConfigError, ScriptMissError, StageFailure
+from manalyzer.errors import ManalyzerError, StageFailure
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
@@ -72,7 +72,7 @@ def test_build_provider_resolves_relative_script(tmp_path):
 
 
 def test_build_provider_rejects_unknown_kind(tmp_path):
-    with pytest.raises(ConfigError, match="unknown provider.kind 'live'"):
+    with pytest.raises(ValueError, match="unknown provider.kind 'live'"):
         build_provider(PipelineConfig(provider_kind="live"), tmp_path)
 
 
@@ -88,18 +88,18 @@ def test_load_template_skips_comments(tmp_path):
 def test_load_template_rejects_empty(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# nothing\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="no columns"):
+    with pytest.raises(ValueError, match="no columns"):
         load_template(path)
 
 
 def test_template_pinned_to_workspace(mini):
     pipe, _ = mini
-    with pytest.raises(ConfigError, match="no extraction template"):
+    with pytest.raises(ValueError, match="no extraction template"):
         pipe.load_stored_template()
     pipe.store_template(["a", "b"])
     assert pipe.load_stored_template() == ["a", "b"]
     pipe.store_template(["a", "b"])  # idempotent
-    with pytest.raises(ConfigError, match="template differs"):
+    with pytest.raises(ValueError, match="template differs"):
         pipe.store_template(["a", "c"])
 
 
@@ -199,7 +199,7 @@ def test_review_isolates_failed_papers(mini):
 
 def test_run_requires_template(mini):
     pipe, _ = mini
-    with pytest.raises(ConfigError, match="no extraction template"):
+    with pytest.raises(ValueError, match="no extraction template"):
         pipe.run(None)
 
 
@@ -311,7 +311,7 @@ class MissingScores(ContentAnsweringProvider):
         if request.request_tag == "paragraph_score":
             text = request.user_parts[0].text
             if self.marker and self.marker in text:
-                raise ScriptMissError(f"no score for {text[:20]!r}")
+                raise ManalyzerError(f"no score for {text[:20]!r}")
             with self._lock:
                 self.scored.append(text)
         return super().complete(request)
@@ -735,7 +735,7 @@ class MissingBatch(ContentAnsweringProvider):
         if request.request_tag == "comparative_review" and any(
             self.marker in part.text for part in request.user_parts
         ):
-            raise ScriptMissError("no comparative review scripted")
+            raise ManalyzerError("no comparative review scripted")
         return super().complete(request)
 
 

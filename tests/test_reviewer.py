@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from manalyzer import prompts
 from manalyzer.config import DEFAULTS
-from manalyzer.errors import ReviewFailure, SchemaViolationError
+from manalyzer.errors import ReviewFailure
 from manalyzer.reviewer import (
     IndependentScores,
     ReviewRecord,
@@ -160,7 +161,7 @@ def test_load_screening_gold(tmp_path):
 def test_load_screening_gold_rejects_bad_lines(tmp_path):
     path = tmp_path / "gold.txt"
     path.write_text("d01 yes\n", encoding="utf-8")
-    with pytest.raises(SchemaViolationError, match=":1"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: expected 'doc_id 0|1', got 'd01 yes'")):
         load_screening_gold(path)
 
 

@@ -17,7 +17,6 @@ from manalyzer import workspace
 from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
 from manalyzer.collector import ImageRef, Paragraph, ParsedDocument
 from manalyzer.config import PipelineConfig, config_digest
-from manalyzer.errors import CorruptManifestError, RefuseResumeError, WorkspaceError
 from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable
 from manalyzer.packer import PackedDocument
 from manalyzer.pipeline import (
@@ -53,7 +52,7 @@ def test_init_lays_out_directories(tmp_path):
 
 
 def test_init_refuses_existing_workspace(ws):
-    with pytest.raises(WorkspaceError, match="already holds"):
+    with pytest.raises(ValueError, match="already holds"):
         Workspace.init(ws.root, "other", PipelineConfig())
 
 
@@ -69,19 +68,19 @@ def test_load_round_trip(ws):
 
 
 def test_load_requires_manifest(tmp_path):
-    with pytest.raises(WorkspaceError, match="not a workspace"):
+    with pytest.raises(ValueError, match="not a workspace"):
         Workspace.load(tmp_path)
 
 
 def test_load_rejects_unparseable_json(ws):
     ws.manifest_path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(CorruptManifestError, match="manifest.json: unreadable"):
+    with pytest.raises(ValueError, match="manifest.json: unreadable"):
         Workspace.load(ws.root)
 
 
 def test_load_rejects_a_non_finite_number(ws):
     ws.manifest_path.write_text('{"version": NaN}', encoding="utf-8")
-    with pytest.raises(CorruptManifestError, match="manifest.json: unreadable.*non-finite"):
+    with pytest.raises(ValueError, match="manifest.json: unreadable.*non-finite"):
         Workspace.load(ws.root)
 
 
@@ -93,26 +92,26 @@ def _rewrite_manifest(ws, mutate):
 
 def test_load_rejects_wrong_version(ws):
     _rewrite_manifest(ws, lambda raw: raw.__setitem__("version", MANIFEST_VERSION + 1))
-    with pytest.raises(CorruptManifestError, match="version"):
+    with pytest.raises(ValueError, match="version"):
         Workspace.load(ws.root)
 
 
 @pytest.mark.parametrize("field", ["docs", "direction", "config_digest"])
 def test_load_rejects_mistyped_fields(ws, field):
     _rewrite_manifest(ws, lambda raw: raw.__setitem__(field, 17))
-    with pytest.raises(CorruptManifestError, match="missing or mistyped"):
+    with pytest.raises(ValueError, match="missing or mistyped"):
         Workspace.load(ws.root)
 
 
 def test_load_rejects_empty_history(ws):
     _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", []))
-    with pytest.raises(CorruptManifestError, match="empty status history"):
+    with pytest.raises(ValueError, match="empty status history"):
         Workspace.load(ws.root)
 
 
 def test_load_rejects_unknown_status(ws):
     _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", ["zapped"]))
-    with pytest.raises(CorruptManifestError, match="unknown status"):
+    with pytest.raises(ValueError, match="unknown status"):
         Workspace.load(ws.root)
 
 
@@ -126,7 +125,7 @@ def test_load_rejects_unknown_status(ws):
 )
 def test_load_rejects_non_advancing_history(ws, history):
     _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", history))
-    with pytest.raises(CorruptManifestError, match="regressed"):
+    with pytest.raises(ValueError, match="regressed"):
         Workspace.load(ws.root)
 
 
@@ -144,18 +143,18 @@ def test_mark_same_status_is_noop(ws):
 
 def test_mark_conflicting_outcome_fails(ws):
     ws.mark("d01", "screened_in")
-    with pytest.raises(CorruptManifestError, match="conflicting outcomes"):
+    with pytest.raises(ValueError, match="conflicting outcomes"):
         ws.mark("d01", "screened_out")
 
 
 def test_mark_regression_fails(ws):
     ws.mark("d01", "packed")
-    with pytest.raises(CorruptManifestError, match="regress"):
+    with pytest.raises(ValueError, match="regress"):
         ws.mark("d01", "collected")
 
 
 def test_mark_unknown_status_fails(ws):
-    with pytest.raises(WorkspaceError, match="unknown status"):
+    with pytest.raises(ValueError, match="unknown status"):
         ws.mark("d01", "polished")
 
 
@@ -172,7 +171,7 @@ def test_check_config_accepts_matching(ws):
 
 
 def test_check_config_rejects_drift(ws):
-    with pytest.raises(RefuseResumeError, match="config digest mismatch"):
+    with pytest.raises(ValueError, match="config digest mismatch"):
         ws.check_config(PipelineConfig(packer_budget=64))
 
 
@@ -181,7 +180,7 @@ def test_digest_recorded_at_init(ws):
 
 
 def test_dir_rejects_unknown_name(ws):
-    with pytest.raises(WorkspaceError, match="unknown workspace subdirectory"):
+    with pytest.raises(ValueError, match="unknown workspace subdirectory"):
         ws.dir("scratch")
     assert ws.dir("parsed") == ws.root / "parsed"
 
