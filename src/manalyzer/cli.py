@@ -206,11 +206,10 @@ def eval_extraction(args: argparse.Namespace) -> None:
     pipe = _open(args)
     config = pipe.config
     gold = evaluation.load_gold(args.gold)
-    extracted: dict[str, list[float]] = {}
-    for doc_id in pipe.ws.doc_ids():
-        table = pipe.load_table(doc_id)
-        if table is not None:
-            extracted[doc_id] = [value for _, _, value in table.numeric_cells()]
+    extracted = {
+        doc_id: [value for _, _, value in table.numeric_cells()]
+        for doc_id, table in pipe.load_tables().items()
+    }
     results = [
         result
         for level in evaluation.LEVELS

@@ -33,6 +33,11 @@ a later command's overrides (``pack --budget``, ``screen --batch-size``,
 table merge, report) are single-threaded. Only the orchestrator thread
 marks statuses.
 
+A document's status vouches for its artifacts (``ARTIFACTS``): from that
+status a missing or undecodable one is exit 2, naming the file. Each stage
+and read-only command reads, through ``Pipeline.artifact``, every artifact
+it uses before its first agent call or output, and each file once.
+
 Inside a document, the independent agent calls (paragraph scores, mask
 batches) fan out through ``Gateway.map``, on the document's own thread and
 its helpers, so up to ``max_concurrency x provider.max_in_flight`` threads
@@ -53,20 +58,11 @@ from typing import Any, TypeVar
 
 from . import collector, extraction, packer, prompts, reviewer
 from .analysis import (
-    AnalysisPlan,
-    AnalysisResult,
-    MergedTable,
-    merge_tables,
-    plan_analysis,
-    run_analysis,
+    AnalysisPlan, AnalysisResult, MergedTable, merge_tables, plan_analysis, run_analysis,
 )
 from .config import PipelineConfig
 from .errors import (
-    EmptyResponseError,
-    ExtractionError,
-    ManalyzerError,
-    NoValidStepsError,
-    ReviewFailure,
+    EmptyResponseError, ExtractionError, ManalyzerError, NoValidStepsError, ReviewFailure,
     StageFailure,
 )
 from .gateway import Gateway, Provider, ScriptedProvider
@@ -157,6 +153,22 @@ class ExtractionParts:
     warnings: tuple[str, ...]
 
 
+# Each artifact read back: its path under the workspace root ({doc} is the
+# doc_id), its type, and the status from which a document must have it; a
+# workspace-level file is required once any document has that status.
+ARTIFACTS: dict[str, tuple[str, Any, str]] = {
+    "parsed": ("parsed/{doc}.json", collector.ParsedDocument, "parsed"),
+    "packed": ("packed/{doc}.json", packer.PackedDocument, "packed"),
+    "indep": ("reviews/{doc}.indep.json", reviewer.IndependentScores | IndependentFailure,
+              "reviewed"),
+    "review": ("reviews/{doc}.json", ReviewRecord | ReviewFailureRecord, "reviewed"),
+    "table": ("extracted/{doc}/table.json", extraction.ExtractedTable, "extracted"),
+    "trace": ("extracted/{doc}/trace.json", ExtractionTrace, "extracted"),
+    "merged": ("analysis/merged.json", MergedTable, "analyzed"),
+    "results": ("analysis/results.json", tuple[AnalysisResult, ...], "analyzed"),
+}
+
+
 def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
     """The provider named by the config. Only the scripted provider ships;
     live providers plug in through the Provider protocol."""
@@ -196,13 +208,6 @@ def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
     return wrap
 
 
-def _require(path: Path) -> Path:
-    """`path`, or a ValueError naming it when no such file exists (exit 2)."""
-    if not path.exists():
-        raise ValueError(f"{path}: no such file")
-    return path
-
-
 def load_template(path: Path) -> list[str]:
     """Extraction template: ordered column names, one per line. A column that
     holds `|`, which splits table rows, or that equals `doc_id` or another
@@ -234,6 +239,7 @@ class Pipeline:
             retries=config.provider_retries,
             max_in_flight=config.provider_max_in_flight,
         )
+        self._read: dict[Path, Any] = {}  # what `artifact` read, by path
 
     # -- small helpers ---------------------------------------------------
 
@@ -264,28 +270,38 @@ class Pipeline:
             if not ok:
                 raise result
 
-    def _parsed_path(self, doc_id: str) -> Path:
-        return self.ws.dir("parsed") / f"{doc_id}.json"
+    def _path(self, name: str, doc_id: str | None = None) -> Path:
+        return self.ws.root / ARTIFACTS[name][0].format(doc=doc_id)
 
-    def _load_parsed(self, doc_id: str) -> collector.ParsedDocument:
-        """`parsed/<doc_id>.json`, checked as `ingest` checked it: a missing
-        or corrupt file, a doc_id that is not the file's name or an image
-        gone from the workspace is a ValueError naming the file (exit 2)."""
-        path = _require(self._parsed_path(doc_id))
-        doc = read_artifact(path, collector.ParsedDocument)
-        if doc.doc_id != doc_id:
-            raise ValueError(f"{path}: doc_id {doc.doc_id!r} is not the file's name")
-        if ref := collector.missing_image(doc, self.ws.root):
+    def artifact(self, name: str, doc_id: str | None = None) -> Any:
+        """The `ARTIFACTS` entry `name` of `doc_id` (of the workspace when
+        None). An absent file is None below the status that vouches for it
+        and a ValueError naming it (exit 2) from there on; so is a file that
+        does not decode, whose doc_id is not the file's name, or, for a parse
+        file, one of whose images is gone from the workspace. A file read is
+        kept until the pipeline writes it, except a parse file, which is
+        large and read where it is used."""
+        path = self._path(name, doc_id)
+        if path in self._read:
+            return self._read[path]
+        _, cls, status = ARTIFACTS[name]
+        found = read_artifact(path, cls)
+        if found is None:
+            if any(self.ws.at_least(d, status) for d in ([doc_id] if doc_id else self.ws.docs)):
+                raise ValueError(f"{path}: no such file")
+            return None
+        if getattr(found, "doc_id", doc_id) != doc_id:
+            raise ValueError(f"{path}: doc_id {found.doc_id!r} is not the file's name")
+        if name != "parsed":
+            self._read[path] = found
+        elif ref := collector.missing_image(found, self.ws.root):
             raise ValueError(f"{path}: image {ref.image!r} ({ref.id}) not found")
-        return doc
+        return found
 
-    def _packed_path(self, doc_id: str) -> Path:
-        return self.ws.dir("packed") / f"{doc_id}.json"
-
-    def load_packed(self, doc_id: str) -> packer.PackedDocument:
-        """`packed/<doc_id>.json`: a missing or corrupt file is a ValueError
-        naming it (exit 2)."""
-        return read_artifact(_require(self._packed_path(doc_id)), packer.PackedDocument)
+    def _write(self, path: Path, obj: object) -> None:
+        """Write an artifact, dropping what `artifact` kept of it."""
+        self._read.pop(path, None)
+        atomic_write_json(path, obj)
 
     def _template_path(self) -> Path:
         return self.ws.root / "template.txt"
@@ -328,8 +344,7 @@ class Pipeline:
             if doc.doc_id in docs:
                 twin = docs[doc.doc_id][0].name
                 raise ValueError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
-            packed = self.ws.dir("packed") / f"{doc.doc_id}.json"
-            if self.ws.at_least(doc.doc_id, "packed") or packed.exists():
+            if self.ws.at_least(doc.doc_id, "packed") or self._path("packed", doc.doc_id).exists():
                 raise ValueError(f"{doc.doc_id} is packed already; its parse cannot change")
             docs[doc.doc_id] = parse_file, doc
         for _, doc in docs.values():
@@ -338,7 +353,7 @@ class Pipeline:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 if not target.exists():
                     atomic_write_bytes(target, (source / ref.image).read_bytes())
-            collector.save_parsed(doc, self._parsed_path(doc.doc_id))
+            collector.save_parsed(doc, self._path("parsed", doc.doc_id))
             self.ws.mark(doc.doc_id, "parsed")
         self.ws.compact()
         return list(docs)
@@ -348,10 +363,10 @@ class Pipeline:
     @stage("pack")
     def stage_pack(self) -> None:
         def work(doc_id: str) -> None:
-            path = self.ws.dir("packed") / f"{doc_id}.json"
+            path = self._path("packed", doc_id)
             if not path.exists():
-                atomic_write_json(path, packer.pack_document(
-                    self._load_parsed(doc_id), self.gateway, self.config.packer_budget,
+                self._write(path, packer.pack_document(
+                    self.artifact("parsed", doc_id), self.gateway, self.config.packer_budget,
                     self.config.packer_default_importance,
                 ))
 
@@ -366,28 +381,25 @@ class Pipeline:
         if not self.ws.docs_at("packed"):
             return
         direction = self.ws.direction
-        reviews = self.ws.dir("reviews")
 
         def record(entry: ReviewRecord | ReviewFailureRecord) -> None:
-            path = reviews / f"{entry.doc_id}.json"
+            path = self._path("review", entry.doc_id)
             if not path.exists():
-                atomic_write_json(path, entry)
+                self._write(path, entry)
 
         # Phase 1: independent scores, one file per paper, for every packed
         # paper (a reviewed paper's file is read back: batches span it too).
         # A paper that fails here gets its failure record and no batch.
         def independent(doc_id: str) -> reviewer.IndependentScores | IndependentFailure:
-            path = reviews / f"{doc_id}.indep.json"
-            scores = read_artifact(path, reviewer.IndependentScores | IndependentFailure)
+            scores = indep[doc_id]
             if scores is None:
-                packed = self.load_packed(doc_id)
                 try:
                     scores = reviewer.review_independent(
-                        packed.text, direction, self.gateway, packed.captions
+                        packed[doc_id].text, direction, self.gateway, packed[doc_id].captions
                     )
                 except ReviewFailure as exc:
                     scores = IndependentFailure(failed=True, reason=str(exc))
-                atomic_write_json(path, scores)
+                self._write(self._path("indep", doc_id), scores)
             if isinstance(scores, IndependentFailure):
                 record(ReviewFailureRecord(**vars(scores), doc_id=doc_id))
             return scores
@@ -398,11 +410,12 @@ class Pipeline:
         # each of its papers a failure record.
         def comparative(batch_id: int) -> None:
             batch = batches[batch_id]
-            if all((reviews / f"{d}.json").exists() for d in batch):
+            if all(self._path("review", d).exists() for d in batch):
                 return
-            texts = [self.load_packed(d).text for d in batch]
             try:
-                relatives = reviewer.review_batch(texts, direction, self.gateway)
+                relatives = reviewer.review_batch(
+                    [packed[d].text for d in batch], direction, self.gateway
+                )
             except ReviewFailure as exc:
                 for doc_id in batch:
                     record(ReviewFailureRecord(failed=True, reason=str(exc), doc_id=doc_id))
@@ -411,37 +424,32 @@ class Pipeline:
                 s1, s2 = indep[doc_id].s1, indep[doc_id].s2
                 record(ReviewRecord(doc_id, s1, s2, s_r, reviewer.fuse(s1, s2, s_r), batch_id))
 
-        indep: dict[str, Any] = {}
-        packed = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
-        for doc_id in packed:  # before any call, not after the other papers' calls
-            if not (reviews / f"{doc_id}.indep.json").exists():
-                _require(self._packed_path(doc_id))
+        # Every packed paper's scores and text, read before the first call.
+        papers = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
+        indep: dict[str, Any] = {d: self.artifact("indep", d) for d in papers}
+        packed = {d: self.artifact("packed", d) for d in papers}
         try:
-            self._per_document(independent, packed, indep.__setitem__)
+            self._per_document(independent, papers, indep.__setitem__)
             scored = sorted(d for d, s in indep.items() if not isinstance(s, IndependentFailure))
             size = self.config.reviewer_batch_size
             batches = [scored[start : start + size] for start in range(0, len(scored), size)]
             self._per_document(comparative, list(range(len(batches))))
         finally:  # reviewed: exactly the papers whose record exists, even after a failure
             for doc_id in self.ws.docs_at("packed"):
-                if (reviews / f"{doc_id}.json").exists():
+                if self._path("review", doc_id).exists():
                     self.ws.mark(doc_id, "reviewed")
 
     # -- screen ----------------------------------------------------------
 
     def load_review_records(self) -> tuple[list[ReviewRecord], list[ReviewFailureRecord]]:
         """Review records and failure records. A screened paper is kept as
-        its manifest says; an unscreened one by the configured threshold. A
-        record whose doc_id is not its file's name is a ValueError (exit 2)."""
+        its manifest says; an unscreened one by the configured threshold."""
         records, failures = [], []
         threshold = self.config.reviewer_threshold
         for doc_id in self.ws.doc_ids():
-            path = self.ws.dir("reviews") / f"{doc_id}.json"
-            record = read_artifact(path, ReviewRecord | ReviewFailureRecord)
+            record = self.artifact("review", doc_id)
             if record is None:
                 continue
-            if record.doc_id != doc_id:
-                raise ValueError(f"{path}: doc_id {record.doc_id!r} is not the file's name")
             if isinstance(record, ReviewFailureRecord):
                 failures.append(record)
                 continue
@@ -460,7 +468,7 @@ class Pipeline:
             return
         records, failures = self.load_review_records()
         kept = {r.doc_id for r in records if r.kept}
-        atomic_write_json(screening, Screening(
+        self._write(screening, Screening(
             threshold=self.config.reviewer_threshold,
             kept=tuple(sorted(kept)),
             excluded=tuple(sorted(r.doc_id for r in records if not r.kept)),
@@ -474,8 +482,8 @@ class Pipeline:
     def _extract_one(
         self, doc_id: str, template: list[str], direction: str
     ) -> extraction.ExtractedTable:
-        doc = self._load_parsed(doc_id)
-        out = self.ws.dir("extracted") / doc_id
+        doc = self.artifact("parsed", doc_id)
+        out = self._path("table", doc_id).parent
         out.mkdir(parents=True, exist_ok=True)
 
         parts: list[extraction.ConvertedPart] = [
@@ -520,15 +528,15 @@ class Pipeline:
             )
             trace, violations = [], []
 
-        atomic_write_json(out / "parts.json", ExtractionParts(
+        self._write(out / "parts.json", ExtractionParts(
             tuple(parts), tuple(mask), tuple(p.part_id for p in retained), tuple(warnings)
         ))
-        atomic_write_json(out / "trace.json", ExtractionTrace(
+        self._write(out / "trace.json", ExtractionTrace(
             trace=tuple(TraceEntry(**vars(r), iteration=i) for i, r in trace),
             violations=tuple(TraceViolation(v.kind, v.reason) for v in violations),
         ))
         # Last: a table.json vouches that the document's other files exist.
-        atomic_write_json(out / "table.json", table)
+        self._write(out / "table.json", table)
         return table
 
     @stage("extract")
@@ -538,42 +546,39 @@ class Pipeline:
         direction = self.ws.direction if topic is None else topic
 
         def work(doc_id: str) -> extraction.ExtractedTable:
-            return self.load_table(doc_id) or self._extract_one(doc_id, template, direction)
+            return tables[doc_id] or self._extract_one(doc_id, template, direction)
 
         def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
             self.ws.mark(doc_id, "extracted")
             self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
 
         todo = self.ws.docs_at("extracted") + self.ws.docs_at("screened_in")
+        tables = {doc_id: self.artifact("table", doc_id) for doc_id in todo}  # before any call
         self._per_document(work, todo, finish)
 
     # -- analyze ---------------------------------------------------------
 
-    def _table_path(self, doc_id: str) -> Path:
-        return self.ws.dir("extracted") / doc_id / "table.json"
-
-    def load_table(self, doc_id: str) -> extraction.ExtractedTable | None:
-        """The document's extracted table; None before extraction wrote it."""
-        return read_artifact(self._table_path(doc_id), extraction.ExtractedTable)
+    def load_tables(self) -> dict[str, extraction.ExtractedTable]:
+        """The table of each extracted document, by doc_id."""
+        return {
+            doc_id: self.artifact("table", doc_id)
+            for doc_id in self.ws.doc_ids() if self.ws.at_least(doc_id, "extracted")
+        }
 
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
-        """The tables of the accepted documents; a missing one is a
-        ValueError naming it (exit 2)."""
-        return [
-            read_artifact(_require(self._table_path(doc_id)), extraction.ExtractedTable)
-            for doc_id in self.ws.doc_ids() if "accepted" in self.ws.docs[doc_id]
-        ]
+        """The tables of the accepted documents."""
+        return [t for doc_id, t in self.load_tables().items() if "accepted" in self.ws.docs[doc_id]]
 
     @stage("analyze")
     def stage_analyze(self, force: bool) -> None:
         out = self.ws.dir("analysis")
-        results_path = out / "results.json"
+        results_path = self._path("results")
         pending = self.ws.docs_at("accepted")
         if results_path.exists() and not pending and not force:
             return
 
         merged = merge_tables(self.load_accepted_tables())
-        atomic_write_json(out / "merged.json", merged)
+        self._write(self._path("merged"), merged)
 
         results: list[AnalysisResult] = []
         plan = AnalysisPlan(steps=())
@@ -584,27 +589,22 @@ class Pipeline:
             except NoValidStepsError as exc:
                 log.warning("analysis skipped: %s", exc)
 
-        atomic_write_json(out / "plan.json", plan)
-        atomic_write_json(results_path, results)
+        self._write(out / "plan.json", plan)
+        self._write(results_path, results)
         for doc_id in pending:
             self.ws.mark(doc_id, "analyzed")
 
     # -- report ----------------------------------------------------------
 
     def load_merged(self) -> MergedTable:
-        merged = read_artifact(self.ws.dir("analysis") / "merged.json", MergedTable)
+        merged = self.artifact("merged")
         return merge_tables([]) if merged is None else merged
 
     def load_traces(self) -> list[TraceSummary]:
-        """One summary per document with a table; a trace missing beside its
-        table is a ValueError naming it (exit 2)."""
+        """One summary per extracted document."""
         traces = []
-        for doc_id in self.ws.doc_ids():
-            table = self.load_table(doc_id)
-            if table is None:
-                continue
-            path = _require(self.ws.dir("extracted") / doc_id / "trace.json")
-            trace = read_artifact(path, ExtractionTrace)
+        for doc_id, table in self.load_tables().items():
+            trace = self.artifact("trace", doc_id)
             traces.append(TraceSummary(
                 doc_id=doc_id,
                 iterations=max([t.iteration for t in trace.trace], default=0),
@@ -638,14 +638,12 @@ class Pipeline:
         if self.ws.report_path.exists() and not force:
             return
         merged = self.load_merged()
-        results = read_artifact(
-            self.ws.dir("analysis") / "results.json", tuple[AnalysisResult, ...]
-        ) or ()
+        results = self.artifact("results") or ()
         records, _failures = self.load_review_records()
         traces = self.load_traces()
-        titles = {  # a missing packed file leaves its paper untitled
+        titles = {
             doc_id: packed.title for doc_id in self.ws.doc_ids()
-            if (packed := read_artifact(self._packed_path(doc_id), packer.PackedDocument))
+            if (packed := self.artifact("packed", doc_id))
         }
         text = render_report(
             topic=self.ws.direction, merged=merged, results=results, review_records=records,

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shutil
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -671,27 +672,69 @@ def test_a_damaged_packed_file_never_ends_in_a_traceback(tmp_path, packed_ws, da
         assert result.exit_code in (0, 2), (command, result.stderr)
         if result.exit_code == 2:
             assert result.stderr.startswith(f"error: {path}: "), (command, result.stderr)
+            # Refused before the first review call: no review file exists.
+            assert list((ws / "reviews").iterdir()) == [], command
 
 
-@pytest.mark.parametrize("name, refused_by", [("table.json", "analyze"), ("trace.json", "report")])
+@pytest.mark.parametrize("name, refused_by", [
+    ("extracted/<doc>/table.json", {"analyze", "report", "eval-extraction"}),
+    ("extracted/<doc>/trace.json", {"report"}),
+    ("reviews/<doc>.json", {"screen-eval", "report", "screen"}),
+    # No command on a finished workspace reads the independent scores.
+    ("reviews/<doc>.indep.json", set()),
+], ids=["table.json-analyze", "trace.json-report", "record.json-screen", "indep.json-none"])
 def test_a_missing_extraction_file_never_ends_in_a_traceback(
     tmp_path, finished, corpus_dir, name, refused_by
 ):
+    """A file the document's status vouches for, deleted: each command
+    either gives the intact workspace's output or exits 2 naming the file,
+    with nothing printed and nothing written; `refused_by` must exit 2."""
     ws, config = tmp_path / "ws", finished[1]
     shutil.copytree(finished[0], ws)
+    commands = [
+        ("analyze",), ("report",), ("eval-extraction", "--gold", str(corpus_dir / "gold.jsonl")),
+        ("screen-eval", "--gold", str(corpus_dir / "screening_gold.txt")), ("screen",),
+        ("resume",),
+    ]
+    intact = {command: invoke(ws, *command, config=config) for command in commands}
+    assert all(result.exit_code == 0 for result in intact.values()), intact
     docs = Workspace.load(ws).docs
     doc_id = next(d for d in sorted(docs) if "accepted" in docs[d])
-    path = ws / "extracted" / doc_id / name
+    path = ws / name.replace("<doc>", doc_id)
     path.unlink()
-    for command in (
-        ("analyze",), ("report",), ("eval-extraction", "--gold", str(corpus_dir / "gold.jsonl")),
-        ("resume",),
-    ):
+    for command in commands:
+        before = tree(ws)
         result = invoke(ws, *command, config=config)
-        expected = (2,) if command[0] == refused_by else (0, 2)
-        assert result.exit_code in expected, (command, result.stderr)
+        if command[0] in refused_by:
+            assert result.exit_code == 2, (command, result.stderr)
         if result.exit_code == 2:
             assert result.stderr == f"error: {path}: no such file\n", (command, result.stderr)
+            assert result.stdout == "", command
+            assert tree(ws) == before, command
+        else:
+            assert result == intact[command], command
+
+
+def test_a_corpus_run_reads_each_artifact_once(initialized, monkeypatch):
+    """A read that finds its file happens once per path in a `run`; a parse
+    file, which is not kept in memory, at most twice (pack and extract)."""
+    ws, config = initialized
+    reads = Counter()
+    read = pipeline.read_artifact
+
+    def counting_read(path, cls):
+        found = read(path, cls)
+        if found is not None:
+            reads[path.relative_to(ws).as_posix()] += 1
+        return found
+
+    monkeypatch.setattr(pipeline, "read_artifact", counting_read)
+    assert invoke(ws, "run", config=config).exit_code == 0
+    assert reads["packed/d01.json"] == 1
+    assert {
+        path: count for path, count in reads.items()
+        if count > (2 if path.startswith("parsed/") else 1)
+    } == {}
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

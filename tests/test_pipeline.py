@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from manalyzer import collector, extraction, pipeline, prompts, synth, workspace
+from manalyzer.analysis import MergedTable
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ManalyzerError, StageFailure
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
@@ -826,6 +827,67 @@ def test_empty_table_reply_is_one_call_and_a_warning(tmp_path):
     assert parts["warnings"] == [
         "table t1: provider returned empty reply for tag 'table_convert'"
     ]
+
+
+def test_a_path_the_pipeline_writes_is_read_afresh(mini):
+    """What `artifact` read is kept only until the pipeline writes its path."""
+    pipe, _ = mini
+    for rows in ((), (("ma", 1.0),)):
+        merged = MergedTable(("doc_id", "value"), rows, len(rows), 0)
+        pipe._write(pipe.ws.dir("analysis") / "merged.json", merged)
+        assert pipe.artifact("merged") == merged
+
+
+def test_unusable_figure_and_extract_replies_leave_warnings_and_an_unaccepted_table(tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    texts = ["Alpha finding one.", "Alpha finding two."]
+    write_mini_doc(source, "ma", texts)
+    raw = json.loads((source / "ma.json").read_text(encoding="utf-8"))
+    raw["figures"] = [{"id": "f1", "caption": "Yield", "image": "f1.png"}]
+    (source / "ma.json").write_text(json.dumps(raw), encoding="utf-8")
+    (source / "f1.png").write_bytes(b"figure pixels")
+
+    provider = ScriptedProvider()
+    figure = prompts.figure_summary_request(str(source / "f1.png"), "Yield")
+    register_for(provider, figure, "A rising line.")
+    register_for(provider, figure.with_addendum(prompts.REASK_BULLETS), "Still a rising line.")
+    rendered = [
+        extraction.render_part(
+            extraction.ConvertedPart(f"para-{i}", "text-paragraph", text), i + 1
+        )
+        for i, text in enumerate(texts)
+    ]
+    register_for(provider, prompts.mask_request(DIRECTION, rendered), "[1.0, 1.0]")
+    register_for(provider, prompts.extract_request(DIRECTION, ["value"], rendered), "no table")
+    retry = ("Your previous reply could not be used (no Markdown table found in reply). "
+             "Follow the format exactly.")
+    register_for(provider, prompts.extract_request(DIRECTION, ["value"], rendered, retry),
+                 "no table again")
+    config = PipelineConfig()
+    ws = Workspace.init(tmp_path / "run", DIRECTION, config)
+    pipe = Pipeline(ws, config, provider)
+    pipe.ingest_dir(source)
+    for status in ("packed", "reviewed", "screened_in"):
+        ws.mark("ma", status)
+    pipe.stage_extract(["value"])
+
+    assert [tag for tag, _ in provider.calls] == [
+        "figure_summary", "figure_summary", "mask", "extract", "extract", "extract"
+    ]
+    out = ws.root / "extracted" / "ma"
+    parts = json.loads((out / "parts.json").read_text(encoding="utf-8"))
+    assert parts["warnings"] == [
+        "figure f1: f1: figure summary reply holds no bullets",
+        "extraction failed: no Markdown table found in reply",
+    ]
+    assert parts["retained"] == ["para-0", "para-1"]
+    table = json.loads((out / "table.json").read_text(encoding="utf-8"))
+    assert (table["rows"], table["provenance"], table["accepted"]) == ([], [], False)
+    assert table["iteration"] == config.extraction_max_iter
+    trace = json.loads((out / "trace.json").read_text(encoding="utf-8"))
+    assert trace == {"trace": [], "violations": []}
+    assert ws.status_of("ma") == "unaccepted"
 
 
 def test_status_text_lists_counts(tmp_path, corpus_dir):
