@@ -155,7 +155,11 @@ def _parse_plan_steps(reply: str, columns: Sequence[str]) -> list[AnalysisStep]:
             log.warning("plan step is not an object, dropped: %r", raw)
             continue
         kind = raw.get("kind")
-        features = tuple(raw.get("features") or ())
+        listed = raw.get("features") or []
+        if not isinstance(listed, list) or not all(isinstance(f, str) for f in listed):
+            log.warning("plan step features are not a list of column names, dropped: %r", raw)
+            continue
+        features = tuple(listed)
         label = str(raw.get("label") or "")
         response = str(raw.get("response") or "")
         named = set(features) | ({label} if label else set()) | ({response} if response else set())

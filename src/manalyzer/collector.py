@@ -21,7 +21,7 @@ from .config import sha256_hex
 from .errors import ManalyzerError, UnparseableReplyError
 from .gateway import Gateway
 from .parsing import parse_string_groups
-from .workspace import atomic_write_bytes, atomic_write_text, encode, from_json, read_json
+from .workspace import atomic_write_bytes, atomic_write_text, from_json, read_json, write_encoded
 
 CROSSREF_URL = "https://api.crossref.org/works"
 ARXIV_URL = "http://export.arxiv.org/api/query"
@@ -282,4 +282,4 @@ def missing_image(doc: ParsedDocument, images_root: Path) -> ImageRef | None:
 
 
 def save_parsed(doc: ParsedDocument, path: Path) -> None:
-    atomic_write_text(path, encode(doc))
+    write_encoded(path, doc, "")

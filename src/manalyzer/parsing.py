@@ -193,12 +193,21 @@ def parse_string_groups(text: str) -> list[list[str]]:
     return groups
 
 
+def _int(digits: str) -> int:
+    """`digits` as an int; UnparseableReplyError for a run longer than the
+    interpreter converts (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UnparseableReplyError(f"integer of {len(digits)} characters in reply") from None
+
+
 def parse_int_reply(text: str) -> int:
     """First integer token in the reply (scores come back as bare digits)."""
     match = re.search(r"-?\d+", text)
     if not match:
         raise UnparseableReplyError(f"no integer in reply: {text!r}")
-    return int(match.group(0))
+    return _int(match.group(0))
 
 
 def parse_labeled_score(text: str, label: str) -> int:
@@ -207,7 +216,7 @@ def parse_labeled_score(text: str, label: str) -> int:
     match = pattern.search(text)
     if not match:
         raise UnparseableReplyError(f"no {label!r} score in reply")
-    return int(match.group(1))
+    return _int(match.group(1))
 
 
 def parse_delimited_blocks(text: str, name: str) -> list[str]:

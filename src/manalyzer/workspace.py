@@ -14,10 +14,12 @@ command recovers the killed stage's progress from the artifacts on disk
 (see the pipeline module). A status log that an older build left beside
 the manifest is ignored.
 
-Every artifact write goes through `atomic_write_bytes` (the text and JSON
-writers encode, then call it): a temp file renamed over the target, so a
-killed process never leaves a half-written artifact. Every artifact is a
-dataclass with one format, `encode`'s: sorted-key, indent-2 JSON with
+Every write fills `<path>.tmp` and renames it over the target in
+`_commit`, so a killed process never leaves a half-written artifact. The
+bytes and text writers write their data whole; JSON artifacts are encoded
+straight into the temp file, chunk by chunk, and then renamed, so no write
+holds an artifact's whole encoding in memory. Every artifact is a
+dataclass with one format, `_ENCODER`'s: sorted-key, indent-2 JSON with
 finite numbers only. `atomic_write_json` is its one writer and
 `read_artifact` its one checked reader; both name the file in an error.
 Its rebuilder, `from_json`, also reads the inputs that come from outside
@@ -28,10 +30,11 @@ statuses. `STATUS_RANK` is the one list of statuses.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -58,10 +61,27 @@ STATUS_RANK = {
 SUBDIRS = ("papers", "parsed", "packed", "reviews", "extracted", "analysis")
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+def _commit(tmp: Path, path: Path) -> None:
+    """The last step of every write: rename the finished temp file over `path`."""
     tmp.replace(path)
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """`path`'s temp file, to be written in the block; committed over `path`
+    when the block returns, deleted when it raises."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _commit(tmp, path)
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_bytes(data)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -75,21 +95,37 @@ def _stored(cls: Any) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if not f.metadata.get("transient"))
 
 
+# The artifact format. Its `iterencode` yields the encoding in small chunks;
+# it holds no state between calls, so threads share it.
+_ENCODER = json.JSONEncoder(
+    indent=2, sort_keys=True, allow_nan=False,
+    default=lambda d: {name: getattr(d, name) for name in _stored(type(d))},
+)
+
+
 def encode(obj: object) -> str:
     """The artifact format: `obj` as sorted-key, indent-2 JSON, a dataclass
     as its stored fields (shallow, with no copy). NaN or an infinity is a
     ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                      default=lambda d: {name: getattr(d, name) for name in _stored(type(d))})
+    return _ENCODER.encode(obj)
+
+
+def write_encoded(path: Path, obj: object, end: str) -> None:
+    """Write `obj`'s encoding, then `end`, to `path`, chunk by chunk. A
+    value the encoder refuses is a ValueError naming `path`; `path` keeps
+    what it held, and the partial temp file is deleted."""
+    try:
+        with _replacing(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as f:
+            f.writelines(_ENCODER.iterencode(obj))
+            f.write(end)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def atomic_write_json(path: Path, obj: object) -> None:
     """Write `obj`'s encoding and a newline to `path`. A value the encoder
     refuses is a ValueError naming `path`, and nothing is written."""
-    try:
-        atomic_write_text(path, encode(obj) + "\n")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    write_encoded(path, obj, "\n")
 
 
 def _refuse_constant(token: str) -> float:

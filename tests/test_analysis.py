@@ -124,6 +124,25 @@ def test_plan_analysis_drops_invalid_steps(scripted):
     assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
 
 
+@pytest.mark.parametrize("features", [3, [["x"], "y"], "xy", [1, "z"]])
+def test_plan_analysis_drops_steps_whose_features_are_not_column_names(scripted, features):
+    provider, gateway = scripted()
+    merged = merged_from([(1.0, 2.0), (3.0, 4.0)], header=("x", "y"))
+    reply = json.dumps([
+        {"kind": "clustering", "features": features, "k": 2},
+        {"kind": "classification", "features": features, "label": "y"},
+        {"kind": "regression", "features": features, "response": "y"},
+    ])
+    register_for(provider, plan_request_for(merged), reply)
+    plan = plan_analysis(merged, TOPIC, gateway)
+    # Every agent step was dropped, so only the defaults remain.
+    assert plan.steps == (
+        AnalysisStep(kind="clustering", features=("x", "y"), k=2),
+        AnalysisStep(kind="classification", features=("x",), label="y"),
+        AnalysisStep(kind="regression", features=("x",), response="y"),
+    )
+
+
 def test_plan_analysis_single_column_regresses_on_index(scripted):
     provider, gateway = scripted()
     merged = merged_from([(1.0,), (2.0,), (4.0,)], header=("v",))

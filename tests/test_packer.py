@@ -347,6 +347,18 @@ def test_score_paragraphs_reasks_then_defaults(scripted):
     assert len(provider.calls) == 2
 
 
+def test_score_paragraphs_reasks_an_over_long_integer_then_defaults(scripted):
+    # 5,000 digits: more than `int` converts from a string by default.
+    provider, gateway = scripted()
+    doc = make_doc(["p"])
+    first = prompts.paragraph_score_request("p")
+    register_for(provider, first, "9" * 5000)
+    register_for(provider, first.with_addendum(prompts.REASK_INTEGER), "Score: " + "8" * 5000)
+    rated = score_paragraphs(doc, gateway)
+    assert rated[0].importance == DEFAULTS.packer_default_importance
+    assert len(provider.calls) == 2
+
+
 def test_score_paragraphs_reasks_out_of_range(scripted):
     provider, gateway = scripted()
     doc = make_doc(["p"])

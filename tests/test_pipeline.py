@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from manalyzer import collector, extraction, pipeline, prompts, synth, workspace
+from manalyzer import extraction, pipeline, prompts, synth, workspace
 from manalyzer.analysis import MergedTable
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ManalyzerError, StageFailure
@@ -651,7 +651,7 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
 def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkeypatch):
     # One worker and one call in flight fix the order of calls and writes.
     config = PipelineConfig(max_concurrency=1, provider_max_in_flight=1)
-    write = workspace.atomic_write_bytes
+    commit = workspace._commit
     finishing = {
         name for d in synth.DOC_IDS for name in (
             f"packed/{d}.json", f"reviews/{d}.indep.json", f"reviews/{d}.json",
@@ -660,12 +660,11 @@ def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkey
     }
 
     def start(root, provider, hook):
-        """Ingest and run on a fresh workspace, whose later writes go through
-        `hook`, until done or killed; returns whether ingest returned."""
+        """Ingest and run on a fresh workspace, whose later writes commit
+        through `hook`, until done or killed; returns whether ingest returned."""
         pipe = Pipeline(Workspace.init(root, synth.DIRECTION, config), config, provider)
         with monkeypatch.context() as patch:
-            for module in (workspace, pipeline, collector):
-                patch.setattr(module, "atomic_write_bytes", hook)
+            patch.setattr(workspace, "_commit", hook)
             try:
                 pipe.ingest_dir(corpus_dir / "docs")
             except Killed:
@@ -681,7 +680,7 @@ def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkey
 
     writes = []
     clean = tmp_path / "clean"
-    start(clean, script(), lambda path, data: (writes.append(path), write(path, data)))
+    start(clean, script(), lambda tmp, path: (writes.append(path), commit(tmp, path)))
     expected = tree(clean)
     assert not [name for name in expected if name.endswith(".tmp")]
 
@@ -690,17 +689,18 @@ def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkey
         root = tmp_path / f"kill{k}"
         done = []  # (workspace-relative name, calls issued by then) per finished write
 
-        def killing_write(path, data):
-            if len(done) == k:
-                path.with_name(path.name + ".tmp").write_bytes(data)
-                done.append(None)
+        def killing_commit(tmp, path):
             if len(done) > k:  # the process is dead: no later write happens
+                tmp.unlink()
                 raise Killed(path)
-            write(path, data)
+            if len(done) == k:  # killed with the temp file written, before its rename
+                done.append(None)
+                raise Killed(path)
+            commit(tmp, path)
             done.append((path.relative_to(root).as_posix(), len(killed.calls)))
 
         killed, provider = script(), script()
-        ingested = start(root, killed, killing_write)
+        ingested = start(root, killed, killing_commit)
         assert len(done) == k + 1, f"write {k} was never reached"
         resumed = Pipeline(Workspace.load(root), config, provider)
         if not ingested:

@@ -74,6 +74,18 @@ def test_review_independent_fails_after_reask(scripted):
         review_independent("text", DIRECTION, gateway)
 
 
+def test_review_independent_fails_after_over_long_integers(scripted):
+    # 5,000 digits: more than `int` converts from a string by default.
+    provider, gateway = scripted()
+    req = prompts.independent_review_request(DIRECTION, "text", ())
+    register_for(provider, req, f"Topic Relevance: {'9' * 5000}\nFeasibility: 6")
+    reask = req.with_addendum(prompts.REASK_SCORES)
+    register_for(provider, reask, f"Topic Relevance: 7\nFeasibility: {'1' * 5000}")
+    with pytest.raises(ReviewFailure):
+        review_independent("text", DIRECTION, gateway)
+    assert len(provider.calls) == 2
+
+
 def test_review_batch_happy_path(scripted):
     provider, gateway = scripted()
     texts = ["paper a", "paper b", "paper c"]

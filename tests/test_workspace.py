@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from manalyzer import workspace
 from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
-from manalyzer.collector import ImageRef, Paragraph, ParsedDocument
+from manalyzer.collector import ImageRef, Paragraph, ParsedDocument, save_parsed
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable
 from manalyzer.packer import PackedDocument
@@ -30,6 +31,7 @@ from manalyzer.workspace import (
     Workspace,
     atomic_write_json,
     atomic_write_text,
+    encode,
     read_artifact,
     read_json,
 )
@@ -328,9 +330,24 @@ def test_every_artifact_reads_back_as_written(tmp_path, cls):
     @given(values_of(cls))
     def round_trip(value):
         atomic_write_json(path, value)
+        assert path.read_bytes() == (encode(value) + "\n").encode("utf-8")
         assert read_artifact(path, cls) == value
+        if cls is ParsedDocument:
+            save_parsed(value, path)
+            assert path.read_bytes() == encode(value).encode("utf-8")
 
     round_trip()
+
+
+def many_parts(last_score=1.0):
+    """An `extracted/<doc>/parts.json` of 4,000 parts, over 1 MB encoded,
+    whose last part has the mask score `last_score`."""
+    parts = tuple(
+        ConvertedPart(f"p{i}", "text-paragraph", f"paragraph {i}: " + "words " * 40)
+        for i in range(4000)
+    )
+    mask = tuple(i / 4000 for i in range(3999)) + (last_score,)
+    return ExtractionParts(parts, mask, tuple(p.part_id for p in parts), ())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -341,7 +358,24 @@ def test_the_writer_refuses_a_non_finite_number_and_names_the_file(tmp_path, val
         atomic_write_json(path, table)
     with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
         atomic_write_json(path, {"stats": [value]})
+    # Refused after tens of KB reached the temp file: that file goes too.
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+        atomic_write_json(path, many_parts(value))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_json_write_never_holds_the_whole_encoding(tmp_path):
+    path = tmp_path / "parts.json"
+    parts = many_parts()
+    tracemalloc.start()
+    try:
+        atomic_write_json(path, parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 4, f"peak {peak} B for a {size} B file"
 
 
 def test_kept_stays_out_of_the_review_record_file(tmp_path):
@@ -375,13 +409,13 @@ def test_a_union_reads_the_member_that_declares_every_key(tmp_path):
 
 def test_mark_writes_nothing_and_compact_writes_the_manifest_once(ws, monkeypatch):
     written = []
-    write = workspace.atomic_write_bytes
+    commit = workspace._commit
 
-    def counting_write(path, data):
+    def counting_commit(tmp, path):
         written.append(path.name)
-        write(path, data)
+        commit(tmp, path)
 
-    monkeypatch.setattr(workspace, "atomic_write_bytes", counting_write)
+    monkeypatch.setattr(workspace, "_commit", counting_commit)
     before = tree(ws.root)
     ws.mark("d01", "collected")
     ws.mark("d01", "collected")  # no-op
