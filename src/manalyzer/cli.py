@@ -18,6 +18,7 @@ from pathlib import Path
 from . import collector, evaluation, reviewer
 from .config import PipelineConfig, load_config
 from .errors import ManalyzerError
+from .gateway import ScriptedProvider
 from .pipeline import Pipeline, Provider, build_provider, load_template, status_text
 from .workspace import Workspace
 
@@ -59,12 +60,15 @@ def _provider(args: argparse.Namespace, config: PipelineConfig) -> Provider:
 
 
 def _open(args: argparse.Namespace, **overrides) -> Pipeline:
-    """The workspace's pipeline, with each non-None override for this command only."""
+    """The workspace's pipeline, with each non-None override for this command
+    only, and its status view read off the artifacts."""
     config = load_config(args.config)
     ws = Workspace.load(args.workspace)
     ws.check_config(config)
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    return Pipeline(ws, config, _provider(args, config))
+    pipe = Pipeline(ws, config, _provider(args, config))
+    pipe.refresh()
+    return pipe
 
 
 @_command(
@@ -111,9 +115,7 @@ def collect(args: argparse.Namespace) -> None:
             downloaded += 1
         except ManalyzerError as exc:
             print(f"skipping {meta.doc_id}: {exc}", file=sys.stderr)
-            continue
-        pipe.ws.mark(meta.doc_id, "collected")
-    pipe.ws.compact()
+    pipe.refresh(save=True)
     print(f"collected {downloaded} of {len(collected)} candidate papers")
 
 
@@ -254,7 +256,9 @@ def resume(args: argparse.Namespace) -> None:
 @_command()
 def status(args: argparse.Namespace) -> None:
     """Show the per-document stage matrix."""
-    print(status_text(Workspace.load(args.workspace)), end="")
+    pipe = Pipeline(Workspace.load(args.workspace), PipelineConfig(), ScriptedProvider())
+    pipe.refresh()
+    print(status_text(pipe.ws), end="")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,41 +2,36 @@
 
 The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
-on and recording progress in the workspace manifest. Status marks stay in
-memory, and manifest.json is written once per stage: each stage method is
-wrapped by ``@stage(name)``, which writes it when the stage returns, and
-also when a ManalyzerError or OSError inside it is re-raised as
-``StageFailure(name)`` (exit 3), so ``status`` then shows the documents
-the stage finished. Any other exception, a ValueError (bad input, exit 2)
-or a kill among them, writes nothing: after a kill, ``status`` shows the
-last finished stage until the next command runs.
+on. The artifacts are the one record of progress: ``Pipeline.statuses``
+reads each document's status off the artifact that records it
+(``ARTIFACTS``' last column). ``@stage(name)`` derives the statuses when a
+stage starts, and the stage takes its work list from them; it writes them
+to manifest.json's ``docs`` view when the stage returns or fails with exit
+3. A kill writes no view, and every command derives the statuses afresh.
 
-A killed run resumes where it stopped, and every status comes back from
-files already on disk with no agent call. A killed ``ingest`` is redone by
-running ``ingest`` again. Each stage takes its work list from the manifest
-as the documents at one status (``Workspace.docs_at``). Per-document work
-(packing, independent review, comparative review batches, extraction)
-runs on one bounded worker pool, ``_per_document``. The artifact its work
-step writes last (``packed/<doc>.json``, ``reviews/<doc>.json``,
-``extracted/<doc>/table.json``) records that a document finished the
-stage, so a work step that finds it returns with no agent call; the
-finish step only marks, on the orchestrator thread once the pool has
-drained, in work-list order. Review marks instead, once the stage
-ends or fails, exactly the papers whose record exists. Screening outcomes
-are recomputed from the review records and the threshold. The exceptions:
-a kill after the ``plan`` call and before analyze's manifest write repeats
-the ``plan`` call (``results.json`` cannot tell a current analysis from a
-stale one), and a kill between two record writes of one review batch
-repeats the batch's call. An artifact a killed command wrote is kept under
-a later command's overrides (``pack --budget``, ``screen --batch-size``,
-``extract --topic``), as a marked document's is. Merge points (screening,
-table merge, report) are single-threaded. Only the orchestrator thread
-marks statuses.
+Per-document work (packing, independent review, comparative review
+batches, extraction) runs on one bounded worker pool, ``_per_document``.
+The artifact a work step writes last (``packed/<doc>.json``,
+``reviews/<doc>.json``, ``extracted/<doc>/table.json``) records that a
+document finished the stage, so a resumed stage leaves it out and repeats
+none of its agent calls. ``reviews/screening.json`` records the screening
+outcomes, and ``analysis/results.json`` the analysis of the tables in
+``analysis/merged.json``; analyze deletes the old ``results.json`` before
+it writes a new ``merged.json``. The exceptions: a kill between the
+``plan`` call and the write of ``results.json`` repeats the ``plan`` call,
+and a kill between two record writes of one review batch repeats the
+batch's call. A killed ``ingest`` is redone by running it again. An
+artifact a killed command wrote is kept under a later command's overrides
+(``pack --budget``, ``screen --batch-size``, ``extract --topic``). Merge
+points (screening, table merge, report) are single-threaded, and only the
+orchestrator thread sets the status view.
 
-A document's status vouches for its artifacts (``ARTIFACTS``): from that
-status a missing or undecodable one is exit 2, naming the file. Each stage
-and read-only command reads, through ``Pipeline.artifact``, every artifact
-it uses before its first agent call or output, and each file once.
+A status vouches for the artifacts ``ARTIFACTS``' third column names, and
+the view a command loads does too: a missing or undecodable one is exit 2,
+naming the file, so a file deleted since the last view write is refused,
+not redone. Each stage and read-only command reads, through
+``Pipeline.artifact``, every artifact it uses before its first agent call
+or output, and each file once.
 
 Inside a document, the independent agent calls (paragraph scores, mask
 batches) fan out through ``Gateway.map``, on the document's own thread and
@@ -50,6 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -153,19 +149,22 @@ class ExtractionParts:
     warnings: tuple[str, ...]
 
 
-# Each artifact read back: its path under the workspace root ({doc} is the
-# doc_id), its type, and the status from which a document must have it; a
-# workspace-level file is required once any document has that status.
-ARTIFACTS: dict[str, tuple[str, Any, str]] = {
-    "parsed": ("parsed/{doc}.json", collector.ParsedDocument, "parsed"),
-    "packed": ("packed/{doc}.json", packer.PackedDocument, "packed"),
+# Each artifact: its path under the workspace root ({doc} is the doc_id);
+# its type when read back; the status from which a document must have it
+# (a workspace-level file: once any document has it); and the status it
+# records, which `Pipeline.statuses` reads off it.
+ARTIFACTS: dict[str, tuple[str, Any, str | None, str | None]] = {
+    "paper": ("papers/{doc}.pdf", None, None, "collected"),
+    "parsed": ("parsed/{doc}.json", collector.ParsedDocument, "parsed", "parsed"),
+    "packed": ("packed/{doc}.json", packer.PackedDocument, "packed", "packed"),
     "indep": ("reviews/{doc}.indep.json", reviewer.IndependentScores | IndependentFailure,
-              "reviewed"),
-    "review": ("reviews/{doc}.json", ReviewRecord | ReviewFailureRecord, "reviewed"),
-    "table": ("extracted/{doc}/table.json", extraction.ExtractedTable, "extracted"),
-    "trace": ("extracted/{doc}/trace.json", ExtractionTrace, "extracted"),
-    "merged": ("analysis/merged.json", MergedTable, "analyzed"),
-    "results": ("analysis/results.json", tuple[AnalysisResult, ...], "analyzed"),
+              "reviewed", None),
+    "review": ("reviews/{doc}.json", ReviewRecord | ReviewFailureRecord, "reviewed", "reviewed"),
+    "screening": ("reviews/screening.json", Screening, "screened_in", "screened_in"),
+    "table": ("extracted/{doc}/table.json", extraction.ExtractedTable, "extracted", "extracted"),
+    "trace": ("extracted/{doc}/trace.json", ExtractionTrace, "extracted", None),
+    "merged": ("analysis/merged.json", MergedTable, "analyzed", None),
+    "results": ("analysis/results.json", tuple[AnalysisResult, ...], None, "analyzed"),
 }
 
 
@@ -189,20 +188,21 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
 
 
 def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Run a Pipeline method as stage `name` and write the workspace
-    manifest once when it returns. A ManalyzerError or an OSError (a failed
-    write, say) inside it writes the manifest too, then is re-raised as
-    StageFailure(name) (exit 3); any other exception, a ValueError (bad
-    input, exit 2) among them, passes through and writes nothing."""
+    """Run a Pipeline method as stage `name`: derive the status view, run the
+    method, and write the view. A ManalyzerError or an OSError (a failed
+    write, say) writes the view too, then is re-raised as StageFailure(name)
+    (exit 3); any other exception, a ValueError (bad input, exit 2) among
+    them, passes through and writes nothing."""
     def wrap(method: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(method)
         def run_stage(self: "Pipeline", *args, **kwargs) -> T:
+            self.refresh()
             try:
                 result = method(self, *args, **kwargs)
             except (ManalyzerError, OSError) as exc:
-                self.ws.compact()
+                self.refresh(save=True)
                 raise StageFailure(name, exc) from exc
-            self.ws.compact()
+            self.refresh(save=True)
             return result
         return run_stage
     return wrap
@@ -234,27 +234,17 @@ class Pipeline:
     def __init__(self, ws: Workspace, config: PipelineConfig, provider: Provider):
         self.ws = ws
         self.config = config
-        self.gateway = Gateway(
-            provider,
-            retries=config.provider_retries,
-            max_in_flight=config.provider_max_in_flight,
-        )
-        self._read: dict[Path, Any] = {}  # what `artifact` read, by path
+        self.gateway = Gateway(provider, retries=config.provider_retries,
+                               max_in_flight=config.provider_max_in_flight)
+        self._read: dict[str, Any] = {}  # what `artifact` read, by workspace-relative path
 
     # -- small helpers ---------------------------------------------------
 
-    def _per_document(
-        self, work: Callable[[K], T], todo: list[K], finish: Callable[[K, T], None] = lambda *_: None
-    ) -> None:
-        """Run `work` over `todo` (documents, or review batches) on the pool.
-        Every item runs even when another fails. Once the pool has drained,
-        call `finish` here, on the orchestrator thread, for each item that
-        succeeded, in `todo` order, then raise the first failure in `todo`
-        order. An interrupt leaves queued items unstarted. `work` writes its
-        item's artifacts and returns early when the last one exists, so
-        `finish` only marks or collects (review marks from its records once
-        the stage ends); the module docstring names the two cases where a
-        resume still repeats a call."""
+    def _per_document(self, work: Callable[[K], T], todo: list[K]) -> list[T]:
+        """Run `work` over `todo` (documents, or review batches) on the pool
+        and return its results in `todo` order. Every item runs even when
+        another fails; once the pool has drained, the first failure in
+        `todo` order is raised. An interrupt leaves queued items unstarted."""
         def attempt(key: K) -> tuple[bool, Any]:
             try:
                 return True, work(key)
@@ -263,64 +253,114 @@ class Pipeline:
 
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
             outcomes = list(pool.map(attempt, todo))
-        for key, (ok, result) in zip(todo, outcomes):
-            if ok:
-                finish(key, result)
         for ok, result in outcomes:
             if not ok:
                 raise result
+        return [result for _, result in outcomes]
 
     def _path(self, name: str, doc_id: str | None = None) -> Path:
         return self.ws.root / ARTIFACTS[name][0].format(doc=doc_id)
 
     def artifact(self, name: str, doc_id: str | None = None) -> Any:
         """The `ARTIFACTS` entry `name` of `doc_id` (of the workspace when
-        None). An absent file is None below the status that vouches for it
-        and a ValueError naming it (exit 2) from there on; so is a file that
-        does not decode, whose doc_id is not the file's name, or, for a parse
-        file, one of whose images is gone from the workspace. A file read is
-        kept until the pipeline writes it, except a parse file, which is
-        large and read where it is used."""
-        path = self._path(name, doc_id)
-        if path in self._read:
-            return self._read[path]
-        _, cls, status = ARTIFACTS[name]
-        found = read_artifact(path, cls)
+        None); None when absent (see `_vouch`). A file that does not decode,
+        whose doc_id is not the file's name, or, for a parse file, one of
+        whose images is gone, is a ValueError naming it (exit 2). A file read
+        is kept until the pipeline writes it, except a parse file (large)."""
+        rel = ARTIFACTS[name][0].format(doc=doc_id)
+        if rel in self._read:
+            return self._read[rel]
+        path = self.ws.root / rel
+        found = read_artifact(path, ARTIFACTS[name][1])
         if found is None:
-            if any(self.ws.at_least(d, status) for d in ([doc_id] if doc_id else self.ws.docs)):
-                raise ValueError(f"{path}: no such file")
-            return None
+            return self._vouch(name, doc_id)
         if getattr(found, "doc_id", doc_id) != doc_id:
             raise ValueError(f"{path}: doc_id {found.doc_id!r} is not the file's name")
         if name != "parsed":
-            self._read[path] = found
+            self._read[rel] = found
         elif ref := collector.missing_image(found, self.ws.root):
             raise ValueError(f"{path}: image {ref.image!r} ({ref.id}) not found")
         return found
 
+    def _vouch(self, name: str, doc_id: str | None = None) -> None:
+        """For an absent `ARTIFACTS` entry `name` of `doc_id`: a ValueError
+        naming it when the status view vouches for it."""
+        status, owners = ARTIFACTS[name][2], [doc_id] if doc_id else self.ws.docs
+        if status and any(self.ws.at_least(d, status) for d in owners):
+            raise ValueError(f"{self._path(name, doc_id)}: no such file")
+
+    def _listed(self, name: str) -> set[str]:
+        """The doc ids that have an `ARTIFACTS` entry `name`, from one
+        directory listing: `statuses` runs often, and a stat per file costs."""
+        folder, suffix = ARTIFACTS[name][0].split("/{doc}")
+        return {f.removesuffix(suffix) for f in os.listdir(self.ws.root / folder)
+                if f.endswith(suffix)}
+
+    def _screened(self) -> dict[str, str]:
+        """Each paper's outcome in `reviews/screening.json`, by the list it is in."""
+        s = self.artifact("screening") or Screening(0.0, (), (), ())
+        out = dict.fromkeys(s.excluded + s.failures, "screened_out")
+        return out | dict.fromkeys(s.kept, "screened_in")
+
+    def statuses(self) -> dict[str, list[str]]:
+        """Each document's status history, off the artifacts that record it
+        (`ARTIFACTS`' last column): a file that exists records its status (a
+        review record must decode); screening.json records outcomes; a table
+        accepted or unaccepted; results.json analyzed, for an accepted table
+        with rows in merged.json or none. Documents: the view's and those with
+        a paper or a parse file, less those with no status."""
+        screened = self._screened()
+        merged = self.artifact("merged") if self._path("results").exists() else None
+        merged_docs = set() if merged is None else {row[0] for row in merged.rows}
+        listed = {name: self._listed(name) for name in ("paper", "parsed", "packed", "review")}
+        begun = set(os.listdir(self.ws.dir("extracted")))  # the documents that may have a table
+        view = {}
+        for doc_id in sorted({*self.ws.docs, *listed["paper"], *listed["parsed"]}):
+            history = []
+            for name, found in listed.items():
+                if doc_id not in found:
+                    self._vouch(name, doc_id)
+                elif name != "review" or self.artifact(name, doc_id):  # a record must decode
+                    history.append(ARTIFACTS[name][3])
+            if doc_id in screened:
+                history.append(screened[doc_id])
+            if doc_id not in begun:
+                self._vouch("table", doc_id)
+            elif table := self.artifact("table", doc_id):
+                history += ["extracted", "accepted" if table.accepted else "unaccepted"]
+                if table.accepted and merged and (doc_id in merged_docs or not table.rows):
+                    history.append("analyzed")
+            if history:
+                view[doc_id] = history
+        return view
+
+    def refresh(self, save: bool = False) -> None:
+        """Set the status view to `statuses()`; with `save`, write it too."""
+        statuses = self.statuses()
+        self.ws.docs = {}
+        for doc_id, history in statuses.items():
+            self.ws.mark(doc_id, history)
+        if save:
+            self.ws.save()
+
     def _write(self, path: Path, obj: object) -> None:
         """Write an artifact, dropping what `artifact` kept of it."""
-        self._read.pop(path, None)
+        self._read.pop(path.relative_to(self.ws.root).as_posix(), None)
         atomic_write_json(path, obj)
 
-    def _template_path(self) -> Path:
-        return self.ws.root / "template.txt"
-
     def store_template(self, columns: list[str]) -> None:
-        stored = self._template_path()
-        if stored.exists():
-            existing = load_template(stored)
-            if existing != columns:
-                raise ValueError(
-                    "extraction template differs from the one this workspace "
-                    "was run with (see template.txt); start a fresh workspace "
-                    "to change templates"
-                )
-            return
-        atomic_write_text(stored, "\n".join(columns) + "\n")
+        stored = self.ws.root / "template.txt"
+        if not stored.exists():
+            atomic_write_text(stored, "\n".join(columns) + "\n")
+        elif load_template(stored) != columns:
+            raise ValueError(
+                "extraction template differs from the one this workspace "
+                "was run with (see template.txt); start a fresh workspace "
+                "to change templates"
+            )
 
     def load_stored_template(self) -> list[str]:
-        path = self._template_path()
+        path = self.ws.root / "template.txt"
         if not path.exists():
             raise ValueError("no extraction template stored; pass --template")
         return load_template(path)
@@ -333,8 +373,8 @@ class Pipeline:
         Image paths inside the files are relative to `source`; images are
         copied into the workspace under the same relative paths. Not a
         stage: a bad parse file, a doc_id two files share, or a document
-        already packed (by status or by packed/<doc>.json, which vouches for
-        its parse) is a validation error, refused before anything is written.
+        already packed (packed/<doc>.json vouches for its parse) is a
+        validation error, refused before anything is written.
         """
         if not source.is_dir():
             raise ValueError(f"{source} is not a directory")
@@ -344,7 +384,7 @@ class Pipeline:
             if doc.doc_id in docs:
                 twin = docs[doc.doc_id][0].name
                 raise ValueError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
-            if self.ws.at_least(doc.doc_id, "packed") or self._path("packed", doc.doc_id).exists():
+            if self._path("packed", doc.doc_id).exists():
                 raise ValueError(f"{doc.doc_id} is packed already; its parse cannot change")
             docs[doc.doc_id] = parse_file, doc
         for _, doc in docs.values():
@@ -354,8 +394,7 @@ class Pipeline:
                 if not target.exists():
                     atomic_write_bytes(target, (source / ref.image).read_bytes())
             collector.save_parsed(doc, self._path("parsed", doc.doc_id))
-            self.ws.mark(doc.doc_id, "parsed")
-        self.ws.compact()
+        self.refresh(save=True)
         return list(docs)
 
     # -- pack ------------------------------------------------------------
@@ -363,16 +402,12 @@ class Pipeline:
     @stage("pack")
     def stage_pack(self) -> None:
         def work(doc_id: str) -> None:
-            path = self._path("packed", doc_id)
-            if not path.exists():
-                self._write(path, packer.pack_document(
-                    self.artifact("parsed", doc_id), self.gateway, self.config.packer_budget,
-                    self.config.packer_default_importance,
-                ))
+            self._write(self._path("packed", doc_id), packer.pack_document(
+                self.artifact("parsed", doc_id), self.gateway, self.config.packer_budget,
+                self.config.packer_default_importance,
+            ))
 
-        self._per_document(
-            work, self.ws.docs_at("parsed"), lambda doc_id, _: self.ws.mark(doc_id, "packed")
-        )
+        self._per_document(work, self.ws.docs_at("parsed"))
 
     # -- review ----------------------------------------------------------
 
@@ -428,24 +463,20 @@ class Pipeline:
         papers = [d for d in self.ws.doc_ids() if self.ws.at_least(d, "packed")]
         indep: dict[str, Any] = {d: self.artifact("indep", d) for d in papers}
         packed = {d: self.artifact("packed", d) for d in papers}
-        try:
-            self._per_document(independent, papers, indep.__setitem__)
-            scored = sorted(d for d, s in indep.items() if not isinstance(s, IndependentFailure))
-            size = self.config.reviewer_batch_size
-            batches = [scored[start : start + size] for start in range(0, len(scored), size)]
-            self._per_document(comparative, list(range(len(batches))))
-        finally:  # reviewed: exactly the papers whose record exists, even after a failure
-            for doc_id in self.ws.docs_at("packed"):
-                if self._path("review", doc_id).exists():
-                    self.ws.mark(doc_id, "reviewed")
+        indep.update(zip(papers, self._per_document(independent, papers)))
+        scored = sorted(d for d, s in indep.items() if not isinstance(s, IndependentFailure))
+        size = self.config.reviewer_batch_size
+        batches = [scored[start : start + size] for start in range(0, len(scored), size)]
+        self._per_document(comparative, list(range(len(batches))))
 
     # -- screen ----------------------------------------------------------
 
     def load_review_records(self) -> tuple[list[ReviewRecord], list[ReviewFailureRecord]]:
-        """Review records and failure records. A screened paper is kept as
-        its manifest says; an unscreened one by the configured threshold."""
+        """Review records and failure records. A paper screening.json lists
+        is kept as it says; any other by the configured threshold."""
         records, failures = [], []
         threshold = self.config.reviewer_threshold
+        screened = self._screened()
         for doc_id in self.ws.doc_ids():
             record = self.artifact("review", doc_id)
             if record is None:
@@ -453,43 +484,33 @@ class Pipeline:
             if isinstance(record, ReviewFailureRecord):
                 failures.append(record)
                 continue
-            if self.ws.at_least(doc_id, "screened_in"):
-                kept = "screened_in" in self.ws.docs[doc_id]
-            else:
-                kept = reviewer.clears_threshold(record.final, threshold)
+            kept = (screened[doc_id] == "screened_in" if doc_id in screened
+                    else reviewer.clears_threshold(record.final, threshold))
             records.append(replace(record, kept=kept))
         return records, failures
 
     @stage("screen")
     def stage_screen(self) -> None:
-        pending = self.ws.docs_at("reviewed")
-        screening = self.ws.dir("reviews") / "screening.json"
-        if not pending and screening.exists():
+        screening = self._path("screening")
+        if not self.ws.docs_at("reviewed") and screening.exists():
             return
         records, failures = self.load_review_records()
-        kept = {r.doc_id for r in records if r.kept}
         self._write(screening, Screening(
             threshold=self.config.reviewer_threshold,
-            kept=tuple(sorted(kept)),
+            kept=tuple(sorted(r.doc_id for r in records if r.kept)),
             excluded=tuple(sorted(r.doc_id for r in records if not r.kept)),
             failures=tuple(sorted(f.doc_id for f in failures)),
         ))
-        for doc_id in pending:
-            self.ws.mark(doc_id, "screened_in" if doc_id in kept else "screened_out")
 
     # -- extract ---------------------------------------------------------
 
-    def _extract_one(
-        self, doc_id: str, template: list[str], direction: str
-    ) -> extraction.ExtractedTable:
+    def _extract_one(self, doc_id: str, template: list[str], direction: str) -> None:
         doc = self.artifact("parsed", doc_id)
         out = self._path("table", doc_id).parent
         out.mkdir(parents=True, exist_ok=True)
 
         parts: list[extraction.ConvertedPart] = [
-            extraction.ConvertedPart(
-                part_id=f"para-{p.index}", origin="text-paragraph", body=p.text
-            )
+            extraction.ConvertedPart(f"para-{p.index}", "text-paragraph", p.text)
             for p in doc.paragraphs
         ]
         warnings: list[str] = []
@@ -537,24 +558,16 @@ class Pipeline:
         ))
         # Last: a table.json vouches that the document's other files exist.
         self._write(out / "table.json", table)
-        return table
 
     @stage("extract")
     def stage_extract(self, template: list[str], topic: str | None = None) -> None:
         """Extract every screened-in document; `topic`, when given, stands
         in for the workspace direction in this call only."""
         direction = self.ws.direction if topic is None else topic
-
-        def work(doc_id: str) -> extraction.ExtractedTable:
-            return tables[doc_id] or self._extract_one(doc_id, template, direction)
-
-        def finish(doc_id: str, table: extraction.ExtractedTable) -> None:
-            self.ws.mark(doc_id, "extracted")
-            self.ws.mark(doc_id, "accepted" if table.accepted else "unaccepted")
-
-        todo = self.ws.docs_at("extracted") + self.ws.docs_at("screened_in")
-        tables = {doc_id: self.artifact("table", doc_id) for doc_id in todo}  # before any call
-        self._per_document(work, todo, finish)
+        self._per_document(
+            lambda doc_id: self._extract_one(doc_id, template, direction),
+            self.ws.docs_at("screened_in"),
+        )
 
     # -- analyze ---------------------------------------------------------
 
@@ -567,15 +580,17 @@ class Pipeline:
 
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
         """The tables of the accepted documents."""
-        return [t for doc_id, t in self.load_tables().items() if "accepted" in self.ws.docs[doc_id]]
+        return [t for t in self.load_tables().values() if t.accepted]
 
     @stage("analyze")
     def stage_analyze(self, force: bool) -> None:
         out = self.ws.dir("analysis")
         results_path = self._path("results")
-        pending = self.ws.docs_at("accepted")
-        if results_path.exists() and not pending and not force:
+        if results_path.exists() and not self.ws.docs_at("accepted") and not force:
             return
+        # No results.json may stand beside a merged table it did not analyze.
+        self._read.pop(ARTIFACTS["results"][0], None)
+        results_path.unlink(missing_ok=True)
 
         merged = merge_tables(self.load_accepted_tables())
         self._write(self._path("merged"), merged)
@@ -591,14 +606,8 @@ class Pipeline:
 
         self._write(out / "plan.json", plan)
         self._write(results_path, results)
-        for doc_id in pending:
-            self.ws.mark(doc_id, "analyzed")
 
     # -- report ----------------------------------------------------------
-
-    def load_merged(self) -> MergedTable:
-        merged = self.artifact("merged")
-        return merge_tables([]) if merged is None else merged
 
     def load_traces(self) -> list[TraceSummary]:
         """One summary per extracted document."""
@@ -616,9 +625,7 @@ class Pipeline:
         return traces
 
     def _narrative(self, merged: MergedTable, results: list[AnalysisResult]) -> str:
-        summary_lines = [
-            f"Merged rows: {merged.row_count}; missing cells: {merged.missing_count}.",
-        ]
+        summary_lines = [f"Merged rows: {merged.row_count}; missing cells: {merged.missing_count}."]
         for r in results:
             if r.skipped:
                 summary_lines.append(f"{r.step.kind}: skipped ({r.reason})")
@@ -637,7 +644,7 @@ class Pipeline:
     def stage_report(self, force: bool) -> None:
         if self.ws.report_path.exists() and not force:
             return
-        merged = self.load_merged()
+        merged = self.artifact("merged") or merge_tables([])
         results = self.artifact("results") or ()
         records, _failures = self.load_review_records()
         traces = self.load_traces()
@@ -661,12 +668,12 @@ class Pipeline:
             self.store_template(template)
         columns = self.load_stored_template()
 
-        before = {d: self.ws.status_of(d) for d in self.ws.doc_ids()}
+        before = self.statuses()
         self.stage_pack()
         self.stage_review()
         self.stage_screen()
         self.stage_extract(columns)
-        did_work = before != {d: self.ws.status_of(d) for d in self.ws.doc_ids()}
+        did_work = before != self.ws.docs
         self.stage_analyze(force=did_work)
         self.stage_report(force=did_work)
         return self.summary()
@@ -674,31 +681,24 @@ class Pipeline:
     def summary(self) -> RunSummary:
         docs = self.ws.doc_ids()
         _records, failures = self.load_review_records()
-        merged = self.load_merged()
+        tables = self.load_tables()
         return RunSummary(
             total_docs=len(docs),
             packed=sum(self.ws.at_least(d, "packed") for d in docs),
             reviewed=sum(self.ws.at_least(d, "reviewed") for d in docs),
             review_failures=len(failures),
-            screened_in=sum("screened_in" in self.ws.docs[d] for d in docs),
-            extracted=sum(self.ws.at_least(d, "extracted") for d in docs),
-            accepted=sum("accepted" in self.ws.docs[d] for d in docs),
-            merged_rows=merged.row_count,
+            screened_in=list(self._screened().values()).count("screened_in"),
+            extracted=len(tables),
+            accepted=sum(t.accepted for t in tables.values()),
+            merged_rows=(self.artifact("merged") or merge_tables([])).row_count,
             report_path=str(self.ws.report_path) if self.ws.report_path.exists() else None,
         )
 
 
 def status_text(ws: Workspace) -> str:
     """Human-readable stage/document matrix; read-only."""
-    counts = ws.status_counts()
-    lines = [f"workspace: {ws.root}", f"direction: {ws.direction}", ""]
-    lines.append("status counts:")
-    for status, count in counts.items():
-        lines.append(f"  {status:<12} {count}")
-    lines.append("")
-    lines.append("documents:")
-    if not ws.docs:
-        lines.append("  (none)")
-    for doc_id in ws.doc_ids():
-        lines.append(f"  {doc_id:<24} {ws.status_of(doc_id)}")
+    lines = [f"workspace: {ws.root}", f"direction: {ws.direction}", "", "status counts:"]
+    lines += [f"  {status:<12} {count}" for status, count in ws.status_counts().items()]
+    lines += ["", "documents:"] + ([] if ws.docs else ["  (none)"])
+    lines += [f"  {doc_id:<24} {ws.status_of(doc_id)}" for doc_id in ws.doc_ids()]
     return "\n".join(lines) + "\n"

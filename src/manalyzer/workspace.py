@@ -1,18 +1,15 @@
 """Persistent workspace for one pipeline run.
 
 Layout under the root: manifest.json, config.snapshot, papers/, parsed/,
-packed/, reviews/, extracted/, analysis/, report.md. The manifest keeps an
-append-only status history per document; statuses only ever advance along
-the pipeline order, and the recorded config digest must match the active
-config or resuming is refused.
-
-Status marks stay in memory: a mark checks the transition and appends to
-the history. `compact` writes manifest.json once per stage, when a stage,
-`ingest_dir` or `collect` returns. After a kill, the manifest (and so
-`status`) shows the last finished stage until the next command runs; that
-command recovers the killed stage's progress from the artifacts on disk
-(see the pipeline module). A status log that an older build left beside
-the manifest is ignored.
+packed/, reviews/, extracted/, analysis/, report.md. The artifacts are the
+record of progress: each document's status is read off them (see
+`pipeline.ARTIFACTS`). The manifest holds the research direction, the
+config digest, which must match the active config or resuming is refused,
+and `docs`, a view of each document's status history that the pipeline
+sets with `mark` and writes with `save` at the end of each stage,
+`ingest` and `collect`. No command takes its work from the view it loads;
+it only vouches that the artifacts of the statuses it shows still exist.
+A status log that an older build left beside the manifest is ignored.
 
 Every write fills `<path>.tmp` and renames it over the target in
 `_commit`, so a killed process never leaves a half-written artifact. The
@@ -24,8 +21,8 @@ finite numbers only. `atomic_write_json` is its one writer and
 `read_artifact` its one checked reader; both name the file in an error.
 Its rebuilder, `from_json`, also reads the inputs that come from outside
 the program: parse files, gold points and provider script lines.
-Manifest mutation is single-writer: only the orchestrator thread marks
-statuses. `STATUS_RANK` is the one list of statuses.
+Only the orchestrator thread sets the view. `STATUS_RANK` is the one list
+of statuses.
 """
 
 from __future__ import annotations
@@ -236,8 +233,7 @@ class Workspace:
         self.root = root
         self.direction = direction
         self.digest = digest
-        self.docs = docs
-        self._dirty = False  # `docs` holds marks that manifest.json lacks
+        self.docs = docs  # the status view: each document's history
 
     # -- paths ---------------------------------------------------------
 
@@ -284,18 +280,12 @@ class Workspace:
         docs = raw.get("docs")
         direction = raw.get("direction")
         digest = raw.get("config_digest")
-        if not isinstance(docs, dict) or not isinstance(direction, str) or not isinstance(digest, str):
+        view_ok = isinstance(docs, dict) and all(
+            isinstance(history, list) and all(isinstance(s, str) for s in history)
+            for history in docs.values()
+        )
+        if not (view_ok and isinstance(direction, str) and isinstance(digest, str)):
             raise ValueError("manifest fields missing or mistyped")
-        for doc_id, history in docs.items():
-            if not isinstance(history, list) or not history:
-                raise ValueError(f"{doc_id}: empty status history")
-            ranks = []
-            for status in history:
-                if status not in STATUS_RANK:
-                    raise ValueError(f"{doc_id}: unknown status {status!r}")
-                ranks.append(STATUS_RANK[status])
-            if any(b <= a for a, b in zip(ranks, ranks[1:])):
-                raise ValueError(f"{doc_id}: status history regressed: {history}")
         return cls(root, direction, digest, docs)
 
     def save(self) -> None:
@@ -308,13 +298,6 @@ class Workspace:
                 "docs": self.docs,
             },
         )
-
-    def compact(self) -> None:
-        """Write manifest.json once if a mark changed `docs` since the last
-        write; a no-op otherwise."""
-        if self._dirty:
-            self.save()
-            self._dirty = False
 
     def check_config(self, config: PipelineConfig) -> None:
         active = config_digest(config)
@@ -332,30 +315,11 @@ class Workspace:
         return history[-1] if history else None
 
     def rank_of(self, doc_id: str) -> int:
-        status = self.status_of(doc_id)
-        return -1 if status is None else STATUS_RANK[status]
+        return STATUS_RANK.get(self.status_of(doc_id), -1)
 
-    def mark(self, doc_id: str, status: str) -> None:
-        """Append `status` to the document's history in memory; a no-op when
-        it is the current status already, an error when it would regress.
-        Nothing reaches disk until `compact`."""
-        if status not in STATUS_RANK:
-            raise ValueError(f"unknown status {status!r}")
-        history = self.docs.setdefault(doc_id, [])
-        if history:
-            current = STATUS_RANK[history[-1]]
-            if STATUS_RANK[status] == current:
-                if history[-1] != status:
-                    raise ValueError(
-                        f"{doc_id}: conflicting outcomes {history[-1]!r} vs {status!r}"
-                    )
-                return
-            if STATUS_RANK[status] < current:
-                raise ValueError(
-                    f"{doc_id}: status would regress from {history[-1]!r} to {status!r}"
-                )
-        history.append(status)
-        self._dirty = True
+    def mark(self, doc_id: str, history: list[str]) -> None:
+        """Set the document's history in the view that `save` writes."""
+        self.docs[doc_id] = history
 
     def doc_ids(self) -> list[str]:
         return sorted(self.docs)

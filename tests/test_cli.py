@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import manalyzer
-from manalyzer import collector, pipeline, reviewer, synth
+from manalyzer import collector, gateway, pipeline, reviewer, synth
 from manalyzer.errors import ManalyzerError
 from manalyzer.workspace import Workspace
 
@@ -715,6 +715,30 @@ def test_a_missing_extraction_file_never_ends_in_a_traceback(
             assert result == intact[command], command
 
 
+def test_a_tampered_status_view_changes_nothing(tmp_path, finished, monkeypatch):
+    """No command takes its work from the manifest's `docs` view: with every
+    document shown as parsed, `run` on a finished workspace calls no agent
+    and leaves the finished tree, the view included, as it was."""
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    manifest = ws / "manifest.json"
+    raw = json.loads(manifest.read_text(encoding="utf-8"))
+    raw["docs"] = dict.fromkeys(raw["docs"], ["parsed"])
+    manifest.write_text(json.dumps(raw), encoding="utf-8")
+    calls = []
+    complete = gateway.ScriptedProvider.complete
+
+    def counting_complete(self, request):
+        calls.append(request.request_tag)
+        return complete(self, request)
+
+    monkeypatch.setattr(gateway.ScriptedProvider, "complete", counting_complete)
+    result = invoke(ws, "run", config=config)
+    assert result.exit_code == 0, result.stderr
+    assert calls == []
+    assert tree(ws) == tree(finished[0])
+
+
 def test_a_corpus_run_reads_each_artifact_once(initialized, monkeypatch):
     """A read that finds its file happens once per path in a `run`; a parse
     file, which is not kept in memory, at most twice (pack and extract)."""
@@ -892,7 +916,9 @@ def test_collect_dedups_caps_and_skips_undownloadable(tmp_path, monkeypatch):
     def download_pdf(meta, papers_dir):
         if meta.doc_id == "x2":
             raise ManalyzerError("x2: no pdf_url and no doi")
-        return papers_dir / f"{meta.doc_id}.pdf"
+        path = papers_dir / f"{meta.doc_id}.pdf"
+        path.write_bytes(b"%PDF-1.4")
+        return path
 
     groups = [["soil", "carbon"], ["tillage"], ["never", "searched"]]
     monkeypatch.setattr(collector, "generate_keywords", lambda direction, gateway: groups)
@@ -965,7 +991,7 @@ def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
         assert invoke(ws, "ingest", "--from", source).exit_code == 0
         if case == "packed":
             assert invoke(ws, "pack").exit_code == 0
-        else:  # what a `pack` killed before its mark leaves
+        else:  # what a `pack` killed before its view write leaves
             (ws / "packed" / "a.json").write_text("{}\n", encoding="utf-8")
         write_doc(source, "a.json", "a", "Alpha, revised.")
     before = tree(ws)

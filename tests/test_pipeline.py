@@ -1,6 +1,7 @@
 """Orchestration: stage sequencing, template pinning, resume semantics, and
 the end-to-end run over the bundled scripted corpus."""
 
+import contextlib
 import dataclasses
 import json
 import re
@@ -19,7 +20,7 @@ from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
 
-from helpers import register_for, tree
+from helpers import register_for, run_cli, tree
 
 DIRECTION = "mini direction"
 
@@ -50,6 +51,38 @@ def mini(tmp_path):
     pipe = Pipeline(ws, PipelineConfig(), provider)
     pipe.ingest_dir(source)
     return pipe, provider
+
+
+class Killed(BaseException):
+    """A kill of the process: no handler in the pipeline catches it."""
+
+
+def kill_after_commit(patch, root, pattern, k):
+    """Patch `workspace._commit` to raise Killed right after the k-th commit
+    (from 0) of a path under `root` that matches `pattern` in full. A pool
+    worker that had started another document by then finishes it, as the
+    pool drains. Returns the matching paths committed."""
+    commit = workspace._commit
+    seen = []
+
+    def killing_commit(tmp, path):
+        commit(tmp, path)
+        if re.fullmatch(pattern, path.relative_to(root).as_posix()):
+            seen.append(path)
+            if len(seen) == k + 1:
+                raise Killed(path)
+
+    patch.setattr(workspace, "_commit", killing_commit)
+    return seen
+
+
+def screen_in(ws, config):
+    """Pack, review and screen the workspace's documents with replies that
+    keep each one, so that extract takes them all."""
+    screener = Pipeline(ws, config, ContentAnsweringProvider())
+    screener.stage_pack()
+    screener.stage_review()
+    screener.stage_screen()
 
 
 # -- provider construction -------------------------------------------------
@@ -349,7 +382,9 @@ def test_kill_at_the_first_packed_mark_repeats_no_paragraph_score(tmp_path):
         write_mini_doc(source, doc_id, [
             f"Finding {i}. {name} rainfall reached {400 + i} mm in trial {i}." for i in range(12)
         ])
-    config = PipelineConfig(packer_budget=100)  # below every document's weight
+    # Below every document's weight, on one worker, which the kill stops
+    # before it takes more than one more document.
+    config = PipelineConfig(packer_budget=100, max_concurrency=1)
 
     def ingested(run, provider):
         pipe = Pipeline(Workspace.init(tmp_path / run, DIRECTION, config), config, provider)
@@ -360,16 +395,10 @@ def test_kill_at_the_first_packed_mark_repeats_no_paragraph_score(tmp_path):
     clean.stage_pack()
     killed = ContentAnsweringProvider()
     pipe = ingested("kill", killed)
-    mark = pipe.ws.mark
-
-    def killing_mark(doc_id, status):
-        if status == "packed":
-            raise Killed(doc_id)
-        mark(doc_id, status)
-
-    pipe.ws.mark = killing_mark
-    with pytest.raises(Killed):
-        pipe.stage_pack()
+    with pytest.MonkeyPatch.context() as patch:
+        kill_after_commit(patch, pipe.ws.root, r"packed/.*\.json", 0)
+        with pytest.raises(Killed):
+            pipe.stage_pack()
     provider = ContentAnsweringProvider()
     Pipeline(Workspace.load(pipe.ws.root), config, provider).stage_pack()
     assert {tag for tag, _ in killed.calls} == {"paragraph_score"}
@@ -395,21 +424,18 @@ def test_per_document_starts_no_queued_item_after_an_interrupt(mini, monkeypatch
         assert gate.wait(timeout=30)
         return item
 
-    finished = []
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", GatedPool)
     pipe.config = dataclasses.replace(pipe.config, max_concurrency=2)
     with pytest.raises(KeyboardInterrupt):
-        pipe._per_document(work, list(range(20)), lambda *args: finished.append(args))
+        pipe._per_document(work, list(range(20)))
     # The worker freed by item 0 may take item 2 before the queue is cancelled.
     assert sorted(started) in ([0, 1], [0, 1, 2])
-    assert finished == []
 
 
 def test_per_document_finishes_in_todo_order_then_raises_the_first_failure(mini):
     pipe, _provider = mini
     pipe.config = dataclasses.replace(pipe.config, max_concurrency=4)
-    later_done = threading.Event()
-    ran, finished = [], []
+    failing = {3, 6}
 
     def work(item):
         if item == 0:
@@ -418,21 +444,25 @@ def test_per_document_finishes_in_todo_order_then_raises_the_first_failure(mini)
         ran.append(item)
         if item == 5:
             later_done.set()
-        if item in (3, 6):
+        if item in failing:
             raise ValueError(f"item {item}")
         return item * 10
 
-    with pytest.raises(ValueError, match="item 3"):
-        pipe._per_document(work, list(range(8)), lambda *args: finished.append(args))
-    assert sorted(ran) == list(range(8))
-    assert finished == [(0, 0), (1, 10), (2, 20), (4, 40), (5, 50), (7, 70)]
+    for expected in (pytest.raises(ValueError, match="item 3"), contextlib.nullcontext()):
+        later_done, ran = threading.Event(), []
+        with expected:
+            assert pipe._per_document(work, list(range(8))) == [i * 10 for i in range(8)]
+        assert sorted(ran) == list(range(8))
+        failing = set()
 
 
 # -- end-to-end over the bundled corpus --------------------------------------
 
 
-def corpus_pipeline(tmp_path, corpus_dir, ingest=True):
-    config = PipelineConfig()
+ONE_WORKER = PipelineConfig(max_concurrency=1)  # documents in order, one at a time
+
+
+def corpus_pipeline(tmp_path, corpus_dir, ingest=True, config=PipelineConfig()):
     root = tmp_path / "run"
     if root.exists():
         ws = Workspace.load(root)
@@ -514,45 +544,65 @@ def test_resume_never_repeats_a_call(tmp_path, corpus_dir):
     assert len(first_keys) + len(second_keys) == 43
 
 
-class Killed(BaseException):
-    """A kill of the process: no handler in the pipeline catches it."""
+# The files whose commit records each status (`pipeline.ARTIFACTS`).
+REVIEW_RECORD = r"reviews/d\d\d\.json"
+RECORDED_BY = {
+    "parsed": r"parsed/.*\.json",
+    "packed": r"packed/.*\.json",
+    "reviewed": REVIEW_RECORD,
+    "screened_in": r"reviews/screening\.json",
+    "screened_out": r"reviews/screening\.json",
+    "extracted": r"extracted/.*/table\.json",
+    "accepted": r"extracted/.*/table\.json",
+    "analyzed": r"analysis/results\.json",
+}
 
 
 def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
-    clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
+    """A kill right after the commit of any `reviews/<doc>.json`, the record
+    that marks a paper reviewed, resumes to the clean tree. The corpus makes
+    one comparative batch of ten records, so a kill before its last record
+    repeats the batch's call, and only that call."""
+    clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir, config=ONE_WORKER)
     clean.run(synth.TEMPLATE)
     expected = tree(clean.ws.root)
 
     for k in range(len(synth.DOC_IDS)):
-        pipe, killed = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir)
+        pipe, killed = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, config=ONE_WORKER)
         pipe.store_template(synth.TEMPLATE)
-        reviewed = []
-        mark = pipe.ws.mark
-
-        def killing_mark(doc_id, status):
-            if status == "reviewed":
-                if len(reviewed) == k:
-                    raise Killed(doc_id)
-                reviewed.append(doc_id)
-            mark(doc_id, status)
-
-        pipe.ws.mark = killing_mark
-        with pytest.raises(Killed):
-            pipe.run(None)
-        resumed, provider = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, ingest=False)
+        with pytest.MonkeyPatch.context() as patch:
+            kill_after_commit(patch, pipe.ws.root, REVIEW_RECORD, k)
+            with pytest.raises(Killed):
+                pipe.run(None)
+        resumed, provider = corpus_pipeline(
+            tmp_path / f"kill{k}", corpus_dir, ingest=False, config=ONE_WORKER
+        )
         resumed.run(None)
-        assert tree(resumed.ws.root) == expected, f"killed at review mark {k}"
-        assert set(killed.calls) & set(provider.calls) == set(), f"killed at review mark {k}"
+        assert tree(resumed.ws.root) == expected, f"killed at review record {k}"
+        repeated = [tag for tag, digest in provider.calls if (tag, digest) in set(killed.calls)]
+        batch_open = k < len(synth.DOC_IDS) - 1
+        assert repeated == (["comparative_review"] if batch_open else []), k
 
 
 @pytest.fixture(scope="module")
 def clean_corpus_run(tmp_path_factory, corpus_dir):
-    """The tree of an uninterrupted corpus run, and how many documents
-    reached each status."""
-    clean, _ = corpus_pipeline(tmp_path_factory.mktemp("clean"), corpus_dir)
-    clean.run(synth.TEMPLATE)
-    reached = Counter(status for history in clean.ws.docs.values() for status in history)
-    return tree(clean.ws.root), reached
+    """The tree of an uninterrupted one-worker corpus run, and how many
+    commits recorded each status."""
+    root = tmp_path_factory.mktemp("clean")
+    clean, _ = corpus_pipeline(root, corpus_dir, ingest=False, config=ONE_WORKER)
+    commit = workspace._commit
+    committed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workspace, "_commit", lambda tmp, path: (
+            committed.append(path.relative_to(clean.ws.root).as_posix()), commit(tmp, path)
+        ))
+        clean.ingest_dir(corpus_dir / "docs")
+        clean.run(synth.TEMPLATE)
+    recorded = {
+        status: sum(bool(re.fullmatch(pattern, name)) for name in committed)
+        for status, pattern in RECORDED_BY.items()
+    }
+    return tree(clean.ws.root), recorded
 
 
 @pytest.mark.parametrize("which", ["first", "last"])
@@ -563,31 +613,26 @@ def clean_corpus_run(tmp_path_factory, corpus_dir):
 def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
     tmp_path, corpus_dir, clean_corpus_run, status, which
 ):
-    expected, reached = clean_corpus_run
-    kill_at = 0 if which == "first" else reached[status] - 1
-    pipe, killed = corpus_pipeline(tmp_path, corpus_dir, ingest=False)
-    seen = []
-    mark = pipe.ws.mark
-
-    def killing_mark(doc_id, marked):
-        if marked == status:
-            if len(seen) == kill_at:
-                raise Killed(doc_id)
-            seen.append(doc_id)
-        mark(doc_id, marked)
-
-    pipe.ws.mark = killing_mark
-    with pytest.raises(Killed):
-        pipe.ingest_dir(corpus_dir / "docs")
-        pipe.run(synth.TEMPLATE)
-    resumed, provider = corpus_pipeline(tmp_path, corpus_dir, ingest=status == "parsed")
+    """A kill right after the first or the last commit of a file that
+    records `status` resumes to the clean tree, and a status recorded spares
+    its calls; the one exception is the comparative review batch, whose
+    call a kill before its last record repeats."""
+    expected, recorded = clean_corpus_run
+    kill_at = 0 if which == "first" else recorded[status] - 1
+    pipe, killed = corpus_pipeline(tmp_path, corpus_dir, ingest=False, config=ONE_WORKER)
+    with pytest.MonkeyPatch.context() as patch:
+        kill_after_commit(patch, pipe.ws.root, RECORDED_BY[status], kill_at)
+        with pytest.raises(Killed):
+            pipe.ingest_dir(corpus_dir / "docs")
+            pipe.run(synth.TEMPLATE)
+    resumed, provider = corpus_pipeline(
+        tmp_path, corpus_dir, ingest=status == "parsed", config=ONE_WORKER
+    )
     resumed.run(synth.TEMPLATE)
     assert tree(resumed.ws.root) == expected
-    # A finished document's artifact spares its calls. The one exception:
-    # results.json cannot tell a current analysis from a stale one, so a
-    # kill at an `analyzed` mark repeats the plan call.
     repeated = [tag for tag, digest in provider.calls if (tag, digest) in set(killed.calls)]
-    assert repeated == (["plan"] if status == "analyzed" else [])
+    batch_open = status == "reviewed" and kill_at < recorded["reviewed"] - 1
+    assert repeated == (["comparative_review"] if batch_open else [])
 
 
 def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monkeypatch):
@@ -614,34 +659,32 @@ def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monke
         before = len(writes)
         stage()
         per_stage[name] = len(writes) - before
-    # Each stage marks between 6 and 10 documents.
+    # Each stage moves between 6 and 10 documents on.
     assert per_stage == dict.fromkeys(per_stage, 1)
     assert Workspace.load(pipe.ws.root).docs == pipe.ws.docs
 
 
 def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, corpus_dir):
+    """A kill right after the last `table.json` commit, before extract's
+    view write: the manifest still shows the last table's document
+    screened in, but its status comes from the table."""
     clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir)
     clean.run(synth.TEMPLATE)
     expected = tree(clean.ws.root)
 
     pipe, _ = corpus_pipeline(tmp_path / "kill", corpus_dir)
     pipe.store_template(synth.TEMPLATE)
-    extracted = []
-    mark = pipe.ws.mark
-
-    def killing_mark(doc_id, status):
-        if status in ("accepted", "unaccepted") and len(extracted) == len(synth.KEPT):
-            raise Killed(doc_id)
-        mark(doc_id, status)
-        if status == "extracted":
-            extracted.append(doc_id)
-
-    pipe.ws.mark = killing_mark
-    with pytest.raises(Killed):
-        pipe.run(None)
-    assert pipe.ws.status_of(extracted[-1]) == "extracted"
+    with pytest.MonkeyPatch.context() as patch:
+        tables = kill_after_commit(
+            patch, pipe.ws.root, RECORDED_BY["extracted"], len(synth.KEPT) - 1
+        )
+        with pytest.raises(Killed):
+            pipe.run(None)
+    last = tables[-1].parent.name
+    assert Workspace.load(pipe.ws.root).status_of(last) == "screened_in"
 
     resumed, provider = corpus_pipeline(tmp_path / "kill", corpus_dir, ingest=False)
+    assert resumed.statuses()[last][-1] == "accepted"
     resumed.run(None)
     extract_tags = {"table_convert", "figure_summary", "mask", "extract", "check"}
     assert [key for key in provider.calls if key[0] in extract_tags] == []
@@ -657,7 +700,7 @@ def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkey
             f"packed/{d}.json", f"reviews/{d}.indep.json", f"reviews/{d}.json",
             f"extracted/{d}/table.json",
         )
-    }
+    } | {"analysis/results.json"}
 
     def start(root, provider, hook):
         """Ingest and run on a fresh workspace, whose later writes commit
@@ -723,6 +766,72 @@ def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkey
             batch_repeats.append(k)
     # The corpus makes one batch of ten records, with nine gaps between them.
     assert len(batch_repeats) == len(synth.DOC_IDS) - 1
+
+
+def test_status_right_after_a_kill_shows_what_the_artifacts_record(tmp_path, corpus_dir):
+    pipe, _ = corpus_pipeline(tmp_path, corpus_dir)
+    pipe.store_template(synth.TEMPLATE)
+    with pytest.MonkeyPatch.context() as patch:
+        tables = kill_after_commit(patch, pipe.ws.root, RECORDED_BY["extracted"], 2)
+        with pytest.raises(Killed):
+            pipe.run(None)
+    result = run_cli(["--workspace", pipe.ws.root, "status"])
+    assert result.exit_code == 0, result.stderr
+    shown = dict(line.split() for line in result.stdout.split("documents:\n")[1].splitlines())
+    assert {shown[path.parent.name] for path in tables[:3]} <= {"accepted", "unaccepted"}
+
+
+class FailingPlan(ContentAnsweringProvider):
+    """Fails the analysis `plan` call."""
+
+    def complete(self, request):
+        if request.request_tag == "plan":
+            raise ManalyzerError("no plan reply")
+        return super().complete(request)
+
+
+def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table(tmp_path):
+    """After a finished analysis of `ma`, `mb` is ingested and the second
+    analysis fails at its plan call: no document is analyzed, and `report`
+    renders the new merged table with no results, as after a first
+    analysis that failed."""
+    config = PipelineConfig(reviewer_batch_size=1)
+    sources = {}
+    for doc_id, first in (("ma", 1), ("mb", 5)):
+        sources[doc_id] = tmp_path / doc_id
+        sources[doc_id].mkdir()
+        write_mini_doc(sources[doc_id], doc_id, [
+            f"Finding {first}. Rainfall reached 401 mm.",
+            f"Finding {first + 2}. Rainfall reached 401 mm again.",
+        ])
+
+    def reported(root):
+        pipe = Pipeline(Workspace.load(root), config, ContentAnsweringProvider())
+        pipe.refresh()
+        pipe.stage_report(force=True)
+        return pipe.ws.report_path.read_bytes()
+
+    again = Pipeline(Workspace.init(tmp_path / "again", DIRECTION, config), config,
+                     ContentAnsweringProvider())
+    again.ingest_dir(sources["ma"])
+    again.run(["rainfall mm"])
+    assert again.ws.status_of("ma") == "analyzed"
+    again = Pipeline(Workspace.load(again.ws.root), config, FailingPlan())
+    again.ingest_dir(sources["mb"])
+    with pytest.raises(StageFailure, match="stage 'analyze' failed"):
+        again.run(None)
+    assert not (again.ws.dir("analysis") / "results.json").exists()
+    merged = json.loads((again.ws.dir("analysis") / "merged.json").read_text(encoding="utf-8"))
+    assert [row[0] for row in merged["rows"]] == ["ma", "mb"]
+    result = run_cli(["--workspace", again.ws.root, "status"])
+    assert re.findall(r"(m[ab]) +(\w+)", result.stdout) == [("ma", "accepted"), ("mb", "accepted")]
+
+    once = Pipeline(Workspace.init(tmp_path / "once", DIRECTION, config), config, FailingPlan())
+    for source in sources.values():
+        once.ingest_dir(source)
+    with pytest.raises(StageFailure, match="stage 'analyze' failed"):
+        once.run(["rainfall mm"])
+    assert reported(again.ws.root) == reported(once.ws.root)
 
 
 class MissingBatch(ContentAnsweringProvider):
@@ -815,11 +924,11 @@ def test_empty_table_reply_is_one_call_and_a_warning(tmp_path):
         for i, text in enumerate(texts)
     ]
     register_for(provider, prompts.mask_request(DIRECTION, rendered), "[0.0, 0.0]")
-    ws = Workspace.init(tmp_path / "run", DIRECTION, PipelineConfig())
-    pipe = Pipeline(ws, PipelineConfig(), provider)
+    config = PipelineConfig()
+    ws = Workspace.init(tmp_path / "run", DIRECTION, config)
+    pipe = Pipeline(ws, config, provider)
     pipe.ingest_dir(source)
-    for status in ("packed", "reviewed", "screened_in"):
-        ws.mark("ma", status)
+    screen_in(ws, config)
     pipe.stage_extract(["value"])
 
     assert [tag for tag, _ in provider.calls] == ["table_convert", "mask"]
@@ -827,6 +936,23 @@ def test_empty_table_reply_is_one_call_and_a_warning(tmp_path):
     assert parts["warnings"] == [
         "table t1: provider returned empty reply for tag 'table_convert'"
     ]
+
+
+def test_results_mark_analyzed_only_the_tables_merged_json_holds(mini):
+    """With results.json present, an accepted document is analyzed when
+    merged.json holds its rows or its table has none; one whose rows
+    merged.json lacks is still accepted, for the next analyze to take."""
+    pipe, _ = mini
+    screen_in(pipe.ws, pipe.config)
+    for doc_id, rows in (("ma", ()), ("mb", ((401.0,),))):
+        pipe._path("table", doc_id).parent.mkdir(parents=True)
+        workspace.atomic_write_json(pipe._path("table", doc_id), extraction.ExtractedTable(
+            doc_id, ("value",), rows, (), iteration=1, accepted=True,
+        ))
+    assert {d: h[-1] for d, h in pipe.statuses().items()} == {"ma": "accepted", "mb": "accepted"}
+    workspace.atomic_write_json(pipe._path("merged"), MergedTable(("doc_id",), (), 0, 0))
+    workspace.atomic_write_json(pipe._path("results"), [])
+    assert {d: h[-1] for d, h in pipe.statuses().items()} == {"ma": "analyzed", "mb": "accepted"}
 
 
 def test_a_path_the_pipeline_writes_is_read_afresh(mini):
@@ -868,8 +994,7 @@ def test_unusable_figure_and_extract_replies_leave_warnings_and_an_unaccepted_ta
     ws = Workspace.init(tmp_path / "run", DIRECTION, config)
     pipe = Pipeline(ws, config, provider)
     pipe.ingest_dir(source)
-    for status in ("packed", "reviewed", "screened_in"):
-        ws.mark("ma", status)
+    screen_in(ws, config)
     pipe.stage_extract(["value"])
 
     assert [tag for tag, _ in provider.calls] == [

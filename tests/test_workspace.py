@@ -1,5 +1,5 @@
-"""Workspace lifecycle: manifest round-trips, status monotonicity, config
-digest enforcement, and crash-safe writes."""
+"""Workspace lifecycle: manifest round-trips, the status view's queries,
+config digest enforcement, and crash-safe writes."""
 
 import dataclasses
 import json
@@ -59,10 +59,9 @@ def test_init_refuses_existing_workspace(ws):
 
 
 def test_load_round_trip(ws):
-    ws.mark("d01", "collected")
-    ws.mark("d01", "parsed")
-    ws.mark("d02", "collected")
-    ws.compact()
+    ws.mark("d01", ["collected", "parsed"])
+    ws.mark("d02", ["collected"])
+    ws.save()
     loaded = Workspace.load(ws.root)
     assert loaded.direction == "test direction"
     assert loaded.digest == ws.digest
@@ -105,67 +104,11 @@ def test_load_rejects_mistyped_fields(ws, field):
         Workspace.load(ws.root)
 
 
-def test_load_rejects_empty_history(ws):
-    _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", []))
-    with pytest.raises(ValueError, match="empty status history"):
-        Workspace.load(ws.root)
-
-
-def test_load_rejects_unknown_status(ws):
-    _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", ["zapped"]))
-    with pytest.raises(ValueError, match="unknown status"):
-        Workspace.load(ws.root)
-
-
-@pytest.mark.parametrize(
-    "history",
-    [
-        ["parsed", "collected"],  # backwards
-        ["collected", "collected"],  # stalled
-        ["screened_in", "screened_out"],  # flip between equal-rank outcomes
-    ],
-)
-def test_load_rejects_non_advancing_history(ws, history):
+@pytest.mark.parametrize("history", ["parsed", ["parsed", 3]])
+def test_load_rejects_a_history_that_is_not_a_list_of_strings(ws, history):
     _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", history))
-    with pytest.raises(ValueError, match="regressed"):
+    with pytest.raises(ValueError, match="missing or mistyped"):
         Workspace.load(ws.root)
-
-
-def test_mark_appends_and_persists(ws):
-    ws.mark("d01", "collected")
-    ws.compact()
-    assert Workspace.load(ws.root).status_of("d01") == "collected"
-
-
-def test_mark_same_status_is_noop(ws):
-    ws.mark("d01", "collected")
-    ws.mark("d01", "collected")
-    assert ws.docs["d01"] == ["collected"]
-
-
-def test_mark_conflicting_outcome_fails(ws):
-    ws.mark("d01", "screened_in")
-    with pytest.raises(ValueError, match="conflicting outcomes"):
-        ws.mark("d01", "screened_out")
-
-
-def test_mark_regression_fails(ws):
-    ws.mark("d01", "packed")
-    with pytest.raises(ValueError, match="regress"):
-        ws.mark("d01", "collected")
-
-
-def test_mark_unknown_status_fails(ws):
-    with pytest.raises(ValueError, match="unknown status"):
-        ws.mark("d01", "polished")
-
-
-def test_mark_may_skip_stages(ws):
-    # A resumed run can legitimately jump a document several stages ahead
-    # in one mark; only regressions are forbidden.
-    ws.mark("d01", "collected")
-    ws.mark("d01", "screened_out")
-    assert ws.docs["d01"] == ["collected", "screened_out"]
 
 
 def test_check_config_accepts_matching(ws):
@@ -190,17 +133,16 @@ def test_dir_rejects_unknown_name(ws):
 def test_status_queries(ws):
     assert ws.status_of("ghost") is None
     assert ws.rank_of("ghost") == -1
-    ws.mark("d01", "reviewed")
+    ws.mark("d01", ["parsed", "packed", "reviewed"])
     assert ws.at_least("d01", "packed")
     assert ws.at_least("d01", "reviewed")
     assert not ws.at_least("d01", "screened_in")
 
 
 def test_status_counts_uses_latest_status(ws):
-    ws.mark("d01", "collected")
-    ws.mark("d01", "parsed")
-    ws.mark("d02", "parsed")
-    ws.mark("d03", "screened_out")
+    ws.mark("d01", ["collected", "parsed"])
+    ws.mark("d02", ["parsed"])
+    ws.mark("d03", ["parsed", "packed", "reviewed", "screened_out"])
     counts = ws.status_counts()
     assert counts["parsed"] == 2
     assert counts["collected"] == 0
@@ -211,22 +153,20 @@ def test_status_counts_uses_latest_status(ws):
 
 def test_doc_ids_sorted(ws):
     for doc_id in ("d09", "d01", "d05"):
-        ws.mark(doc_id, "collected")
+        ws.mark(doc_id, ["collected"])
     assert ws.doc_ids() == ["d01", "d05", "d09"]
 
 
 def test_docs_at_lists_exactly_the_documents_at_that_status(ws):
-    # Two documents at each status, each marked through one status of every
-    # earlier rank, so earlier statuses are in its history but not current.
+    # Two documents at each status, each with one status of every earlier
+    # rank in its history, so earlier statuses are in it but not current.
     first_of_rank = {}
     for status, rank in STATUS_RANK.items():
         first_of_rank.setdefault(rank, status)
     at = {status: [f"{status}-b", f"{status}-a"] for status in STATUS_RANK}
     for status, doc_ids in at.items():
         for doc_id in doc_ids:
-            for rank in range(STATUS_RANK[status]):
-                ws.mark(doc_id, first_of_rank[rank])
-            ws.mark(doc_id, status)
+            ws.mark(doc_id, [first_of_rank[r] for r in range(STATUS_RANK[status])] + [status])
     for status, doc_ids in at.items():
         assert ws.docs_at(status) == sorted(doc_ids), status
     assert ws.docs_at("packed") == ["packed-a", "packed-b"]  # not "reviewed-*" or later
@@ -404,36 +344,8 @@ def test_a_union_reads_the_member_that_declares_every_key(tmp_path):
     assert read_artifact(tmp_path / "absent.json", ReviewRecord | ReviewFailureRecord) is None
 
 
-# -- the manifest write --------------------------------------------------------
-
-
-def test_mark_writes_nothing_and_compact_writes_the_manifest_once(ws, monkeypatch):
-    written = []
-    commit = workspace._commit
-
-    def counting_commit(tmp, path):
-        written.append(path.name)
-        commit(tmp, path)
-
-    monkeypatch.setattr(workspace, "_commit", counting_commit)
-    before = tree(ws.root)
-    ws.mark("d01", "collected")
-    ws.mark("d01", "collected")  # no-op
-    ws.mark("d01", "parsed")
-    assert written == []
-    assert tree(ws.root) == before
-    ws.compact()
-    assert written == ["manifest.json"]
-    assert json.loads(ws.manifest_path.read_text(encoding="utf-8"))["docs"] == {
-        "d01": ["collected", "parsed"]
-    }
-    ws.compact()  # nothing pending: no write
-    assert written == ["manifest.json"]
-
-
 def test_status_ignores_an_old_builds_log_and_writes_nothing(ws):
-    ws.mark("d01", "collected")
-    ws.compact()
+    (ws.dir("papers") / "d01.pdf").write_bytes(b"%PDF-1.4")  # records "collected"
     (ws.root / "manifest.log").write_bytes(b'["d01", "parsed"]\n["d02", "reviewed"]\ngarb')
     before = tree(ws.root)
     result = run_cli(["--workspace", ws.root, "status"])
