@@ -22,7 +22,6 @@ distance matrix.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -35,7 +34,7 @@ from .config import DEFAULTS, SEED_LIMIT
 from .errors import ExtractionError, NoValidStepsError, UnparseableReplyError
 from .extraction import ExtractedTable
 from .gateway import Gateway
-from .workspace import atomic_write_text, encode
+from .workspace import atomic_write_text, decode_json, encode
 
 log = logging.getLogger(__name__)
 
@@ -142,8 +141,8 @@ def _parse_plan_steps(reply: str, columns: Sequence[str]) -> list[AnalysisStep]:
     if start < 0 or end <= start:
         raise UnparseableReplyError("no JSON list in plan reply")
     try:
-        raw_steps = json.loads(reply[start : end + 1])
-    except json.JSONDecodeError as exc:
+        raw_steps = decode_json(reply[start : end + 1])
+    except ValueError as exc:
         raise UnparseableReplyError(f"malformed plan JSON: {exc}") from exc
     if not isinstance(raw_steps, list):
         raise UnparseableReplyError("plan reply is not a list")

@@ -9,7 +9,6 @@ one checked reader, `from_json`, as the workspace's own artifacts are read.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,9 @@ from .config import sha256_hex
 from .errors import ManalyzerError, UnparseableReplyError
 from .gateway import Gateway
 from .parsing import parse_string_groups
-from .workspace import atomic_write_bytes, atomic_write_text, from_json, read_json, write_encoded
+from .workspace import (
+    atomic_write_bytes, atomic_write_text, decode_json, from_json, read_json, write_encoded,
+)
 
 CROSSREF_URL = "https://api.crossref.org/works"
 ARXIV_URL = "http://export.arxiv.org/api/query"
@@ -130,8 +131,8 @@ def _search_crossref(query: str, max_results: int, fetch: Callable[[str], str]) 
     url = CROSSREF_URL + "?" + urlencode({"query": query, "rows": max_results})
     body = fetch(url)
     try:
-        items = json.loads(body)["message"]["items"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        items = decode_json(body)["message"]["items"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise ManalyzerError(f"malformed crossref response: {exc}") from exc
     metas = []
     for item in items:
@@ -266,14 +267,29 @@ def ingest_parsed(parse_file: Path, images_root: Path) -> ParsedDocument:
     artifact reader, and check that its images exist under `images_root`.
     A file that does not decode or does not fit ParsedDocument (a missing
     or unknown field, a leaf of the wrong type, a failed check of
-    `ParsedDocument`) is a ValueError naming the file."""
+    `ParsedDocument`, text that UTF-8 cannot encode) is a ValueError naming
+    the file."""
     try:
         doc = from_json(ParsedDocument, read_json(parse_file))
+        _check_encodable(doc)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{parse_file}: unreadable parse file: {exc}") from exc
     if ref := missing_image(doc, images_root):
         raise ValueError(f"{parse_file}: image {ref.image!r} ({ref.id}) not found")
     return doc
+
+
+def _check_encodable(doc: ParsedDocument) -> None:
+    """A ValueError when a text of `doc` holds an unpaired surrogate, which
+    an escape such as `\\ud800` decodes to: no prompt, digest or report
+    could encode it in UTF-8."""
+    refs = doc.figures + doc.tables
+    texts = [doc.doc_id, doc.title, doc.doi or "", *(p.text for p in doc.paragraphs),
+             *(text for ref in refs for text in (ref.id, ref.image, ref.caption))]
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"unpaired surrogate {exc.object[exc.start]!r} in its text") from None
 
 
 def missing_image(doc: ParsedDocument, images_root: Path) -> ImageRef | None:

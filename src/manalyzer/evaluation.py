@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import DEFAULTS, PipelineConfig
-from .workspace import from_json
+from .workspace import decode_json, from_json
 
 LEVELS = (1, 2, 3)
 
@@ -63,7 +63,7 @@ def load_gold(path: Path) -> list[GoldDataPoint]:
         if not line.strip():
             continue
         try:
-            points.append(from_json(GoldDataPoint, json.loads(line)))
+            points.append(from_json(GoldDataPoint, decode_json(line)))
         except (ValueError, OverflowError) as exc:  # a 400-digit value overflows isfinite
             raise ValueError(f"{path}:{lineno}: bad gold record: {exc}") from exc
     return points

@@ -31,7 +31,7 @@ from .errors import (
     UnparseableReplyError,
 )
 from .prompts import SYSTEM, AgentRequest, ImagePart, TextPart  # ImagePart: re-exported
-from .workspace import from_json
+from .workspace import decode_json, from_json
 
 REQUEST_TAGS = frozenset(SYSTEM)
 
@@ -138,7 +138,7 @@ class ScriptedProvider:
             if not line.strip():
                 continue
             try:
-                entry = from_json(ScriptEntry, json.loads(line))
+                entry = from_json(ScriptEntry, decode_json(line))
                 provider.register_script(entry.tag, entry.digest, entry.response)
             except (ValueError, DuplicateScriptKeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad script record: {exc}") from exc

@@ -10,19 +10,29 @@ sets with `mark` and writes with `save` at the end of each stage,
 `ingest` and `collect`. No command takes its work from the view it loads;
 it only vouches that the artifacts of the statuses it shows still exist.
 A status log that an older build left beside the manifest is ignored.
+Only the orchestrator thread sets the view. `STATUS_RANK` is the one list
+of statuses.
 
 Every write fills `<path>.tmp` and renames it over the target in
 `_commit`, so a killed process never leaves a half-written artifact. The
 bytes and text writers write their data whole; JSON artifacts are encoded
-straight into the temp file, chunk by chunk, and then renamed, so no write
+straight into the temp file, piece by piece, and then renamed, so no write
 holds an artifact's whole encoding in memory. Every artifact is a
-dataclass with one format, `_ENCODER`'s: sorted-key, indent-2 JSON with
-finite numbers only. `atomic_write_json` is its one writer and
+dataclass with one format: sorted-key, indent-2, ASCII JSON with finite
+numbers only, byte for byte what the stdlib's pure-Python encoder writes
+for the stored fields. `atomic_write_json` is its one writer and
 `read_artifact` its one checked reader; both name the file in an error.
-Its rebuilder, `from_json`, also reads the inputs that come from outside
-the program: parse files, gold points and provider script lines.
-Only the orchestrator thread sets the view. `STATUS_RANK` is the one list
-of statuses.
+
+The writer hands each run of flat records, at most `_BATCH` same-class
+dataclasses of a list whose stored fields are plain scalars, to one call
+of the stdlib C encoder, whose item separator carries the run's indent;
+one `str.replace` indents the record boundaries. A small recursive
+generator writes everything else, and everything when the `_json` module
+is missing. The reader, `from_json`, calls a reader built once per type
+hint. It also reads the inputs that come from outside the program: parse
+files, gold points and provider script lines, which `decode_json`
+decodes; nesting too deep to decode is a ValueError there, not a
+RecursionError.
 """
 
 from __future__ import annotations
@@ -31,7 +41,10 @@ import contextlib
 import dataclasses
 import functools
 import json
-from collections.abc import Iterable, Iterator
+import math
+import operator
+from collections.abc import Callable, Iterator
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -87,33 +100,165 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 @functools.cache
 def _stored(cls: Any) -> tuple[str, ...]:
-    """A dataclass's fields that reach the file: all but those whose
-    metadata marks them "transient", which stay in memory."""
-    return tuple(f.name for f in dataclasses.fields(cls) if not f.metadata.get("transient"))
+    """A dataclass's fields that reach the file, sorted by name: all but
+    those whose metadata marks them "transient", which stay in memory."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls) if not f.metadata.get("transient")))
 
 
-# The artifact format. Its `iterencode` yields the encoding in small chunks;
-# it holds no state between calls, so threads share it.
-_ENCODER = json.JSONEncoder(
-    indent=2, sort_keys=True, allow_nan=False,
-    default=lambda d: {name: getattr(d, name) for name in _stored(type(d))},
-)
+# -- the writer ----------------------------------------------------------------
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_INDENT = "  "
+# The list items one C-encoder call takes: a write holds at most this many
+# encoded at once.
+_BATCH = 64
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> Callable[[Any, int], Any] | None:
+    """The stdlib C encoder for a list of flat records whose values sit at
+    nesting `depth`: its item separator carries that depth's indent, so it
+    writes the artifact format with no indent support of its own. Keys are
+    written in the order given. None when `_json` is not available."""
+    if c_make_encoder is None:
+        return None
+    return c_make_encoder(
+        None, None, encode_basestring_ascii, None, ": ", ",\n" + _INDENT * depth, False, False, False
+    )
+
+
+@functools.cache
+def _field_getter(cls: Any) -> Callable[[Any], tuple]:
+    """A function returning a dataclass's stored field values, in `_stored` order."""
+    names = _stored(cls)
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    return lambda obj: tuple(getattr(obj, name) for name in names)
+
+
+def _float(value: float) -> str:
+    if value != value or value in (math.inf, -math.inf):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _scalar(value: Any) -> str | None:
+    """A str, int, float, bool or None encoded; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    return None
+
+
+def _key(key: Any) -> str:
+    """An object key: a str, or a number, bool or None as its encoding."""
+    text = key if isinstance(key, str) else _scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _records(rows: list[dict[str, Any]], depth: int) -> str:
+    """Flat records at nesting `depth`, encoded as the items of a list: each
+    a non-empty dict of plain scalars in sorted key order. One C call
+    separates the values with their indent, then one replace gives each
+    record boundary its own. The pattern cannot match inside a record: no
+    encoded scalar ends in "}", and no encoded string holds a raw newline.
+    A non-finite float is refused with the generic path's message, which
+    names the value, as the C encoder's does not on every supported
+    version."""
+    inner = ",\n" + _INDENT * (depth + 1)
+    outer = "\n" + _INDENT * depth
+    try:
+        body = "".join(_flat_encoder(depth + 1)(rows, 0))[2:-2]
+    except ValueError:
+        for row in rows:
+            for value in row.values():
+                if type(value) is float:
+                    _float(value)
+        raise
+    body = body.replace("}" + inner + "{", outer + "}," + outer + "{" + inner[1:])
+    return "{" + inner[1:] + body + outer + "}"
+
+
+def _batch(items: list[Any] | tuple[Any, ...], depth: int) -> Iterator[str]:
+    """At most `_BATCH` items of a list, each at nesting `depth`, and the
+    separators between them: same-class dataclass records whose stored
+    fields hold plain scalars in one C call, others one by one."""
+    cls = type(items[0])
+    if (_flat_encoder(depth) is not None and dataclasses.is_dataclass(cls) and _stored(cls)
+            and all(type(i) is cls for i in items)):
+        names, get = _stored(cls), _field_getter(cls)
+        rows = [get(item) for item in items]
+        if all(_SCALARS.issuperset(map(type, row)) for row in rows):
+            yield _records([dict(zip(names, row)) for row in rows], depth)
+            return
+    separator = ",\n" + _INDENT * depth
+    for i, item in enumerate(items):
+        if i:
+            yield separator
+        yield from _encode(item, depth)
+
+
+def _mapping(pairs: list[tuple[Any, Any]], depth: int) -> Iterator[str]:
+    """An object of the (key, value) `pairs`, in their order, at nesting `depth`."""
+    if not pairs:
+        yield "{}"
+        return
+    inner = "\n" + _INDENT * (depth + 1)
+    for i, (key, value) in enumerate(pairs):
+        yield ("," if i else "{") + inner + _key(key) + ": "
+        yield from _encode(value, depth + 1)
+    yield "\n" + _INDENT * depth + "}"
+
+
+def _encode(obj: Any, depth: int) -> Iterator[str]:
+    """`obj`'s encoding at nesting `depth`, in pieces: the generic path,
+    which hands each run of flat records to the C encoder."""
+    text = _scalar(obj)
+    if text is not None:
+        yield text
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        yield "[" + inner
+        for start in range(0, len(obj), _BATCH):
+            if start:
+                yield "," + inner
+            yield from _batch(obj[start : start + _BATCH], depth + 1)
+        yield "\n" + _INDENT * depth + "]"
+    elif isinstance(obj, dict):
+        yield from _mapping(sorted(obj.items()), depth)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield from _mapping(list(zip(_stored(type(obj)), _field_getter(type(obj))(obj))), depth)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def encode(obj: object) -> str:
-    """The artifact format: `obj` as sorted-key, indent-2 JSON, a dataclass
-    as its stored fields (shallow, with no copy). NaN or an infinity is a
-    ValueError."""
-    return _ENCODER.encode(obj)
+    """The artifact format: `obj` as sorted-key, indent-2, ASCII JSON, a
+    dataclass as its stored fields. NaN or an infinity is a ValueError."""
+    return "".join(_encode(obj, 0))
 
 
 def write_encoded(path: Path, obj: object, end: str) -> None:
-    """Write `obj`'s encoding, then `end`, to `path`, chunk by chunk. A
+    """Write `obj`'s encoding, then `end`, to `path`, piece by piece. A
     value the encoder refuses is a ValueError naming `path`; `path` keeps
     what it held, and the partial temp file is deleted."""
     try:
         with _replacing(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as f:
-            f.writelines(_ENCODER.iterencode(obj))
+            f.writelines(_encode(obj, 0))
             f.write(end)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -125,14 +270,25 @@ def atomic_write_json(path: Path, obj: object) -> None:
     write_encoded(path, obj, "\n")
 
 
+# -- the reader ----------------------------------------------------------------
+
 def _refuse_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token}")
+
+
+def decode_json(text: str, parse_constant: Callable[[str], Any] | None = None) -> Any:
+    """`text` decoded as `json.loads` decodes it. Nesting too deep for the
+    decoder is a ValueError too, not a RecursionError."""
+    try:
+        return json.loads(text, parse_constant=parse_constant)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def read_json(path: Path) -> Any:
     """The JSON in `path`. The NaN, Infinity and -Infinity tokens, which
     `json.loads` accepts but JSON does not define, are a ValueError."""
-    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    return decode_json(path.read_text(encoding="utf-8"), _refuse_constant)
 
 
 def read_artifact(path: Path, cls: Any) -> Any:
@@ -166,66 +322,112 @@ def _leaf_types(hint: Any) -> frozenset[type] | None:
     admits (an int passes for a float, a bool for neither); None for any
     other hint."""
     named = frozenset(get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,))
-    if not named <= {int, float, str, bool, type(None)}:
+    if not named <= _SCALARS:
         return None
     return named | {int} if float in named else named
 
 
-def _check_leaves(hint: Any, values: Iterable[Any]) -> None:
-    """A ValueError for the first of `values` of a type that `hint`, a leaf
-    hint, does not admit; any other hint checks nothing."""
+def _leaf_error(hint: Any, value: Any) -> ValueError:
+    return ValueError(f"expected {getattr(hint, '__name__', hint)}, got {type(value).__name__}")
+
+
+def _as_read(raw: Any) -> Any:
+    return raw
+
+
+@functools.cache
+def _reader(hint: Any) -> Callable[[Any], Any]:
+    """The function that rebuilds a value of type `hint` from its JSON,
+    built once per hint: see `from_json`."""
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_reader(hint)
+    origin = get_origin(hint)
+    if origin is tuple:
+        return _tuple_reader(get_args(hint)[0])
+    members = get_args(hint) if origin in (Union, UnionType) else ()
+    if members and all(map(dataclasses.is_dataclass, members)):
+        return _union_reader(members)
     allowed = _leaf_types(hint)
-    if allowed is not None:
-        for value in values:
-            if type(value) not in allowed:
-                name = getattr(hint, "__name__", hint)
-                raise ValueError(f"expected {name}, got {type(value).__name__}")
+    if allowed is None:
+        return _as_read
+
+    def read_leaf(raw: Any) -> Any:
+        if type(raw) not in allowed:
+            raise _leaf_error(hint, raw)
+        return raw
+
+    return read_leaf
 
 
-def from_json(cls: Any, raw: Any) -> Any:
-    """Rebuild a value of type `cls` from the JSON that `encode` writes.
+def _dataclass_reader(cls: Any) -> Callable[[Any], Any]:
+    hints, required = _fields(cls)
+    names = frozenset(hints)
+    readers = {name: _reader(hint) for name, hint in hints.items()}
 
-    Dataclasses and `tuple[X, ...]` fields are rebuilt by their type hints;
-    fields absent from `raw` take their defaults. A union of dataclasses is
-    read as its first member that declares every key of `raw`, or else as
-    its first member, which then names the key it lacks. A value whose hint
-    names only int, float, str, bool or None (alone, in a union or as a
-    tuple's items) is checked against it; every other value (dicts, say)
-    is taken as read. A ValueError names what does not fit and the field
-    it is in, as in `IndependentScores.s1: expected int, got str`: a
-    non-object where a dataclass is expected, a missing required field or
-    an unknown one, a non-list for a tuple, a leaf of another type.
-    """
-    if dataclasses.is_dataclass(cls):
+    def read_dataclass(raw: Any) -> Any:
         if not isinstance(raw, dict):
             raise ValueError(f"{cls.__name__}: expected an object, got {type(raw).__name__}")
-        hints, required = _fields(cls)
-        if unknown := raw.keys() - hints.keys():
-            raise ValueError(f"{cls.__name__}: unknown field {sorted(unknown)[0]!r}")
-        if missing := required - raw.keys():
-            raise ValueError(f"{cls.__name__}: missing field {sorted(missing)[0]!r}")
+        if raw.keys() != names:
+            if unknown := raw.keys() - names:
+                raise ValueError(f"{cls.__name__}: unknown field {sorted(unknown)[0]!r}")
+            if missing := required - raw.keys():
+                raise ValueError(f"{cls.__name__}: missing field {sorted(missing)[0]!r}")
         values = {}
         for name, value in raw.items():
             try:
-                values[name] = from_json(hints[name], value)
+                values[name] = readers[name](value)
             except ValueError as exc:
                 raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
         return cls(**values)
-    origin = get_origin(cls)
-    if origin is tuple:
+
+    return read_dataclass
+
+
+def _tuple_reader(item: Any) -> Callable[[Any], Any]:
+    allowed, read = _leaf_types(item), _reader(item)
+
+    def read_tuple(raw: Any) -> Any:
         if not isinstance(raw, list):
             raise ValueError(f"expected a list, got {type(raw).__name__}")
-        item_type = get_args(cls)[0]
-        if not (dataclasses.is_dataclass(item_type) or get_origin(item_type) is tuple):
-            _check_leaves(item_type, raw)
+        if allowed is not None:
+            if not allowed.issuperset(map(type, raw)):
+                raise _leaf_error(item, next(v for v in raw if type(v) not in allowed))
             return tuple(raw)
-        return tuple(from_json(item_type, value) for value in raw)
-    members = get_args(cls) if origin in (Union, UnionType) else ()
-    if members and all(map(dataclasses.is_dataclass, members)):
-        fits = [m for m in members if isinstance(raw, dict) and raw.keys() <= _fields(m)[0].keys()]
-        return from_json((fits or members)[0], raw)
-    _check_leaves(cls, (raw,))
-    return raw
+        return tuple(map(read, raw))
+
+    return read_tuple
+
+
+def _union_reader(members: tuple[Any, ...]) -> Callable[[Any], Any]:
+    readers = [(frozenset(_fields(m)[0]), _reader(m)) for m in members]
+
+    def read_union(raw: Any) -> Any:
+        if isinstance(raw, dict):
+            for names, read in readers:
+                if raw.keys() <= names:
+                    return read(raw)
+        return readers[0][1](raw)
+
+    return read_union
+
+
+def from_json(cls: Any, raw: Any) -> Any:
+    """Rebuild a value of type `cls` from the JSON that `encode` writes,
+    with the reader built for `cls` the first time it is asked for.
+
+    Dataclasses and `tuple[X, ...]` fields are rebuilt by their type hints;
+    fields absent from `raw` take their defaults, and `__post_init__`
+    checks run. A union of dataclasses is read as its first member that
+    declares every key of `raw`, or else as its first member, which then
+    names the key it lacks. A value whose hint names only int, float, str,
+    bool or None (alone, in a union or as a tuple's items) is checked
+    against it; every other value (dicts, say) is taken as read. A
+    ValueError names what does not fit and the field it is in, as in
+    `IndependentScores.s1: expected int, got str`: a non-object where a
+    dataclass is expected, a missing required field or an unknown one, a
+    non-list for a tuple, a leaf of another type.
+    """
+    return _reader(cls)(raw)
 
 
 class Workspace:

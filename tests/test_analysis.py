@@ -100,11 +100,13 @@ def test_plan_analysis_uses_agent_steps_and_backfills(scripted):
 
 
 def test_plan_analysis_falls_back_on_garbage(scripted):
-    provider, gateway = scripted()
     merged = merged_from([(1.0, 2.0), (3.0, 4.0)])
-    register_for(provider, plan_request_for(merged), "I would rather chat about the weather.")
-    plan = plan_analysis(merged, TOPIC, gateway)
-    assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
+    # The second reply nests too deeply for the decoder's recursion.
+    for garbage in ("I would rather chat about the weather.", "[" * 100_000 + "]" * 100_000):
+        provider, gateway = scripted()
+        register_for(provider, plan_request_for(merged), garbage)
+        plan = plan_analysis(merged, TOPIC, gateway)
+        assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
 
 
 def test_plan_analysis_drops_invalid_steps(scripted):

@@ -977,7 +977,9 @@ def write_doc(source, name, doc_id, text):
     }), encoding="utf-8")
 
 
-@pytest.mark.parametrize("case", ["bad-file-last", "shared-doc-id", "packed", "packed-artifact"])
+@pytest.mark.parametrize("case", [
+    "bad-file-last", "shared-doc-id", "packed", "packed-artifact", "nested-too-deeply", "surrogate",
+])
 def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
     source, ws = tmp_path / "docs", tmp_path / "ws"
     source.mkdir()
@@ -985,6 +987,10 @@ def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
     assert invoke(ws, "init", "--direction", "x").exit_code == 0
     if case == "bad-file-last":
         (source / "b.json").write_text("{", encoding="utf-8")
+    elif case == "nested-too-deeply":
+        (source / "b.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    elif case == "surrogate":  # the escape decodes to a str that UTF-8 cannot encode
+        write_doc(source, "b.json", "b", "Beta \ud800.")
     elif case == "shared-doc-id":
         write_doc(source, "b.json", "a", "Beta.")
     else:
@@ -998,6 +1004,8 @@ def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
     result = invoke(ws, "ingest", "--from", source)
     assert result.exit_code == 2, result.stderr
     assert result.stderr.startswith("error: ")
+    if case in ("nested-too-deeply", "surrogate"):
+        assert result.stderr.startswith(f"error: {source / 'b.json'}: unreadable parse file: ")
     assert tree(ws) == before
 
 

@@ -124,9 +124,10 @@ def test_ingest_parsed_dangling_image(tmp_path):
 
 def test_ingest_parsed_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValueError, match="unreadable"):
-        ingest_parsed(path, tmp_path)
+    for text in ("{not json", "[" * 200_000 + "]" * 200_000):  # the second nests too deeply
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unreadable parse file: ")):
+            ingest_parsed(path, tmp_path)
 
 
 def test_ingest_parsed_takes_defaults_for_the_optional_fields(tmp_path):
@@ -146,6 +147,10 @@ def test_ingest_parsed_takes_defaults_for_the_optional_fields(tmp_path):
     ({"figures": [{"id": "f", "image": "/fig1.png"}]}, "figures[0].image: '/fig1.png' leaves"),
     ({"figures": [{"id": "f", "image": ""}]}, "figures[0].image: '' leaves"),
     ({"title": 5}, "ParsedDocument.title: expected str, got int"),
+    # Decoded from a `\ud800` escape: no prompt, digest or report could encode it.
+    pytest.param({"title": "A \ud800"}, "unpaired surrogate '\\ud800' in its text", id="surrogate-title"),
+    pytest.param({"paragraphs": [{"index": 0, "text": "x \udfff"}]},
+                 "unpaired surrogate '\\udfff' in its text", id="surrogate-paragraph"),
 ])
 def test_ingest_parsed_refuses_what_the_types_admit_but_the_checks_do_not(
     tmp_path, overrides, message
@@ -203,8 +208,9 @@ def test_search_caps_results():
 
 
 def test_search_crossref_malformed_body():
-    with pytest.raises(ManalyzerError, match="malformed crossref response"):
-        search("crossref", "q", 5, fetch=lambda url: "<html>rate limited</html>")
+    for body in ("<html>rate limited</html>", "[" * 100_000 + "]" * 100_000):
+        with pytest.raises(ManalyzerError, match="malformed crossref response"):
+            search("crossref", "q", 5, fetch=lambda url: body)
 
 
 def test_search_arxiv_parses_feed():

@@ -270,6 +270,8 @@ def test_load_gold_rejects_bad_lines(tmp_path):
     ('{"doc_id": "d01", "level": 1, "value": 1.0, "unit": 3}', "GoldDataPoint.unit: expected str, got int"),
     ('{"doc_id": "d01", "level": 1, "value": 1.0, "units": "mm"}',
      "GoldDataPoint: unknown field 'units'"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to decode",
+                 id="nested-too-deeply"),
 ])
 def test_a_mistyped_gold_line_makes_eval_extraction_exit_2_naming_the_line(tmp_path, line, message):
     path = tmp_path / "gold.jsonl"

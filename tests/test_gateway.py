@@ -170,6 +170,8 @@ def test_script_load_rejects_bad_records(tmp_path):
     ('{"tag": "extract", "digest": "d1", "response": 7}', "ScriptEntry.response: expected str, got int"),
     ('{"tag": "extract", "digest": "d1", "reply": "a"}', "ScriptEntry: unknown field 'reply'"),
     ('["extract", "d1", "a"]', "ScriptEntry: expected an object, got list"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to decode",
+                 id="nested-too-deeply"),
 ])
 def test_a_mistyped_script_line_makes_init_exit_2_naming_the_line(tmp_path, record, message):
     path = tmp_path / "script.jsonl"

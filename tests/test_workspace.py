@@ -1,5 +1,6 @@
 """Workspace lifecycle: manifest round-trips, the status view's queries,
-config digest enforcement, and crash-safe writes."""
+config digest enforcement, crash-safe writes, and the artifact codec
+against the stdlib's pure-Python encoder."""
 
 import dataclasses
 import json
@@ -18,7 +19,7 @@ from manalyzer import workspace
 from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
 from manalyzer.collector import ImageRef, Paragraph, ParsedDocument, save_parsed
 from manalyzer.config import PipelineConfig, config_digest
-from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable
+from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable, ProvenanceEntry
 from manalyzer.packer import PackedDocument
 from manalyzer.pipeline import (
     ExtractionParts, ExtractionTrace, IndependentFailure, ReviewFailureRecord, Screening,
@@ -32,11 +33,14 @@ from manalyzer.workspace import (
     atomic_write_json,
     atomic_write_text,
     encode,
+    from_json,
     read_artifact,
     read_json,
 )
 
-from helpers import run_cli, tree
+from helpers import run_cli, run_python, tree
+
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture
@@ -192,6 +196,18 @@ def test_atomic_write_json_is_stable(tmp_path):
 
 # -- the artifact codec --------------------------------------------------------
 
+def oracle(obj):
+    """The artifact format as the stdlib's pure-Python encoder writes it (it
+    takes that path whenever `indent` is set): the writer's reference."""
+    return json.dumps(
+        obj, indent=2, sort_keys=True, allow_nan=False,
+        default=lambda d: {
+            f.name: getattr(d, f.name) for f in dataclasses.fields(d)
+            if not f.metadata.get("transient")
+        },
+    )
+
+
 # What each artifact file is read back as; a union is a file that holds
 # either member.
 ARTIFACTS = [
@@ -200,14 +216,16 @@ ARTIFACTS = [
     tuple[AnalysisResult, ...], PlotData, ParsedDocument,
 ]
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [1e-300, -1e-300, 1e308, -1e308, -0.0, 5e-324]
+    [1e-300, -1e-300, 1e308, -1e308, -0.0, 5e-324, 1e-7, 1e16]
 )
+INTS = st.integers() | st.sampled_from([2**63, -(2**64) - 1, 10**40])
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | st.text()
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=8,
 )
-LEAVES = {int: st.integers(), float: FLOATS, str: st.text(), bool: st.booleans(),
+LEAVES = {int: INTS, float: FLOATS, str: st.text(), bool: st.booleans(),
           type(None): st.none(), object: JSON}
 
 
@@ -270,13 +288,108 @@ def test_every_artifact_reads_back_as_written(tmp_path, cls):
     @given(values_of(cls))
     def round_trip(value):
         atomic_write_json(path, value)
-        assert path.read_bytes() == (encode(value) + "\n").encode("utf-8")
+        assert path.read_bytes() == (oracle(value) + "\n").encode("utf-8")
         assert read_artifact(path, cls) == value
         if cls is ParsedDocument:
             save_parsed(value, path)
-            assert path.read_bytes() == encode(value).encode("utf-8")
+            assert path.read_bytes() == oracle(value).encode("utf-8")
 
     round_trip()
+
+
+@dataclasses.dataclass(frozen=True)
+class Record:
+    """A flat record while its values are scalars; `hidden` never reaches the file."""
+
+    b: object
+    a: object = None
+    hidden: object = dataclasses.field(default=None, metadata={"transient": True})
+
+
+@dataclasses.dataclass(frozen=True)
+class Single:
+    only: object
+
+
+@dataclasses.dataclass(frozen=True)
+class Bare:
+    hidden: object = dataclasses.field(default=None, metadata={"transient": True})
+
+
+# Trees of dataclasses, tuples, lists and dicts: flat and nested records,
+# runs of flat records that cross the writer's batch of 64, empty
+# containers, keys that are not strings.
+TREES = st.recursive(
+    SCALARS | st.builds(Bare, SCALARS),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+        | st.dictionaries(INTS, inner, max_size=3)
+        | st.builds(Record, inner, inner, inner) | st.builds(Single, inner)
+        | st.lists(st.builds(Record, SCALARS, SCALARS), max_size=140).map(tuple)
+        | st.lists(SCALARS, max_size=140)
+    ),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize("encoder", ["c", "python"])
+def test_the_writer_writes_the_bytes_of_the_pure_python_encoder(tmp_path, monkeypatch, encoder):
+    if encoder == "python":  # as where the `_json` module is not available
+        monkeypatch.setattr(workspace, "_flat_encoder", lambda depth: None)
+    path = tmp_path / "tree.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(TREES)
+    def same_bytes(value):
+        assert encode(value) == oracle(value)
+        atomic_write_json(path, value)
+        assert path.read_bytes() == (oracle(value) + "\n").encode("ascii")
+
+    same_bytes()
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 129, 300])
+def test_batches_of_flat_values_rows_and_records_join_as_one_encoding(size):
+    records = tuple(Record(f"r{i}\u00e9\n", i if i % 3 else None) for i in range(size))
+    value = {"floats": [i / 7 for i in range(size)], "records": records,
+             "rows": [(f"d{i}", i / 3, None) for i in range(size)] + [[]],
+             "stats": {f"k{i}": -0.0 for i in range(size)}, "mixed": records + (Single(1),)}
+    assert encode(value) == oracle(value)
+
+
+def assert_written_as_the_oracle_writes(ws):
+    """Every JSON file under `ws` holds the reference encoding of what it
+    decodes to (a newline after it or not: the pins hold which)."""
+    checked = []
+    for path in sorted(ws.rglob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        assert text.removesuffix("\n") == oracle(json.loads(text)), path
+        checked.append(path.relative_to(ws).as_posix())
+    assert {"manifest.json", "parsed/d01.json", "extracted/d01/parts.json",
+            "analysis/results.json"} <= set(checked)
+
+
+@pytest.mark.parametrize("encoder", ["c", "python"])
+def test_every_file_of_a_finished_corpus_workspace_is_written_as_the_oracle_writes(
+    tmp_path, encoder
+):
+    # The readme flow matches its pin, byte for byte, with `_json` blocked
+    # too: the writer's generic path alone gives the same bytes.
+    block = 'sys.modules["_json"] = None' if encoder == "python" else ""
+    result = run_python(f"""
+import sys
+{block}
+sys.path.insert(0, {str(TESTS)!r})
+from json import encoder
+assert (encoder.c_make_encoder is None) == {encoder == "python"}
+from pathlib import Path
+import test_golden, test_workspace
+ws = Path({str(tmp_path / "demo")!r})
+test_golden._assert_matches_pin("readme", ws)
+test_workspace.assert_written_as_the_oracle_writes(ws)
+""")
+    assert result.returncode == 0, result.stderr
 
 
 def many_parts(last_score=1.0):
@@ -293,13 +406,18 @@ def many_parts(last_score=1.0):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_the_writer_refuses_a_non_finite_number_and_names_the_file(tmp_path, value):
     path = tmp_path / "table.json"
+    refusal = re.escape(f"{path}: Out of range float values are not JSON compliant: {value!r}")
     table = ExtractedTable("d01", ("x",), ((1.0,), (value,)), (), iteration=1)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+    with pytest.raises(ValueError, match=refusal):
         atomic_write_json(path, table)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+    with pytest.raises(ValueError, match=refusal):
         atomic_write_json(path, {"stats": [value]})
+    with pytest.raises(ValueError, match=refusal):  # in a flat record
+        atomic_write_json(path, dataclasses.replace(table, rows=(), provenance=(
+            ProvenanceEntry(1.0, "p1", 0, 0), ProvenanceEntry(value, "p1", 1, 0),
+        )))
     # Refused after tens of KB reached the temp file: that file goes too.
-    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+    with pytest.raises(ValueError, match=refusal):
         atomic_write_json(path, many_parts(value))
     assert list(tmp_path.iterdir()) == []
 
@@ -329,19 +447,92 @@ def test_kept_stays_out_of_the_review_record_file(tmp_path):
         read_artifact(path, ReviewRecord)
 
 
+REVIEW = ReviewRecord | ReviewFailureRecord
+PACKED = {"doc_id": "d01", "selected_indices": [0, 2], "total_weight": 3,
+          "total_importance": 9, "budget": 5}
+SCREENING = {"threshold": 6.5, "kept": ["d01"], "excluded": [], "failures": []}
+PARTS = {"parts": [], "mask": [], "retained": [], "warnings": []}
+TABLE = {"doc_id": "d01", "header": ["x"], "rows": [[1.0]], "provenance": [], "iteration": 1}
+STEP = {"kind": "regression", "features": ["x"]}
+
+# A malformed record of each artifact type, and the message it is refused
+# with: a wrong leaf type, an unknown field, a missing field, a non-list
+# tuple, a non-object dataclass, a union with no fitting member.
+MALFORMED = [
+    (PackedDocument, {**PACKED, "doc_id": 5}, "PackedDocument.doc_id: expected str, got int"),
+    (PackedDocument, {**PACKED, "budget": 5.0}, "PackedDocument.budget: expected int, got float"),
+    (PackedDocument, {**PACKED, "extra": 1}, "PackedDocument: unknown field 'extra'"),
+    (PackedDocument, {k: v for k, v in PACKED.items() if k != "budget"},
+     "PackedDocument: missing field 'budget'"),
+    (PackedDocument, {**PACKED, "selected_indices": "0,2"},
+     "PackedDocument.selected_indices: expected a list, got str"),
+    (PackedDocument, {**PACKED, "selected_indices": [0, True]},
+     "PackedDocument.selected_indices: expected int, got bool"),
+    (PackedDocument, [PACKED], "PackedDocument: expected an object, got list"),
+    (IndependentScores | IndependentFailure, {"s1": 7, "s2": "8"},
+     "IndependentScores.s2: expected int, got str"),
+    (IndependentScores | IndependentFailure, {"s1": 7, "failed": True},
+     "IndependentScores: unknown field 'failed'"),
+    (IndependentScores | IndependentFailure, {"failed": True},
+     "IndependentFailure: missing field 'reason'"),
+    (IndependentScores | IndependentFailure, {"s1": 11, "s2": 8}, "s1=11 outside [1, 10]"),
+    (IndependentScores | IndependentFailure, None,
+     "IndependentScores: expected an object, got NoneType"),
+    (REVIEW, {"failed": True}, "ReviewFailureRecord: missing field 'doc_id'"),
+    (REVIEW, {"doc_id": 5, "failed": True, "reason": "x"},
+     "ReviewFailureRecord.doc_id: expected str, got int"),
+    (REVIEW, {"s1": 7, "failed": True}, "ReviewRecord: unknown field 'failed'"),
+    (REVIEW, [], "ReviewRecord: expected an object, got list"),
+    (Screening, {**SCREENING, "kept": ["d01", 1]}, "Screening.kept: expected str, got int"),
+    (Screening, {**SCREENING, "threshold": "6.5"}, "Screening.threshold: expected float, got str"),
+    (ExtractionParts, {**PARTS, "parts": [1]},
+     "ExtractionParts.parts: ConvertedPart: expected an object, got int"),
+    (ExtractionParts, {**PARTS, "parts": [{"part_id": "p1", "origin": "text-paragraph"}]},
+     "ExtractionParts.parts: ConvertedPart: missing field 'body'"),
+    (ExtractionParts, {**PARTS, "mask": [0.5, None]},
+     "ExtractionParts.mask: expected float, got NoneType"),
+    (ExtractionTrace, {"trace": [{"iteration": 1}], "violations": []},
+     "ExtractionTrace.trace: TraceEntry: missing field 'data_accuracy'"),
+    (ExtractionTrace, {"trace": [], "violations": {}},
+     "ExtractionTrace.violations: expected a list, got dict"),
+    (ExtractedTable, {**TABLE, "rows": [[1.0, "x"]]},
+     "ExtractedTable.rows: expected float | None, got str"),
+    (ExtractedTable, {**TABLE, "rows": [1.0]}, "ExtractedTable.rows: expected a list, got float"),
+    (ExtractedTable, {**TABLE, "provenance": [{"value": "1", "part_id": "p", "row": 0, "column": 0}]},
+     "ExtractedTable.provenance: ProvenanceEntry.value: expected float, got str"),
+    (ExtractedTable, {**TABLE, "accepted": 1}, "ExtractedTable.accepted: expected bool, got int"),
+    (MergedTable, {"header": ["doc_id"], "rows": [5], "row_count": 1, "missing_count": 0},
+     "MergedTable.rows: expected a list, got int"),
+    (AnalysisPlan, {"steps": [{**STEP, "features": "x"}]},
+     "AnalysisPlan.steps: AnalysisStep.features: expected a list, got str"),
+    (AnalysisPlan, {"steps": [{**STEP, "k": "2"}]}, "AnalysisPlan.steps: AnalysisStep.k: expected int, got str"),
+    (tuple[AnalysisResult, ...], {}, "expected a list, got dict"),
+    (tuple[AnalysisResult, ...], [{"step": 5}],
+     "AnalysisResult.step: AnalysisStep: expected an object, got int"),
+    (PlotData, {"step": STEP, "stats": {}, "excluded_rows": 0, "x": 1}, "PlotData: unknown field 'x'"),
+    (ParsedDocument, {"doc_id": "d01", "paragraphs": {}},
+     "ParsedDocument.paragraphs: expected a list, got dict"),
+    (ParsedDocument, {"doc_id": "d01", "paragraphs": [], "doi": 5},
+     "ParsedDocument.doi: expected str | None, got int"),
+    (ParsedDocument, {"doc_id": "d01", "paragraphs": [{"index": 0}]},
+     "ParsedDocument.paragraphs: Paragraph: missing field 'text'"),
+]
+
+
+@pytest.mark.parametrize("cls, raw, message", MALFORMED, ids=[row[2] for row in MALFORMED])
+def test_a_malformed_artifact_is_refused_naming_the_field_it_is_in(cls, raw, message):
+    with pytest.raises(ValueError) as refused:
+        from_json(cls, raw)
+    assert str(refused.value) == message
+
+
 def test_a_union_reads_the_member_that_declares_every_key(tmp_path):
     path = tmp_path / "d01.json"
-    for raw, message in (
-        ({"failed": True}, "ReviewFailureRecord: missing field 'doc_id'"),
-        ({"doc_id": 5, "failed": True, "reason": "x"},
-         "ReviewFailureRecord.doc_id: expected str, got int"),
-        ({"s1": 7, "failed": True}, "ReviewRecord: unknown field 'failed'"),
-        ([], "ReviewRecord: expected an object, got list"),
-    ):
+    for _, raw, message in (row for row in MALFORMED if row[0] == REVIEW):
         path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-            read_artifact(path, ReviewRecord | ReviewFailureRecord)
-    assert read_artifact(tmp_path / "absent.json", ReviewRecord | ReviewFailureRecord) is None
+            read_artifact(path, REVIEW)
+    assert read_artifact(tmp_path / "absent.json", REVIEW) is None
 
 
 def test_status_ignores_an_old_builds_log_and_writes_nothing(ws):
