@@ -61,14 +61,12 @@ def _provider(args: argparse.Namespace, config: PipelineConfig) -> Provider:
 
 def _open(args: argparse.Namespace, **overrides) -> Pipeline:
     """The workspace's pipeline, with each non-None override for this command
-    only, and its status view read off the artifacts."""
+    only; building it reads the status view off the artifacts."""
     config = load_config(args.config)
     ws = Workspace.load(args.workspace)
     ws.check_config(config)
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    pipe = Pipeline(ws, config, _provider(args, config))
-    pipe.refresh()
-    return pipe
+    return Pipeline(ws, config, _provider(args, config))
 
 
 @_command(
@@ -257,7 +255,6 @@ def resume(args: argparse.Namespace) -> None:
 def status(args: argparse.Namespace) -> None:
     """Show the per-document stage matrix."""
     pipe = Pipeline(Workspace.load(args.workspace), PipelineConfig(), ScriptedProvider())
-    pipe.refresh()
     print(status_text(pipe.ws), end="")
 
 

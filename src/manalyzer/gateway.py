@@ -150,8 +150,9 @@ class Gateway:
 
     Transient TransportErrors are retried with exponential backoff (up to
     ``retries`` attempts, sleeping BACKOFF_S between them); refusals and empty
-    replies are surfaced immediately. A semaphore bounds in-flight calls
-    across worker threads.
+    replies are surfaced immediately, and so is a reply that UTF-8 cannot
+    encode (an unpaired surrogate), as UnparseableReplyError. A semaphore
+    bounds in-flight calls across worker threads.
 
     ``ask`` owns the re-ask policy: a reply the caller's parser rejects is
     asked for again with a format reminder appended. The caller owns the
@@ -201,6 +202,12 @@ class Gateway:
                 raise EmptyResponseError(
                     f"provider returned empty reply for tag {request.request_tag!r}"
                 )
+            try:  # every artifact and report is UTF-8, so a reply must encode
+                response.raw_text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise UnparseableReplyError(
+                    f"reply for tag {request.request_tag!r} is not UTF-8 text: {exc.reason}"
+                ) from None
             return response
         assert last_error is not None
         raise last_error

@@ -4,10 +4,10 @@ The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
 on. The artifacts are the one record of progress: ``Pipeline.statuses``
 reads each document's status off the artifact that records it
-(``ARTIFACTS``' last column). ``@stage(name)`` derives the statuses when a
-stage starts, and the stage takes its work list from them; it writes them
-to manifest.json's ``docs`` view when the stage returns or fails with exit
-3. A kill writes no view, and every command derives the statuses afresh.
+(``ARTIFACTS``' last column). A ``Pipeline`` derives them when built, and
+each ``@stage(name)`` takes its work list from them, derives them again when
+it returns or fails with exit 3, and writes them to manifest.json's ``docs``
+view. A kill writes no view, and every command derives the statuses afresh.
 
 Per-document work (packing, independent review, comparative review
 batches, extraction) runs on one bounded worker pool, ``_per_document``.
@@ -188,15 +188,14 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
 
 
 def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Run a Pipeline method as stage `name`: derive the status view, run the
-    method, and write the view. A ManalyzerError or an OSError (a failed
-    write, say) writes the view too, then is re-raised as StageFailure(name)
-    (exit 3); any other exception, a ValueError (bad input, exit 2) among
-    them, passes through and writes nothing."""
+    """Run a Pipeline method as stage `name` on the current status view,
+    then derive the view again and write it. A ManalyzerError or an OSError
+    (a failed write, say) derives and writes the view too, then is re-raised
+    as StageFailure(name) (exit 3); any other exception, a ValueError (bad
+    input, exit 2) among them, passes through and writes nothing."""
     def wrap(method: Callable[..., T]) -> Callable[..., T]:
         @functools.wraps(method)
         def run_stage(self: "Pipeline", *args, **kwargs) -> T:
-            self.refresh()
             try:
                 result = method(self, *args, **kwargs)
             except (ManalyzerError, OSError) as exc:
@@ -237,6 +236,7 @@ class Pipeline:
         self.gateway = Gateway(provider, retries=config.provider_retries,
                                max_in_flight=config.provider_max_in_flight)
         self._read: dict[str, Any] = {}  # what `artifact` read, by workspace-relative path
+        self.refresh()
 
     # -- small helpers ---------------------------------------------------
 
@@ -668,7 +668,7 @@ class Pipeline:
             self.store_template(template)
         columns = self.load_stored_template()
 
-        before = self.statuses()
+        before = self.ws.docs  # `refresh` replaces the dict, never changes it
         self.stage_pack()
         self.stage_review()
         self.stage_screen()

@@ -125,7 +125,8 @@ def baseline_screen(s1: int, s2: int) -> bool:
 
 
 def load_screening_gold(path: Path) -> dict[str, bool]:
-    """Gold screening labels: one `doc_id 0|1` per line (comma also works)."""
+    """Gold screening labels: one `doc_id 0|1` per line (comma also works),
+    each doc_id once."""
     labels: dict[str, bool] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -134,6 +135,8 @@ def load_screening_gold(path: Path) -> dict[str, bool]:
         fields = line.replace(",", " ").split()
         if len(fields) != 2 or fields[1] not in ("0", "1"):
             raise ValueError(f"{path}:{lineno}: expected 'doc_id 0|1', got {raw!r}")
+        if fields[0] in labels:
+            raise ValueError(f"{path}:{lineno}: doc_id {fields[0]!r} listed twice")
         labels[fields[0]] = fields[1] == "1"
     return labels
 

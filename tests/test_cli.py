@@ -137,6 +137,65 @@ def test_full_run_and_evaluation(initialized, corpus_dir):
     assert (ws / "report.md").read_bytes() == before
 
 
+def test_each_command_derives_the_status_view_once_per_boundary(
+    tmp_path, corpus_dir, monkeypatch
+):
+    """A command derives the statuses when it opens the workspace, and again
+    only where it writes, at `ingest`'s end and each stage's, which also
+    write the view."""
+    counts = Counter()
+
+    def counted(name, method):
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return count
+
+    ws, config = tmp_path / "ws", corpus_dir / "config.txt"
+    template = str(corpus_dir / "template.txt")
+    assert invoke(ws, "init", "--direction", synth.DIRECTION, "--template", template,
+                  config=config).exit_code == 0
+    monkeypatch.setattr(pipeline.Pipeline, "statuses",
+                        counted("derivations", pipeline.Pipeline.statuses))
+    monkeypatch.setattr(Workspace, "save", counted("view writes", Workspace.save))
+    seen = {}
+    for args in (("ingest", "--from", str(corpus_dir / "docs")), ("run",), ("resume",),
+                 ("status",)):
+        counts.clear()
+        result = invoke(ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.stderr)
+        seen[args[0]] = counts["derivations"], counts["view writes"]
+    assert seen == {"ingest": (2, 1), "run": (7, 6), "resume": (7, 6), "status": (1, 0)}
+
+
+def test_a_reply_utf8_cannot_encode_is_refused_at_the_gateway(tmp_path, corpus_dir):
+    """A `report` reply that ends in an unpaired surrogate fails its call:
+    `run` exits 0 with the built-in discussion, and its report.md is byte
+    for byte that of a run whose `report` call fails outright."""
+    lines = (corpus_dir / "script.jsonl").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines if line.strip()]
+    reports = {}
+    for case in ("surrogate", "unscripted"):
+        here = tmp_path / case
+        here.mkdir()
+        shutil.copy(corpus_dir / "config.txt", here / "config.txt")
+        script = [dict(e, response=e["response"] + " \ud800") if e["tag"] == "report" else e
+                  for e in entries if case == "surrogate" or e["tag"] != "report"]
+        (here / "script.jsonl").write_text(
+            "".join(json.dumps(e) + "\n" for e in script), encoding="utf-8"
+        )
+        ws, config = here / "ws", here / "config.txt"
+        for args in (
+            ("init", "--direction", synth.DIRECTION, "--template", corpus_dir / "template.txt"),
+            ("ingest", "--from", corpus_dir / "docs"),
+            ("run",),
+        ):
+            result = invoke(ws, *args, config=config)
+            assert result.exit_code == 0, (case, args, result.stderr)
+        reports[case] = (ws / "report.md").read_bytes()
+    assert reports["surrogate"] == reports["unscripted"]
+
+
 def test_stagewise_flow_matches_run(tmp_path, initialized, corpus_dir):
     ws, config = initialized
     for args, expected in (

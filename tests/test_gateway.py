@@ -265,6 +265,15 @@ def test_ask_does_not_reask_an_empty_reply():
     assert provider.requests == [("q",)]
 
 
+def test_a_reply_utf8_cannot_encode_is_unparseable_and_reasked():
+    provider = ReplyListProvider("fine \udfff", "fine \udfff", "fine")
+    gateway = Gateway(provider, sleep=lambda s: None)
+    with pytest.raises(UnparseableReplyError, match="reply for tag 'extract' is not UTF-8 text"):
+        gateway.complete(text_request("q"))
+    assert gateway.ask(text_request("q"), str.strip, "again") == "fine"
+    assert provider.requests == [("q",), ("q",), ("q", "again")]
+
+
 def test_ask_leaves_transport_retries_to_complete():
     provider = FlakyProvider(failures=2, reply="7")
     delays = []

@@ -807,7 +807,6 @@ def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table
 
     def reported(root):
         pipe = Pipeline(Workspace.load(root), config, ContentAnsweringProvider())
-        pipe.refresh()
         pipe.stage_report(force=True)
         return pipe.ws.report_path.read_bytes()
 

@@ -177,6 +177,14 @@ def test_load_screening_gold_rejects_bad_lines(tmp_path):
         load_screening_gold(path)
 
 
+def test_load_screening_gold_refuses_a_doc_id_listed_twice(tmp_path):
+    """A second label for a doc_id is refused, not kept over the first."""
+    path = tmp_path / "gold.txt"
+    path.write_text("d01 1\nd02 0\nd01 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: doc_id 'd01' listed twice")):
+        load_screening_gold(path)
+
+
 def naive_metrics(predicted, gold, corpus):
     tp = fp = tn = fn = 0
     for doc in corpus:
