@@ -32,7 +32,7 @@ from typing import Sequence
 from . import prompts
 from .config import DEFAULTS, SEED_LIMIT
 from .errors import ExtractionError, NoValidStepsError, UnparseableReplyError
-from .extraction import ExtractedTable
+from .extraction import ExtractedTable, check_row_widths
 from .gateway import Gateway
 from .workspace import atomic_write_text, decode_json, encode
 
@@ -52,6 +52,9 @@ class MergedTable:
     rows: tuple[tuple[object, ...], ...]
     row_count: int
     missing_count: int
+
+    def __post_init__(self) -> None:
+        check_row_widths(self.header, self.rows)
 
     def data_columns(self) -> tuple[str, ...]:
         return self.header[1:]

@@ -36,7 +36,6 @@ class PaperMeta:
     doi: str | None
     source: str
     pdf_url: str | None = None
-    fetched_at: str = ""
 
     def __post_init__(self) -> None:
         if self.source not in ("crossref", "arxiv", "local"):
@@ -119,12 +118,9 @@ def dedup_key(doi: str | None, title: str) -> str:
 
 def _hit(source: str, title: str, doi: str | None, pdf_url: str | None = None) -> PaperMeta:
     """A search result, named by a digest of its de-dup key."""
-    # Imported here, as urllib.request is in `_get`: only `collect` needs it.
-    from datetime import datetime, timezone
-
     key = dedup_key(doi, title)
     doc_id = f"{source}-{sha256_hex(key.encode('utf-8'))[:12]}"
-    return PaperMeta(doc_id, title, doi, source, pdf_url, datetime.now(timezone.utc).isoformat())
+    return PaperMeta(doc_id, title, doi, source, pdf_url)
 
 
 def _search_crossref(query: str, max_results: int, fetch: Callable[[str], str]) -> list[PaperMeta]:
@@ -240,7 +236,7 @@ def download_pdf(
     sidecar = papers_dir / f"{meta.doc_id}.pdf.sha256"
     if target.exists() and sidecar.exists():
         digest = sha256_hex(target.read_bytes())
-        if digest != sidecar.read_text().strip():
+        if digest != sidecar.read_text(encoding="utf-8").strip():
             raise ManalyzerError(f"{target} does not match its recorded digest")
         return target
 

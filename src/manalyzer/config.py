@@ -93,9 +93,10 @@ DEFAULTS = PipelineConfig()
 
 def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse the flat config format: one `key = value` per line, `#`
-    comments, blank lines ignored."""
+    comments, blank lines ignored, each key set at most once."""
     field_types = {f.name: f.type for f in fields(PipelineConfig)}
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,6 +108,11 @@ def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
         value_text = value_text.strip()
         if key not in KEY_MAP:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"{source}:{lineno}: key {key!r} set twice (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         field_name = KEY_MAP[key]
         type_name = field_types[field_name]
         try:

@@ -72,6 +72,13 @@ class ProvenanceEntry:
     note: str = ""
 
 
+def check_row_widths(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    """Refuse a table row that is not as wide as the table's header."""
+    for pos, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"rows[{pos}]: expected {len(header)} cells, got {len(row)}")
+
+
 @dataclass(frozen=True)
 class ExtractedTable:
     doc_id: str
@@ -80,6 +87,9 @@ class ExtractedTable:
     provenance: tuple[ProvenanceEntry, ...]
     iteration: int
     accepted: bool = False
+
+    def __post_init__(self) -> None:
+        check_row_widths(self.header, self.rows)
 
     def render(self) -> str:
         return render_markdown_table(list(self.header), [list(r) for r in self.rows])

@@ -16,15 +16,17 @@ The artifact a work step writes last (``packed/<doc>.json``,
 document finished the stage, so a resumed stage leaves it out and repeats
 none of its agent calls. ``reviews/screening.json`` records the screening
 outcomes, and ``analysis/results.json`` the analysis of the tables in
-``analysis/merged.json``; analyze deletes the old ``results.json`` before
-it writes a new ``merged.json``. The exceptions: a kill between the
-``plan`` call and the write of ``results.json`` repeats the ``plan`` call,
-and a kill between two record writes of one review batch repeats the
-batch's call. A killed ``ingest`` is redone by running it again. An
-artifact a killed command wrote is kept under a later command's overrides
-(``pack --budget``, ``screen --batch-size``, ``extract --topic``). Merge
-points (screening, table merge, report) are single-threaded, and only the
-orchestrator thread sets the status view.
+``analysis/merged.json``, one result per planned step; analyze deletes the
+old ``results.json`` before it writes a new ``merged.json``. The
+exceptions: a kill between the ``plan`` call and the write of
+``results.json`` repeats the ``plan`` call, and a kill between two record
+writes of one review batch repeats the batch's call. A killed ``ingest``
+is redone by running it again. An artifact a killed command wrote is kept
+under a later command's overrides (``pack --budget``, ``screen
+--batch-size``, ``extract --topic``). Merge points (screening, table
+merge, report) are single-threaded, and only the orchestrator thread sets
+the status view. A paragraph's text is written only in
+``parsed/<doc>.json``; ``extracted/<doc>/parts.json`` keeps its score.
 
 A status vouches for the artifacts ``ARTIFACTS``' third column names, and
 the view a command loads does too: a missing or undecodable one is exit 2,
@@ -53,9 +55,7 @@ from pathlib import Path
 from typing import Any, TypeVar
 
 from . import collector, extraction, packer, prompts, reviewer
-from .analysis import (
-    AnalysisPlan, AnalysisResult, MergedTable, merge_tables, plan_analysis, run_analysis,
-)
+from .analysis import AnalysisResult, MergedTable, merge_tables, plan_analysis, run_analysis
 from .config import PipelineConfig
 from .errors import (
     EmptyResponseError, ExtractionError, ManalyzerError, NoValidStepsError, ReviewFailure,
@@ -140,8 +140,9 @@ class Screening:
 
 @dataclass(frozen=True)
 class ExtractionParts:
-    """An ``extracted/<doc>/parts.json``: the converted parts, their mask
-    scores, the ids of the parts kept, and the conversion warnings."""
+    """An ``extracted/<doc>/parts.json``: the converted table and figure
+    parts, one mask score per part (paragraph ``i``, part ``para-<i>``, at
+    ``mask[i]``, then the converted parts'), the ids kept, and the warnings."""
 
     parts: tuple[extraction.ConvertedPart, ...]
     mask: tuple[float, ...]
@@ -372,9 +373,10 @@ class Pipeline:
 
         Image paths inside the files are relative to `source`; images are
         copied into the workspace under the same relative paths. Not a
-        stage: a bad parse file, a doc_id two files share, or a document
-        already packed (packed/<doc>.json vouches for its parse) is a
-        validation error, refused before anything is written.
+        stage: a bad parse file, a doc_id two files share, a document
+        already packed (packed/<doc>.json vouches for its parse), or an
+        image whose workspace path holds other bytes is a validation
+        error, refused before anything is written.
         """
         if not source.is_dir():
             raise ValueError(f"{source} is not a directory")
@@ -386,6 +388,10 @@ class Pipeline:
                 raise ValueError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
             if self._path("packed", doc.doc_id).exists():
                 raise ValueError(f"{doc.doc_id} is packed already; its parse cannot change")
+            for ref in doc.figures + doc.tables:
+                target = self.ws.root / ref.image
+                if target.exists() and target.read_bytes() != (source / ref.image).read_bytes():
+                    raise ValueError(f"{source / ref.image}: {target} holds another image")
             docs[doc.doc_id] = parse_file, doc
         for _, doc in docs.values():
             for ref in list(doc.figures) + list(doc.tables):
@@ -550,7 +556,8 @@ class Pipeline:
             trace, violations = [], []
 
         self._write(out / "parts.json", ExtractionParts(
-            tuple(parts), tuple(mask), tuple(p.part_id for p in retained), tuple(warnings)
+            tuple(parts[len(doc.paragraphs):]), tuple(mask), tuple(p.part_id for p in retained),
+            tuple(warnings),
         ))
         self._write(out / "trace.json", ExtractionTrace(
             trace=tuple(TraceEntry(**vars(r), iteration=i) for i, r in trace),
@@ -596,15 +603,12 @@ class Pipeline:
         self._write(self._path("merged"), merged)
 
         results: list[AnalysisResult] = []
-        plan = AnalysisPlan(steps=())
         if merged.row_count and merged.data_columns():
             try:
                 plan = plan_analysis(merged, self.ws.direction, self.gateway)
                 results = run_analysis(plan, merged, self.config.analysis_seed, out)
             except NoValidStepsError as exc:
                 log.warning("analysis skipped: %s", exc)
-
-        self._write(out / "plan.json", plan)
         self._write(results_path, results)
 
     # -- report ----------------------------------------------------------

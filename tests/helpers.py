@@ -40,7 +40,8 @@ def run_python(code, *flags):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        encoding="utf-8", timeout=60,
     )
 
 

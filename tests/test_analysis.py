@@ -435,7 +435,7 @@ def test_run_analysis_writes_artifacts(tmp_path):
     results = run_analysis(plan, merged, out_dir=tmp_path)
     assert results[0].artifacts == ("step-1-clustering.json",)
     assert results[1].artifacts == ("step-2-regression.json",)
-    payload = json.loads((tmp_path / "step-2-regression.json").read_text())
+    payload = json.loads((tmp_path / "step-2-regression.json").read_text(encoding="utf-8"))
     assert payload["stats"]["slope"] == pytest.approx(2.0)
     assert payload["step"]["kind"] == "regression"
 

@@ -1068,6 +1068,30 @@ def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
     assert tree(ws) == before
 
 
+def test_ingest_refuses_an_image_whose_workspace_path_holds_other_bytes(tmp_path):
+    ws = tmp_path / "ws"
+    assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    sources = {}
+    for name, pixels in (("a", b"AAAA"), ("b", b"BBBB")):
+        source = sources[name] = tmp_path / name
+        (source / "images").mkdir(parents=True)
+        (source / "images" / "fig.png").write_bytes(pixels)
+        (source / f"{name}1.json").write_text(json.dumps({
+            "doc_id": f"{name}1", "paragraphs": [{"index": 0, "text": "p"}],
+            "figures": [{"id": "f1", "image": "images/fig.png"}],
+        }), encoding="utf-8")
+    assert invoke(ws, "ingest", "--from", sources["a"]).exit_code == 0
+    # The same bytes again are the image already there: a redone ingest works.
+    assert invoke(ws, "ingest", "--from", sources["a"]).exit_code == 0
+    before = tree(ws)
+    result = invoke(ws, "ingest", "--from", sources["b"])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.splitlines() == [
+        f"error: {sources['b'] / 'images/fig.png'}: {ws / 'images/fig.png'} holds another image"
+    ]
+    assert tree(ws) == before
+
+
 OPTIONS = {
     "init": ["--direction", "--template"],
     "collect": ["--max-papers", "--source"],

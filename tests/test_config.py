@@ -76,6 +76,12 @@ def test_parse_bad_float():
         parse_config("reviewer.threshold = high\n")
 
 
+def test_parse_refuses_a_key_set_twice():
+    with pytest.raises(ValueError) as refused:
+        parse_config("packer.budget = 100\nreviewer.threshold = 7\npacker.budget = 200\n")
+    assert str(refused.value) == "<config>:3: key 'packer.budget' set twice (first on line 1)"
+
+
 def test_parse_reports_source_name():
     with pytest.raises(ValueError, match="my.cfg:1"):
         parse_config("nope = 1\n", source="my.cfg")

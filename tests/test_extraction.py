@@ -788,4 +788,5 @@ def test_from_json_refuses_an_artifact_of_the_wrong_shape(cls, raw, message):
 
 def test_from_json_takes_an_int_for_a_float():
     assert from_json(ProvenanceEntry, {**ENTRY, "value": 1}).value == 1
-    assert from_json(ExtractedTable, {**TABLE, "rows": [[2, None]]}).rows == ((2, None),)
+    two_columns = {**TABLE, "header": ["a", "b"], "rows": [[2, None]]}
+    assert from_json(ExtractedTable, two_columns).rows == ((2, None),)

@@ -175,11 +175,12 @@ def test_script_load_rejects_bad_records(tmp_path):
 ])
 def test_a_mistyped_script_line_makes_init_exit_2_naming_the_line(tmp_path, record, message):
     path = tmp_path / "script.jsonl"
-    path.write_text('{"tag": "extract", "digest": "d0", "response": "a"}\n' + record + "\n")
+    path.write_text('{"tag": "extract", "digest": "d0", "response": "a"}\n' + record + "\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad script record: {message}")):
         ScriptedProvider.load_script(path)
     config = tmp_path / "config.txt"
-    config.write_text(f"provider.script = {path}\n")
+    config.write_text(f"provider.script = {path}\n", encoding="utf-8")
     result = run_cli(["--workspace", tmp_path / "ws", "--config", config, "init", "--direction", "d"])
     assert result.exit_code == 2
     assert result.stderr == f"error: {path}:2: bad script record: {message}\n"

@@ -493,6 +493,31 @@ def test_full_run_summary(tmp_path, corpus_dir):
     assert set(counts.values()) == {1}
 
 
+def test_parts_json_names_paragraphs_by_score_and_no_plan_json_is_written(tmp_path, corpus_dir):
+    """A paragraph's text is only in its parse file: parts.json holds the
+    converted parts, and `mask` the scores the mask replies gave, the
+    paragraphs' first, by index."""
+    pipe, _ = corpus_pipeline(tmp_path, corpus_dir)
+    pipe.run(synth.TEMPLATE)
+    extracted = pipe.load_tables()
+    assert len(extracted) == 6
+    for doc_id in extracted:
+        parts = workspace.read_artifact(
+            pipe.ws.root / "extracted" / doc_id / "parts.json", pipeline.ExtractionParts
+        )
+        assert all(p.origin != "text-paragraph" for p in parts.parts), doc_id
+        paragraphs = [
+            extraction.ConvertedPart(f"para-{p.index}", "text-paragraph", p.text)
+            for p in pipe.artifact("parsed", doc_id).paragraphs
+        ]
+        assert len(parts.mask) == len(paragraphs) + len(parts.parts), doc_id
+        assert list(parts.mask) == extraction.relevance_mask(
+            paragraphs + list(parts.parts), synth.DIRECTION, pipe.gateway,
+            pipe.config.extraction_mask_batch,
+        ), doc_id
+    assert not (pipe.ws.root / "analysis" / "plan.json").exists()
+
+
 def test_finished_run_is_a_no_op(tmp_path, corpus_dir):
     pipe, _ = corpus_pipeline(tmp_path, corpus_dir)
     first = pipe.run(synth.TEMPLATE)

@@ -257,6 +257,19 @@ CHECKED = {
 }
 
 
+def as_wide_as_header(cls):
+    """Tables of type `cls` whose every row has one cell per header column."""
+    hints = get_type_hints(cls)
+    cell = values_of(get_args(get_args(hints["rows"])[0])[0])
+    others = {f.name: values_of(hints[f.name]) for f in dataclasses.fields(cls)
+              if f.name not in ("header", "rows")}
+    return st.lists(st.text(), max_size=3).map(tuple).flatmap(lambda header: st.builds(
+        cls, header=st.just(header), **others,
+        rows=st.lists(st.lists(cell, min_size=len(header), max_size=len(header)).map(tuple),
+                      max_size=3).map(tuple),
+    ))
+
+
 def values_of(hint):
     """The values of type `hint` that an artifact may hold: finite floats,
     stored fields only, and JSON values where the hint admits anything."""
@@ -276,6 +289,9 @@ def values_of(hint):
     if origin is dict:
         return st.dictionaries(st.text(), JSON, max_size=3)
     return LEAVES[hint]
+
+
+CHECKED.update({cls: as_wide_as_header(cls) for cls in (ExtractedTable, MergedTable)})
 
 
 @pytest.mark.parametrize(
@@ -501,8 +517,11 @@ MALFORMED = [
     (ExtractedTable, {**TABLE, "provenance": [{"value": "1", "part_id": "p", "row": 0, "column": 0}]},
      "ExtractedTable.provenance: ProvenanceEntry.value: expected float, got str"),
     (ExtractedTable, {**TABLE, "accepted": 1}, "ExtractedTable.accepted: expected bool, got int"),
+    (ExtractedTable, {**TABLE, "rows": [[1.0], [1.0, 2.0]]}, "rows[1]: expected 1 cells, got 2"),
     (MergedTable, {"header": ["doc_id"], "rows": [5], "row_count": 1, "missing_count": 0},
      "MergedTable.rows: expected a list, got int"),
+    (MergedTable, {"header": ["doc_id", "x"], "rows": [["d01"]], "row_count": 1, "missing_count": 0},
+     "rows[0]: expected 2 cells, got 1"),
     (AnalysisPlan, {"steps": [{**STEP, "features": "x"}]},
      "AnalysisPlan.steps: AnalysisStep.features: expected a list, got str"),
     (AnalysisPlan, {"steps": [{**STEP, "k": "2"}]}, "AnalysisPlan.steps: AnalysisStep.k: expected int, got str"),
