@@ -289,8 +289,8 @@ def _check_encodable(doc: ParsedDocument) -> None:
 
 
 def missing_image(doc: ParsedDocument, images_root: Path) -> ImageRef | None:
-    """The first figure or table of `doc` whose image is not under `images_root`."""
-    return next((r for r in doc.figures + doc.tables if not (images_root / r.image).exists()), None)
+    """The first figure or table of `doc` whose image is not a file under `images_root`."""
+    return next((r for r in doc.figures + doc.tables if not (images_root / r.image).is_file()), None)
 
 
 def save_parsed(doc: ParsedDocument, path: Path) -> None:

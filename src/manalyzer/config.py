@@ -11,6 +11,7 @@ is its own key, as `max_concurrency` is.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -89,16 +90,19 @@ FIELD_MAP = {v: k for k, v in KEY_MAP.items()}
 
 # The one home of every default: library functions take theirs from here.
 DEFAULTS = PipelineConfig()
+# A comment: a `#` at the start of a line or after whitespace, to the line's end.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config(text: str, source: str = "<config>") -> PipelineConfig:
     """Parse the flat config format: one `key = value` per line, `#`
-    comments, blank lines ignored, each key set at most once."""
+    comments (a `#` inside a value, as in `runs#2`, is the value's), blank
+    lines ignored, each key set at most once."""
     field_types = {f.name: f.type for f in fields(PipelineConfig)}
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, 1).strip()
         if not line:
             continue
         if "=" not in line:

@@ -4,7 +4,8 @@ The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
 on. The artifacts are the one record of progress: ``Pipeline.statuses``
 reads each document's status off the artifact that records it
-(``ARTIFACTS``' last column). A ``Pipeline`` derives them when built, and
+(``ARTIFACTS``' last column); a review record by its listing, decoded only
+by ``load_review_records``. A ``Pipeline`` derives them when built, and
 each ``@stage(name)`` takes its work list from them, derives them again when
 it returns or fails with exit 3, and writes them to manifest.json's ``docs``
 view. A kill writes no view, and every command derives the statuses afresh.
@@ -48,6 +49,7 @@ import functools
 import json
 import logging
 import os
+import re
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,7 +67,8 @@ from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
 from .reviewer import ReviewRecord
 from .workspace import (
-    Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text, read_artifact,
+    ROOT_FILES, SUBDIRS, Workspace, atomic_write_bytes, atomic_write_json, atomic_write_text,
+    read_artifact,
 )
 
 log = logging.getLogger(__name__)
@@ -167,6 +170,16 @@ ARTIFACTS: dict[str, tuple[str, Any, str | None, str | None]] = {
     "merged": ("analysis/merged.json", MergedTable, "analyzed", None),
     "results": ("analysis/results.json", tuple[AnalysisResult, ...], None, "analyzed"),
 }
+# Each `ARTIFACTS` path as a pattern that any doc_id fits, and the length of
+# its fixed text: a path is read as the entry with the most that it fits.
+_SHAPES = [
+    (re.compile(re.escape(path).replace(r"\{doc\}", "[^/]*")), len(path.replace("{doc}", "")))
+    for path, *_ in ARTIFACTS.values()
+]
+# The first path components that an ingested image may not have.
+_RESERVED = {*SUBDIRS, *ROOT_FILES, *(f"{name}.tmp" for name in ROOT_FILES)}
+# The longest name a doc_id makes, `<doc>.indep.json.tmp`, must fit in 255 bytes.
+MAX_ID_BYTES = 240
 
 
 def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
@@ -186,6 +199,23 @@ def build_provider(config: PipelineConfig, base_dir: Path) -> Provider:
         except OSError as exc:
             raise ValueError(f"provider.script {script}: {exc.strerror}") from exc
     return ScriptedProvider()
+
+
+def _name_problem(doc: collector.ParsedDocument) -> str | None:
+    """Why `doc`'s id or an image path cannot name workspace files: an id
+    too long, or one whose path for an `ARTIFACTS` entry is read as another
+    entry's (`_SHAPES`); an image where the workspace keeps its own files.
+    None if neither."""
+    if len(doc.doc_id.encode("utf-8")) > MAX_ID_BYTES:
+        return f"doc_id is longer than {MAX_ID_BYTES} UTF-8 bytes"
+    for (pattern, *_), (_, fixed) in zip(ARTIFACTS.values(), _SHAPES):
+        path = pattern.format(doc=doc.doc_id)
+        if any(s.fullmatch(path) and n > fixed for s, n in _SHAPES):
+            return f"doc_id {doc.doc_id!r} makes {path}, the path of another artifact"
+    for ref in doc.figures + doc.tables:
+        if _RESERVED.intersection(Path(ref.image).parts[:1]):
+            return f"image {ref.image!r} is where the workspace keeps its own files"
+    return None
 
 
 def stage(name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
@@ -305,8 +335,8 @@ class Pipeline:
 
     def statuses(self) -> dict[str, list[str]]:
         """Each document's status history, off the artifacts that record it
-        (`ARTIFACTS`' last column): a file that exists records its status (a
-        review record must decode); screening.json records outcomes; a table
+        (`ARTIFACTS`' last column): a file that its directory lists records
+        its status, undecoded; screening.json records outcomes; a table
         accepted or unaccepted; results.json analyzed, for an accepted table
         with rows in merged.json or none. Documents: the view's and those with
         a paper or a parse file, less those with no status."""
@@ -317,12 +347,10 @@ class Pipeline:
         begun = set(os.listdir(self.ws.dir("extracted")))  # the documents that may have a table
         view = {}
         for doc_id in sorted({*self.ws.docs, *listed["paper"], *listed["parsed"]}):
-            history = []
             for name, found in listed.items():
                 if doc_id not in found:
                     self._vouch(name, doc_id)
-                elif name != "review" or self.artifact(name, doc_id):  # a record must decode
-                    history.append(ARTIFACTS[name][3])
+            history = [ARTIFACTS[name][3] for name, found in listed.items() if doc_id in found]
             if doc_id in screened:
                 history.append(screened[doc_id])
             if doc_id not in begun:
@@ -373,16 +401,19 @@ class Pipeline:
 
         Image paths inside the files are relative to `source`; images are
         copied into the workspace under the same relative paths. Not a
-        stage: a bad parse file, a doc_id two files share, a document
-        already packed (packed/<doc>.json vouches for its parse), or an
-        image whose workspace path holds other bytes is a validation
-        error, refused before anything is written.
+        stage: a bad parse file, a doc_id two files share, a name that
+        `_name_problem` refuses, a document already packed
+        (packed/<doc>.json vouches for its parse), or an image whose
+        workspace path holds other bytes is a validation error, refused
+        before anything is written.
         """
         if not source.is_dir():
             raise ValueError(f"{source} is not a directory")
         docs: dict[str, tuple[Path, collector.ParsedDocument]] = {}
         for parse_file in sorted(source.glob("*.json")):
             doc = collector.ingest_parsed(parse_file, source)
+            if problem := _name_problem(doc):
+                raise ValueError(f"{parse_file}: {problem}")
             if doc.doc_id in docs:
                 twin = docs[doc.doc_id][0].name
                 raise ValueError(f"{parse_file}: {twin} has doc_id {doc.doc_id!r} too")
@@ -424,9 +455,8 @@ class Pipeline:
         direction = self.ws.direction
 
         def record(entry: ReviewRecord | ReviewFailureRecord) -> None:
-            path = self._path("review", entry.doc_id)
-            if not path.exists():
-                self._write(path, entry)
+            if not self.ws.at_least(entry.doc_id, "reviewed"):
+                self._write(self._path("review", entry.doc_id), entry)
 
         # Phase 1: independent scores, one file per paper, for every packed
         # paper (a reviewed paper's file is read back: batches span it too).
@@ -451,7 +481,7 @@ class Pipeline:
         # each of its papers a failure record.
         def comparative(batch_id: int) -> None:
             batch = batches[batch_id]
-            if all(self._path("review", d).exists() for d in batch):
+            if all(self.ws.at_least(d, "reviewed") for d in batch):
                 return
             try:
                 relatives = reviewer.review_batch(

@@ -1,7 +1,8 @@
 """Persistent workspace for one pipeline run.
 
-Layout under the root: manifest.json, config.snapshot, papers/, parsed/,
-packed/, reviews/, extracted/, analysis/, report.md. The artifacts are the
+Layout under the root: the `ROOT_FILES` manifest.json, config.snapshot,
+template.txt and report.md, the `SUBDIRS` (`load` refuses a missing one),
+and ingested images anywhere else. The artifacts are the
 record of progress: each document's status is read off them (see
 `pipeline.ARTIFACTS`). The manifest holds the research direction, the
 config digest, which must match the active config or resuming is refused,
@@ -69,6 +70,8 @@ STATUS_RANK = {
 }
 
 SUBDIRS = ("papers", "parsed", "packed", "reviews", "extracted", "analysis")
+# The files beside them at the root.
+ROOT_FILES = ("manifest.json", "config.snapshot", "template.txt", "report.md")
 
 
 def _commit(tmp: Path, path: Path) -> None:
@@ -488,6 +491,9 @@ class Workspace:
         )
         if not (view_ok and isinstance(direction, str) and isinstance(digest, str)):
             raise ValueError("manifest fields missing or mistyped")
+        for sub in SUBDIRS:
+            if not (root / sub).is_dir():
+                raise ValueError(f"{root / sub}: no such directory")
         return cls(root, direction, digest, docs)
 
     def save(self) -> None:

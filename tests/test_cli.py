@@ -13,8 +13,9 @@ import pytest
 
 import manalyzer
 from manalyzer import collector, gateway, pipeline, reviewer, synth
+from manalyzer.config import PipelineConfig
 from manalyzer.errors import ManalyzerError
-from manalyzer.workspace import Workspace
+from manalyzer.workspace import SUBDIRS, Workspace
 
 from helpers import run_cli, run_python, tree
 
@@ -660,6 +661,9 @@ def test_an_undecodable_artifact_exits_2_and_names_the_file(
         ws, config = request.getfixturevalue("initialized")
         if command == ("screen",):  # `screen` runs review, which reads the scores back
             assert invoke(ws, "pack", config=config).exit_code == 0
+            # d01's independent scores, as the corpus script replies: a
+            # record alone would leave `screen` to refuse the missing scores.
+            (ws / "reviews" / "d01.indep.json").write_bytes(b'{"s1": 7, "s2": 7}')
     else:
         finished = request.getfixturevalue("finished")
         ws, config = tmp_path / "ws", finished[1]
@@ -772,6 +776,46 @@ def test_a_missing_extraction_file_never_ends_in_a_traceback(
             assert tree(ws) == before, command
         else:
             assert result == intact[command], command
+
+
+def test_opening_a_workspace_decodes_no_review_record(finished, monkeypatch):
+    """A review record's listing records `reviewed`: building a `Pipeline`
+    reads no `reviews/<doc>.json`, only the files that record later statuses."""
+    reads = []
+    read = pipeline.read_artifact
+
+    def counting_read(path, cls):
+        reads.append(path.relative_to(finished[0]).as_posix())
+        return read(path, cls)
+
+    monkeypatch.setattr(pipeline, "read_artifact", counting_read)
+    pipeline.Pipeline(Workspace.load(finished[0]), PipelineConfig(), gateway.ScriptedProvider())
+    tables = [p.relative_to(finished[0]).as_posix() for p in finished[0].glob("extracted/*/*")
+              if p.name == "table.json"]
+    assert sorted(reads) == sorted(["analysis/merged.json", "reviews/screening.json", *tables])
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    (("screen",), 2), (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), 2),
+    (("report",), 2), (("resume",), 2),
+    (("status",), 0), (("pack",), 0), (("extract",), 0), (("analyze",), 0),
+    (("eval-extraction", "--gold", "<corpus>/gold.jsonl"), 0),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_only_the_commands_that_use_a_review_record_refuse_an_undecodable_one(
+    tmp_path, finished, corpus_dir, command, exit_code
+):
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    path = ws / "reviews" / "d01.json"
+    path.write_bytes(b"{")
+    argv = [arg.replace("<corpus>", str(corpus_dir)) for arg in command]
+    result = invoke(ws, *argv, config=config)
+    assert result.exit_code == exit_code, result.stderr
+    if exit_code == 2:
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: {path}: "), line
+    else:
+        assert result.stderr == ""
 
 
 def test_a_tampered_status_view_changes_nothing(tmp_path, finished, monkeypatch):
@@ -1066,6 +1110,55 @@ def test_ingest_refuses_a_bad_source_before_writing_anything(tmp_path, case):
     if case in ("nested-too-deeply", "surrogate"):
         assert result.stderr.startswith(f"error: {source / 'b.json'}: unreadable parse file: ")
     assert tree(ws) == before
+
+
+# Names that would alias a file the workspace keeps for something else:
+# (doc_id, image path or None, what the error says).
+ALIASING_NAMES = {
+    # reviews/screening.json would be read as this paper's review record.
+    "doc-id-screening": ("screening", None, "makes reviews/screening.json"),
+    # reviews/a.indep.json would be read as the record of a paper `a.indep`.
+    "doc-id-ending-in-indep": ("a.indep", None, "makes reviews/a.indep.json"),
+    # <doc>.indep.json.tmp would not fit in 255 bytes.
+    "doc-id-of-241-bytes": ("b" * 241, None, "doc_id is longer than 240 UTF-8 bytes"),
+    "image-in-packed": ("b", "packed/a.json", "image 'packed/a.json' is where"),
+    "image-at-a-temp-name": ("b", "report.md.tmp", "image 'report.md.tmp' is where"),
+    "image-naming-a-directory": ("b", "images", "image 'images' (f1) not found"),
+}
+
+
+@pytest.mark.parametrize("doc_id, image, message", ALIASING_NAMES.values(), ids=ALIASING_NAMES)
+def test_ingest_refuses_a_name_that_aliases_a_workspace_file(tmp_path, doc_id, image, message):
+    source, ws = tmp_path / "docs", tmp_path / "ws"
+    source.mkdir()
+    write_doc(source, "a.json", "a", "Alpha.")
+    write_doc(source, "b.json", doc_id, "Beta.")
+    if image is not None:
+        (source / "images").mkdir()
+        if image != "images":
+            (source / image).parent.mkdir(exist_ok=True)
+            (source / image).write_bytes(b"image")
+        doc = json.loads((source / "b.json").read_text(encoding="utf-8"))
+        doc["figures"] = [{"id": "f1", "image": image}]
+        (source / "b.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert invoke(ws, "init", "--direction", "x").exit_code == 0
+    before = tree(ws)
+    result = invoke(ws, "ingest", "--from", source)
+    assert result.exit_code == 2, result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {source / 'b.json'}: ") and message in line, line
+    assert tree(ws) == before
+
+
+@pytest.mark.parametrize("sub", SUBDIRS)
+def test_a_deleted_workspace_subdirectory_exits_2_and_names_it(tmp_path, finished, sub):
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    shutil.rmtree(ws / sub)
+    for command in ("status", "resume"):
+        result = invoke(ws, command, config=config)
+        assert result.exit_code == 2, (command, result.stderr)
+        assert result.stderr.splitlines() == [f"error: {ws / sub}: no such directory"], command
 
 
 def test_ingest_refuses_an_image_whose_workspace_path_holds_other_bytes(tmp_path):

@@ -56,6 +56,15 @@ def test_parse_happy_path():
     assert cfg.reviewer_batch_size == 20
 
 
+def test_a_hash_inside_a_value_is_part_of_it():
+    """A `#` starts a comment only at the start of a line or after
+    whitespace, so a script path holding one loads whole and round-trips
+    through the rendering that config.snapshot holds."""
+    cfg = parse_config("provider.script = runs#2/script.jsonl\n\t# a comment\n")
+    assert cfg.provider_script == "runs#2/script.jsonl"
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_parse_unknown_key():
     with pytest.raises(ValueError, match=r"<config>:2: unknown config key 'packer\.depth'"):
         parse_config("packer.budget = 1\npacker.depth = 2\n")
