@@ -31,6 +31,8 @@ except ImportError:
 MAX_BUDGET = 131072
 # analysis.seed seeds a 32-bit Mersenne Twister: it must lie in [0, SEED_LIMIT).
 SEED_LIMIT = 2**32
+# A comment: a `#` at the start of a line or after whitespace, to the line's end.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,22 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):  # first: nan passes every `x < bound` check below
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{FIELD_MAP[f.name]} must be finite")
+            # A text value must read back from config.snapshot as it is.
+            if f.type == "str" and (value != value.strip() or len(value.splitlines()) > 1
+                                    or _COMMENT.search(value)):
+                raise ValueError(
+                    f"{FIELD_MAP[f.name]} must not start or end with whitespace, hold a "
+                    "line break, or hold a '#' at its start or after whitespace"
+                )
         if self.reviewer_batch_size < 1:
             raise ValueError("reviewer.batch_size must be >= 1")
         if not 1 <= self.extraction_max_iter <= 3:
             raise ValueError("extraction.max_iter must be in [1, 3]")
+        if not 1 <= self.extraction_accept_overall <= 10:  # the check scores' range
+            raise ValueError("extraction.accept_overall must be in [1, 10]")
         if self.extraction_mask_batch < 1:
             raise ValueError("extraction.mask_batch must be >= 1")
         for key in ("eval_abs_tol", "eval_rel_tol", "eval_level3_rel_tol"):
@@ -78,6 +90,8 @@ class PipelineConfig:
             raise ValueError("provider.retries must be >= 1")
         if not 0 <= self.analysis_seed < SEED_LIMIT:
             raise ValueError("analysis.seed must be in [0, 2**32)")
+        if self.collect_per_query_cap < 1:
+            raise ValueError("collect.per_query_cap must be >= 1")
 
 
 SECTIONS = ("provider", "packer", "reviewer", "extraction", "eval", "analysis", "collect")
@@ -90,8 +104,6 @@ FIELD_MAP = {v: k for k, v in KEY_MAP.items()}
 
 # The one home of every default: library functions take theirs from here.
 DEFAULTS = PipelineConfig()
-# A comment: a `#` at the start of a line or after whitespace, to the line's end.
-_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config(text: str, source: str = "<config>") -> PipelineConfig:

@@ -3,12 +3,13 @@
 The pipeline walks ingest -> pack -> review -> screen -> extract ->
 analyze -> report, persisting every per-document artifact before moving
 on. The artifacts are the one record of progress: ``Pipeline.statuses``
-reads each document's status off the artifact that records it
-(``ARTIFACTS``' last column); a review record by its listing, decoded only
-by ``load_review_records``. A ``Pipeline`` derives them when built, and
-each ``@stage(name)`` takes its work list from them, derives them again when
-it returns or fails with exit 3, and writes them to manifest.json's ``docs``
-view. A kill writes no view, and every command derives the statuses afresh.
+reads each document's status, the latest it has reached, off the artifact
+that records it (``ARTIFACTS``' last column); a review record by its
+listing, decoded only by ``load_review_records``. A ``Pipeline`` derives
+them when built, and each ``@stage(name)`` takes its work list from them,
+derives them again when it returns or fails with exit 3, and writes them,
+one status per document, to manifest.json's ``docs`` view. A kill writes
+no view, and every command derives the statuses afresh.
 
 Per-document work (packing, independent review, comparative review
 batches, extraction) runs on one bounded worker pool, ``_per_document``.
@@ -333,13 +334,14 @@ class Pipeline:
         out = dict.fromkeys(s.excluded + s.failures, "screened_out")
         return out | dict.fromkeys(s.kept, "screened_in")
 
-    def statuses(self) -> dict[str, list[str]]:
-        """Each document's status history, off the artifacts that record it
-        (`ARTIFACTS`' last column): a file that its directory lists records
-        its status, undecoded; screening.json records outcomes; a table
-        accepted or unaccepted; results.json analyzed, for an accepted table
-        with rows in merged.json or none. Documents: the view's and those with
-        a paper or a parse file, less those with no status."""
+    def statuses(self) -> dict[str, str]:
+        """Each document's status, off the artifacts that record it
+        (`ARTIFACTS`' last column), the latest that it has: a file that its
+        directory lists records its status, undecoded; screening.json
+        records outcomes; a table accepted or unaccepted; results.json
+        analyzed, for an accepted table with rows in merged.json or none.
+        Documents: the view's and those with a paper or a parse file, less
+        those with no status."""
         screened = self._screened()
         merged = self.artifact("merged") if self._path("results").exists() else None
         merged_docs = set() if merged is None else {row[0] for row in merged.rows}
@@ -348,27 +350,26 @@ class Pipeline:
         view = {}
         for doc_id in sorted({*self.ws.docs, *listed["paper"], *listed["parsed"]}):
             for name, found in listed.items():
-                if doc_id not in found:
+                if doc_id in found:
+                    view[doc_id] = ARTIFACTS[name][3]
+                else:
                     self._vouch(name, doc_id)
-            history = [ARTIFACTS[name][3] for name, found in listed.items() if doc_id in found]
             if doc_id in screened:
-                history.append(screened[doc_id])
+                view[doc_id] = screened[doc_id]
             if doc_id not in begun:
                 self._vouch("table", doc_id)
             elif table := self.artifact("table", doc_id):
-                history += ["extracted", "accepted" if table.accepted else "unaccepted"]
+                view[doc_id] = "accepted" if table.accepted else "unaccepted"
                 if table.accepted and merged and (doc_id in merged_docs or not table.rows):
-                    history.append("analyzed")
-            if history:
-                view[doc_id] = history
+                    view[doc_id] = "analyzed"
         return view
 
     def refresh(self, save: bool = False) -> None:
         """Set the status view to `statuses()`; with `save`, write it too."""
         statuses = self.statuses()
         self.ws.docs = {}
-        for doc_id, history in statuses.items():
-            self.ws.mark(doc_id, history)
+        for doc_id, status in statuses.items():
+            self.ws.mark(doc_id, status)
         if save:
             self.ws.save()
 

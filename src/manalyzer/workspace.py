@@ -6,13 +6,13 @@ and ingested images anywhere else. The artifacts are the
 record of progress: each document's status is read off them (see
 `pipeline.ARTIFACTS`). The manifest holds the research direction, the
 config digest, which must match the active config or resuming is refused,
-and `docs`, a view of each document's status history that the pipeline
-sets with `mark` and writes with `save` at the end of each stage,
-`ingest` and `collect`. No command takes its work from the view it loads;
-it only vouches that the artifacts of the statuses it shows still exist.
-A status log that an older build left beside the manifest is ignored.
-Only the orchestrator thread sets the view. `STATUS_RANK` is the one list
-of statuses.
+and `docs`, a view of each document's status that the pipeline sets with
+`mark` and writes with `save` at the end of each stage, `ingest` and
+`collect`. No command takes its work from the view it loads; it only
+vouches that the artifacts of the statuses it shows still exist. `load`
+reads a status history an older build wrote as its last entry, and
+ignores a status log it left beside the manifest. Only the orchestrator
+thread sets the view. `STATUS_RANK` is the one list of statuses.
 
 Every write fills `<path>.tmp` and renames it over the target in
 `_commit`, so a killed process never leaves a half-written artifact. The
@@ -279,19 +279,27 @@ def _refuse_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token}")
 
 
-def decode_json(text: str, parse_constant: Callable[[str], Any] | None = None) -> Any:
-    """`text` decoded as `json.loads` decodes it. Nesting too deep for the
-    decoder is a ValueError too, not a RecursionError."""
+# `json.loads`' decoder, and `read_json`'s, which refuses the NaN, Infinity
+# and -Infinity tokens that `json.loads` accepts but JSON does not define.
+# Each is built once: `json.loads` builds one per call when given options.
+_DECODER = json.JSONDecoder()
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def decode_json(text: str, decoder: json.JSONDecoder = _DECODER) -> Any:
+    """`text` decoded as `json.loads` decodes it, by `decoder`. Nesting too
+    deep for the decoder is a ValueError too, not a RecursionError."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text, parse_constant=parse_constant)
+        return decoder.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to decode") from None
 
 
 def read_json(path: Path) -> Any:
-    """The JSON in `path`. The NaN, Infinity and -Infinity tokens, which
-    `json.loads` accepts but JSON does not define, are a ValueError."""
-    return decode_json(path.read_text(encoding="utf-8"), _refuse_constant)
+    """The JSON in `path`; NaN or an infinity is a ValueError."""
+    return decode_json(path.read_text(encoding="utf-8"), _STRICT_DECODER)
 
 
 def read_artifact(path: Path, cls: Any) -> Any:
@@ -434,11 +442,11 @@ def from_json(cls: Any, raw: Any) -> Any:
 
 
 class Workspace:
-    def __init__(self, root: Path, direction: str, digest: str, docs: dict[str, list[str]]):
+    def __init__(self, root: Path, direction: str, digest: str, docs: dict[str, str]):
         self.root = root
         self.direction = direction
         self.digest = digest
-        self.docs = docs  # the status view: each document's history
+        self.docs = docs  # the status view: each document's current status
 
     # -- paths ---------------------------------------------------------
 
@@ -485,16 +493,16 @@ class Workspace:
         docs = raw.get("docs")
         direction = raw.get("direction")
         digest = raw.get("config_digest")
-        view_ok = isinstance(docs, dict) and all(
-            isinstance(history, list) and all(isinstance(s, str) for s in history)
-            for history in docs.values()
+        view_ok = isinstance(docs, dict) and all(  # a list: the history an older build wrote
+            isinstance(s, str) or isinstance(s, list) and s and all(isinstance(t, str) for t in s)
+            for s in docs.values()
         )
         if not (view_ok and isinstance(direction, str) and isinstance(digest, str)):
-            raise ValueError("manifest fields missing or mistyped")
+            raise ValueError(f"{path}: manifest fields missing or mistyped")
         for sub in SUBDIRS:
             if not (root / sub).is_dir():
                 raise ValueError(f"{root / sub}: no such directory")
-        return cls(root, direction, digest, docs)
+        return cls(root, direction, digest, {d: s if isinstance(s, str) else s[-1] for d, s in docs.items()})
 
     def save(self) -> None:
         atomic_write_json(
@@ -519,30 +527,27 @@ class Workspace:
     # -- status tracking -----------------------------------------------
 
     def status_of(self, doc_id: str) -> str | None:
-        history = self.docs.get(doc_id)
-        return history[-1] if history else None
+        return self.docs.get(doc_id)
 
     def rank_of(self, doc_id: str) -> int:
         return STATUS_RANK.get(self.status_of(doc_id), -1)
 
-    def mark(self, doc_id: str, history: list[str]) -> None:
-        """Set the document's history in the view that `save` writes."""
-        self.docs[doc_id] = history
+    def mark(self, doc_id: str, status: str) -> None:
+        """Set the document's status in the view that `save` writes."""
+        self.docs[doc_id] = status
 
     def doc_ids(self) -> list[str]:
         return sorted(self.docs)
 
     def docs_at(self, status: str) -> list[str]:
         """Sorted ids of the documents whose current status is `status`."""
-        return sorted(d for d, history in self.docs.items() if history[-1] == status)
+        return sorted(d for d, current in self.docs.items() if current == status)
 
     def at_least(self, doc_id: str, status: str) -> bool:
         return self.rank_of(doc_id) >= STATUS_RANK[status]
 
     def status_counts(self) -> dict[str, int]:
         counts = {status: 0 for status in STATUS_RANK}
-        for doc_id in self.docs:
-            status = self.status_of(doc_id)
-            if status:
-                counts[status] += 1
+        for status in self.docs.values():
+            counts[status] += 1
         return counts

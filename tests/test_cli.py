@@ -222,7 +222,7 @@ def test_screen_threshold_override_is_what_later_commands_read(
         assert result.exit_code == 0, (args, result.stderr)
     assert "kept 7 of 10 reviewed papers" in result.stdout
     docs = json.loads((ws / "manifest.json").read_text(encoding="utf-8"))["docs"]
-    kept = {d for d, history in docs.items() if "screened_in" in history}
+    kept = {d for d, status in docs.items() if status == "screened_in"}
     assert "d07" in kept and len(kept) == 7
     screening = json.loads((ws / "reviews" / "screening.json").read_text(encoding="utf-8"))
     assert set(screening["kept"]) == kept
@@ -762,7 +762,7 @@ def test_a_missing_extraction_file_never_ends_in_a_traceback(
     intact = {command: invoke(ws, *command, config=config) for command in commands}
     assert all(result.exit_code == 0 for result in intact.values()), intact
     docs = Workspace.load(ws).docs
-    doc_id = next(d for d in sorted(docs) if "accepted" in docs[d])
+    doc_id = next(d for d in sorted(docs) if docs[d] in ("accepted", "analyzed"))
     path = ws / name.replace("<doc>", doc_id)
     path.unlink()
     for command in commands:
@@ -840,6 +840,48 @@ def test_a_tampered_status_view_changes_nothing(tmp_path, finished, monkeypatch)
     assert result.exit_code == 0, result.stderr
     assert calls == []
     assert tree(ws) == tree(finished[0])
+
+
+def _as_history(status):
+    """The status history an older build wrote for a corpus document at `status`."""
+    chain = ["parsed", "packed", "reviewed", "screened_in", "extracted", "accepted", "analyzed"]
+    outcome_of = {"screened_out": "screened_in", "unaccepted": "accepted"}
+    return chain[:chain.index(outcome_of.get(status, status))] + [status]
+
+
+def test_an_older_builds_history_view_opens_vouches_and_resumes(tmp_path, finished, monkeypatch):
+    """A finished workspace whose view an older build wrote as histories
+    shows the same status, resumes with no agent call into the one-status
+    view, and still vouches for its files."""
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    manifest = ws / "manifest.json"
+    shown = invoke(ws, "status", config=config)
+    raw = json.loads(manifest.read_text(encoding="utf-8"))
+    raw["docs"] = {doc_id: _as_history(status) for doc_id, status in raw["docs"].items()}
+    assert raw["docs"]["d01"] == ["parsed", "packed", "reviewed", "screened_in", "extracted",
+                                  "accepted", "analyzed"]
+    old_form = json.dumps(raw, indent=2, sort_keys=True) + "\n"
+    manifest.write_text(old_form, encoding="utf-8")
+    assert invoke(ws, "status", config=config) == shown
+    assert manifest.read_text(encoding="utf-8") == old_form
+
+    calls = []
+    complete = gateway.ScriptedProvider.complete
+    monkeypatch.setattr(gateway.ScriptedProvider, "complete",
+                        lambda self, request: calls.append(request) or complete(self, request))
+    result = invoke(ws, "resume", config=config)
+    assert (result.exit_code, result.stderr, calls) == (0, "", [])
+    assert tree(ws) == tree(finished[0])
+
+    manifest.write_text(old_form, encoding="utf-8")
+    packed = ws / "packed" / "d01.json"
+    packed.unlink()
+    for command in ("status", "resume"):
+        result = invoke(ws, command, config=config)
+        assert (result.exit_code, result.stdout) == (2, ""), command
+        assert result.stderr == f"error: {packed}: no such file\n", command
+    assert calls == []
 
 
 def test_a_corpus_run_reads_each_artifact_once(initialized, monkeypatch):

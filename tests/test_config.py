@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from manalyzer.config import (
     FIELD_MAP,
@@ -18,7 +20,7 @@ from manalyzer.config import (
     sha256_hex,
 )
 
-from helpers import run_python
+from helpers import run_cli, run_python
 
 # b"", ASCII, non-ASCII UTF-8, then 1 MiB of every byte value.
 SHORT_INPUTS = [b"", b"soil organic carbon", "Bodenkohlenstoff: Δ 10 °C, 土壌".encode("utf-8")]
@@ -113,6 +115,9 @@ def test_parse_reports_source_name():
         ({"provider_retries": 0}, "provider.retries"),
         ({"analysis_seed": -1}, "analysis.seed"),
         ({"analysis_seed": 2**32}, "analysis.seed"),
+        ({"extraction_accept_overall": 0}, r"extraction\.accept_overall must be in \[1, 10\]"),
+        ({"extraction_accept_overall": 11}, r"extraction\.accept_overall must be in \[1, 10\]"),
+        ({"collect_per_query_cap": 0}, r"collect\.per_query_cap must be >= 1"),
     ],
 )
 def test_validation(kwargs, message):
@@ -130,6 +135,47 @@ def test_a_non_finite_float_is_refused(field, value):
         PipelineConfig(**{field: value})
     with pytest.raises(ValueError, match=message):
         parse_config(f"{FIELD_MAP[field]} = {value}")
+
+
+TEXT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig) if f.type == "str"]
+
+
+@pytest.mark.parametrize("field", TEXT_FIELDS)
+@pytest.mark.parametrize(
+    "value", ["runs #2.jsonl", "#x", "a\nb", "a\rb", "a\u2028b", " a", "a ", "a\t", "\n"]
+)
+def test_a_text_value_config_snapshot_cannot_hold_is_refused(field, value):
+    with pytest.raises(ValueError) as refused:
+        PipelineConfig(**{field: value})
+    assert str(refused.value).startswith(f"{FIELD_MAP[field]} must not start or end with")
+
+
+def test_a_config_file_value_that_would_not_read_back_exits_2_naming_the_key(tmp_path):
+    # `=#x` holds no comment, so the value is `#x`; rendered as `= #x` it
+    # would read back empty.
+    config = tmp_path / "pipeline.cfg"
+    config.write_text("provider.script =#x\n", encoding="utf-8")
+    result = run_cli(["--workspace", tmp_path / "ws", "--config", config,
+                      "init", "--direction", "d"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: provider.script must not start or end with")
+    assert not (tmp_path / "ws").exists()
+
+
+@given(field=st.sampled_from(TEXT_FIELDS), value=st.text())
+def test_every_accepted_text_value_reads_back_from_its_rendering(field, value):
+    """Each text value the config accepts round-trips through the text that
+    config.snapshot holds, and each one it refuses would not."""
+    try:
+        config = PipelineConfig(**{field: value})
+    except ValueError:
+        try:
+            read_back = getattr(parse_config(f"{FIELD_MAP[field]} = {value}\n"), field)
+        except ValueError:
+            return
+        assert read_back != value
+    else:
+        assert parse_config(render_config(config)) == config
 
 
 def test_render_parse_round_trip():

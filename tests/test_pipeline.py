@@ -709,7 +709,7 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
     assert Workspace.load(pipe.ws.root).status_of(last) == "screened_in"
 
     resumed, provider = corpus_pipeline(tmp_path / "kill", corpus_dir, ingest=False)
-    assert resumed.statuses()[last][-1] == "accepted"
+    assert resumed.statuses()[last] == "accepted"
     resumed.run(None)
     extract_tags = {"table_convert", "figure_summary", "mask", "extract", "check"}
     assert [key for key in provider.calls if key[0] in extract_tags] == []
@@ -973,10 +973,10 @@ def test_results_mark_analyzed_only_the_tables_merged_json_holds(mini):
         workspace.atomic_write_json(pipe._path("table", doc_id), extraction.ExtractedTable(
             doc_id, ("value",), rows, (), iteration=1, accepted=True,
         ))
-    assert {d: h[-1] for d, h in pipe.statuses().items()} == {"ma": "accepted", "mb": "accepted"}
+    assert pipe.statuses() == {"ma": "accepted", "mb": "accepted"}
     workspace.atomic_write_json(pipe._path("merged"), MergedTable(("doc_id",), (), 0, 0))
     workspace.atomic_write_json(pipe._path("results"), [])
-    assert {d: h[-1] for d, h in pipe.statuses().items()} == {"ma": "analyzed", "mb": "accepted"}
+    assert pipe.statuses() == {"ma": "analyzed", "mb": "accepted"}
 
 
 def test_a_path_the_pipeline_writes_is_read_afresh(mini):

@@ -63,13 +63,25 @@ def test_init_refuses_existing_workspace(ws):
 
 
 def test_load_round_trip(ws):
-    ws.mark("d01", ["collected", "parsed"])
-    ws.mark("d02", ["collected"])
+    ws.mark("d01", "parsed")
+    ws.mark("d02", "collected")
     ws.save()
     loaded = Workspace.load(ws.root)
     assert loaded.direction == "test direction"
     assert loaded.digest == ws.digest
-    assert loaded.docs == {"d01": ["collected", "parsed"], "d02": ["collected"]}
+    assert loaded.docs == {"d01": "parsed", "d02": "collected"}
+    assert json.loads(ws.manifest_path.read_text(encoding="utf-8"))["docs"] == loaded.docs
+
+
+def test_load_reads_an_older_builds_history_as_its_last_status(ws):
+    _rewrite_manifest(ws, lambda raw: raw.__setitem__(
+        "docs", {"d01": ["collected", "parsed"], "d02": ["parsed"], "d03": "packed"}
+    ))
+    loaded = Workspace.load(ws.root)
+    assert loaded.docs == {"d01": "parsed", "d02": "parsed", "d03": "packed"}
+    loaded.save()
+    assert Workspace.load(ws.root).docs == loaded.docs
+    assert json.loads(ws.manifest_path.read_text(encoding="utf-8"))["docs"] == loaded.docs
 
 
 def test_load_requires_manifest(tmp_path):
@@ -108,11 +120,74 @@ def test_load_rejects_mistyped_fields(ws, field):
         Workspace.load(ws.root)
 
 
-@pytest.mark.parametrize("history", ["parsed", ["parsed", 3]])
-def test_load_rejects_a_history_that_is_not_a_list_of_strings(ws, history):
-    _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", history))
-    with pytest.raises(ValueError, match="missing or mistyped"):
+@pytest.mark.parametrize("entry", [3, None, [], ["parsed", 3], [3, "parsed"], {"s": "parsed"}])
+def test_load_rejects_a_status_that_is_neither_a_string_nor_a_history(ws, entry):
+    _rewrite_manifest(ws, lambda raw: raw["docs"].__setitem__("d01", entry))
+    with pytest.raises(ValueError, match="manifest.json: manifest fields missing or mistyped"):
         Workspace.load(ws.root)
+
+
+def test_any_json_manifest_loads_or_is_a_value_error_naming_it(ws):
+    """A manifest.json holding any JSON, the history form an older build
+    wrote among it, loads as one string status per document, or is a
+    ValueError naming the file: never a TypeError, KeyError or the like."""
+    status = st.sampled_from(sorted(STATUS_RANK)) | st.text(max_size=3)
+    view = st.dictionaries(st.text(max_size=3), status | st.lists(status, max_size=3) | JSON,
+                           max_size=4)
+    well_typed = st.fixed_dictionaries({"version": st.just(MANIFEST_VERSION),
+                                        "direction": st.text(), "config_digest": st.text(),
+                                        "docs": view})
+    fields = {"version": st.just(MANIFEST_VERSION) | JSON, "direction": st.text() | JSON,
+              "config_digest": st.text() | JSON, "docs": view | JSON}
+    manifest = st.one_of(well_typed, well_typed, st.fixed_dictionaries({}, optional=fields), JSON)
+
+    @settings(max_examples=300, deadline=None)
+    @given(manifest)
+    def loads_or_names_the_file(raw):
+        ws.manifest_path.write_text(json.dumps(raw), encoding="utf-8")
+        try:
+            loaded = Workspace.load(ws.root)
+        except ValueError as exc:
+            assert str(ws.manifest_path) in str(exc), exc
+            return
+        assert loaded.docs == {d: e if isinstance(e, str) else e[-1] for d, e in raw["docs"].items()}
+        assert all(isinstance(s, str) and loaded.status_of(d) == s for d, s in loaded.docs.items())
+
+    loads_or_names_the_file()
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ('{"a": [1, 2.5, "\\u00e9"], "b": null}', None),
+    ("\ufeff{}", None),
+    ("{", None),
+    ('{"a": 1} x', None),
+    ('{"a": NaN}', "non-finite number NaN"),
+    ("-Infinity", "non-finite number -Infinity"),
+    ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to decode"),
+])
+def test_read_json_decodes_as_json_loads_with_a_decoder_built_once(
+    tmp_path, monkeypatch, text, refusal
+):
+    """`read_json` is `json.loads`, with its messages, less the non-finite
+    numbers and the RecursionError, and it builds no decoder per call."""
+    path = tmp_path / "file.json"
+    path.write_text(text, encoding="utf-8")
+    built = []
+    init = json.JSONDecoder.__init__
+    monkeypatch.setattr(json.JSONDecoder, "__init__",
+                        lambda self, *a, **k: built.append(k) or init(self, *a, **k))
+    if refusal is None:
+        try:
+            expected = json.loads(text)
+        except ValueError as exc:
+            refusal = str(exc)
+        else:
+            assert read_json(path) == expected
+    if refusal is not None:
+        with pytest.raises(ValueError) as refused:
+            read_json(path)
+        assert str(refused.value) == refusal
+    assert built == []
 
 
 def test_check_config_accepts_matching(ws):
@@ -137,16 +212,17 @@ def test_dir_rejects_unknown_name(ws):
 def test_status_queries(ws):
     assert ws.status_of("ghost") is None
     assert ws.rank_of("ghost") == -1
-    ws.mark("d01", ["parsed", "packed", "reviewed"])
+    ws.mark("d01", "reviewed")
+    assert ws.status_of("d01") == "reviewed"
     assert ws.at_least("d01", "packed")
     assert ws.at_least("d01", "reviewed")
     assert not ws.at_least("d01", "screened_in")
 
 
 def test_status_counts_uses_latest_status(ws):
-    ws.mark("d01", ["collected", "parsed"])
-    ws.mark("d02", ["parsed"])
-    ws.mark("d03", ["parsed", "packed", "reviewed", "screened_out"])
+    ws.mark("d01", "parsed")
+    ws.mark("d02", "parsed")
+    ws.mark("d03", "screened_out")
     counts = ws.status_counts()
     assert counts["parsed"] == 2
     assert counts["collected"] == 0
@@ -157,20 +233,17 @@ def test_status_counts_uses_latest_status(ws):
 
 def test_doc_ids_sorted(ws):
     for doc_id in ("d09", "d01", "d05"):
-        ws.mark(doc_id, ["collected"])
+        ws.mark(doc_id, "collected")
     assert ws.doc_ids() == ["d01", "d05", "d09"]
 
 
 def test_docs_at_lists_exactly_the_documents_at_that_status(ws):
-    # Two documents at each status, each with one status of every earlier
-    # rank in its history, so earlier statuses are in it but not current.
-    first_of_rank = {}
-    for status, rank in STATUS_RANK.items():
-        first_of_rank.setdefault(rank, status)
+    # Two documents at each status, so every earlier status is some other
+    # document's current one.
     at = {status: [f"{status}-b", f"{status}-a"] for status in STATUS_RANK}
     for status, doc_ids in at.items():
         for doc_id in doc_ids:
-            ws.mark(doc_id, [first_of_rank[r] for r in range(STATUS_RANK[status])] + [status])
+            ws.mark(doc_id, status)
     for status, doc_ids in at.items():
         assert ws.docs_at(status) == sorted(doc_ids), status
     assert ws.docs_at("packed") == ["packed-a", "packed-b"]  # not "reviewed-*" or later
