@@ -91,6 +91,8 @@ def init(args: argparse.Namespace) -> None:
 )
 def collect(args: argparse.Namespace) -> None:
     """Generate keywords, query search APIs, and download PDFs."""
+    if args.max_papers < 1:
+        raise ValueError("--max-papers must be >= 1")
     pipe = _open(args)
     sources = ["crossref", "arxiv"] if args.source == "both" else [args.source]
     groups = collector.generate_keywords(pipe.ws.direction, pipe.gateway)

@@ -19,21 +19,15 @@ Every write fills `<path>.tmp` and renames it over the target in
 bytes and text writers write their data whole; JSON artifacts are encoded
 straight into the temp file, piece by piece, and then renamed, so no write
 holds an artifact's whole encoding in memory. Every artifact is a
-dataclass with one format: sorted-key, indent-2, ASCII JSON with finite
-numbers only, byte for byte what the stdlib's pure-Python encoder writes
-for the stored fields. `atomic_write_json` is its one writer and
-`read_artifact` its one checked reader; both name the file in an error.
+dataclass with one format, `_ENCODER`'s: sorted-key, indent-2, ASCII
+JSON with finite numbers only, the stored fields of each dataclass.
+`atomic_write_json` is its one writer and `read_artifact` its one
+checked reader; both name the file in an error.
 
-The writer hands each run of flat records, at most `_BATCH` same-class
-dataclasses of a list whose stored fields are plain scalars, to one call
-of the stdlib C encoder, whose item separator carries the run's indent;
-one `str.replace` indents the record boundaries. A small recursive
-generator writes everything else, and everything when the `_json` module
-is missing. The reader, `from_json`, calls a reader built once per type
-hint. It also reads the inputs that come from outside the program: parse
-files, gold points and provider script lines, which `decode_json`
-decodes; nesting too deep to decode is a ValueError there, not a
-RecursionError.
+The reader, `from_json`, calls a reader built once per type hint. It
+also reads the inputs that come from outside the program: parse files,
+gold points and provider script lines, which `decode_json` decodes;
+nesting too deep to decode is a ValueError there, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -42,10 +36,7 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
-import operator
 from collections.abc import Callable, Iterator
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -103,156 +94,26 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 @functools.cache
 def _stored(cls: Any) -> tuple[str, ...]:
-    """A dataclass's fields that reach the file, sorted by name: all but
-    those whose metadata marks them "transient", which stay in memory."""
-    return tuple(sorted(f.name for f in dataclasses.fields(cls) if not f.metadata.get("transient")))
+    """A dataclass's fields that reach the file: all but those whose
+    metadata marks them "transient", which stay in memory."""
+    return tuple(f.name for f in dataclasses.fields(cls) if not f.metadata.get("transient"))
 
 
 # -- the writer ----------------------------------------------------------------
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_INDENT = "  "
-# The list items one C-encoder call takes: a write holds at most this many
-# encoded at once.
-_BATCH = 64
-
-
-@functools.cache
-def _flat_encoder(depth: int) -> Callable[[Any, int], Any] | None:
-    """The stdlib C encoder for a list of flat records whose values sit at
-    nesting `depth`: its item separator carries that depth's indent, so it
-    writes the artifact format with no indent support of its own. Keys are
-    written in the order given. None when `_json` is not available."""
-    if c_make_encoder is None:
-        return None
-    return c_make_encoder(
-        None, None, encode_basestring_ascii, None, ": ", ",\n" + _INDENT * depth, False, False, False
-    )
-
-
-@functools.cache
-def _field_getter(cls: Any) -> Callable[[Any], tuple]:
-    """A function returning a dataclass's stored field values, in `_stored` order."""
-    names = _stored(cls)
-    if len(names) > 1:
-        return operator.attrgetter(*names)
-    return lambda obj: tuple(getattr(obj, name) for name in names)
-
-
-def _float(value: float) -> str:
-    if value != value or value in (math.inf, -math.inf):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-def _scalar(value: Any) -> str | None:
-    """A str, int, float, bool or None encoded; None for any other value."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
-    return None
-
-
-def _key(key: Any) -> str:
-    """An object key: a str, or a number, bool or None as its encoding."""
-    text = key if isinstance(key, str) else _scalar(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(text)
-
-
-def _records(rows: list[dict[str, Any]], depth: int) -> str:
-    """Flat records at nesting `depth`, encoded as the items of a list: each
-    a non-empty dict of plain scalars in sorted key order. One C call
-    separates the values with their indent, then one replace gives each
-    record boundary its own. The pattern cannot match inside a record: no
-    encoded scalar ends in "}", and no encoded string holds a raw newline.
-    A non-finite float is refused with the generic path's message, which
-    names the value, as the C encoder's does not on every supported
-    version."""
-    inner = ",\n" + _INDENT * (depth + 1)
-    outer = "\n" + _INDENT * depth
-    try:
-        body = "".join(_flat_encoder(depth + 1)(rows, 0))[2:-2]
-    except ValueError:
-        for row in rows:
-            for value in row.values():
-                if type(value) is float:
-                    _float(value)
-        raise
-    body = body.replace("}" + inner + "{", outer + "}," + outer + "{" + inner[1:])
-    return "{" + inner[1:] + body + outer + "}"
-
-
-def _batch(items: list[Any] | tuple[Any, ...], depth: int) -> Iterator[str]:
-    """At most `_BATCH` items of a list, each at nesting `depth`, and the
-    separators between them: same-class dataclass records whose stored
-    fields hold plain scalars in one C call, others one by one."""
-    cls = type(items[0])
-    if (_flat_encoder(depth) is not None and dataclasses.is_dataclass(cls) and _stored(cls)
-            and all(type(i) is cls for i in items)):
-        names, get = _stored(cls), _field_getter(cls)
-        rows = [get(item) for item in items]
-        if all(_SCALARS.issuperset(map(type, row)) for row in rows):
-            yield _records([dict(zip(names, row)) for row in rows], depth)
-            return
-    separator = ",\n" + _INDENT * depth
-    for i, item in enumerate(items):
-        if i:
-            yield separator
-        yield from _encode(item, depth)
-
-
-def _mapping(pairs: list[tuple[Any, Any]], depth: int) -> Iterator[str]:
-    """An object of the (key, value) `pairs`, in their order, at nesting `depth`."""
-    if not pairs:
-        yield "{}"
-        return
-    inner = "\n" + _INDENT * (depth + 1)
-    for i, (key, value) in enumerate(pairs):
-        yield ("," if i else "{") + inner + _key(key) + ": "
-        yield from _encode(value, depth + 1)
-    yield "\n" + _INDENT * depth + "}"
-
-
-def _encode(obj: Any, depth: int) -> Iterator[str]:
-    """`obj`'s encoding at nesting `depth`, in pieces: the generic path,
-    which hands each run of flat records to the C encoder."""
-    text = _scalar(obj)
-    if text is not None:
-        yield text
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner = "\n" + _INDENT * (depth + 1)
-        yield "[" + inner
-        for start in range(0, len(obj), _BATCH):
-            if start:
-                yield "," + inner
-            yield from _batch(obj[start : start + _BATCH], depth + 1)
-        yield "\n" + _INDENT * depth + "]"
-    elif isinstance(obj, dict):
-        yield from _mapping(sorted(obj.items()), depth)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        yield from _mapping(list(zip(_stored(type(obj)), _field_getter(type(obj))(obj))), depth)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+# The artifact format. With `indent` set, the stdlib encodes in pure Python
+# whether or not `_json` is available; `iterencode` yields the encoding in
+# small pieces and holds no state between calls, so threads share it.
+_ENCODER = json.JSONEncoder(
+    indent=2, sort_keys=True, allow_nan=False,
+    default=lambda d: {name: getattr(d, name) for name in _stored(type(d))},
+)
 
 
 def encode(obj: object) -> str:
     """The artifact format: `obj` as sorted-key, indent-2, ASCII JSON, a
     dataclass as its stored fields. NaN or an infinity is a ValueError."""
-    return "".join(_encode(obj, 0))
+    return _ENCODER.encode(obj)
 
 
 def write_encoded(path: Path, obj: object, end: str) -> None:
@@ -261,7 +122,7 @@ def write_encoded(path: Path, obj: object, end: str) -> None:
     what it held, and the partial temp file is deleted."""
     try:
         with _replacing(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as f:
-            f.writelines(_encode(obj, 0))
+            f.writelines(_ENCODER.iterencode(obj))
             f.write(end)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -274,6 +135,9 @@ def atomic_write_json(path: Path, obj: object) -> None:
 
 
 # -- the reader ----------------------------------------------------------------
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def _refuse_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token}")
@@ -488,7 +352,8 @@ class Workspace:
             raw = read_json(path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: unreadable manifest: {exc}") from exc
-        if not isinstance(raw, dict) or raw.get("version") != MANIFEST_VERSION:
+        version = raw.get("version") if isinstance(raw, dict) else None
+        if type(version) is not int or version != MANIFEST_VERSION:  # not True, 1.0 or "1"
             raise ValueError(f"unsupported manifest version in {path}")
         docs = raw.get("docs")
         direction = raw.get("direction")

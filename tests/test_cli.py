@@ -329,8 +329,10 @@ def test_run_with_missing_provider_script_is_a_validation_error(tmp_path,
      "tolerances must be finite"),
     (" ", (), "research direction is empty"),
     (synth.DIRECTION, ("extract",), "no extraction template stored; pass --template"),
+    (synth.DIRECTION, ("collect", "--max-papers", "0"), "--max-papers must be >= 1"),
+    (synth.DIRECTION, ("collect", "--max-papers", "-3"), "--max-papers must be >= 1"),
 ], ids=["negative-rel-tol", "nan-abs-tol", "nan-rel-tol", "inf-abs-tol", "inf-rel-tol",
-        "blank-direction", "extract-without-template"])
+        "blank-direction", "extract-without-template", "zero-max-papers", "negative-max-papers"])
 def test_out_of_range_input_is_a_validation_error(
     tmp_path, corpus_dir, direction, args, message
 ):
@@ -914,6 +916,22 @@ def test_a_non_finite_threshold_exits_2_before_any_review_call(initialized, valu
     assert result.exit_code == 2
     assert result.stderr == "error: reviewer.threshold must be finite\n"
     assert list((ws / "reviews").iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_collect_below_one_paper_exits_2_before_any_agent_call_or_write(
+    initialized, monkeypatch, value
+):
+    ws, config = initialized
+    before = tree(ws)
+    calls = []
+    complete = gateway.ScriptedProvider.complete
+    monkeypatch.setattr(gateway.ScriptedProvider, "complete",
+                        lambda self, request: calls.append(request) or complete(self, request))
+    result = invoke(ws, "collect", "--max-papers", value, config=config)
+    assert (result.exit_code, result.stdout, calls) == (2, "", [])
+    assert result.stderr == "error: --max-papers must be >= 1\n"
+    assert tree(ws) == before
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

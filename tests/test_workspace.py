@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manalyzer import workspace
 from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
 from manalyzer.collector import ImageRef, Paragraph, ParsedDocument, save_parsed
 from manalyzer.config import PipelineConfig, config_digest
@@ -107,9 +106,10 @@ def _rewrite_manifest(ws, mutate):
     ws.manifest_path.write_text(json.dumps(raw), encoding="utf-8")
 
 
-def test_load_rejects_wrong_version(ws):
-    _rewrite_manifest(ws, lambda raw: raw.__setitem__("version", MANIFEST_VERSION + 1))
-    with pytest.raises(ValueError, match="version"):
+@pytest.mark.parametrize("version", [MANIFEST_VERSION + 1, True, 1.0, "1"])
+def test_load_rejects_wrong_version(ws, version):
+    _rewrite_manifest(ws, lambda raw: raw.__setitem__("version", version))
+    with pytest.raises(ValueError, match="unsupported manifest version in"):
         Workspace.load(ws.root)
 
 
@@ -406,8 +406,7 @@ class Bare:
 
 
 # Trees of dataclasses, tuples, lists and dicts: flat and nested records,
-# runs of flat records that cross the writer's batch of 64, empty
-# containers, keys that are not strings.
+# long runs of flat records, empty containers, keys that are not strings.
 TREES = st.recursive(
     SCALARS | st.builds(Bare, SCALARS),
     lambda inner: (
@@ -422,10 +421,7 @@ TREES = st.recursive(
 )
 
 
-@pytest.mark.parametrize("encoder", ["c", "python"])
-def test_the_writer_writes_the_bytes_of_the_pure_python_encoder(tmp_path, monkeypatch, encoder):
-    if encoder == "python":  # as where the `_json` module is not available
-        monkeypatch.setattr(workspace, "_flat_encoder", lambda depth: None)
+def test_the_writer_writes_the_bytes_of_the_pure_python_encoder(tmp_path):
     path = tmp_path / "tree.json"
 
     @settings(max_examples=150, deadline=None)
@@ -436,15 +432,6 @@ def test_the_writer_writes_the_bytes_of_the_pure_python_encoder(tmp_path, monkey
         assert path.read_bytes() == (oracle(value) + "\n").encode("ascii")
 
     same_bytes()
-
-
-@pytest.mark.parametrize("size", [1, 63, 64, 65, 129, 300])
-def test_batches_of_flat_values_rows_and_records_join_as_one_encoding(size):
-    records = tuple(Record(f"r{i}\u00e9\n", i if i % 3 else None) for i in range(size))
-    value = {"floats": [i / 7 for i in range(size)], "records": records,
-             "rows": [(f"d{i}", i / 3, None) for i in range(size)] + [[]],
-             "stats": {f"k{i}": -0.0 for i in range(size)}, "mixed": records + (Single(1),)}
-    assert encode(value) == oracle(value)
 
 
 def assert_written_as_the_oracle_writes(ws):
@@ -464,7 +451,7 @@ def test_every_file_of_a_finished_corpus_workspace_is_written_as_the_oracle_writ
     tmp_path, encoder
 ):
     # The readme flow matches its pin, byte for byte, with `_json` blocked
-    # too: the writer's generic path alone gives the same bytes.
+    # too, as in an interpreter built without it.
     block = 'sys.modules["_json"] = None' if encoder == "python" else ""
     result = run_python(f"""
 import sys
@@ -511,12 +498,21 @@ def test_the_writer_refuses_a_non_finite_number_and_names_the_file(tmp_path, val
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_json_write_never_holds_the_whole_encoding(tmp_path):
-    path = tmp_path / "parts.json"
-    parts = many_parts()
+def many_paragraphs():
+    """A parse file of 4,000 paragraphs, over 1 MB encoded."""
+    paragraphs = tuple(Paragraph(i, f"paragraph {i}: " + "words " * 40) for i in range(4000))
+    return ParsedDocument("d01", paragraphs, title="Many paragraphs")
+
+
+@pytest.mark.parametrize("write, build", [
+    (atomic_write_json, many_parts),
+    (lambda path, doc: save_parsed(doc, path), many_paragraphs),  # no trailing newline
+], ids=["parts", "parse_file"])
+def test_a_json_write_never_holds_the_whole_encoding(tmp_path, write, build):
+    path, value = tmp_path / "artifact.json", build()
     tracemalloc.start()
     try:
-        atomic_write_json(path, parts)
+        write(path, value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
