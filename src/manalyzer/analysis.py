@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import prompts
 from .config import DEFAULTS, SEED_LIMIT
-from .errors import ExtractionError, NoValidStepsError, UnparseableReplyError
+from .errors import ExtractionError, UnparseableReplyError
 from .extraction import ExtractedTable, check_row_widths
 from .gateway import Gateway
 from .workspace import atomic_write_text, decode_json, encode
@@ -73,11 +73,6 @@ class AnalysisStep:
     k: int = 0
     label: str = ""
     response: str = ""
-
-
-@dataclass(frozen=True)
-class AnalysisPlan:
-    steps: tuple[AnalysisStep, ...]
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,6 @@ def _parse_plan_steps(reply: str, columns: Sequence[str]) -> list[AnalysisStep]:
         raw_steps = decode_json(reply[start : end + 1])
     except ValueError as exc:
         raise UnparseableReplyError(f"malformed plan JSON: {exc}") from exc
-    if not isinstance(raw_steps, list):
-        raise UnparseableReplyError("plan reply is not a list")
 
     known = set(columns) | {INDEX_COLUMN}
     steps = []
@@ -189,12 +182,13 @@ def _parse_plan_steps(reply: str, columns: Sequence[str]) -> list[AnalysisStep]:
     return steps
 
 
-def plan_analysis(merged: MergedTable, topic: str, gateway: Gateway) -> AnalysisPlan:
+def plan_analysis(merged: MergedTable, topic: str, gateway: Gateway) -> tuple[AnalysisStep, ...]:
     """Ask for a plan over the merged table, keep its valid steps, and
-    back-fill any step kind the table's shape permits but the plan lacks."""
+    back-fill any step kind the table's shape permits but the plan lacks,
+    so the plan holds at least a clustering step."""
     columns = merged.data_columns()
     if not columns or merged.row_count == 0:
-        raise NoValidStepsError("merged table has no analyzable columns or rows")
+        raise ValueError("merged table has no analyzable columns or rows")
 
     preview = [" | ".join(str(c) for c in row) for row in merged.rows[:5]]
     request = prompts.plan_request(topic, merged.header, preview)
@@ -208,9 +202,7 @@ def plan_analysis(merged: MergedTable, topic: str, gateway: Gateway) -> Analysis
     for default in _default_steps(columns):
         if default.kind not in present:
             steps.append(default)
-    if not steps:
-        raise NoValidStepsError("no valid analysis steps for this table")
-    return AnalysisPlan(steps=tuple(steps))
+    return tuple(steps)
 
 
 def _step_matrix(merged: MergedTable, step: AnalysisStep) -> tuple[list[Row], int]:
@@ -458,7 +450,7 @@ _RUNNERS = {
 
 
 def run_analysis(
-    plan: AnalysisPlan,
+    steps: Sequence[AnalysisStep],
     merged: MergedTable,
     seed: int = DEFAULTS.analysis_seed,
     out_dir: Path | None = None,
@@ -469,7 +461,7 @@ def run_analysis(
     randomness between steps.
     """
     results = []
-    for number, step in enumerate(plan.steps, start=1):
+    for number, step in enumerate(steps, start=1):
         data, excluded = _step_matrix(merged, step)
         stats = _RUNNERS[step.kind](step, data, seed)
         if not isinstance(stats, str):

@@ -5,7 +5,8 @@ state, a missing or corrupt file) is a plain ValueError: the CLI exits 2,
 and ``@stage`` lets it through unwrapped. A runtime failure is a
 ManalyzerError: ``@stage`` re-raises it as StageFailure, and the CLI exits
 3. No class here is both, and every class but the base and StageFailure
-is named by some ``except`` clause that tells it apart.
+is named by some ``except`` clause that tells it apart. Analysis raises
+none of its own: a table it cannot analyze is a caller's bad input.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ class CheckerFailure(ManalyzerError):
     """Checker reply unparseable after re-ask; table accepted with warning."""
 
 
-# --- analysis / pipeline ------------------------------------------------
-
-
-class NoValidStepsError(ManalyzerError):
-    """Analysis plan contains no feasible step."""
+# --- pipeline -----------------------------------------------------------
 
 
 class StageFailure(ManalyzerError):

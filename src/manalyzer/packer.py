@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class RatedParagraph:
     index: int
-    text: str
     importance: int
     weight: int
 
@@ -79,7 +78,6 @@ def score_paragraphs(
         importance = gateway.ask(request, _importance, prompts.REASK_INTEGER)
         return RatedParagraph(
             index=para.index,
-            text=para.text,
             importance=default_importance if importance is None else importance,
             weight=estimate_weight(para.text),
         )

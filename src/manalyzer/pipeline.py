@@ -61,8 +61,7 @@ from . import collector, extraction, packer, prompts, reviewer
 from .analysis import AnalysisResult, MergedTable, merge_tables, plan_analysis, run_analysis
 from .config import PipelineConfig
 from .errors import (
-    EmptyResponseError, ExtractionError, ManalyzerError, NoValidStepsError, ReviewFailure,
-    StageFailure,
+    EmptyResponseError, ExtractionError, ManalyzerError, ReviewFailure, StageFailure,
 )
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
@@ -392,7 +391,10 @@ class Pipeline:
     def load_stored_template(self) -> list[str]:
         path = self.ws.root / "template.txt"
         if not path.exists():
-            raise ValueError("no extraction template stored; pass --template")
+            raise ValueError(
+                f"no extraction template stored in {path}; "
+                "pass --template to init, extract or run"
+            )
         return load_template(path)
 
     # -- ingest ----------------------------------------------------------
@@ -617,8 +619,17 @@ class Pipeline:
         }
 
     def load_accepted_tables(self) -> list[extraction.ExtractedTable]:
-        """The tables of the accepted documents."""
-        return [t for t in self.load_tables().values() if t.accepted]
+        """The tables of the accepted documents. One whose header is not the
+        stored template is a ValueError naming its file (exit 2)."""
+        accepted = [t for t in self.load_tables().values() if t.accepted]
+        template = tuple(self.load_stored_template()) if accepted else ()
+        for table in accepted:
+            if table.header != template:
+                raise ValueError(
+                    f"{self._path('table', table.doc_id)}: header {table.header!r} "
+                    f"is not the stored template {template!r}"
+                )
+        return accepted
 
     @stage("analyze")
     def stage_analyze(self, force: bool) -> None:
@@ -626,20 +637,18 @@ class Pipeline:
         results_path = self._path("results")
         if results_path.exists() and not self.ws.docs_at("accepted") and not force:
             return
+        tables = self.load_accepted_tables()  # refused before anything is changed
         # No results.json may stand beside a merged table it did not analyze.
         self._read.pop(ARTIFACTS["results"][0], None)
         results_path.unlink(missing_ok=True)
 
-        merged = merge_tables(self.load_accepted_tables())
+        merged = merge_tables(tables)
         self._write(self._path("merged"), merged)
 
         results: list[AnalysisResult] = []
         if merged.row_count and merged.data_columns():
-            try:
-                plan = plan_analysis(merged, self.ws.direction, self.gateway)
-                results = run_analysis(plan, merged, self.config.analysis_seed, out)
-            except NoValidStepsError as exc:
-                log.warning("analysis skipped: %s", exc)
+            steps = plan_analysis(merged, self.ws.direction, self.gateway)
+            results = run_analysis(steps, merged, self.config.analysis_seed, out)
         self._write(results_path, results)
 
     # -- report ----------------------------------------------------------

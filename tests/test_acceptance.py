@@ -78,7 +78,6 @@ def test_criterion_1_knapsack_matches_brute_force():
             items = [
                 RatedParagraph(
                     index=i,
-                    text="x",
                     importance=rng.randint(0, 10),
                     weight=rng.randint(1, 30),
                 )

@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manalyzer import prompts
 from manalyzer.analysis import (
     INDEX_COLUMN,
     KMEANS_MAX_ITER,
-    AnalysisPlan,
     AnalysisStep,
+    _default_steps,
     _distance,
     _kmeans,
     _loo_nearest,
@@ -22,8 +24,9 @@ from manalyzer.analysis import (
     run_analysis,
 )
 from manalyzer.config import SEED_LIMIT
-from manalyzer.errors import ExtractionError, NoValidStepsError
+from manalyzer.errors import ExtractionError
 from manalyzer.extraction import ExtractedTable
+from manalyzer.gateway import Gateway, ScriptedProvider
 
 from helpers import register_for
 
@@ -93,10 +96,10 @@ def test_plan_analysis_uses_agent_steps_and_backfills(scripted):
     reply = json.dumps([{"kind": "clustering", "features": ["x", "y"], "k": 3}])
     register_for(provider, plan_request_for(merged), reply)
     plan = plan_analysis(merged, TOPIC, gateway)
-    kinds = [s.kind for s in plan.steps]
+    kinds = [s.kind for s in plan]
     assert kinds == ["clustering", "classification", "regression"]
-    assert plan.steps[0].k == 3  # the agent's choice survives
-    assert plan.steps[2].response == "y"
+    assert plan[0].k == 3  # the agent's choice survives
+    assert plan[2].response == "y"
 
 
 def test_plan_analysis_falls_back_on_garbage(scripted):
@@ -106,7 +109,7 @@ def test_plan_analysis_falls_back_on_garbage(scripted):
         provider, gateway = scripted()
         register_for(provider, plan_request_for(merged), garbage)
         plan = plan_analysis(merged, TOPIC, gateway)
-        assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
+        assert [s.kind for s in plan] == ["clustering", "classification", "regression"]
 
 
 def test_plan_analysis_drops_invalid_steps(scripted):
@@ -123,7 +126,7 @@ def test_plan_analysis_drops_invalid_steps(scripted):
     register_for(provider, plan_request_for(merged), reply)
     plan = plan_analysis(merged, TOPIC, gateway)
     # Every agent step was invalid, so only the defaults remain.
-    assert [s.kind for s in plan.steps] == ["clustering", "classification", "regression"]
+    assert [s.kind for s in plan] == ["clustering", "classification", "regression"]
 
 
 @pytest.mark.parametrize("features", [3, [["x"], "y"], "xy", [1, "z"]])
@@ -138,7 +141,7 @@ def test_plan_analysis_drops_steps_whose_features_are_not_column_names(scripted,
     register_for(provider, plan_request_for(merged), reply)
     plan = plan_analysis(merged, TOPIC, gateway)
     # Every agent step was dropped, so only the defaults remain.
-    assert plan.steps == (
+    assert plan == (
         AnalysisStep(kind="clustering", features=("x", "y"), k=2),
         AnalysisStep(kind="classification", features=("x",), label="y"),
         AnalysisStep(kind="regression", features=("x",), response="y"),
@@ -150,14 +153,59 @@ def test_plan_analysis_single_column_regresses_on_index(scripted):
     merged = merged_from([(1.0,), (2.0,), (4.0,)], header=("v",))
     register_for(provider, plan_request_for(merged), "[]")
     plan = plan_analysis(merged, TOPIC, gateway)
-    regression = [s for s in plan.steps if s.kind == "regression"][0]
+    regression = [s for s in plan if s.kind == "regression"][0]
     assert regression.features == (INDEX_COLUMN,)
     assert regression.response == "v"
 
 
+@st.composite
+def tables_and_plan_replies(draw):
+    """A merged table of 1-4 data columns and at least one row, and a plan
+    reply: free text, a bracketed non-JSON text, a JSON list of non-objects,
+    or steps with unknown keys, kinds or columns, in prose."""
+    columns = draw(st.lists(st.sampled_from(["x", "y", "rain mm", "t/ha", "z"]),
+                            min_size=1, max_size=4, unique=True))
+    cell = st.none() | st.floats(-1e6, 1e6)
+    rows = draw(st.lists(st.tuples(*[cell] * len(columns)), min_size=1, max_size=6))
+    name = st.sampled_from([*columns, INDEX_COLUMN, "nope", ""])
+    step = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["clustering", "classification", "regression", "sorcery"])},
+        optional={
+            "features": st.lists(name, max_size=3) | name,
+            "k": st.integers(-1, 4) | st.text(max_size=2),
+            "label": name,
+            "response": name,
+            "colour": st.integers(),
+        },
+    )
+    scalar = st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    reply = draw(st.one_of(
+        st.text(min_size=1),
+        st.text().map(lambda text: f"[{text}]"),
+        st.lists(scalar | st.lists(scalar, max_size=2), max_size=4).map(json.dumps),
+        st.lists(step, max_size=5).map(lambda steps: f"Plan:\n{json.dumps(steps)}\nDone."),
+    ))
+    return merged_from(rows, header=tuple(columns)), reply
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_and_plan_replies())
+def test_plan_analysis_keeps_every_default_kind_and_names_only_table_columns(case):
+    merged, reply = case
+    provider = ScriptedProvider()
+    register_for(provider, plan_request_for(merged), reply)
+    steps = plan_analysis(merged, TOPIC, Gateway(provider, sleep=lambda s: None))
+    columns = merged.data_columns()
+    assert isinstance(steps, tuple) and steps
+    assert {s.kind for s in _default_steps(columns)} <= {s.kind for s in steps}
+    known = {*columns, INDEX_COLUMN}
+    for step in steps:
+        assert {*step.features, *filter(None, (step.label, step.response))} <= known, step
+
+
 def test_plan_analysis_refuses_empty_table(scripted):
     _, gateway = scripted()
-    with pytest.raises(NoValidStepsError):
+    with pytest.raises(ValueError, match="no analyzable columns or rows"):
         plan_analysis(merge_tables([]), TOPIC, gateway)
 
 
@@ -167,7 +215,7 @@ def test_kmeans_separates_two_blobs():
     blob_b = [(rng.uniform(40, 41), rng.uniform(40, 41)) for _ in range(5)]
     merged = merged_from(blob_a + blob_b)
     step = AnalysisStep(kind="clustering", features=("x", "y"), k=2)
-    result = run_analysis(AnalysisPlan((step,)), merged)[0]
+    result = run_analysis((step,), merged)[0]
     assert not result.skipped
     assert sorted(result.stats["cluster_sizes"]) == [5, 5]
     assignment = result.stats["assignment"]
@@ -180,8 +228,8 @@ def test_kmeans_deterministic_per_seed():
     rng = random.Random(11)
     merged = merged_from([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(12)])
     step = AnalysisStep(kind="clustering", features=("x", "y"), k=3)
-    first = run_analysis(AnalysisPlan((step,)), merged, seed=42)[0]
-    second = run_analysis(AnalysisPlan((step,)), merged, seed=42)[0]
+    first = run_analysis((step,), merged, seed=42)[0]
+    second = run_analysis((step,), merged, seed=42)[0]
     assert first.stats == second.stats
 
 
@@ -350,7 +398,7 @@ def test_leave_one_out_nearest_of_20000_rows_stays_small():
 def test_clustering_skips_when_rows_short():
     merged = merged_from([(1.0, 2.0)])
     step = AnalysisStep(kind="clustering", features=("x", "y"), k=2)
-    result = run_analysis(AnalysisPlan((step,)), merged)[0]
+    result = run_analysis((step,), merged)[0]
     assert result.skipped
     assert "k=2" in result.reason
 
@@ -359,7 +407,7 @@ def test_classification_nearest_neighbor_known_case():
     rows = [(0.0, 0.0), (0.1, 0.0), (10.0, 1.0), (10.1, 1.0)]
     merged = merged_from(rows, header=("feat", "label"))
     step = AnalysisStep(kind="classification", features=("feat",), label="label")
-    result = run_analysis(AnalysisPlan((step,)), merged)[0]
+    result = run_analysis((step,), merged)[0]
     assert result.stats["accuracy"] == 1.0
     assert result.stats["classes"] == 2
 
@@ -368,7 +416,7 @@ def test_classification_skips_identical_labels():
     rows = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
     merged = merged_from(rows, header=("feat", "label"))
     step = AnalysisStep(kind="classification", features=("feat",), label="label")
-    result = run_analysis(AnalysisPlan((step,)), merged)[0]
+    result = run_analysis((step,), merged)[0]
     assert result.skipped
     assert result.reason == "all labels identical"
 
@@ -377,7 +425,7 @@ def test_regression_exact_line():
     rows = [(float(x), 2.0 * x + 1.0) for x in range(8)]
     merged = merged_from(rows)
     step = AnalysisStep(kind="regression", features=("x",), response="y")
-    result = run_analysis(AnalysisPlan((step,)), merged)[0]
+    result = run_analysis((step,), merged)[0]
     assert result.stats["slope"] == pytest.approx(2.0, abs=1e-9)
     assert result.stats["intercept"] == pytest.approx(1.0, abs=1e-9)
     assert result.stats["r2"] == pytest.approx(1.0, abs=1e-9)
@@ -390,7 +438,7 @@ def test_regression_matches_polyfit_oracle():
         y = 3.5 * x - 2.0 + rng.normal(0, 4.0, size=15)
         merged = merged_from(list(zip(map(float, x), map(float, y))))
         step = AnalysisStep(kind="regression", features=("x",), response="y")
-        result = run_analysis(AnalysisPlan((step,)), merged)[0]
+        result = run_analysis((step,), merged)[0]
         slope, intercept = np.polyfit(x, y, 1)
         assert result.stats["slope"] == pytest.approx(float(slope), rel=1e-9)
         assert result.stats["intercept"] == pytest.approx(float(intercept), rel=1e-9)
@@ -399,9 +447,9 @@ def test_regression_matches_polyfit_oracle():
 def test_regression_skips_degenerate_inputs():
     flat_x = merged_from([(1.0, 2.0), (1.0, 3.0)])
     step = AnalysisStep(kind="regression", features=("x",), response="y")
-    assert run_analysis(AnalysisPlan((step,)), flat_x)[0].reason == "zero variance in feature"
+    assert run_analysis((step,), flat_x)[0].reason == "zero variance in feature"
     flat_y = merged_from([(1.0, 2.0), (2.0, 2.0)])
-    assert run_analysis(AnalysisPlan((step,)), flat_y)[0].reason == "zero variance in response"
+    assert run_analysis((step,), flat_y)[0].reason == "zero variance in response"
 
 
 def test_regression_skips_statistics_out_of_float_range(tmp_path):
@@ -409,7 +457,7 @@ def test_regression_skips_statistics_out_of_float_range(tmp_path):
     # come out NaN. No artifact may hold one: the step is skipped instead.
     merged = merged_from([(1e200, 2e200), (-1e200, -3e200), (2e200, 1e200), (-2e200, -1e200)])
     step = AnalysisStep(kind="regression", features=("x",), response="y")
-    result = run_analysis(AnalysisPlan((step,)), merged, out_dir=tmp_path)[0]
+    result = run_analysis((step,), merged, out_dir=tmp_path)[0]
     assert result.skipped
     assert result.reason == "statistics overflow the float range"
     assert list(tmp_path.iterdir()) == []
@@ -419,18 +467,16 @@ def test_listwise_deletion_per_step():
     rows = [(1.0, 1.0), (2.0, None), (3.0, 3.0), (None, 4.0)]
     merged = merged_from(rows)
     step = AnalysisStep(kind="regression", features=("x",), response="y")
-    result = run_analysis(AnalysisPlan((step,)), merged)[0]
+    result = run_analysis((step,), merged)[0]
     assert result.excluded_rows == 2
     assert result.stats["n"] == 2
 
 
 def test_run_analysis_writes_artifacts(tmp_path):
     merged = merged_from([(float(i), float(2 * i)) for i in range(6)])
-    plan = AnalysisPlan(
-        (
-            AnalysisStep(kind="clustering", features=("x", "y"), k=2),
-            AnalysisStep(kind="regression", features=("x",), response="y"),
-        )
+    plan = (
+        AnalysisStep(kind="clustering", features=("x", "y"), k=2),
+        AnalysisStep(kind="regression", features=("x",), response="y"),
     )
     results = run_analysis(plan, merged, out_dir=tmp_path)
     assert results[0].artifacts == ("step-1-clustering.json",)
@@ -442,7 +488,7 @@ def test_run_analysis_writes_artifacts(tmp_path):
 
 def test_run_analysis_skipped_steps_write_nothing(tmp_path):
     merged = merged_from([(1.0, 2.0)])
-    plan = AnalysisPlan((AnalysisStep(kind="clustering", features=("x", "y"), k=2),))
+    plan = (AnalysisStep(kind="clustering", features=("x", "y"), k=2),)
     results = run_analysis(plan, merged, out_dir=tmp_path)
     assert results[0].skipped
     assert list(tmp_path.iterdir()) == []
@@ -450,11 +496,9 @@ def test_run_analysis_skipped_steps_write_nothing(tmp_path):
 
 def test_run_analysis_artifacts_are_byte_deterministic(tmp_path):
     merged = merged_from([(float(i), float(i) ** 1.5 + 0.25) for i in range(9)])
-    plan = AnalysisPlan(
-        (
-            AnalysisStep(kind="clustering", features=("x", "y"), k=2),
-            AnalysisStep(kind="regression", features=("x",), response="y"),
-        )
+    plan = (
+        AnalysisStep(kind="clustering", features=("x", "y"), k=2),
+        AnalysisStep(kind="regression", features=("x",), response="y"),
     )
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

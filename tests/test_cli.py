@@ -316,6 +316,11 @@ def test_run_with_missing_provider_script_is_a_validation_error(tmp_path,
     assert result.stderr.splitlines() == [message]
 
 
+NO_TEMPLATE = (
+    "no extraction template stored in {ws}/template.txt; pass --template to init, extract or run"
+)
+
+
 @pytest.mark.parametrize("direction, args, message", [
     (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "-1"),
      "tolerances must be >= 0"),
@@ -328,11 +333,13 @@ def test_run_with_missing_provider_script_is_a_validation_error(tmp_path,
     (synth.DIRECTION, ("eval-extraction", "--gold", "{gold}", "--rel-tol", "inf"),
      "tolerances must be finite"),
     (" ", (), "research direction is empty"),
-    (synth.DIRECTION, ("extract",), "no extraction template stored; pass --template"),
+    (synth.DIRECTION, ("extract",), NO_TEMPLATE),
+    (synth.DIRECTION, ("resume",), NO_TEMPLATE),
     (synth.DIRECTION, ("collect", "--max-papers", "0"), "--max-papers must be >= 1"),
     (synth.DIRECTION, ("collect", "--max-papers", "-3"), "--max-papers must be >= 1"),
 ], ids=["negative-rel-tol", "nan-abs-tol", "nan-rel-tol", "inf-abs-tol", "inf-rel-tol",
-        "blank-direction", "extract-without-template", "zero-max-papers", "negative-max-papers"])
+        "blank-direction", "extract-without-template", "resume-without-template",
+        "zero-max-papers", "negative-max-papers"])
 def test_out_of_range_input_is_a_validation_error(
     tmp_path, corpus_dir, direction, args, message
 ):
@@ -344,7 +351,7 @@ def test_out_of_range_input_is_a_validation_error(
         gold = str(corpus_dir / "gold.jsonl")
         result = invoke(ws, *(arg.format(gold=gold) for arg in args))
     assert result.exit_code == 2, result.stderr
-    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert result.stderr.splitlines() == [f"error: {message.format(ws=ws)}"]
     assert "Traceback" not in result.stdout + result.stderr
     assert result.stdout == ""  # refused before the results table
     assert (ws / "manifest.json").exists() == bool(args)
@@ -931,6 +938,35 @@ def test_collect_below_one_paper_exits_2_before_any_agent_call_or_write(
     result = invoke(ws, "collect", "--max-papers", value, config=config)
     assert (result.exit_code, result.stdout, calls) == (2, "", [])
     assert result.stderr == "error: --max-papers must be >= 1\n"
+    assert tree(ws) == before
+
+
+@pytest.mark.parametrize("damage", ["header", "no-template"])
+def test_analyze_refuses_a_table_it_cannot_check_before_any_agent_call_or_write(
+    tmp_path, finished, monkeypatch, damage
+):
+    # A header that is not the template would fail the merge (exit 3).
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    path = ws / "extracted" / "d03" / "table.json"
+    if damage == "header":
+        table = json.loads(path.read_text(encoding="utf-8"))
+        assert table["accepted"] and table["header"][0] == "season"
+        table["header"][0] = "Season"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        expected = f"error: {path}: header ('Season', "
+    else:
+        (ws / "template.txt").unlink()
+        expected = f"error: {NO_TEMPLATE.format(ws=ws)}"
+    before = tree(ws)
+    calls = []
+    complete = gateway.ScriptedProvider.complete
+    monkeypatch.setattr(gateway.ScriptedProvider, "complete",
+                        lambda self, request: calls.append(request) or complete(self, request))
+    result = invoke(ws, "analyze", config=config)
+    assert (result.exit_code, result.stdout, calls) == (2, "", [])
+    [line] = result.stderr.splitlines()
+    assert line.startswith(expected), line
     assert tree(ws) == before
 
 

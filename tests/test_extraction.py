@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from manalyzer import prompts
-from manalyzer.analysis import AnalysisPlan, AnalysisResult, AnalysisStep, MergedTable
+from manalyzer.analysis import AnalysisResult, AnalysisStep, MergedTable
 from manalyzer.errors import ExtractionError, UnparseableReplyError
 from manalyzer.evaluation import within_tolerance
 from manalyzer.extraction import (
@@ -749,7 +749,6 @@ def test_table_json_round_trip():
             accepted=True,
         ),
         MergedTable(("doc_id", "a"), (("d1", 1.0), ("d2", None)), 2, 1),
-        AnalysisPlan((step, AnalysisStep("regression", ("a",), response="b"))),
         AnalysisResult(step, {"n": 2, "points": [[1.0, 2.0]]}, ("step-1-clustering.json",), 1),
         AnalysisResult(step, skipped=True, reason="only 1 complete rows for k=2"),
     ]

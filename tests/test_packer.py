@@ -25,7 +25,7 @@ from helpers import register_for, run_python
 def make_items(spec):
     """spec: list of (importance, weight) in index order."""
     return [
-        RatedParagraph(index=i, text=f"para {i}", importance=imp, weight=w)
+        RatedParagraph(index=i, importance=imp, weight=w)
         for i, (imp, w) in enumerate(spec)
     ]
 
@@ -249,7 +249,7 @@ def test_an_over_budget_selection_does_not_load_numpy():
         "import random, sys\n"
         "from manalyzer.packer import RatedParagraph, select_paragraphs\n"
         "rng = random.Random(5)\n"
-        "items = [RatedParagraph(i, '', rng.randint(0, 6), rng.randint(20, 75))"
+        "items = [RatedParagraph(i, rng.randint(0, 6), rng.randint(20, 75))"
         " for i in range(1500)]\n"
         "assert select_paragraphs(items, 4977).total_weight <= 4977\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
@@ -377,6 +377,6 @@ def test_packed_text_in_document_order():
 
 def test_rated_paragraph_validation():
     with pytest.raises(ValueError):
-        RatedParagraph(0, "t", importance=11, weight=1)
+        RatedParagraph(0, importance=11, weight=1)
     with pytest.raises(ValueError):
-        RatedParagraph(0, "t", importance=5, weight=0)
+        RatedParagraph(0, importance=5, weight=0)

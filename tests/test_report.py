@@ -1,6 +1,6 @@
 import re
 
-from manalyzer.analysis import AnalysisPlan, AnalysisStep, merge_tables, run_analysis
+from manalyzer.analysis import AnalysisStep, merge_tables, run_analysis
 from manalyzer.extraction import ExtractedTable
 from manalyzer.report import TraceSummary, render_report
 from manalyzer.reviewer import ReviewRecord
@@ -33,11 +33,9 @@ def sample_inputs():
         for i, d in enumerate(["d01", "d02", "d03"])
     ]
     merged = merge_tables(tables)
-    plan = AnalysisPlan(
-        (
-            AnalysisStep(kind="regression", features=("x",), response="y"),
-            AnalysisStep(kind="clustering", features=("x", "y"), k=9),  # will skip
-        )
+    plan = (
+        AnalysisStep(kind="regression", features=("x",), response="y"),
+        AnalysisStep(kind="clustering", features=("x", "y"), k=9),  # will skip
     )
     results = run_analysis(plan, merged)
     records = [record("d01", 11.2, True), record("d02", 4.2, False), record("d03", 9.8, True)]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manalyzer.analysis import AnalysisPlan, AnalysisResult, MergedTable, PlotData
+from manalyzer.analysis import AnalysisResult, MergedTable, PlotData
 from manalyzer.collector import ImageRef, Paragraph, ParsedDocument, save_parsed
 from manalyzer.config import PipelineConfig, config_digest
 from manalyzer.extraction import ORIGIN_LABELS, ConvertedPart, ExtractedTable, ProvenanceEntry
@@ -285,7 +285,7 @@ def oracle(obj):
 # either member.
 ARTIFACTS = [
     PackedDocument, IndependentScores | IndependentFailure, ReviewRecord | ReviewFailureRecord,
-    Screening, ExtractionParts, ExtractionTrace, ExtractedTable, MergedTable, AnalysisPlan,
+    Screening, ExtractionParts, ExtractionTrace, ExtractedTable, MergedTable,
     tuple[AnalysisResult, ...], PlotData, ParsedDocument,
 ]
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -591,9 +591,10 @@ MALFORMED = [
      "MergedTable.rows: expected a list, got int"),
     (MergedTable, {"header": ["doc_id", "x"], "rows": [["d01"]], "row_count": 1, "missing_count": 0},
      "rows[0]: expected 2 cells, got 1"),
-    (AnalysisPlan, {"steps": [{**STEP, "features": "x"}]},
-     "AnalysisPlan.steps: AnalysisStep.features: expected a list, got str"),
-    (AnalysisPlan, {"steps": [{**STEP, "k": "2"}]}, "AnalysisPlan.steps: AnalysisStep.k: expected int, got str"),
+    (tuple[AnalysisResult, ...], [{"step": {**STEP, "features": "x"}}],
+     "AnalysisResult.step: AnalysisStep.features: expected a list, got str"),
+    (tuple[AnalysisResult, ...], [{"step": {**STEP, "k": "2"}}],
+     "AnalysisResult.step: AnalysisStep.k: expected int, got str"),
     (tuple[AnalysisResult, ...], {}, "expected a list, got dict"),
     (tuple[AnalysisResult, ...], [{"step": 5}],
      "AnalysisResult.step: AnalysisStep: expected an object, got int"),
