@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import prompts
 from .config import DEFAULTS, SEED_LIMIT
-from .errors import ExtractionError, UnparseableReplyError
+from .errors import EmptyResponseError, ExtractionError, UnparseableReplyError
 from .extraction import ExtractedTable, check_row_widths
 from .gateway import Gateway
 from .workspace import atomic_write_text, decode_json, encode
@@ -194,7 +194,7 @@ def plan_analysis(merged: MergedTable, topic: str, gateway: Gateway) -> tuple[An
     request = prompts.plan_request(topic, merged.header, preview)
     try:
         steps = _parse_plan_steps(gateway.complete(request).raw_text, columns)
-    except UnparseableReplyError as exc:
+    except (UnparseableReplyError, EmptyResponseError) as exc:
         log.warning("plan reply unusable (%s); falling back to defaults", exc)
         steps = []
 

@@ -143,10 +143,10 @@ def screen(args: argparse.Namespace) -> None:
     pipe = _open(args, reviewer_threshold=args.threshold, reviewer_batch_size=args.batch_size)
     pipe.stage_review()
     pipe.stage_screen()
-    records, failures = pipe.load_review_records()
+    screening = pipe.artifact("screening")  # what the stage wrote or left
     print(
-        f"kept {sum(r.kept for r in records)} of {len(records)} reviewed papers "
-        f"({len(failures)} review failures)"
+        f"kept {len(screening.kept)} of {len(screening.kept) + len(screening.excluded)} "
+        f"reviewed papers ({len(screening.failures)} review failures)"
     )
 
 

@@ -646,7 +646,7 @@ class Pipeline:
         self._write(self._path("merged"), merged)
 
         results: list[AnalysisResult] = []
-        if merged.row_count and merged.data_columns():
+        if merged.row_count:
             steps = plan_analysis(merged, self.ws.direction, self.gateway)
             results = run_analysis(steps, merged, self.config.analysis_seed, out)
         self._write(results_path, results)
@@ -723,17 +723,17 @@ class Pipeline:
         return self.summary()
 
     def summary(self) -> RunSummary:
+        """Counts off the status view and the screening `run()` has just brought up to date."""
         docs = self.ws.doc_ids()
-        _records, failures = self.load_review_records()
-        tables = self.load_tables()
+        screening = self.artifact("screening")
         return RunSummary(
             total_docs=len(docs),
             packed=sum(self.ws.at_least(d, "packed") for d in docs),
             reviewed=sum(self.ws.at_least(d, "reviewed") for d in docs),
-            review_failures=len(failures),
+            review_failures=len(screening.failures),
             screened_in=list(self._screened().values()).count("screened_in"),
-            extracted=len(tables),
-            accepted=sum(t.accepted for t in tables.values()),
+            extracted=sum(self.ws.at_least(d, "extracted") for d in docs),
+            accepted=sum(self.ws.status_of(d) in ("accepted", "analyzed") for d in docs),
             merged_rows=(self.artifact("merged") or merge_tables([])).row_count,
             report_path=str(self.ws.report_path) if self.ws.report_path.exists() else None,
         )

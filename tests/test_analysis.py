@@ -105,7 +105,7 @@ def test_plan_analysis_uses_agent_steps_and_backfills(scripted):
 def test_plan_analysis_falls_back_on_garbage(scripted):
     merged = merged_from([(1.0, 2.0), (3.0, 4.0)])
     # The second reply nests too deeply for the decoder's recursion.
-    for garbage in ("I would rather chat about the weather.", "[" * 100_000 + "]" * 100_000):
+    for garbage in ("I would rather chat about the weather.", "", "[" * 100_000 + "]" * 100_000):
         provider, gateway = scripted()
         register_for(provider, plan_request_for(merged), garbage)
         plan = plan_analysis(merged, TOPIC, gateway)
@@ -161,8 +161,8 @@ def test_plan_analysis_single_column_regresses_on_index(scripted):
 @st.composite
 def tables_and_plan_replies(draw):
     """A merged table of 1-4 data columns and at least one row, and a plan
-    reply: free text, a bracketed non-JSON text, a JSON list of non-objects,
-    or steps with unknown keys, kinds or columns, in prose."""
+    reply: free text, empty text among it, a bracketed non-JSON text, a JSON
+    list of non-objects, or steps with unknown keys, kinds or columns, in prose."""
     columns = draw(st.lists(st.sampled_from(["x", "y", "rain mm", "t/ha", "z"]),
                             min_size=1, max_size=4, unique=True))
     cell = st.none() | st.floats(-1e6, 1e6)
@@ -180,7 +180,7 @@ def tables_and_plan_replies(draw):
     )
     scalar = st.none() | st.booleans() | st.integers() | st.text(max_size=5)
     reply = draw(st.one_of(
-        st.text(min_size=1),
+        st.text(),
         st.text().map(lambda text: f"[{text}]"),
         st.lists(scalar | st.lists(scalar, max_size=2), max_size=4).map(json.dumps),
         st.lists(step, max_size=5).map(lambda steps: f"Plan:\n{json.dumps(steps)}\nDone."),

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import manalyzer
-from manalyzer import collector, gateway, pipeline, reviewer, synth
+from manalyzer import analysis, collector, gateway, pipeline, reviewer, synth
 from manalyzer.config import PipelineConfig
 from manalyzer.errors import ManalyzerError
 from manalyzer.workspace import SUBDIRS, Workspace
@@ -195,6 +195,29 @@ def test_a_reply_utf8_cannot_encode_is_refused_at_the_gateway(tmp_path, corpus_d
             assert result.exit_code == 0, (case, args, result.stderr)
         reports[case] = (ws / "report.md").read_bytes()
     assert reports["surrogate"] == reports["unscripted"]
+
+
+def test_an_empty_plan_reply_falls_back_to_the_default_steps(tmp_path, corpus_dir):
+    """An empty `plan` reply is unusable like any other: `run` exits 0 and
+    results.json holds one result per default step."""
+    lines = (corpus_dir / "script.jsonl").read_text(encoding="utf-8").splitlines()
+    script = [json.loads(line) for line in lines if line.strip()]
+    shutil.copy(corpus_dir / "config.txt", tmp_path / "config.txt")
+    (tmp_path / "script.jsonl").write_text("".join(
+        json.dumps(dict(e, response="") if e["tag"] == "plan" else e) + "\n" for e in script
+    ), encoding="utf-8")
+    ws, config = tmp_path / "ws", tmp_path / "config.txt"
+    for args in (
+        ("init", "--direction", synth.DIRECTION, "--template", corpus_dir / "template.txt"),
+        ("ingest", "--from", corpus_dir / "docs"),
+        ("run",),
+    ):
+        result = invoke(ws, *args, config=config)
+        assert result.exit_code == 0, (args, result.stderr)
+    results = pipeline.read_artifact(ws / "analysis" / "results.json",
+                                     pipeline.ARTIFACTS["results"][1])
+    columns = pipeline.load_template(corpus_dir / "template.txt")
+    assert [r.step for r in results] == analysis._default_steps(columns)
 
 
 def test_stagewise_flow_matches_run(tmp_path, initialized, corpus_dir):
@@ -621,8 +644,8 @@ WRONG_LEAVES = {
         ("screen",), "reviews/d01.json", b'{"failed": true}',
         "ReviewFailureRecord: missing field 'doc_id'",
     ),
-    "run-failure-with-int-doc-id": (
-        ("run",), "reviews/d01.json", b'{"failed": true, "doc_id": 5, "reason": "x"}',
+    "report-failure-with-int-doc-id": (
+        ("report",), "reviews/d01.json", b'{"failed": true, "doc_id": 5, "reason": "x"}',
         "ReviewFailureRecord.doc_id: expected str, got int",
     ),
     # A record's doc_id must name its file, or screening counts a paper that is not there.
@@ -804,9 +827,36 @@ def test_opening_a_workspace_decodes_no_review_record(finished, monkeypatch):
     assert sorted(reads) == sorted(["analysis/merged.json", "reviews/screening.json", *tables])
 
 
+@pytest.mark.parametrize("command, expected", [
+    (("resume",), "reviewed:        10 (0 failed)"),
+    (("screen",), "kept 6 of 10 reviewed papers (0 review failures)"),
+], ids=["resume", "screen"])
+def test_a_command_with_nothing_to_screen_decodes_no_review_record(
+    tmp_path, finished, monkeypatch, command, expected
+):
+    """`run`'s summary and `screen`'s line count off the status view and
+    screening.json: on a finished workspace, neither reads a review record."""
+    ws, config = tmp_path / "ws", finished[1]
+    shutil.copytree(finished[0], ws)
+    reads = []
+    read = pipeline.read_artifact
+
+    def counting_read(path, cls):
+        reads.append(path.relative_to(ws).as_posix())
+        return read(path, cls)
+
+    monkeypatch.setattr(pipeline, "read_artifact", counting_read)
+    result = invoke(ws, *command, config=config)
+    assert result.exit_code == 0, result.stderr
+    assert expected in result.stdout
+    records = {f"reviews/{path.stem}.json" for path in ws.glob("parsed/*.json")}
+    assert len(records) == 10 and "reviews/screening.json" in reads
+    assert not records.intersection(reads), reads
+
+
 @pytest.mark.parametrize("command, exit_code", [
-    (("screen",), 2), (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), 2),
-    (("report",), 2), (("resume",), 2),
+    (("screen-eval", "--gold", "<corpus>/screening_gold.txt"), 2), (("report",), 2),
+    (("screen",), 0), (("run",), 0), (("resume",), 0),
     (("status",), 0), (("pack",), 0), (("extract",), 0), (("analyze",), 0),
     (("eval-extraction", "--gold", "<corpus>/gold.jsonl"), 0),
 ], ids=lambda value: value[0] if isinstance(value, tuple) else None)
