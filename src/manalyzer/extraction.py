@@ -14,7 +14,7 @@ import dataclasses
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import prompts
@@ -120,7 +120,7 @@ class CheckReport:
 class Violation:
     kind: str  # missing-part | out-of-range | value-mismatch | uncited
     reason: str
-    entry: ProvenanceEntry | None = None
+    entry: ProvenanceEntry | None = field(default=None, metadata={"transient": True})  # not stored
 
 
 def render_part(part: ConvertedPart, number: int) -> str:

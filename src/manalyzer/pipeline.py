@@ -19,15 +19,17 @@ document finished the stage, so a resumed stage leaves it out and repeats
 none of its agent calls. ``reviews/screening.json`` records the screening
 outcomes, and ``analysis/results.json`` the analysis of the tables in
 ``analysis/merged.json``, one result per planned step; analyze deletes the
-old ``results.json`` before it writes a new ``merged.json``. The
-exceptions: a kill between the ``plan`` call and the write of
-``results.json`` repeats the ``plan`` call, and a kill between two record
-writes of one review batch repeats the batch's call. A killed ``ingest``
-is redone by running it again. An artifact a killed command wrote is kept
-under a later command's overrides (``pack --budget``, ``screen
---batch-size``, ``extract --topic``). Merge points (screening, table
-merge, report) are single-threaded, and only the orchestrator thread sets
-the status view. A paragraph's text is written only in
+old ``results.json`` and ``report.md`` before it writes a new
+``merged.json``. The exceptions: a kill between the ``plan`` call and the
+write of ``results.json`` repeats the ``plan`` call, and a kill between
+two record writes of one review batch repeats the batch's call. A provider
+failure left after the gateway's retries, at the ``report`` call too, is
+never a fallback: the stage fails, and a resume asks again. A killed
+``ingest`` is redone by running it again. An artifact a killed command
+wrote is kept under a later command's overrides (``pack --budget``,
+``screen --batch-size``, ``extract --topic``). Merge points (screening,
+table merge, report) are single-threaded, and only the orchestrator thread
+sets the status view. A paragraph's text is written only in
 ``parsed/<doc>.json``; ``extracted/<doc>/parts.json`` keeps its score.
 
 A status vouches for the artifacts ``ARTIFACTS``' third column names, and
@@ -62,6 +64,7 @@ from .analysis import AnalysisResult, MergedTable, merge_tables, plan_analysis, 
 from .config import PipelineConfig
 from .errors import (
     EmptyResponseError, ExtractionError, ManalyzerError, ReviewFailure, StageFailure,
+    TransportError,
 )
 from .gateway import Gateway, Provider, ScriptedProvider
 from .report import TraceSummary, render_report
@@ -97,20 +100,12 @@ class TraceEntry(extraction.CheckReport):
 
 
 @dataclass(frozen=True)
-class TraceViolation:
-    """A provenance violation, without the entry it concerns."""
-
-    kind: str
-    reason: str
-
-
-@dataclass(frozen=True)
 class ExtractionTrace:
     """An ``extracted/<doc>/trace.json``: each attempt's check report, and
     the provenance violations of the table kept."""
 
     trace: tuple[TraceEntry, ...]
-    violations: tuple[TraceViolation, ...]
+    violations: tuple[extraction.Violation, ...]
 
 
 @dataclass(frozen=True)
@@ -594,7 +589,7 @@ class Pipeline:
         ))
         self._write(out / "trace.json", ExtractionTrace(
             trace=tuple(TraceEntry(**vars(r), iteration=i) for i, r in trace),
-            violations=tuple(TraceViolation(v.kind, v.reason) for v in violations),
+            violations=tuple(violations),
         ))
         # Last: a table.json vouches that the document's other files exist.
         self._write(out / "table.json", table)
@@ -638,9 +633,10 @@ class Pipeline:
         if results_path.exists() and not self.ws.docs_at("accepted") and not force:
             return
         tables = self.load_accepted_tables()  # refused before anything is changed
-        # No results.json may stand beside a merged table it did not analyze.
+        # No results.json or report.md may stand beside a table it did not analyze.
         self._read.pop(ARTIFACTS["results"][0], None)
         results_path.unlink(missing_ok=True)
+        self.ws.report_path.unlink(missing_ok=True)
 
         merged = merge_tables(tables)
         self._write(self._path("merged"), merged)
@@ -680,6 +676,8 @@ class Pipeline:
         request = prompts.report_request(self.ws.direction, "\n".join(summary_lines))
         try:
             return self.gateway.complete(request).raw_text
+        except TransportError:  # the provider is down: the stage fails, and resume asks again
+            raise
         except ManalyzerError as exc:
             log.info("no narrative available (%s); using the built-in discussion", exc)
             return ""

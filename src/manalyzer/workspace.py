@@ -335,6 +335,8 @@ class Workspace:
             raise ValueError("research direction is empty")
         if (root / "manifest.json").exists():
             raise ValueError(f"{root} already holds a workspace")
+        if root.exists() and not root.is_dir():
+            raise ValueError(f"{root}: not a directory")
         root.mkdir(parents=True, exist_ok=True)
         for sub in SUBDIRS:
             (root / sub).mkdir(exist_ok=True)

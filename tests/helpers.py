@@ -4,13 +4,14 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import manalyzer
-from manalyzer import cli
+from manalyzer import cli, workspace
 from manalyzer.gateway import AgentRequest, ScriptedProvider, digest_request
 
 
@@ -43,6 +44,29 @@ def run_python(code, *flags):
         [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
         encoding="utf-8", timeout=60,
     )
+
+
+class Killed(BaseException):
+    """A kill of the process: no handler in the pipeline catches it."""
+
+
+def kill_after_commit(patch, root, pattern, k):
+    """Patch `workspace._commit` to raise Killed right after the k-th commit
+    (from 0) of a path under `root` that matches `pattern` in full. A pool
+    worker that had started another document by then finishes it, as the
+    pool drains. Returns the matching paths committed."""
+    commit = workspace._commit
+    seen = []
+
+    def killing_commit(tmp, path):
+        commit(tmp, path)
+        if re.fullmatch(pattern, path.relative_to(root).as_posix()):
+            seen.append(path)
+            if len(seen) == k + 1:
+                raise Killed(path)
+
+    patch.setattr(workspace, "_commit", killing_commit)
+    return seen
 
 
 def tree(root: Path) -> dict[str, bytes]:

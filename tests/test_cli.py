@@ -17,7 +17,7 @@ from manalyzer.config import PipelineConfig
 from manalyzer.errors import ManalyzerError
 from manalyzer.workspace import SUBDIRS, Workspace
 
-from helpers import run_cli, run_python, tree
+from helpers import Killed, run_cli, run_python, tree
 
 
 def invoke(ws, *args, config=None):
@@ -460,10 +460,6 @@ def test_blank_topic_is_a_validation_error(initialized, monkeypatch):
     assert result.stderr.splitlines() == ["error: --topic is empty"]
     assert [call for provider in providers for call in provider.calls] == []
     assert tree(ws) == before
-
-
-class Killed(BaseException):
-    """A kill of the process, raised where a write would happen."""
 
 
 @pytest.mark.parametrize("name", ["parts.json", "trace.json", "table.json"])
@@ -1200,6 +1196,7 @@ USAGE_ERRORS = {
     "non-integer-budget": ["pack", "--budget", "x"],
     "ingest-from-a-file": ["ingest", "--from", "file.txt"],
     "missing-config": ["--config", "missing.cfg", "init", "--direction", "x"],
+    "init-on-a-file": ["--workspace", "file.txt", "init", "--direction", "x"],
 }
 
 

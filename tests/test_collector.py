@@ -18,7 +18,7 @@ from manalyzer.collector import (
 )
 from manalyzer.errors import ManalyzerError, UnparseableReplyError
 
-from helpers import register_for, run_cli
+from helpers import Killed, register_for, run_cli
 
 CROSSREF_BODY = json.dumps(
     {
@@ -263,9 +263,6 @@ def test_download_pdf_detects_corruption(tmp_path):
 def test_download_pdf_recovers_from_a_digest_write_cut_short(tmp_path, monkeypatch):
     # A kill while the digest is written must leave no torn sidecar: one
     # would fail every later collect of the paper with a digest mismatch.
-    class Killed(BaseException):
-        pass
-
     meta = PaperMeta(
         doc_id="arxiv-abc", title="t", doi=None, source="arxiv", pdf_url="http://x/p.pdf"
     )

@@ -12,15 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from manalyzer import extraction, pipeline, prompts, synth, workspace
+from manalyzer import extraction, gateway, pipeline, prompts, synth, workspace
 from manalyzer.analysis import MergedTable
 from manalyzer.config import PipelineConfig
-from manalyzer.errors import ManalyzerError, StageFailure
+from manalyzer.errors import ManalyzerError, StageFailure, TransportError
 from manalyzer.gateway import AgentResponse, ScriptedProvider, digest_request
 from manalyzer.pipeline import Pipeline, build_provider, load_template, status_text
 from manalyzer.workspace import Workspace
 
-from helpers import register_for, run_cli, tree
+from helpers import Killed, kill_after_commit, register_for, run_cli, tree
 
 DIRECTION = "mini direction"
 
@@ -51,29 +51,6 @@ def mini(tmp_path):
     pipe = Pipeline(ws, PipelineConfig(), provider)
     pipe.ingest_dir(source)
     return pipe, provider
-
-
-class Killed(BaseException):
-    """A kill of the process: no handler in the pipeline catches it."""
-
-
-def kill_after_commit(patch, root, pattern, k):
-    """Patch `workspace._commit` to raise Killed right after the k-th commit
-    (from 0) of a path under `root` that matches `pattern` in full. A pool
-    worker that had started another document by then finishes it, as the
-    pool drains. Returns the matching paths committed."""
-    commit = workspace._commit
-    seen = []
-
-    def killing_commit(tmp, path):
-        commit(tmp, path)
-        if re.fullmatch(pattern, path.relative_to(root).as_posix()):
-            seen.append(path)
-            if len(seen) == k + 1:
-                raise Killed(path)
-
-    patch.setattr(workspace, "_commit", killing_commit)
-    return seen
 
 
 def screen_in(ws, config):
@@ -459,11 +436,8 @@ def test_per_document_finishes_in_todo_order_then_raises_the_first_failure(mini)
 # -- end-to-end over the bundled corpus --------------------------------------
 
 
-ONE_WORKER = PipelineConfig(max_concurrency=1)  # documents in order, one at a time
-
-
-def corpus_pipeline(tmp_path, corpus_dir, ingest=True, config=PipelineConfig()):
-    root = tmp_path / "run"
+def corpus_pipeline(tmp_path, corpus_dir, ingest=True):
+    root, config = tmp_path / "run", PipelineConfig()
     if root.exists():
         ws = Workspace.load(root)
     else:
@@ -569,95 +543,7 @@ def test_resume_never_repeats_a_call(tmp_path, corpus_dir):
     assert len(first_keys) + len(second_keys) == 43
 
 
-# The files whose commit records each status (`pipeline.ARTIFACTS`).
-REVIEW_RECORD = r"reviews/d\d\d\.json"
-RECORDED_BY = {
-    "parsed": r"parsed/.*\.json",
-    "packed": r"packed/.*\.json",
-    "reviewed": REVIEW_RECORD,
-    "screened_in": r"reviews/screening\.json",
-    "screened_out": r"reviews/screening\.json",
-    "extracted": r"extracted/.*/table\.json",
-    "accepted": r"extracted/.*/table\.json",
-    "analyzed": r"analysis/results\.json",
-}
-
-
-def test_kill_at_any_review_mark_resumes_byte_identical(tmp_path, corpus_dir):
-    """A kill right after the commit of any `reviews/<doc>.json`, the record
-    that marks a paper reviewed, resumes to the clean tree. The corpus makes
-    one comparative batch of ten records, so a kill before its last record
-    repeats the batch's call, and only that call."""
-    clean, _ = corpus_pipeline(tmp_path / "clean", corpus_dir, config=ONE_WORKER)
-    clean.run(synth.TEMPLATE)
-    expected = tree(clean.ws.root)
-
-    for k in range(len(synth.DOC_IDS)):
-        pipe, killed = corpus_pipeline(tmp_path / f"kill{k}", corpus_dir, config=ONE_WORKER)
-        pipe.store_template(synth.TEMPLATE)
-        with pytest.MonkeyPatch.context() as patch:
-            kill_after_commit(patch, pipe.ws.root, REVIEW_RECORD, k)
-            with pytest.raises(Killed):
-                pipe.run(None)
-        resumed, provider = corpus_pipeline(
-            tmp_path / f"kill{k}", corpus_dir, ingest=False, config=ONE_WORKER
-        )
-        resumed.run(None)
-        assert tree(resumed.ws.root) == expected, f"killed at review record {k}"
-        repeated = [tag for tag, digest in provider.calls if (tag, digest) in set(killed.calls)]
-        batch_open = k < len(synth.DOC_IDS) - 1
-        assert repeated == (["comparative_review"] if batch_open else []), k
-
-
-@pytest.fixture(scope="module")
-def clean_corpus_run(tmp_path_factory, corpus_dir):
-    """The tree of an uninterrupted one-worker corpus run, and how many
-    commits recorded each status."""
-    root = tmp_path_factory.mktemp("clean")
-    clean, _ = corpus_pipeline(root, corpus_dir, ingest=False, config=ONE_WORKER)
-    commit = workspace._commit
-    committed = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(workspace, "_commit", lambda tmp, path: (
-            committed.append(path.relative_to(clean.ws.root).as_posix()), commit(tmp, path)
-        ))
-        clean.ingest_dir(corpus_dir / "docs")
-        clean.run(synth.TEMPLATE)
-    recorded = {
-        status: sum(bool(re.fullmatch(pattern, name)) for name in committed)
-        for status, pattern in RECORDED_BY.items()
-    }
-    return tree(clean.ws.root), recorded
-
-
-@pytest.mark.parametrize("which", ["first", "last"])
-@pytest.mark.parametrize("status", [
-    "parsed", "packed", "reviewed", "screened_in", "screened_out", "extracted", "accepted",
-    "analyzed",
-])
-def test_kill_at_a_mark_of_each_status_resumes_byte_identical(
-    tmp_path, corpus_dir, clean_corpus_run, status, which
-):
-    """A kill right after the first or the last commit of a file that
-    records `status` resumes to the clean tree, and a status recorded spares
-    its calls; the one exception is the comparative review batch, whose
-    call a kill before its last record repeats."""
-    expected, recorded = clean_corpus_run
-    kill_at = 0 if which == "first" else recorded[status] - 1
-    pipe, killed = corpus_pipeline(tmp_path, corpus_dir, ingest=False, config=ONE_WORKER)
-    with pytest.MonkeyPatch.context() as patch:
-        kill_after_commit(patch, pipe.ws.root, RECORDED_BY[status], kill_at)
-        with pytest.raises(Killed):
-            pipe.ingest_dir(corpus_dir / "docs")
-            pipe.run(synth.TEMPLATE)
-    resumed, provider = corpus_pipeline(
-        tmp_path, corpus_dir, ingest=status == "parsed", config=ONE_WORKER
-    )
-    resumed.run(synth.TEMPLATE)
-    assert tree(resumed.ws.root) == expected
-    repeated = [tag for tag, digest in provider.calls if (tag, digest) in set(killed.calls)]
-    batch_open = status == "reviewed" and kill_at < recorded["reviewed"] - 1
-    assert repeated == (["comparative_review"] if batch_open else [])
+TABLE = r"extracted/.*/table\.json"  # the file whose commit records extracted
 
 
 def test_each_stage_writes_the_manifest_at_most_once(tmp_path, corpus_dir, monkeypatch):
@@ -701,7 +587,7 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
     pipe.store_template(synth.TEMPLATE)
     with pytest.MonkeyPatch.context() as patch:
         tables = kill_after_commit(
-            patch, pipe.ws.root, RECORDED_BY["extracted"], len(synth.KEPT) - 1
+            patch, pipe.ws.root, TABLE, len(synth.KEPT) - 1
         )
         with pytest.raises(Killed):
             pipe.run(None)
@@ -716,88 +602,11 @@ def test_kill_after_last_extracted_mark_resumes_without_extract_calls(tmp_path, 
     assert tree(resumed.ws.root) == expected
 
 
-def test_kill_at_every_write_resumes_byte_identical(tmp_path, corpus_dir, monkeypatch):
-    # One worker and one call in flight fix the order of calls and writes.
-    config = PipelineConfig(max_concurrency=1, provider_max_in_flight=1)
-    commit = workspace._commit
-    finishing = {
-        name for d in synth.DOC_IDS for name in (
-            f"packed/{d}.json", f"reviews/{d}.indep.json", f"reviews/{d}.json",
-            f"extracted/{d}/table.json",
-        )
-    } | {"analysis/results.json"}
-
-    def start(root, provider, hook):
-        """Ingest and run on a fresh workspace, whose later writes commit
-        through `hook`, until done or killed; returns whether ingest returned."""
-        pipe = Pipeline(Workspace.init(root, synth.DIRECTION, config), config, provider)
-        with monkeypatch.context() as patch:
-            patch.setattr(workspace, "_commit", hook)
-            try:
-                pipe.ingest_dir(corpus_dir / "docs")
-            except Killed:
-                return False
-            try:
-                pipe.run(synth.TEMPLATE)
-            except Killed:
-                pass
-        return True
-
-    def script():
-        return ScriptedProvider.load_script(corpus_dir / "script.jsonl")
-
-    writes = []
-    clean = tmp_path / "clean"
-    start(clean, script(), lambda tmp, path: (writes.append(path), commit(tmp, path)))
-    expected = tree(clean)
-    assert not [name for name in expected if name.endswith(".tmp")]
-
-    batch_repeats = []
-    for k in range(len(writes)):
-        root = tmp_path / f"kill{k}"
-        done = []  # (workspace-relative name, calls issued by then) per finished write
-
-        def killing_commit(tmp, path):
-            if len(done) > k:  # the process is dead: no later write happens
-                tmp.unlink()
-                raise Killed(path)
-            if len(done) == k:  # killed with the temp file written, before its rename
-                done.append(None)
-                raise Killed(path)
-            commit(tmp, path)
-            done.append((path.relative_to(root).as_posix(), len(killed.calls)))
-
-        killed, provider = script(), script()
-        ingested = start(root, killed, killing_commit)
-        assert len(done) == k + 1, f"write {k} was never reached"
-        resumed = Pipeline(Workspace.load(root), config, provider)
-        if not ingested:
-            resumed.ingest_dir(corpus_dir / "docs")
-        resumed.run(synth.TEMPLATE)
-        assert tree(root) == expected, f"killed at write {k}: {writes[k]}"
-
-        # A call issued before the last finished artifact was written is
-        # vouched for by it and never repeated; but a kill between two record
-        # writes of one comparative batch repeats the batch's call.
-        vouched = max([calls for name, calls in done[:k] if name in finishing], default=0)
-        repeated = set(killed.calls[:vouched]) & set(provider.calls)
-        if repeated:
-            last_two = [done[k - 1][0], writes[k].relative_to(clean).as_posix()]
-            assert all(re.fullmatch(r"reviews/d\d\d\.json", name) for name in last_two), (
-                f"killed at write {k}: {writes[k]} repeated {repeated}"
-            )
-            assert repeated == {killed.calls[-1]}
-            assert killed.calls[-1][0] == "comparative_review"
-            batch_repeats.append(k)
-    # The corpus makes one batch of ten records, with nine gaps between them.
-    assert len(batch_repeats) == len(synth.DOC_IDS) - 1
-
-
 def test_status_right_after_a_kill_shows_what_the_artifacts_record(tmp_path, corpus_dir):
     pipe, _ = corpus_pipeline(tmp_path, corpus_dir)
     pipe.store_template(synth.TEMPLATE)
     with pytest.MonkeyPatch.context() as patch:
-        tables = kill_after_commit(patch, pipe.ws.root, RECORDED_BY["extracted"], 2)
+        tables = kill_after_commit(patch, pipe.ws.root, TABLE, 2)
         with pytest.raises(Killed):
             pipe.run(None)
     result = run_cli(["--workspace", pipe.ws.root, "status"])
@@ -806,21 +615,22 @@ def test_status_right_after_a_kill_shows_what_the_artifacts_record(tmp_path, cor
     assert {shown[path.parent.name] for path in tables[:3]} <= {"accepted", "unaccepted"}
 
 
-class FailingPlan(ContentAnsweringProvider):
-    """Fails the analysis `plan` call."""
+class DownAt(ContentAnsweringProvider):
+    """Fails every attempt of the calls tagged `tag` with `error`."""
+
+    def __init__(self, tag, error=TransportError):
+        super().__init__()
+        self.tag, self.error = tag, error
 
     def complete(self, request):
-        if request.request_tag == "plan":
-            raise ManalyzerError("no plan reply")
+        if request.request_tag == self.tag:
+            raise self.error(f"no {self.tag} reply")
         return super().complete(request)
 
 
-def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table(tmp_path):
-    """After a finished analysis of `ma`, `mb` is ingested and the second
-    analysis fails at its plan call: no document is analyzed, and `report`
-    renders the new merged table with no results, as after a first
-    analysis that failed."""
-    config = PipelineConfig(reviewer_batch_size=1)
+@pytest.fixture
+def two_sources(tmp_path):
+    """The source folders of the mini documents `ma` and `mb`, by doc_id."""
     sources = {}
     for doc_id, first in (("ma", 1), ("mb", 5)):
         sources[doc_id] = tmp_path / doc_id
@@ -829,6 +639,16 @@ def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table
             f"Finding {first}. Rainfall reached 401 mm.",
             f"Finding {first + 2}. Rainfall reached 401 mm again.",
         ])
+    return sources
+
+
+def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table(
+        tmp_path, two_sources):
+    """After a finished analysis of `ma`, `mb` is ingested and the second
+    analysis fails at its plan call: no document is analyzed, and `report`
+    renders the new merged table with no results, as after a first
+    analysis that failed."""
+    config, sources = PipelineConfig(reviewer_batch_size=1), two_sources
 
     def reported(root):
         pipe = Pipeline(Workspace.load(root), config, ContentAnsweringProvider())
@@ -840,7 +660,7 @@ def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table
     again.ingest_dir(sources["ma"])
     again.run(["rainfall mm"])
     assert again.ws.status_of("ma") == "analyzed"
-    again = Pipeline(Workspace.load(again.ws.root), config, FailingPlan())
+    again = Pipeline(Workspace.load(again.ws.root), config, DownAt("plan", ManalyzerError))
     again.ingest_dir(sources["mb"])
     with pytest.raises(StageFailure, match="stage 'analyze' failed"):
         again.run(None)
@@ -850,12 +670,37 @@ def test_a_failed_reanalysis_leaves_no_stale_results_beside_the_new_merged_table
     result = run_cli(["--workspace", again.ws.root, "status"])
     assert re.findall(r"(m[ab]) +(\w+)", result.stdout) == [("ma", "accepted"), ("mb", "accepted")]
 
-    once = Pipeline(Workspace.init(tmp_path / "once", DIRECTION, config), config, FailingPlan())
+    once = Pipeline(Workspace.init(tmp_path / "once", DIRECTION, config), config,
+                    DownAt("plan", ManalyzerError))
     for source in sources.values():
         once.ingest_dir(source)
     with pytest.raises(StageFailure, match="stage 'analyze' failed"):
         once.run(["rainfall mm"])
     assert reported(again.ws.root) == reported(once.ws.root)
+
+
+@pytest.mark.parametrize("tag, stage, asked", [
+    ("plan", "analyze", ["plan", "report"]), ("report", "report", ["report"])], ids=["plan", "report"])
+def test_an_outage_after_a_finished_run_leaves_no_stale_report(
+        tag, stage, asked, tmp_path, two_sources, monkeypatch):
+    """An outage at the `tag` call, once `mb` joins a finished run on `ma`, fails
+    the run; a resume asks again and leaves the tree a run with no outage leaves."""
+    monkeypatch.setattr(gateway, "BACKOFF_S", (0.0,))
+    config, healthy = PipelineConfig(reviewer_batch_size=1), ContentAnsweringProvider()
+    for name, provider, ends in (
+            ("clean", healthy, contextlib.nullcontext()),
+            ("down", DownAt(tag), pytest.raises(StageFailure, match=f"stage '{stage}' failed"))):
+        pipe = Pipeline(Workspace.init(tmp_path / name, DIRECTION, config), config, healthy)
+        pipe.ingest_dir(two_sources["ma"])
+        pipe.run(["rainfall mm"])
+        pipe = Pipeline(Workspace.load(pipe.ws.root), config, provider)
+        pipe.ingest_dir(two_sources["mb"])
+        with ends:
+            pipe.run(None)
+    healthy.calls.clear()
+    Pipeline(Workspace.load(pipe.ws.root), config, healthy).run(None)
+    assert [call[0] for call in healthy.calls] == asked
+    assert tree(pipe.ws.root) == tree(tmp_path / "clean")
 
 
 class MissingBatch(ContentAnsweringProvider):
